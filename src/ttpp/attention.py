@@ -13,43 +13,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, concat, glorot, matmul, mul, softmax
+from .tensor import Parameter, Tensor, glorot, matmul, mul, reshape, softmax, tensor_sum
 
 
 @dataclass
 class TTMParams:
-    """Per-head query/key/value projections plus the output projection.
+    """Query/key/value projections of every head, plus the output projection.
 
-    Heads project d_m down to d_k = d_m / n_heads; the concatenated head
-    outputs are mapped back to d_m by `wo`.
+    `wq`, `wk` and `wv` are each d_m x d_m: head h owns columns h*d_k to
+    (h+1)*d_k, with d_k = d_m / n_heads. The concatenated head outputs are
+    mapped back to d_m by `wo`.
     """
 
-    wq: list[Parameter]
-    wk: list[Parameter]
-    wv: list[Parameter]
+    wq: Parameter
+    wk: Parameter
+    wv: Parameter
     wo: Parameter
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.wq)
-
-    @property
-    def d_m(self) -> int:
-        return self.wq[0].shape[0]
+    n_heads: int
 
     def parameters(self) -> list[Parameter]:
-        return [*self.wq, *self.wk, *self.wv, self.wo]
+        return [self.wq, self.wk, self.wv, self.wo]
 
 
 def init_ttm_params(d_m: int, n_heads: int, rng, prefix: str = "ttm") -> TTMParams:
+    """Glorot init with one draw per head, so each head has the d_m x d_k limit.
+
+    Draws run q heads, then k heads, then v heads, then the output projection.
+    """
     if d_m % n_heads != 0:
         raise ValueError(f"n_heads={n_heads} must divide d_m={d_m}")
     d_k = d_m // n_heads
-    wq = [Parameter(f"{prefix}.q{i}", glorot(rng, d_m, d_k)) for i in range(n_heads)]
-    wk = [Parameter(f"{prefix}.k{i}", glorot(rng, d_m, d_k)) for i in range(n_heads)]
-    wv = [Parameter(f"{prefix}.v{i}", glorot(rng, d_m, d_k)) for i in range(n_heads)]
+    wq, wk, wv = (
+        Parameter(f"{prefix}.{name}", np.hstack([glorot(rng, d_m, d_k) for _ in range(n_heads)]))
+        for name in "qkv"
+    )
     wo = Parameter(f"{prefix}.o", glorot(rng, d_m, d_m))
-    return TTMParams(wq, wk, wv, wo)
+    return TTMParams(wq, wk, wv, wo, n_heads)
 
 
 def positional_encoding(length: int, d_m: int) -> np.ndarray:
@@ -69,46 +68,31 @@ def positional_encoding(length: int, d_m: int) -> np.ndarray:
     return table
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, scale_dim: int | None = None):
-    """softmax(Q K^T / sqrt(scale_dim)) V.
-
-    `scale_dim` defaults to the query width; multi-head callers pass the
-    full model width so projected heads keep the same temperature.
-    Returns (output, weights); weight rows sum to 1.
-    """
-    if k.shape[0] == 0:
-        raise ValueError("attention: empty memory (need at least one key row)")
-    if scale_dim is None:
-        scale_dim = q.shape[-1]
-    scores = mul(matmul(q, k.T), 1.0 / math.sqrt(scale_dim))
-    weights = softmax(scores)
-    return matmul(weights, v), weights
-
-
 def multi_head(query: Tensor, memory: Tensor, params: TTMParams):
-    """Concat per-head attention outputs and project back to d_m.
+    """Scaled dot-product attention of every head at once, projected back to d_m.
 
-    Returns (output 1 x d_m, weights (n_heads, memory_len) ndarray).
+    Each head scores softmax(q_h K_h^T / sqrt(d_m)): the temperature uses
+    the full model width, so projected heads keep the same one. Returns
+    (output 1 x d_m, weights (n_heads, memory_len) ndarray); weight rows
+    sum to 1.
     """
-    if memory.shape[0] < 1:
+    m = memory.shape[0]
+    if m < 1:
         raise ValueError("multi_head: empty memory (need t >= 2 observed chunks)")
     d_m = query.shape[-1]
-    heads = []
-    weights = np.empty((params.n_heads, memory.shape[0]))
-    for i in range(params.n_heads):
-        h, w = attention(
-            matmul(query, params.wq[i].value),
-            matmul(memory, params.wk[i].value),
-            matmul(memory, params.wv[i].value),
-            scale_dim=d_m,
-        )
-        heads.append(h)
-        weights[i] = w.data[0]
-    out = matmul(concat(heads, axis=-1), params.wo.value)
-    return out, weights
+    n = params.n_heads
+    d_k = d_m // n
+    q = reshape(matmul(query, params.wq.value), (1, n, d_k))
+    k = reshape(matmul(memory, params.wk.value), (m, n, d_k))
+    v = reshape(matmul(memory, params.wv.value), (m, n, d_k))
+    scores = tensor_sum(mul(k, q), axis=-1).T  # (n, m)
+    weights = softmax(mul(scores, 1.0 / math.sqrt(d_m)))
+    heads = tensor_sum(mul(reshape(weights.T, (m, n, 1)), v), axis=0)  # (n, d_k)
+    out = matmul(reshape(heads, (1, d_m)), params.wo.value)
+    return out, weights.data
 
 
-def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray, shortcut: bool = True):
+def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):
     """Aggregate T observed chunk features into one vector.
 
     Position rows are added to all T inputs; the last (position-encoded)
@@ -127,5 +111,4 @@ def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray, shortcut: bool =
     query = x[t - 1 : t]
     memory = x[: t - 1]
     attended, weights = multi_head(query, memory, params)
-    out = attended + query if shortcut else attended
-    return out, weights
+    return attended + query, weights

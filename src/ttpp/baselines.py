@@ -48,10 +48,6 @@ class Conv1DStack:
     weights: list[Parameter]  # each (3*d_m, d_m)
     biases: list[Parameter]  # each (d_m,)
 
-    @property
-    def d_m(self) -> int:
-        return self.weights[0].shape[1]
-
     def parameters(self) -> list[Parameter]:
         return [*self.weights, *self.biases]
 
@@ -80,10 +76,11 @@ def conv1d_lengths(t: int) -> list[int]:
     return lengths
 
 
-def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack, shortcut: bool = True) -> Tensor:
+def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
     """Reduce the T x d_m window to 1 x d_m through three strided convs.
 
-    Each layer zero-pads one row top and bottom; ReLU sits between layers.
+    Each layer zero-pads one row top and bottom; ReLU sits between layers,
+    and the last observed feature is added onto the result (shortcut).
     With the default T=8 the lengths run 8 -> 4 -> 2 -> 1. Any T not
     reducing to exactly 1 is rejected.
     """
@@ -106,76 +103,58 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack, shortcut: bool = True) 
         x = matmul(windows, params.weights[layer].value) + params.biases[layer].value
         if layer < CONV_LAYERS - 1:
             x = relu(x)
-    if shortcut:
-        x = x + f_seq[t - 1 : t]
-    return x
-
-
-@dataclass
-class GateParams:
-    w_x: Parameter
-    w_h: Parameter
-    b: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w_x, self.w_h, self.b]
+    return x + f_seq[t - 1 : t]
 
 
 @dataclass
 class LSTMParams:
-    """Input/forget/cell/output gates, each with x-weights, h-weights, bias."""
+    """All four gates as one (d_in + d_h) x 4*d_h weight and one 4*d_h bias.
 
-    input: GateParams
-    forget: GateParams
-    cell: GateParams
-    output: GateParams
+    Rows take the input x first, then the previous hidden state h; the
+    gates i, f, g, o own column blocks 0, 1, 2, 3 of width d_h, in that
+    order.
+    """
+
+    w: Parameter
+    b: Parameter
 
     @property
     def d_h(self) -> int:
-        return self.input.w_h.shape[0]
+        return self.b.shape[0] // 4
 
     @property
     def d_in(self) -> int:
-        return self.input.w_x.shape[0]
+        return self.w.shape[0] - self.d_h
 
     def parameters(self) -> list[Parameter]:
-        return [
-            *self.input.parameters(),
-            *self.forget.parameters(),
-            *self.cell.parameters(),
-            *self.output.parameters(),
-        ]
+        return [self.w, self.b]
 
 
 def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMParams:
-    def gate(name: str) -> GateParams:
-        return GateParams(
-            w_x=Parameter(f"{prefix}.{name}_wx", glorot(rng, d_in, d_h)),
-            w_h=Parameter(f"{prefix}.{name}_wh", glorot(rng, d_h, d_h)),
-            b=Parameter(f"{prefix}.{name}_b", np.zeros(d_h)),
-        )
+    """Glorot init with one draw per gate and input, so each keeps its own limit.
 
-    return LSTMParams(gate("i"), gate("f"), gate("g"), gate("o"))
+    Draws run gate by gate in i, f, g, o order, the x block before the h block.
+    """
+    w = np.hstack([np.vstack([glorot(rng, d_in, d_h), glorot(rng, d_h, d_h)]) for _ in range(4)])
+    return LSTMParams(Parameter(f"{prefix}.w", w), Parameter(f"{prefix}.b", np.zeros(4 * d_h)))
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LSTMParams):
-    def gate_pre(g: GateParams) -> Tensor:
-        return matmul(x, g.w_x.value) + matmul(h, g.w_h.value) + g.b.value
-
-    i = sigmoid(gate_pre(params.input))
-    f = sigmoid(gate_pre(params.forget))
-    g = tanh(gate_pre(params.cell))
-    o = sigmoid(gate_pre(params.output))
+    d_h = params.d_h
+    pre = matmul(concat([x, h], axis=-1), params.w.value) + params.b.value
+    gates = sigmoid(pre)  # one node for i, f and o; its g block goes unused
+    i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
+    g = tanh(pre[:, 2 * d_h : 3 * d_h])
     c_new = mul(f, c) + mul(i, g)
     h_new = mul(o, tanh(c_new))
     return h_new, c_new
 
 
-def lstm_encode(f_seq: Tensor, params: LSTMParams, shortcut: bool = True) -> Tensor:
-    """Run the recurrence over the window; the final hidden state is the summary.
+def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
+    """Run the recurrence over the window; the summary is its final hidden state.
 
-    The hidden width must equal the feature width so the optional shortcut
-    (+ last observed feature) stays well-typed.
+    The last observed feature is added onto the summary (shortcut), so the
+    hidden width must equal the feature width.
     """
     d_m = f_seq.shape[1]
     if params.d_h != d_m or params.d_in != d_m:
@@ -188,9 +167,7 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams, shortcut: bool = True) -> Ten
     c = Tensor(np.zeros((1, d_m)))
     for step in range(t):
         h, c = lstm_cell(f_seq[step : step + 1], h, c, params)
-    if shortcut:
-        h = h + f_seq[t - 1 : t]
-    return h
+    return h + f_seq[t - 1 : t]
 
 
 def lstm_decode(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -121,8 +121,6 @@ def train_config(rc: dict[str, object]) -> TrainConfig:
         epochs=rc["train.epochs"],
         lam=rc["train.lam"],
         seed=rc["train.seed"],
-        horizon=rc["model.horizon"],
-        seq_len=rc["model.seq_len"],
     )
 
 
@@ -222,8 +220,19 @@ def _load_model(rc, checkpoint) -> AnticipationModel:
     path = Path(checkpoint)
     if not path.exists():
         raise FileNotFoundError(f"checkpoint not found: {path}")
-    model = AnticipationModel(model_config(rc), seed=rc["train.seed"])
-    model.load_state(load_checkpoint(path))
+    saved, state = load_checkpoint(path)
+    config = model_config(rc)
+    differ = [
+        f"{f.name} (checkpoint {getattr(saved, f.name)!r}, config {getattr(config, f.name)!r})"
+        for f in fields(ModelConfig)
+        if getattr(saved, f.name) != getattr(config, f.name)
+    ]
+    if differ:
+        raise ValueError(
+            f"checkpoint {path} was trained with another model config: {', '.join(differ)}"
+        )
+    model = AnticipationModel(config, seed=rc["train.seed"])
+    model.load_state(state)
     return model
 
 
@@ -248,8 +257,12 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     rc = resolve_config(args.config, args.set or [])
+    if (args.data or rc["data.source"] == "files") and not args.heldout_data:
+        raise ValueError(
+            "grid on feature files needs --heldout-data; it would score on the training files"
+        )
     train_seqs = training_sequences(rc, args.data)
-    held_seqs = heldout_sequences(rc, args.heldout_data or args.data)
+    held_seqs = heldout_sequences(rc, args.heldout_data)
     mc = model_config(rc)
     tc = train_config(rc)
     samples = samples_from(train_seqs, mc.seq_len, mc.horizon)

@@ -103,6 +103,11 @@ def chunk_frames(
 def save_features(seq: FeatureSequence, path) -> None:
     """Binary format: magic, u16 version, u32 T_total, u32 d_m, u32 C,
     float32 little-endian rows, then u16 labels."""
+    if seq.n_classes > 65536:
+        raise ValueError(
+            f"save_features: labels are stored as u16, so n_classes must be <= 65536, "
+            f"got {seq.n_classes}"
+        )
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<HIII", FEATURE_VERSION, len(seq), seq.d_m, seq.n_classes))

@@ -9,8 +9,9 @@ rollout of future (feature, probability) pairs.
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ PREDICTORS = ("ppm", "ssp", "lstm")
 PPM_VARIANTS = ("full", "no_feature")
 
 CHECKPOINT_MAGIC = b"TTPPCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -152,9 +153,6 @@ class AnticipationModel:
 
         return score
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {p.name: p.value.data.copy() for p in self.parameters()}
-
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         params = {p.name: p for p in self.parameters()}
         missing = sorted(set(params) - set(state))
@@ -180,56 +178,27 @@ class DecoderParams:
         return [*self.lstm.parameters(), self.classifier]
 
 
-# closed-form parameter counts
-
-
-def ttm_count(d_m: int) -> int:
-    # n heads of 3 projections d_m x (d_m/n) collapse to 3 d_m^2, plus the
-    # output projection d_m x d_m
-    return 4 * d_m * d_m
-
-
-def block_count(in_dim: int, d_m: int) -> int:
-    hidden = d_m // 2
-    return in_dim * hidden + hidden + hidden * d_m + d_m + 2 * d_m
-
-
-def ppm_count(d_m: int, n_classes: int) -> int:
-    return 2 * block_count(2 * d_m + n_classes, d_m) + d_m * n_classes
-
-
-def ssp_count(d_m: int, n_classes: int, horizon: int) -> int:
-    return block_count(2 * d_m + n_classes + horizon, d_m) + d_m * n_classes
-
-
-def lstm_count(d_in: int, d_h: int) -> int:
-    return 4 * (d_in * d_h + d_h * d_h + d_h)
-
-
-def encoder_lstm_count(d_m: int) -> int:
-    return lstm_count(d_m, d_m)
-
-
-def decoder_lstm_count(d_m: int, n_classes: int) -> int:
-    return lstm_count(d_m + n_classes, d_m) + d_m * n_classes
-
-
-def conv1d_count(d_m: int) -> int:
-    return baselines.CONV_LAYERS * (baselines.CONV_KERNEL * d_m * d_m + d_m)
-
-
 def model_count(config: ModelConfig) -> int:
-    """Closed-form total for a config; matches the built model exactly."""
+    """Closed-form parameter total for a config; matches the built model exactly."""
     c = config
+    d, n = c.d_m, c.n_classes
+
+    def block(in_dim: int) -> int:  # fc1, fc2, layer-norm gain and bias
+        hidden = d // 2
+        return in_dim * hidden + hidden + hidden * d + d + 2 * d
+
+    def lstm(d_in: int) -> int:  # four gates over [x, h], plus their biases
+        return 4 * d * (d_in + d + 1)
+
     agg = {
-        "ttm": ttm_count(c.d_m),
-        "conv1d": conv1d_count(c.d_m),
-        "lstm": encoder_lstm_count(c.d_m),
+        "ttm": 4 * d * d,  # q, k, v and output projections, for any head count
+        "conv1d": baselines.CONV_LAYERS * (baselines.CONV_KERNEL * d * d + d),
+        "lstm": lstm(d),
     }[c.aggregator]
     pred = {
-        "ppm": ppm_count(c.d_m, c.n_classes),
-        "ssp": ssp_count(c.d_m, c.n_classes, c.horizon),
-        "lstm": decoder_lstm_count(c.d_m, c.n_classes),
+        "ppm": 2 * block(2 * d + n) + d * n,
+        "ssp": block(2 * d + n + c.horizon) + d * n,
+        "lstm": lstm(d + n) + d * n,
     }[c.predictor]
     return agg + pred
 
@@ -245,15 +214,21 @@ def grid_configs(base: ModelConfig) -> list[ModelConfig]:
     return cells
 
 
-# checkpoint format: magic, u16 version, u32 count, then per parameter
-# u16 name length + utf8 name, u8 ndim, u32 dims, float64 little-endian data
+# checkpoint format v2: magic, u16 version, u32 parameter count, u32 length
+# of the ModelConfig as utf8 JSON, the JSON, then per parameter u16 name
+# length + utf8 name, u8 ndim, u32 dims, float64 little-endian data.
+# Fused layouts: ttm.q, ttm.k and ttm.v hold head h in columns h*d_k to
+# (h+1)*d_k; enc.w and dec.w hold the x rows, then the h rows, and the gate
+# column blocks in i, f, g, o order.
 
 
 def save_checkpoint(model: AnticipationModel, path) -> None:
     with open(path, "wb") as fh:
         params = model.parameters()
+        config = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(params)))
+        fh.write(struct.pack("<HII", CHECKPOINT_VERSION, len(params), len(config)))
+        fh.write(config)
         for p in params:
             name = p.name.encode("utf-8")
             fh.write(struct.pack("<H", len(name)))
@@ -264,18 +239,23 @@ def save_checkpoint(model: AnticipationModel, path) -> None:
             fh.write(p.value.data.astype("<f8").tobytes())
 
 
-def load_checkpoint(path) -> dict[str, np.ndarray]:
+def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """Returns (the config the model was built with, parameters by name)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file: bad magic at offset 0 in {path}")
-    version, count = struct.unpack_from("<HI", blob, 8)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version} at offset 8")
-    offset = 14
+    offset = 8
     state: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        try:
+    try:
+        (version,) = struct.unpack_from("<H", blob, offset)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version} at offset 8")
+        count, config_len = struct.unpack_from("<II", blob, offset + 2)
+        offset += 10
+        config = ModelConfig(**json.loads(blob[offset : offset + config_len].decode("utf-8")))
+        offset += config_len
+        for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
             offset += 2
             name = blob[offset : offset + name_len].decode("utf-8")
@@ -288,12 +268,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             end = offset + 8 * n
             if end > len(blob):
                 raise struct.error("short read")
-            arr = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape)
+            state[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
             offset = end
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise ValueError(f"truncated/corrupt checkpoint at offset {offset}: {exc}") from exc
-        state[name] = arr.copy()
-    return state
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
+        raise ValueError(f"truncated/corrupt checkpoint at offset {offset}: {exc}") from exc
+    return config, state
 
 
 def file_sha256(path) -> str:

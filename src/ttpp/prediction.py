@@ -40,10 +40,6 @@ class PredictionBlockParams:
     def in_dim(self) -> int:
         return self.fc1_w.shape[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.fc2_w.shape[1]
-
     def parameters(self) -> list[Parameter]:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.ln_gain, self.ln_bias]
 
@@ -75,10 +71,6 @@ class Rollout:
 
     features: Tensor  # (horizon, d_m)
     probs: Tensor  # (horizon, n_classes)
-
-    @property
-    def horizon(self) -> int:
-        return self.features.shape[0]
 
 
 def init_block_params(in_dim: int, d_m: int, rng, prefix: str) -> PredictionBlockParams:

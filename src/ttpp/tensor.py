@@ -367,10 +367,6 @@ def dropout(x: Tensor, rate: float, mode: str = "eval", rng=None) -> Tensor:
     return _make(x.data * keep, (x,), backward)
 
 
-def relu_dropout(x: Tensor, rate: float, mode: str = "eval", rng=None) -> Tensor:
-    return dropout(relu(x), rate, mode, rng)
-
-
 class Parameter:
     """Named trainable tensor with an SGD momentum buffer."""
 
@@ -408,11 +404,6 @@ def sgd_step(params, lr: float, momentum: float = 0.0) -> None:
         p.momentum *= momentum
         p.momentum += g
         p.value.data -= lr * p.momentum
-        p.value.grad = None
-
-
-def zero_grads(params) -> None:
-    for p in params:
         p.value.grad = None
 
 

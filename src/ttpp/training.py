@@ -28,8 +28,6 @@ class TrainConfig:
     epochs: int = 10
     lam: float = 1.0  # weight on the feature reconstruction term
     seed: int = 0
-    horizon: int = 8
-    seq_len: int = 8
 
     def __post_init__(self):
         # lr = 0 is allowed as an explicit null update (useful in tests)
@@ -43,10 +41,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        if self.seq_len < 2:
-            raise ValueError(f"seq_len must be >= 2, got {self.seq_len}")
 
 
 @dataclass
@@ -78,22 +72,20 @@ def total_loss(l_c: Tensor, l_r: Tensor, lam: float) -> Tensor:
 
 
 def check_samples(model: AnticipationModel, samples) -> None:
+    """Every sample must match the model's window, horizon and class count."""
     if not samples:
         raise ValueError("empty dataset")
     c = model.config
-    s = samples[0]
-    if s.observed.shape != (c.seq_len, c.d_m):
-        raise ValueError(
-            f"sample observed shape {s.observed.shape} != ({c.seq_len}, {c.d_m})"
-        )
-    if s.future_features.shape != (c.horizon, c.d_m):
-        raise ValueError(
-            f"sample future shape {s.future_features.shape} != ({c.horizon}, {c.d_m})"
-        )
-    if s.future_labels.shape != (c.horizon, c.n_classes):
-        raise ValueError(
-            f"sample label shape {s.future_labels.shape} != ({c.horizon}, {c.n_classes})"
-        )
+    expected = {
+        "observed": (c.seq_len, c.d_m),
+        "future_features": (c.horizon, c.d_m),
+        "future_labels": (c.horizon, c.n_classes),
+    }
+    for idx, s in enumerate(samples):
+        for field, shape in expected.items():
+            got = getattr(s, field).shape
+            if got != shape:
+                raise ValueError(f"sample {idx}: {field} shape {got} != {shape}")
 
 
 def train(model: AnticipationModel, samples, config: TrainConfig) -> list[EpochStats]:

@@ -1,4 +1,4 @@
-"""Temporal transformer aggregation: positions, attention, shortcut."""
+"""Temporal transformer aggregation: positions, multi-head attention, shortcut."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,11 @@ import pytest
 from ttpp.attention import (
     TTMParams,
     aggregate,
-    attention,
     init_ttm_params,
     multi_head,
     positional_encoding,
 )
-from ttpp.tensor import Parameter, Tensor, grad_check
+from ttpp.tensor import Parameter, Tensor, glorot, grad_check
 
 
 class TestPositionalEncoding:
@@ -43,83 +42,105 @@ class TestPositionalEncoding:
             positional_encoding(4, 1)
 
 
+def identity_params(d_m: int) -> TTMParams:
+    eye = np.eye(d_m)
+    return TTMParams(
+        wq=Parameter("q", eye),
+        wk=Parameter("k", eye),
+        wv=Parameter("v", eye),
+        wo=Parameter("o", eye),
+        n_heads=1,
+    )
+
+
+def np_softmax(scores: np.ndarray) -> np.ndarray:
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 class TestAttention:
+    # scaled dot-product behaviour, checked through multi_head
+
     def test_single_memory_row_passes_value_through(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
+            params = init_ttm_params(8, 2, rng)
             q = Tensor(rng.normal(size=(1, 8)))
-            k = Tensor(rng.normal(size=(1, 8)))
-            v = Tensor(rng.normal(size=(1, 8)))
-            out, w = attention(q, k, v)
-            np.testing.assert_allclose(out.data, v.data)
-            assert w.data[0, 0] == pytest.approx(1.0)
+            mem = rng.normal(size=(1, 8))
+            out, w = multi_head(q, Tensor(mem), params)
+            expected = mem @ params.wv.value.data @ params.wo.value.data
+            np.testing.assert_allclose(out.data, expected, atol=1e-12)
+            np.testing.assert_allclose(w, np.ones((2, 1)), atol=1e-12)
 
     def test_identical_keys_average_values(self):
+        # a zero key projection gives every memory row the same score
         rng = np.random.default_rng(1)
-        q = Tensor(rng.normal(size=(1, 6)))
-        k = Tensor(np.tile(rng.normal(size=(1, 6)), (5, 1)))
-        v = Tensor(rng.normal(size=(5, 6)))
-        out, _ = attention(q, k, v)
-        np.testing.assert_allclose(out.data, v.data.mean(axis=0, keepdims=True), atol=1e-12)
+        params = init_ttm_params(6, 2, rng)
+        params.wk.value.data[:] = 0.0
+        mem = rng.normal(size=(5, 6))
+        out, _ = multi_head(Tensor(rng.normal(size=(1, 6))), Tensor(mem), params)
+        expected = (mem @ params.wv.value.data).mean(axis=0, keepdims=True) @ params.wo.value.data
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_against_naive_loop_oracle(self):
+        # two heads of width 4 in an 8-wide model: the temperature must be
+        # 1/sqrt(8), the model width, not 1/sqrt(4)
         rng = np.random.default_rng(2)
-        q = rng.normal(size=(1, 8))
-        k = rng.normal(size=(7, 8))
-        v = rng.normal(size=(7, 8))
-        scores = np.array([np.dot(q[0], k[i]) / np.sqrt(8) for i in range(7)])
-        e = np.exp(scores - scores.max())
-        w = e / e.sum()
-        expected = sum(w[i] * v[i] for i in range(7))
-        out, weights = attention(Tensor(q), Tensor(k), Tensor(v))
-        np.testing.assert_allclose(out.data[0], expected, atol=1e-10)
-        np.testing.assert_allclose(weights.data[0], w, atol=1e-10)
+        d_m, n, d_k = 8, 2, 4
+        params = init_ttm_params(d_m, n, rng)
+        query = rng.normal(size=(1, d_m))
+        mem = rng.normal(size=(7, d_m))
+        q = (query @ params.wq.value.data)[0]
+        k = mem @ params.wk.value.data
+        v = mem @ params.wv.value.data
+        w = np.zeros((n, 7))
+        heads = np.zeros(d_m)
+        for h in range(n):
+            cols = slice(h * d_k, (h + 1) * d_k)
+            scores = np.array([np.dot(q[cols], k[i, cols]) / np.sqrt(d_m) for i in range(7)])
+            e = np.exp(scores - scores.max())
+            w[h] = e / e.sum()
+            heads[cols] = sum(w[h, i] * v[i, cols] for i in range(7))
+        out, weights = multi_head(Tensor(query), Tensor(mem), params)
+        np.testing.assert_allclose(out.data[0], heads @ params.wo.value.data, atol=1e-10)
+        np.testing.assert_allclose(weights, w, atol=1e-10)
 
     def test_empty_memory_rejected(self):
         q = Tensor(np.zeros((1, 4)))
         empty = Tensor(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty memory"):
-            attention(q, empty, empty)
+            multi_head(q, empty, identity_params(4))
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        _, w = attention(
-            Tensor(rng.normal(size=(3, 8))),
-            Tensor(rng.normal(size=(6, 8))),
-            Tensor(rng.normal(size=(6, 8))),
+        params = init_ttm_params(8, 4, rng)
+        _, w = multi_head(
+            Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(6, 8))), params
         )
-        np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-9)
+        assert w.shape == (4, 6)
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_output_linear_in_values_for_fixed_weights(self):
         rng = np.random.default_rng(4)
+        params = init_ttm_params(8, 2, rng)
         q = Tensor(rng.normal(size=(1, 8)))
-        k = Tensor(rng.normal(size=(5, 8)))
-        v = rng.normal(size=(5, 8))
-        out1, w1 = attention(q, k, Tensor(v))
-        out2, w2 = attention(q, k, Tensor(2 * v))
-        np.testing.assert_array_equal(w1.data, w2.data)
+        mem = Tensor(rng.normal(size=(5, 8)))
+        out1, w1 = multi_head(q, mem, params)
+        params.wv.value.data *= 2.0
+        out2, w2 = multi_head(q, mem, params)
+        np.testing.assert_array_equal(w1, w2)
         np.testing.assert_allclose(out2.data, 2 * out1.data, rtol=1e-12)
-
-
-def identity_params(d_m: int) -> TTMParams:
-    eye = np.eye(d_m)
-    return TTMParams(
-        wq=[Parameter("q0", eye)],
-        wk=[Parameter("k0", eye)],
-        wv=[Parameter("v0", eye)],
-        wo=Parameter("o", eye),
-    )
 
 
 class TestMultiHead:
     def test_single_identity_head_reduces_to_attention(self):
         rng = np.random.default_rng(5)
-        q = Tensor(rng.normal(size=(1, 6)))
-        mem = Tensor(rng.normal(size=(4, 6)))
-        out, weights = multi_head(q, mem, identity_params(6))
-        expected, ew = attention(q, mem, mem)
-        np.testing.assert_allclose(out.data, expected.data, atol=1e-12)
-        np.testing.assert_allclose(weights[0], ew.data[0], atol=1e-12)
+        q = rng.normal(size=(1, 6))
+        mem = rng.normal(size=(4, 6))
+        out, weights = multi_head(Tensor(q), Tensor(mem), identity_params(6))
+        ew = np_softmax(q @ mem.T / np.sqrt(6))
+        np.testing.assert_allclose(out.data, ew @ mem, atol=1e-12)
+        np.testing.assert_allclose(weights, ew, atol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
     def test_output_shape(self, n_heads):
@@ -134,21 +155,35 @@ class TestMultiHead:
     def test_two_heads_match_per_head_oracle(self):
         rng = np.random.default_rng(7)
         d_m, n = 8, 2
+        d_k = d_m // n
         params = init_ttm_params(d_m, n, rng)
         q = rng.normal(size=(1, d_m))
         mem = rng.normal(size=(5, d_m))
         heads = []
         for i in range(n):
-            qi = q @ params.wq[i].value.data
-            ki = mem @ params.wk[i].value.data
-            vi = mem @ params.wv[i].value.data
-            scores = (qi @ ki.T) / np.sqrt(d_m)  # scale uses the model width
-            e = np.exp(scores - scores.max())
-            w = e / e.sum()
+            cols = slice(i * d_k, (i + 1) * d_k)
+            qi = q @ params.wq.value.data[:, cols]
+            ki = mem @ params.wk.value.data[:, cols]
+            vi = mem @ params.wv.value.data[:, cols]
+            w = np_softmax((qi @ ki.T) / np.sqrt(d_m))  # scale uses the model width
             heads.append(w @ vi)
         expected = np.concatenate(heads, axis=-1) @ params.wo.value.data
         out, _ = multi_head(Tensor(q), Tensor(mem), params)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    def test_fused_init_stacks_per_head_draws(self, n_heads):
+        # the fused matrices hold the same glorot draws, in the same rng
+        # order, as one d_m x d_k matrix per head and projection would
+        d_m, d_k = 16, 16 // n_heads
+        rng = np.random.default_rng(30)
+        per_head = {name: [glorot(rng, d_m, d_k) for _ in range(n_heads)] for name in "qkv"}
+        wo = glorot(rng, d_m, d_m)
+        params = init_ttm_params(d_m, n_heads, np.random.default_rng(30))
+        for name, fused in zip("qkv", (params.wq, params.wk, params.wv)):
+            np.testing.assert_array_equal(fused.value.data, np.hstack(per_head[name]))
+        np.testing.assert_array_equal(params.wo.value.data, wo)
+        assert [p.name for p in params.parameters()] == ["ttm.q", "ttm.k", "ttm.v", "ttm.o"]
 
     def test_heads_must_divide_width(self):
         with pytest.raises(ValueError, match="divide"):
@@ -176,14 +211,6 @@ class TestAggregate:
         f = rng.normal(size=(4, 8))
         out, _ = aggregate(Tensor(f), params, pe)
         np.testing.assert_allclose(out.data, (f + pe[:4])[3:4], atol=1e-12)
-
-    def test_no_shortcut_variant_drops_query(self):
-        rng = np.random.default_rng(11)
-        params = init_ttm_params(8, 2, rng)
-        params.wo.value.data[:] = 0.0
-        pe = positional_encoding(4, 8)
-        out, _ = aggregate(Tensor(rng.normal(size=(4, 8))), params, pe, shortcut=False)
-        np.testing.assert_allclose(out.data, np.zeros((1, 8)), atol=1e-12)
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(12)

@@ -1,5 +1,7 @@
 """Conv1D / LSTM aggregation, LSTM decoding, single-shot prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,19 +17,10 @@ from ttpp.baselines import (
     ssp_predict,
     ssp_rollout,
 )
-from ttpp.model import (
-    AGGREGATORS,
-    PREDICTORS,
-    AnticipationModel,
-    ModelConfig,
-    decoder_lstm_count,
-    encoder_lstm_count,
-    model_count,
-    ppm_count,
-    ttm_count,
-)
+from ttpp.attention import init_ttm_params
+from ttpp.model import AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, model_count
 from ttpp.prediction import classify, init_ppm_params
-from ttpp.tensor import Parameter, Tensor, grad_check
+from ttpp.tensor import Parameter, Tensor, glorot, grad_check
 
 
 def zeroed(params):
@@ -36,11 +29,21 @@ def zeroed(params):
     return params
 
 
+def gate_blocks(params, d_in):
+    """Per-gate (x weights, h weights, bias) in i, f, g, o order, cut from the fused layout."""
+    w, b = params.w.value.data, params.b.value.data
+    d_h = b.shape[0] // 4
+    cols = [slice(k * d_h, (k + 1) * d_h) for k in range(4)]
+    return [w[:d_in, c] for c in cols], [w[d_in:, c] for c in cols], [b[c] for c in cols]
+
+
 class TestConv1D:
     def test_zero_weights_zero_biases_give_zero(self):
+        # the stack contributes zero, so only the shortcut's last feature remains
         params = zeroed(init_conv1d_params(4, np.random.default_rng(0)))
-        out = conv1d_aggregate(Tensor(np.random.default_rng(1).normal(size=(8, 4))), params, shortcut=False)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+        x = np.random.default_rng(1).normal(size=(8, 4))
+        out = conv1d_aggregate(Tensor(x), params)
+        np.testing.assert_array_equal(out.data, x[7:8])
 
     def test_lengths_reduce_eight_to_one(self):
         assert conv1d_lengths(8) == [4, 2, 1]
@@ -78,12 +81,14 @@ class TestConv1D:
             conv1d_aggregate(Tensor(np.zeros((11, 4))), params)
 
     def test_shortcut_adds_last_feature(self):
+        # a zero last-layer weight leaves its bias as the stack's output
         rng = np.random.default_rng(5)
         params = init_conv1d_params(4, rng)
+        params.weights[-1].value.data[:] = 0.0
+        params.biases[-1].value.data[:] = rng.normal(size=4)
         x = rng.normal(size=(8, 4))
-        plain = conv1d_aggregate(Tensor(x), params, shortcut=False)
-        with_short = conv1d_aggregate(Tensor(x), params, shortcut=True)
-        np.testing.assert_allclose(with_short.data, plain.data + x[7:8], atol=1e-12)
+        out = conv1d_aggregate(Tensor(x), params)
+        np.testing.assert_allclose(out.data, params.biases[-1].value.data + x[7:8], atol=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
@@ -99,21 +104,25 @@ class TestConv1D:
 
 class TestLSTMEncode:
     def test_zero_params_single_step_gives_zero(self):
+        # the recurrence gives zero, so the summary is the shortcut's input row
         params = zeroed(init_lstm_params(4, 4, np.random.default_rng(7)))
-        out = lstm_encode(Tensor(np.random.default_rng(8).normal(size=(1, 4))), params, shortcut=False)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+        x = np.random.default_rng(8).normal(size=(1, 4))
+        out = lstm_encode(Tensor(x), params)
+        np.testing.assert_array_equal(out.data, x)
 
     def test_saturated_gates_ignore_inputs(self):
         # forget bias >> 0 and input bias << 0 freeze the cell at zero,
         # so the hidden state cannot depend on the inputs
         rng = np.random.default_rng(9)
         params = init_lstm_params(4, 4, rng)
-        params.forget.b.value.data[:] = 50.0
-        params.input.b.value.data[:] = -50.0
-        a = lstm_encode(Tensor(rng.normal(size=(5, 4))), params, shortcut=False)
-        b = lstm_encode(Tensor(rng.normal(size=(5, 4))), params, shortcut=False)
-        np.testing.assert_allclose(a.data, b.data, atol=1e-12)
-        np.testing.assert_allclose(a.data, np.zeros((1, 4)), atol=1e-12)
+        params.b.value.data[4:8] = 50.0  # forget gate block
+        params.b.value.data[0:4] = -50.0  # input gate block
+        xa = rng.normal(size=(5, 4))
+        xb = rng.normal(size=(5, 4))
+        a = lstm_encode(Tensor(xa), params).data - xa[4:5]
+        b = lstm_encode(Tensor(xb), params).data - xb[4:5]
+        np.testing.assert_allclose(a, b, atol=1e-12)
+        np.testing.assert_allclose(a, np.zeros((1, 4)), atol=1e-12)
 
     def test_against_unrolled_oracle(self):
         rng = np.random.default_rng(10)
@@ -126,17 +135,31 @@ class TestLSTMEncode:
 
         h = np.zeros((1, d))
         c = np.zeros((1, d))
-        g = params
+        wx, wh, b = gate_blocks(params, d)
         for t in range(4):
             xt = x[t : t + 1]
-            i = sig(xt @ g.input.w_x.value.data + h @ g.input.w_h.value.data + g.input.b.value.data)
-            f = sig(xt @ g.forget.w_x.value.data + h @ g.forget.w_h.value.data + g.forget.b.value.data)
-            cand = np.tanh(xt @ g.cell.w_x.value.data + h @ g.cell.w_h.value.data + g.cell.b.value.data)
-            o = sig(xt @ g.output.w_x.value.data + h @ g.output.w_h.value.data + g.output.b.value.data)
+            i = sig(xt @ wx[0] + h @ wh[0] + b[0])
+            f = sig(xt @ wx[1] + h @ wh[1] + b[1])
+            cand = np.tanh(xt @ wx[2] + h @ wh[2] + b[2])
+            o = sig(xt @ wx[3] + h @ wh[3] + b[3])
             c = f * c + i * cand
             h = o * np.tanh(c)
-        out = lstm_encode(Tensor(x), params, shortcut=False)
-        np.testing.assert_allclose(out.data, h, atol=1e-10)
+        out = lstm_encode(Tensor(x), params)
+        np.testing.assert_allclose(out.data, h + x[3:4], atol=1e-10)
+
+    def test_fused_init_stacks_per_gate_draws(self):
+        # the fused matrix holds the same glorot draws, in the same rng
+        # order, as an x and an h matrix per gate would
+        d_in, d_h = 7, 4
+        rng = np.random.default_rng(31)
+        draws = [(glorot(rng, d_in, d_h), glorot(rng, d_h, d_h)) for _ in "ifgo"]
+        params = init_lstm_params(d_in, d_h, np.random.default_rng(31), prefix="dec")
+        wx, wh, b = gate_blocks(params, d_in)
+        for k, (dx, dh) in enumerate(draws):
+            np.testing.assert_array_equal(wx[k], dx)
+            np.testing.assert_array_equal(wh[k], dh)
+            np.testing.assert_array_equal(b[k], np.zeros(d_h))
+        assert [p.name for p in params.parameters()] == ["dec.w", "dec.b"]
 
     def test_hidden_width_must_match_features(self):
         params = init_lstm_params(4, 6, np.random.default_rng(11))
@@ -191,12 +214,12 @@ class TestLSTMDecode:
         h, cc = s.copy(), np.zeros((1, d))
         x = np.concatenate([f, np_classify(f)], axis=-1)
         feats, probs = [], []
-        g = params
+        wx, wh, b = gate_blocks(params, d + c_n)
         for _ in range(3):
-            i = sig(x @ g.input.w_x.value.data + h @ g.input.w_h.value.data + g.input.b.value.data)
-            ff = sig(x @ g.forget.w_x.value.data + h @ g.forget.w_h.value.data + g.forget.b.value.data)
-            cand = np.tanh(x @ g.cell.w_x.value.data + h @ g.cell.w_h.value.data + g.cell.b.value.data)
-            o = sig(x @ g.output.w_x.value.data + h @ g.output.w_h.value.data + g.output.b.value.data)
+            i = sig(x @ wx[0] + h @ wh[0] + b[0])
+            ff = sig(x @ wx[1] + h @ wh[1] + b[1])
+            cand = np.tanh(x @ wx[2] + h @ wh[2] + b[2])
+            o = sig(x @ wx[3] + h @ wh[3] + b[3])
             cc = ff * cc + i * cand
             h = o * np.tanh(cc)
             p = np_classify(h)
@@ -320,20 +343,23 @@ class TestGridComposition:
 
     @pytest.mark.parametrize("d_m", [16, 64, 256])
     def test_transformer_stack_is_smaller_than_recurrent_stack(self, d_m):
-        n_classes = 5
-        ttpp = ttm_count(d_m) + ppm_count(d_m, n_classes)
-        ed = encoder_lstm_count(d_m) + decoder_lstm_count(d_m, n_classes)
+        base = ModelConfig(d_m=d_m, n_heads=4, n_classes=5)
+        ttpp = model_count(base)
+        ed = model_count(replace(base, aggregator="lstm", predictor="lstm"))
         assert ttpp < ed
 
     def test_ttm_count_closed_form(self):
-        # n heads of three d_m x d_m/n projections collapse to 3 d_m^2
+        # three d_m x d_m projections plus the output projection, whatever
+        # the head count
         rng = np.random.default_rng(24)
         for n in (1, 2, 4):
-            from ttpp.attention import init_ttm_params
-
             params = init_ttm_params(16, n, rng)
-            assert sum(p.size for p in params.parameters()) == ttm_count(16)
+            assert sum(p.size for p in params.parameters()) == 4 * 16 * 16
 
     def test_ppm_count_closed_form(self):
-        params = init_ppm_params(16, 5, np.random.default_rng(25))
-        assert sum(p.size for p in params.parameters()) == ppm_count(16, 5)
+        # two blocks (fc1, fc2, layer-norm gain and bias) over s (+) f (+) p,
+        # plus the d_m x C classifier
+        d, c, hidden = 16, 5, 8
+        block = (2 * d + c) * hidden + hidden + hidden * d + d + 2 * d
+        params = init_ppm_params(d, c, np.random.default_rng(25))
+        assert sum(p.size for p in params.parameters()) == 2 * block + d * c

@@ -95,6 +95,32 @@ class TestTrainEval:
         assert rc != 0
         assert "missing.bin" in capsys.readouterr().err
 
+    def test_eval_refuses_checkpoint_of_another_config(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(run), *FAST]) == 0
+        capsys.readouterr()
+        rc = main([
+            "eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data / "heldout"),
+            "--out", str(tmp_path / "r.csv"), *FAST, "--set", "model.seq_len=4",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "seq_len (checkpoint 8, config 4)" in err
+        assert "horizon" not in err
+
+    def test_short_or_v1_checkpoint_is_a_named_error(self, tmp_path, capsys):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"TTPPCKPT\x02\x00")  # magic and version, no counts
+        rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "r.csv"), *FAST])
+        assert rc == 1
+        assert "truncated/corrupt checkpoint" in capsys.readouterr().err
+        path.write_bytes(b"TTPPCKPT\x01\x00" + bytes(4))  # a version-1 header
+        rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "r.csv"), *FAST])
+        assert rc == 1
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
     def test_unknown_subcommand_fails(self, capsys):
         assert main(["frobnicate"]) != 0
 
@@ -122,6 +148,14 @@ class TestGrid:
             for p in ("ppm", "ssp", "lstm")
         } | {"ttm-ppm-nofp"}
         assert set(rows) == expected
+
+    def test_training_files_need_heldout_files(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        rc = main(["grid", "--data", str(data / "train"), "--out", str(tmp_path / "g.csv"), *FAST])
+        assert rc == 1
+        assert "--heldout-data" in capsys.readouterr().err
+        assert not (tmp_path / "g.csv").exists()
 
 
 class TestDumpAttention:

@@ -112,6 +112,13 @@ class TestBinaryFormat:
         with pytest.raises(FeatureFileError, match="out of range"):
             load_features(path)
 
+    def test_labels_beyond_u16_rejected_on_save(self, tmp_path):
+        # label 70000 would wrap to 4464 in the u16 field
+        seq = FeatureSequence("big", np.zeros((2, 3)), np.array([0, 70000]), 70001)
+        with pytest.raises(ValueError, match="65536"):
+            save_features(seq, tmp_path / "big.feat")
+        assert not (tmp_path / "big.feat").exists()
+
 
 class TestCsvFormat:
     def test_round_trip(self, tmp_path):

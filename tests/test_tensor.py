@@ -13,12 +13,14 @@ from ttpp.tensor import (
     layer_norm,
     log_clipped,
     matmul,
+    mul,
     relu,
-    relu_dropout,
+    reshape,
     sgd_step,
     sigmoid,
     softmax,
     tanh,
+    tensor_sum,
 )
 
 
@@ -129,14 +131,14 @@ class TestReluDropout:
     def test_rate_zero_is_pure_relu(self):
         rng = np.random.default_rng(0)
         for mode in ("train", "eval"):
-            out = relu_dropout(Tensor([-1.0, 2.0]), 0.0, mode, rng)
+            out = dropout(relu(Tensor([-1.0, 2.0])), 0.0, mode, rng)
             np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_eval_equals_rate_zero(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 4))
-        a = relu_dropout(Tensor(x), 0.5, "eval", None)
-        b = relu_dropout(Tensor(x), 0.0, "train", None)
+        a = dropout(relu(Tensor(x)), 0.5, "eval", None)
+        b = dropout(relu(Tensor(x)), 0.0, "train", None)
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_train_keep_fraction_and_scaling(self):
@@ -183,7 +185,9 @@ class TestGradCheck:
         # repeated evaluations grad_check performs
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(5, 3))
+        w3 = Tensor(rng.normal(size=(1, 3, 5)))
         cost = Tensor(rng.normal(size=(4, 5)))
+        cost3 = Tensor(rng.normal(size=(3, 4)))
         gain = Tensor(rng.normal(size=5))
         bias = Tensor(rng.normal(size=5))
 
@@ -197,6 +201,10 @@ class TestGradCheck:
             "log_clipped": lambda t: (log_clipped(softmax(t)) * cost).sum(),
             "slice_concat": lambda t: matmul(t[1:3], Tensor(w)).sum()
             + (t[0:1] * 2.0).sum(),
+            # the multi-head pattern: split rows into heads, broadcast, reduce
+            "reshape_3d_mul_sum": lambda t: (
+                tensor_sum(mul(reshape(t, (4, 1, 5)), w3), axis=-1).T * cost3
+            ).sum(),
         }
         for name, f in cases.items():
             err = grad_check(f, [Tensor(rng.normal(size=(4, 5)))])

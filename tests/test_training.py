@@ -97,8 +97,7 @@ def tiny_setup(seed=0, epochs=2, lam=1.0, lr=0.001):
     seqs = gen_synthetic(cfg, 3, 16)
     samples = [s for q in seqs for s in make_samples(q, 8, 2)]
     mc = ModelConfig(d_m=8, n_heads=2, n_classes=3, seq_len=8, horizon=2, dropout=0.1)
-    tc = TrainConfig(lr=lr, momentum=0.9, batch_size=8, epochs=epochs, lam=lam, seed=seed,
-                     horizon=2, seq_len=8)
+    tc = TrainConfig(lr=lr, momentum=0.9, batch_size=8, epochs=epochs, lam=lam, seed=seed)
     return AnticipationModel(mc, seed=seed), samples, tc
 
 
@@ -147,6 +146,12 @@ class TestTrain:
         model, samples, tc = tiny_setup()
         samples[0].observed = samples[0].observed[:, :4]
         with pytest.raises(ValueError, match="observed"):
+            train(model, samples, tc)
+        # every sample is checked, and the first bad one is named
+        model, samples, tc = tiny_setup()
+        samples[5].future_labels = samples[5].future_labels[:, :2]
+        samples[7].observed = samples[7].observed[:4]
+        with pytest.raises(ValueError, match=r"sample 5: future_labels shape \(2, 2\)"):
             train(model, samples, tc)
 
     def test_history_records_all_epochs(self):
