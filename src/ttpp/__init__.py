@@ -17,15 +17,16 @@ from .attention import (
 )
 from .baselines import (
     Conv1DStack,
+    DecoderParams,
     LSTMParams,
     SSPParams,
     conv1d_aggregate,
     init_conv1d_params,
+    init_lstm_decoder_params,
     init_lstm_params,
     init_ssp_params,
     lstm_decode,
     lstm_encode,
-    ssp_predict,
     ssp_rollout,
 )
 from .data import (
@@ -71,7 +72,6 @@ from .prediction import (
     init_ppm_params,
     prediction_block,
     rollout,
-    rollout_without_features,
 )
 from .tensor import (
     GradientError,

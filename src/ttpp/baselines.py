@@ -31,6 +31,7 @@ from .tensor import (
     relu,
     reshape,
     sigmoid,
+    softmax,
     take,
     tanh,
 )
@@ -170,13 +171,23 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     return h + f_seq[t - 1 : t]
 
 
-def lstm_decode(
-    s_t: Tensor,
-    f_t: Tensor,
-    classifier: Parameter,
-    params: LSTMParams,
-    horizon: int,
-) -> Rollout:
+@dataclass
+class DecoderParams:
+    """The LSTM decoder's cell and its classifier."""
+
+    lstm: LSTMParams
+    classifier: Parameter
+
+    def parameters(self) -> list[Parameter]:
+        return [*self.lstm.parameters(), self.classifier]
+
+
+def init_lstm_decoder_params(d_m: int, n_classes: int, rng, prefix: str = "dec") -> DecoderParams:
+    lstm = init_lstm_params(d_m + n_classes, d_m, rng, prefix)
+    return DecoderParams(lstm, Parameter(f"{prefix}.classifier", glorot(rng, d_m, n_classes)))
+
+
+def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -> Rollout:
     """Decode l steps: hidden starts at s_t, each hidden state is a feature.
 
     Step inputs are previous predicted feature (+) previous probability;
@@ -186,18 +197,17 @@ def lstm_decode(
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
     h = s_t
-    c = Tensor(np.zeros((1, params.d_h)))
-    p = classify(f_t, classifier)
-    x = concat([f_t, p], axis=-1)
+    c = Tensor(np.zeros((1, params.lstm.d_h)))
+    x = concat([f_t, classify(f_t, params.classifier)], axis=-1)
     features = []
-    probs = []
+    logits = []
     for _ in range(horizon):
-        h, c = lstm_cell(x, h, c, params)
-        p = classify(h, classifier)
+        h, c = lstm_cell(x, h, c, params.lstm)
+        z = matmul(h, params.classifier.value)
         features.append(h)
-        probs.append(p)
-        x = concat([h, p], axis=-1)
-    return Rollout(concat(features, axis=0), concat(probs, axis=0))
+        logits.append(z)
+        x = concat([h, softmax(z)], axis=-1)
+    return Rollout(concat(features, axis=0), concat(logits, axis=0))
 
 
 @dataclass
@@ -223,46 +233,25 @@ def init_ssp_params(
     )
 
 
-def ssp_predict(
-    s_t: Tensor,
-    f_t: Tensor,
-    p_t: Tensor,
-    params: SSPParams,
-    tau: int,
-    mode: str = "eval",
-    rng=None,
-    rate: float = 0.1,
-):
-    """Predict the single horizon tau with no chaining.
-
-    The block input is s_t (+) f_t (+) p_t (+) onehot(tau); every horizon
-    is independent, so they can be computed in any order.
-    """
-    if not 1 <= tau <= params.horizon:
-        raise ValueError(f"tau={tau} outside 1..{params.horizon}")
-    tag = np.zeros((1, params.horizon))
-    tag[0, tau - 1] = 1.0
-    x = concat([s_t, f_t, p_t, Tensor(tag)], axis=-1)
-    feature = prediction_block(x, params.block, mode, rng, rate)
-    return feature, classify(feature, params.classifier)
-
-
 def ssp_rollout(
     s_t: Tensor,
     f_t: Tensor,
     params: SSPParams,
     horizon: int,
-    mode: str = "eval",
     rng=None,
     rate: float = 0.1,
 ) -> Rollout:
+    """Predict horizons 1..l at once, with no chaining.
+
+    Row tau - 1 of the block input is s_t (+) f_t (+) p_t (+) onehot(tau),
+    so every horizon is independent of the others. One (l, d_m) dropout
+    draw, taken only when an rng is given, reads the same rng stream as l
+    draws of (1, d_m).
+    """
     if horizon < 1 or horizon > params.horizon:
         raise ValueError(f"horizon={horizon} outside 1..{params.horizon}")
-    p_t = classify(f_t, params.classifier)
-    features = []
-    probs = []
-    for tau in range(1, horizon + 1):
-        f, p = ssp_predict(s_t, f_t, p_t, params, tau, mode, rng, rate)
-        features.append(f)
-        probs.append(p)
-    return Rollout(concat(features, axis=0), concat(probs, axis=0))
+    shared = concat([s_t, f_t, classify(f_t, params.classifier)], axis=-1)
+    tags = Tensor(np.eye(horizon, params.horizon))
+    x = concat([shared[np.zeros(horizon, dtype=int)], tags], axis=-1)
+    features = prediction_block(x, params.block, rng, rate)
+    return Rollout(features, matmul(features, params.classifier.value))

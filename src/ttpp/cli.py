@@ -29,22 +29,16 @@ from .model import (
 )
 from .training import TrainConfig, train, write_history_csv
 
+# config key -> dataclass field; n_classes is spelt model.classes in config files
+MODEL_KEYS = {
+    f"model.{'classes' if f.name == 'n_classes' else f.name}": f.name
+    for f in fields(ModelConfig)
+}
+TRAIN_KEYS = {f"train.{f.name}": f.name for f in fields(TrainConfig)}
+
 DEFAULTS: dict[str, object] = {
-    "model.aggregator": "ttm",
-    "model.predictor": "ppm",
-    "model.ppm_variant": "full",
-    "model.d_m": 16,
-    "model.n_heads": 4,
-    "model.classes": 4,
-    "model.seq_len": 8,
-    "model.horizon": 8,
-    "model.dropout": 0.1,
-    "train.lr": 0.001,
-    "train.momentum": 0.9,
-    "train.batch_size": 32,
-    "train.epochs": 10,
-    "train.lam": 1.0,
-    "train.seed": 0,
+    **{key: getattr(ModelConfig, name) for key, name in MODEL_KEYS.items()},
+    **{key: getattr(TrainConfig, name) for key, name in TRAIN_KEYS.items()},
     "data.source": "synthetic",
     "data.dir": "",
     "data.n_train": 12,
@@ -100,28 +94,11 @@ def resolve_config(config_path=None, overrides=()) -> dict[str, object]:
 
 
 def model_config(rc: dict[str, object]) -> ModelConfig:
-    return ModelConfig(
-        aggregator=rc["model.aggregator"],
-        predictor=rc["model.predictor"],
-        ppm_variant=rc["model.ppm_variant"],
-        d_m=rc["model.d_m"],
-        n_heads=rc["model.n_heads"],
-        n_classes=rc["model.classes"],
-        seq_len=rc["model.seq_len"],
-        horizon=rc["model.horizon"],
-        dropout=rc["model.dropout"],
-    )
+    return ModelConfig(**{name: rc[key] for key, name in MODEL_KEYS.items()})
 
 
 def train_config(rc: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        lr=rc["train.lr"],
-        momentum=rc["train.momentum"],
-        batch_size=rc["train.batch_size"],
-        epochs=rc["train.epochs"],
-        lam=rc["train.lam"],
-        seed=rc["train.seed"],
-    )
+    return TrainConfig(**{name: rc[key] for key, name in TRAIN_KEYS.items()})
 
 
 def synthetic_config(rc: dict[str, object]) -> datamod.SyntheticConfig:
@@ -150,8 +127,13 @@ def training_sequences(rc, data_dir=None) -> list[datamod.FeatureSequence]:
 
 
 def heldout_sequences(rc, data_dir=None) -> list[datamod.FeatureSequence]:
-    if data_dir or rc["data.source"] == "files":
-        return load_dir(data_dir or rc["data.dir"])
+    if data_dir:
+        return load_dir(data_dir)
+    if rc["data.source"] == "files":
+        raise ValueError(
+            "data.source = files needs the heldout files given on the command line "
+            "(--data, or --heldout-data for grid); data.dir holds the training files"
+        )
     cfg = synthetic_config(rc)
     cfg = replace(cfg, seed=cfg.seed + HELDOUT_SEED_OFFSET)
     return datamod.gen_synthetic(cfg, rc["data.n_eval"], rc["data.length"])
@@ -257,12 +239,12 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     rc = resolve_config(args.config, args.set or [])
-    if (args.data or rc["data.source"] == "files") and not args.heldout_data:
+    if args.data and not args.heldout_data:
         raise ValueError(
             "grid on feature files needs --heldout-data; it would score on the training files"
         )
-    train_seqs = training_sequences(rc, args.data)
     held_seqs = heldout_sequences(rc, args.heldout_data)
+    train_seqs = training_sequences(rc, args.data)
     mc = model_config(rc)
     tc = train_config(rc)
     samples = samples_from(train_seqs, mc.seq_len, mc.horizon)

@@ -3,7 +3,7 @@
 Any aggregator (ttm, conv1d, lstm) pairs with any predictor (ppm, ssp,
 lstm) through one interface: the aggregator turns a T x d_m window into a
 1 x d_m summary, the predictor turns (summary, current feature) into a
-rollout of future (feature, probability) pairs.
+rollout of future (feature, class logits) pairs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import attention, baselines, prediction
-from .tensor import Parameter, Tensor, glorot
+from .tensor import Parameter, Tensor
 
 AGGREGATORS = ("ttm", "conv1d", "lstm")
 PREDICTORS = ("ppm", "ssp", "lstm")
@@ -88,10 +88,7 @@ class AnticipationModel:
         elif c.predictor == "ssp":
             self.pred_params = baselines.init_ssp_params(c.d_m, c.n_classes, c.horizon, rng)
         else:
-            self.pred_params = DecoderParams(
-                lstm=baselines.init_lstm_params(c.d_m + c.n_classes, c.d_m, rng, prefix="dec"),
-                classifier=Parameter("dec.classifier", glorot(rng, c.d_m, c.n_classes)),
-            )
+            self.pred_params = baselines.init_lstm_decoder_params(c.d_m, c.n_classes, rng)
 
     def parameters(self) -> list[Parameter]:
         return [*self.agg_params.parameters(), *self.pred_params.parameters()]
@@ -108,29 +105,24 @@ class AnticipationModel:
             return baselines.conv1d_aggregate(f_seq, self.agg_params), None
         return baselines.lstm_encode(f_seq, self.agg_params), None
 
-    def predict(self, s_t: Tensor, f_t: Tensor, mode: str = "eval", rng=None) -> prediction.Rollout:
+    def predict(self, s_t: Tensor, f_t: Tensor, rng=None) -> prediction.Rollout:
         c = self.config
         if c.predictor == "ppm":
-            roll = (
-                prediction.rollout
-                if c.ppm_variant == "full"
-                else prediction.rollout_without_features
+            return prediction.rollout(
+                s_t, f_t, self.pred_params, c.horizon, rng, c.dropout,
+                feed_features=c.ppm_variant == "full",
             )
-            return roll(s_t, f_t, self.pred_params, c.horizon, mode, rng, c.dropout)
         if c.predictor == "ssp":
-            return baselines.ssp_rollout(
-                s_t, f_t, self.pred_params, c.horizon, mode, rng, c.dropout
-            )
-        return baselines.lstm_decode(
-            s_t, f_t, self.pred_params.classifier, self.pred_params.lstm, c.horizon
-        )
+            return baselines.ssp_rollout(s_t, f_t, self.pred_params, c.horizon, rng, c.dropout)
+        return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon)
 
-    def anticipate(self, observed: np.ndarray, mode: str = "eval", rng=None):
+    def anticipate(self, observed: np.ndarray, rng=None):
         """Full forward pass on one observed window.
 
-        Returns (Rollout, attention weights or None). The predictor sees
-        the raw last observed feature; positional encoding stays internal
-        to the transformer aggregator.
+        Returns (Rollout, attention weights or None). Dropout is on exactly
+        when an rng is given, as in training; no rng means no dropout. The
+        predictor sees the raw last observed feature; positional encoding
+        stays internal to the transformer aggregator.
         """
         f_seq = Tensor(observed)
         if f_seq.shape[0] != self.config.seq_len:
@@ -140,7 +132,7 @@ class AnticipationModel:
             )
         s_t, weights = self.aggregate(f_seq)
         f_t = f_seq[self.config.seq_len - 1 : self.config.seq_len]
-        return self.predict(s_t, f_t, mode, rng), weights
+        return self.predict(s_t, f_t, rng), weights
 
     def scorer(self):
         """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores."""
@@ -167,15 +159,6 @@ class AnticipationModel:
                 )
             p.value.data = arr.copy()
             p.momentum = np.zeros_like(p.value.data)
-
-
-@dataclass
-class DecoderParams:
-    lstm: baselines.LSTMParams
-    classifier: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.lstm.parameters(), self.classifier]
 
 
 def model_count(config: ModelConfig) -> int:

@@ -67,10 +67,14 @@ class PPMParams:
 
 @dataclass
 class Rollout:
-    """l predicted (feature, probability) pairs, stacked row-wise."""
+    """l predicted (feature, class logits) pairs, stacked row-wise."""
 
     features: Tensor  # (horizon, d_m)
-    probs: Tensor  # (horizon, n_classes)
+    logits: Tensor  # (horizon, n_classes)
+
+    @property
+    def probs(self) -> Tensor:
+        return softmax(self.logits)
 
 
 def init_block_params(in_dim: int, d_m: int, rng, prefix: str) -> PredictionBlockParams:
@@ -102,13 +106,9 @@ def classify(f: Tensor, w_c: Parameter) -> Tensor:
 
 
 def prediction_block(
-    x: Tensor,
-    params: PredictionBlockParams,
-    mode: str = "eval",
-    rng=None,
-    rate: float = 0.1,
+    x: Tensor, params: PredictionBlockParams, rng=None, rate: float = 0.1
 ) -> Tensor:
-    """fc1 -> ReLU -> fc2 -> layer norm -> dropout."""
+    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when an rng is given)."""
     if x.shape[-1] != params.in_dim:
         raise ValueError(
             f"prediction_block: input extent {x.shape[-1]} != expected {params.in_dim}"
@@ -116,37 +116,7 @@ def prediction_block(
     h = relu(matmul(x, params.fc1_w.value) + params.fc1_b.value)
     y = matmul(h, params.fc2_w.value) + params.fc2_b.value
     y = layer_norm(y, params.ln_gain, params.ln_bias)
-    return dropout(y, rate, mode, rng)
-
-
-def _roll(
-    s_t: Tensor,
-    f_t: Tensor,
-    params: PPMParams,
-    horizon: int,
-    mode: str,
-    rng,
-    rate: float,
-    feed_features: bool,
-) -> Rollout:
-    if horizon < 1:
-        raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
-    d_m = s_t.shape[-1]
-    p = classify(f_t, params.classifier)
-    x = concat([s_t, f_t, p], axis=-1)
-    f = prediction_block(x, params.initial, mode, rng, rate)
-    p = classify(f, params.classifier)
-    features = [f]
-    probs = [p]
-    zero_slot = Tensor(np.zeros((1, d_m)))
-    for _ in range(horizon - 1):
-        feat_in = f if feed_features else zero_slot
-        x = concat([s_t, feat_in, p], axis=-1)
-        f = prediction_block(x, params.progressive, mode, rng, rate)
-        p = classify(f, params.classifier)
-        features.append(f)
-        probs.append(p)
-    return Rollout(concat(features, axis=0), concat(probs, axis=0))
+    return dropout(y, rate, rng)
 
 
 def rollout(
@@ -154,33 +124,32 @@ def rollout(
     f_t: Tensor,
     params: PPMParams,
     horizon: int,
-    mode: str = "eval",
     rng=None,
     rate: float = 0.1,
+    feed_features: bool = True,
 ) -> Rollout:
-    """Chain l future (feature, probability) predictions from (s_t, f_t).
+    """Chain l future (feature, logits) predictions from (s_t, f_t).
 
     Step 1 uses the initial block on s_t (+) f_t (+) p_t; every later step
     reuses the shared progressive block on s_t (+) previous predicted
     feature (+) previous predicted probability. Concatenation order is
-    (history, feature, probability) throughout.
+    (history, feature, probability) throughout. With feed_features False
+    (the no-feature ablation) later steps put zeros in the feature slot,
+    so only the probability and the history carry information forward.
+    Dropout is on exactly when an rng is given; no rng means no dropout.
     """
-    return _roll(s_t, f_t, params, horizon, mode, rng, rate, feed_features=True)
-
-
-def rollout_without_features(
-    s_t: Tensor,
-    f_t: Tensor,
-    params: PPMParams,
-    horizon: int,
-    mode: str = "eval",
-    rng=None,
-    rate: float = 0.1,
-) -> Rollout:
-    """Ablated rollout: steps past the first zero out the feature slot.
-
-    The chained input keeps the block's extent by substituting zeros where
-    the previous predicted feature would go, so only the probability (and
-    the aggregated history) carries information forward.
-    """
-    return _roll(s_t, f_t, params, horizon, mode, rng, rate, feed_features=False)
+    if horizon < 1:
+        raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
+    zero_slot = Tensor(np.zeros((1, s_t.shape[-1])))
+    feat_in, p = f_t, classify(f_t, params.classifier)
+    features = []
+    logits = []
+    for step in range(horizon):
+        block = params.initial if step == 0 else params.progressive
+        f = prediction_block(concat([s_t, feat_in, p], axis=-1), block, rng, rate)
+        z = matmul(f, params.classifier.value)
+        p = softmax(z)
+        features.append(f)
+        logits.append(z)
+        feat_in = f if feed_features else zero_slot
+    return Rollout(concat(features, axis=0), concat(logits, axis=0))

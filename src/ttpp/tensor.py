@@ -308,15 +308,15 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def log_clipped(a: Tensor, floor: float = 1e-12) -> Tensor:
-    """log(max(x, floor)); gradient is zero on the clipped region."""
-    clipped = np.maximum(a.data, floor)
-    mask = a.data > floor
+def log_softmax(a: Tensor) -> Tensor:
+    """Log of the softmax along the last axis, computed from the logits."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def backward(g):
-        a._accumulate(np.where(mask, g / clipped, 0.0))
+        a._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
-    return _make(np.log(clipped), (a,), backward)
+    return _make(y, (a,), backward)
 
 
 def layer_norm(x: Tensor, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -349,16 +349,12 @@ def layer_norm(x: Tensor, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, rate: float, mode: str = "eval", rng=None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-rate) at train time."""
+def dropout(x: Tensor, rate: float, rng=None) -> Tensor:
+    """Inverted dropout (survivors scaled by 1/(1-rate)); no rng means no dropout."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
     keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
 
     def backward(g):

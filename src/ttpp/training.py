@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AnticipationModel
-from .tensor import Tensor, log_clipped, mul, sgd_step, tensor_sum
+from .tensor import Tensor, log_softmax, mul, sgd_step, tensor_sum
 
 
 class TrainingDiverged(RuntimeError):
@@ -61,10 +61,10 @@ def feature_loss(pred: Tensor, target) -> Tensor:
     return tensor_sum(mul(diff, diff))
 
 
-def class_loss(probs: Tensor, labels_onehot) -> Tensor:
-    """Cross-entropy summed over steps; log clamped at 1e-12."""
+def class_loss(logits: Tensor, labels_onehot) -> Tensor:
+    """Cross-entropy summed over steps, taken from the logits by log-softmax."""
     labels = np.asarray(labels_onehot, dtype=np.float64)
-    return -tensor_sum(mul(log_clipped(probs), labels))
+    return -tensor_sum(mul(log_softmax(logits), labels))
 
 
 def total_loss(l_c: Tensor, l_r: Tensor, lam: float) -> Tensor:
@@ -109,13 +109,13 @@ def train(model: AnticipationModel, samples, config: TrainConfig) -> list[EpochS
             batch = [samples[i] for i in order[start : start + config.batch_size]]
             losses = []
             for sample in batch:
-                roll, _ = model.anticipate(sample.observed, mode="train", rng=rng)
-                l_c = class_loss(roll.probs, sample.future_labels)
+                roll, _ = model.anticipate(sample.observed, rng=rng)
+                l_c = class_loss(roll.logits, sample.future_labels)
                 l_r = feature_loss(roll.features, sample.future_features)
                 losses.append(total_loss(l_c, l_r, config.lam))
                 sum_lc += l_c.item()
                 sum_lr += l_r.item()
-                if roll.probs.data[0].argmax() == sample.future_labels[0].argmax():
+                if roll.logits.data[0].argmax() == sample.future_labels[0].argmax():
                     hits += 1
             batch_total = losses[0]
             for extra in losses[1:]:

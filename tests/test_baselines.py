@@ -6,20 +6,21 @@ import numpy as np
 import pytest
 
 from ttpp.baselines import (
+    DecoderParams,
     conv1d_aggregate,
     conv1d_lengths,
     init_conv1d_params,
+    init_lstm_decoder_params,
     init_lstm_params,
     init_ssp_params,
     lstm_cell,
     lstm_decode,
     lstm_encode,
-    ssp_predict,
     ssp_rollout,
 )
 from ttpp.attention import init_ttm_params
 from ttpp.model import AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, model_count
-from ttpp.prediction import classify, init_ppm_params
+from ttpp.prediction import init_ppm_params
 from ttpp.tensor import Parameter, Tensor, glorot, grad_check
 
 
@@ -183,7 +184,10 @@ class TestLSTMDecode:
         rng = np.random.default_rng(13)
         params = init_lstm_params(4 + 3, 4, rng)
         classifier = Parameter("c", rng.normal(size=(4, 3)))
-        roll = lstm_decode(Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))), classifier, params, 1)
+        roll = lstm_decode(
+            Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))),
+            DecoderParams(params, classifier), 1,
+        )
         assert roll.features.shape == (1, 4)
         assert roll.probs.shape == (1, 3)
 
@@ -191,7 +195,10 @@ class TestLSTMDecode:
         rng = np.random.default_rng(14)
         params = zeroed(init_lstm_params(7, 4, rng))
         classifier = Parameter("c", np.zeros((4, 3)))
-        roll = lstm_decode(Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))), classifier, params, 4)
+        roll = lstm_decode(
+            Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))),
+            DecoderParams(params, classifier), 4,
+        )
         for step in range(1, 4):
             np.testing.assert_array_equal(roll.features.data[step], roll.features.data[0])
 
@@ -226,9 +233,18 @@ class TestLSTMDecode:
             feats.append(h.copy())
             probs.append(p.copy())
             x = np.concatenate([h, p], axis=-1)
-        roll = lstm_decode(Tensor(s), Tensor(f), classifier, params, 3)
+        roll = lstm_decode(Tensor(s), Tensor(f), DecoderParams(params, classifier), 3)
         np.testing.assert_allclose(roll.features.data, np.concatenate(feats), atol=1e-10)
         np.testing.assert_allclose(roll.probs.data, np.concatenate(probs), atol=1e-10)
+
+    def test_decoder_init_draws_cell_then_classifier(self):
+        params = init_lstm_decoder_params(4, 3, np.random.default_rng(30))
+        rng = np.random.default_rng(30)
+        cell = init_lstm_params(4 + 3, 4, rng, prefix="dec")
+        classifier = glorot(rng, 4, 3)
+        assert [p.name for p in params.parameters()] == ["dec.w", "dec.b", "dec.classifier"]
+        np.testing.assert_array_equal(params.lstm.w.value.data, cell.w.value.data)
+        np.testing.assert_array_equal(params.classifier.value.data, classifier)
 
     def test_gradient(self):
         rng = np.random.default_rng(16)
@@ -239,11 +255,42 @@ class TestLSTMDecode:
         cost = Tensor(rng.normal(size=(3, 3)))
 
         def loss(*tensors):
-            roll = lstm_decode(s, f, classifier, params, 3)
+            roll = lstm_decode(s, f, DecoderParams(params, classifier), 3)
             return (roll.probs * cost).sum()
 
         tensors = [p.value for p in params.parameters()] + [classifier.value]
         assert grad_check(loss, tensors) < 1e-4
+
+
+def ssp_loop_oracle(s, f, params, horizon, rng=None, rate=0.1):
+    """numpy reference: one independent block call per horizon, in order.
+
+    With an rng, each call draws its own (1, d_m) dropout mask, as the
+    per-horizon loop did before the horizons were stacked.
+    """
+    block = params.block
+    w_c = params.classifier.value.data
+
+    def np_softmax(z):
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+
+    p_t = np_softmax(f @ w_c)
+    feats, logits = [], []
+    for tau in range(1, horizon + 1):
+        tag = np.zeros((1, params.horizon))
+        tag[0, tau - 1] = 1.0
+        x = np.concatenate([s, f, p_t, tag], axis=-1)
+        h = np.maximum(0.0, x @ block.fc1_w.value.data + block.fc1_b.value.data)
+        y = h @ block.fc2_w.value.data + block.fc2_b.value.data
+        mu = y.mean(axis=-1, keepdims=True)
+        var = y.var(axis=-1, keepdims=True)
+        y = (y - mu) / np.sqrt(var + 1e-5) * block.ln_gain.value.data + block.ln_bias.value.data
+        if rng is not None:
+            y = y * (rng.random(y.shape) >= rate) / (1.0 - rate)
+        feats.append(y)
+        logits.append(y @ w_c)
+    return np.concatenate(feats), np.concatenate(logits)
 
 
 class TestSSP:
@@ -252,15 +299,12 @@ class TestSSP:
         params = init_ssp_params(4, 3, 4, rng)
         s = Tensor(rng.normal(size=(1, 4)))
         f = Tensor(rng.normal(size=(1, 4)))
-        p = classify(f, params.classifier)
-        f1, _ = ssp_predict(s, f, p, params, tau=1)
-        f2, _ = ssp_predict(s, f, p, params, tau=2)
-        assert np.abs(f1.data - f2.data).max() > 0  # tags route through fc1
+        feats = ssp_rollout(s, f, params, 2).features.data
+        assert np.abs(feats[0] - feats[1]).max() > 0  # tags route through fc1
         # zeroing the tag columns of fc1 makes every horizon identical
         params.block.fc1_w.value.data[-4:, :] = 0.0
-        g1, _ = ssp_predict(s, f, p, params, tau=1)
-        g2, _ = ssp_predict(s, f, p, params, tau=2)
-        np.testing.assert_array_equal(g1.data, g2.data)
+        feats = ssp_rollout(s, f, params, 2).features.data
+        np.testing.assert_array_equal(feats[0], feats[1])
 
     def test_zero_params_give_uniform(self):
         params = init_ssp_params(4, 3, 4, np.random.default_rng(18))
@@ -273,25 +317,42 @@ class TestSSP:
         np.testing.assert_allclose(roll.probs.data, np.full((4, 3), 1 / 3), atol=1e-12)
 
     def test_horizons_independent_of_evaluation_order(self):
+        # a shorter rollout is a prefix of a longer one: no row sees another
         rng = np.random.default_rng(20)
         params = init_ssp_params(4, 3, 4, rng)
         s = Tensor(rng.normal(size=(1, 4)))
         f = Tensor(rng.normal(size=(1, 4)))
-        p = classify(f, params.classifier)
-        forward = [ssp_predict(s, f, p, params, tau)[0].data for tau in (1, 2, 3, 4)]
-        backward = [ssp_predict(s, f, p, params, tau)[0].data for tau in (4, 3, 2, 1)][::-1]
-        for a, b in zip(forward, backward):
-            np.testing.assert_array_equal(a, b)
+        full = ssp_rollout(s, f, params, 4).features.data
+        for horizon in (1, 2, 3):
+            np.testing.assert_allclose(
+                ssp_rollout(s, f, params, horizon).features.data, full[:horizon],
+                rtol=0, atol=1e-12,
+            )
 
-    def test_tau_out_of_range(self):
-        rng = np.random.default_rng(21)
-        params = init_ssp_params(4, 3, 4, rng)
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("train", [False, True])
+    def test_rows_match_per_horizon_loop(self, seed, train):
+        rng = np.random.default_rng(seed)
+        params = init_ssp_params(6, 4, 5, rng)
+        for p in params.parameters():  # nonzero biases and layer-norm terms
+            p.value.data[:] = rng.normal(size=p.shape)
+        s = rng.normal(size=(1, 6))
+        f = rng.normal(size=(1, 6))
+
+        def draws():
+            return np.random.default_rng(100 + seed) if train else None
+
+        roll = ssp_rollout(Tensor(s), Tensor(f), params, 5, draws(), 0.3)
+        feats, logits = ssp_loop_oracle(s, f, params, 5, draws(), 0.3)
+        np.testing.assert_allclose(roll.features.data, feats, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(roll.logits.data, logits, rtol=0, atol=1e-12)
+
+    def test_horizon_out_of_range(self):
+        params = init_ssp_params(4, 3, 4, np.random.default_rng(21))
         s = Tensor(np.zeros((1, 4)))
-        p = Tensor(np.full((1, 3), 1 / 3))
-        with pytest.raises(ValueError, match="tau"):
-            ssp_predict(s, s, p, params, tau=5)
-        with pytest.raises(ValueError, match="tau"):
-            ssp_predict(s, s, p, params, tau=0)
+        for horizon in (0, 5):
+            with pytest.raises(ValueError, match="horizon"):
+                ssp_rollout(s, s, params, horizon)
 
     def test_gradient(self):
         rng = np.random.default_rng(22)
@@ -325,6 +386,18 @@ class TestGridComposition:
         assert roll.features.shape == (3, 8)
         assert roll.probs.shape == (3, 3)
         np.testing.assert_allclose(roll.probs.data.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_rng_at_dropout_zero_changes_nothing(self, aggregator, predictor):
+        cfg = ModelConfig(aggregator=aggregator, predictor=predictor, d_m=8, n_heads=2,
+                          n_classes=3, horizon=3, dropout=0.0)
+        model = AnticipationModel(cfg, seed=0)
+        window = np.random.default_rng(24).normal(size=(8, 8))
+        plain, _ = model.anticipate(window)
+        seeded, _ = model.anticipate(window, rng=np.random.default_rng(5))
+        np.testing.assert_array_equal(seeded.features.data, plain.features.data)
+        np.testing.assert_array_equal(seeded.logits.data, plain.logits.data)
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
     @pytest.mark.parametrize("predictor", PREDICTORS)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from ttpp.cli import main, resolve_config
+from ttpp.cli import main, model_config, resolve_config, train_config
 from ttpp.data import load_features
 from ttpp.metrics import read_report_csv
-from ttpp.training import read_history_csv
+from ttpp.model import ModelConfig
+from ttpp.training import TrainConfig, read_history_csv
 
 FAST = [
     "--set", "model.d_m=8",
@@ -32,6 +33,12 @@ class TestConfig:
         assert rc["model.d_m"] == 32  # from file
         assert rc["train.epochs"] == 9  # flag wins
         assert rc["train.lr"] == 0.001  # default
+
+    def test_model_and_train_defaults_are_the_dataclass_defaults(self):
+        rc = resolve_config(None, ["model.classes=6", "train.lam=0.5"])
+        assert model_config(rc) == ModelConfig(n_classes=6)
+        assert train_config(rc) == TrainConfig(lam=0.5)
+        assert isinstance(resolve_config(None, ["model.dropout=0"])["model.dropout"], float)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -120,6 +127,22 @@ class TestTrainEval:
         rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "r.csv"), *FAST])
         assert rc == 1
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+    def test_files_config_needs_heldout_files(self, tmp_path, capsys):
+        # data.dir is what train reads; eval and dump-attention must not score on it
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        cfg = tmp_path / "files.cfg"
+        cfg.write_text(f"data.source = files\ndata.dir = {data / 'train'}\n")
+        assert main(["train", "--config", str(cfg), "--out-dir", str(run), *FAST]) == 0
+        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
+        for command in ("eval", "dump-attention"):
+            out = tmp_path / f"{command}.csv"
+            rc = main([command, "--config", str(cfg), *checkpoint, "--out", str(out), *FAST])
+            assert rc == 1
+            assert "data.dir holds the training files" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_subcommand_fails(self, capsys):
         assert main(["frobnicate"]) != 0

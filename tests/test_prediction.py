@@ -9,7 +9,6 @@ from ttpp.prediction import (
     init_ppm_params,
     prediction_block,
     rollout,
-    rollout_without_features,
 )
 from ttpp.tensor import Parameter, Tensor, grad_check
 
@@ -73,7 +72,7 @@ class TestPredictionBlock:
         mu = y.mean(axis=-1, keepdims=True)
         var = y.var(axis=-1, keepdims=True)
         expected = (y - mu) / np.sqrt(var + 1e-5) * block.ln_gain.value.data + block.ln_bias.value.data
-        out = prediction_block(Tensor(x), block, mode="eval")
+        out = prediction_block(Tensor(x), block)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     def test_extent_mismatch(self):
@@ -181,8 +180,7 @@ class TestRollout:
             Tensor(rng.normal(size=(1, 8))),
             params,
             horizon=5,
-            mode=mode,
-            rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0) if mode == "train" else None,
         )
         np.testing.assert_allclose(roll.probs.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(roll.probs.data > 0)
@@ -195,9 +193,10 @@ class TestRollout:
         a = rollout(s, f, params, 3)
         b = rollout(s, f, params, 3)
         np.testing.assert_array_equal(a.features.data, b.features.data)
-        t1 = rollout(s, f, params, 3, mode="train", rng=np.random.default_rng(9))
-        t2 = rollout(s, f, params, 3, mode="train", rng=np.random.default_rng(9))
+        t1 = rollout(s, f, params, 3, rng=np.random.default_rng(9))
+        t2 = rollout(s, f, params, 3, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(t1.features.data, t2.features.data)
+        assert np.abs(t1.features.data - a.features.data).max() > 0  # the rng turns dropout on
 
     def test_gradient_through_chained_steps(self):
         rng = np.random.default_rng(16)
@@ -222,7 +221,7 @@ class TestRolloutWithoutFeatures:
         s = Tensor(rng.normal(size=(1, 8)))
         f = Tensor(rng.normal(size=(1, 8)))
         a = rollout(s, f, params, 1)
-        b = rollout_without_features(s, f, params, 1)
+        b = rollout(s, f, params, 1, feed_features=False)
         np.testing.assert_array_equal(a.features.data, b.features.data)
 
     def test_later_steps_zero_the_feature_slot(self):
@@ -231,7 +230,7 @@ class TestRolloutWithoutFeatures:
         params = random_ppm(d_m=d_m, seed=18)
         s = rng.normal(size=(1, d_m))
         f = rng.normal(size=(1, d_m))
-        roll = rollout_without_features(Tensor(s), Tensor(f), params, 2)
+        roll = rollout(Tensor(s), Tensor(f), params, 2, feed_features=False)
 
         def np_classify(x):
             logits = x @ params.classifier.value.data
@@ -256,6 +255,6 @@ class TestRolloutWithoutFeatures:
         s = Tensor(rng.normal(size=(1, 8)))
         f = Tensor(rng.normal(size=(1, 8)))
         a = rollout(s, f, params, 3)
-        b = rollout_without_features(s, f, params, 3)
+        b = rollout(s, f, params, 3, feed_features=False)
         np.testing.assert_array_equal(a.features.data[0], b.features.data[0])
         assert np.abs(a.features.data[1:] - b.features.data[1:]).max() > 1e-8

@@ -11,7 +11,7 @@ from ttpp.tensor import (
     dropout,
     grad_check,
     layer_norm,
-    log_clipped,
+    log_softmax,
     matmul,
     mul,
     relu,
@@ -83,6 +83,17 @@ class TestSoftmax:
         out = softmax(Tensor(x))
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-10)
 
+    def test_log_softmax_is_log_of_softmax(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(5, 4)) * 3
+        np.testing.assert_allclose(
+            log_softmax(Tensor(x)).data, np.log(softmax(Tensor(x)).data), rtol=0, atol=1e-12
+        )
+
+    def test_log_softmax_stays_finite_where_softmax_underflows(self):
+        out = log_softmax(Tensor([[1000.0, 0.0]]))
+        np.testing.assert_array_equal(out.data, [[0.0, -1000.0]])
+
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -130,34 +141,35 @@ class TestLayerNorm:
 class TestReluDropout:
     def test_rate_zero_is_pure_relu(self):
         rng = np.random.default_rng(0)
-        for mode in ("train", "eval"):
-            out = dropout(relu(Tensor([-1.0, 2.0])), 0.0, mode, rng)
+        for draws in (rng, None):
+            out = dropout(relu(Tensor([-1.0, 2.0])), 0.0, draws)
             np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_eval_equals_rate_zero(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 4))
-        a = dropout(relu(Tensor(x)), 0.5, "eval", None)
-        b = dropout(relu(Tensor(x)), 0.0, "train", None)
+        # no rng is inference: no dropout at any rate
+        a = dropout(relu(Tensor(x)), 0.5)
+        b = dropout(relu(Tensor(x)), 0.0, np.random.default_rng(7))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_train_keep_fraction_and_scaling(self):
         rng = np.random.default_rng(8)
         x = np.ones(100_000)
-        out = dropout(Tensor(x), 0.5, "train", rng)
+        out = dropout(Tensor(x), 0.5, rng)
         kept = out.data != 0
         assert abs(kept.mean() - 0.5) < 0.01
         np.testing.assert_allclose(out.data[kept], 2.0)
 
     def test_mask_deterministic_given_rng_state(self):
         x = np.linspace(-1, 1, 64)
-        a = dropout(Tensor(x), 0.3, "train", np.random.default_rng(123))
-        b = dropout(Tensor(x), 0.3, "train", np.random.default_rng(123))
+        a = dropout(Tensor(x), 0.3, np.random.default_rng(123))
+        b = dropout(Tensor(x), 0.3, np.random.default_rng(123))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, "train", np.random.default_rng(0))
+            dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
 
 
 class TestGradCheck:
@@ -198,7 +210,7 @@ class TestGradCheck:
             "relu": lambda t: (relu(t) * cost).sum(),
             "sigmoid": lambda t: (sigmoid(t) * cost).sum(),
             "tanh": lambda t: (tanh(t) * cost).sum(),
-            "log_clipped": lambda t: (log_clipped(softmax(t)) * cost).sum(),
+            "log_softmax": lambda t: (log_softmax(t) * cost).sum(),
             "slice_concat": lambda t: matmul(t[1:3], Tensor(w)).sum()
             + (t[0:1] * 2.0).sum(),
             # the multi-head pattern: split rows into heads, broadcast, reduce
@@ -216,7 +228,7 @@ class TestGradCheck:
         weights = rng.normal(size=(3, 6))
 
         def f(t):
-            return (dropout(t, 0.4, "train", np.random.default_rng(55)) * Tensor(weights)).sum()
+            return (dropout(t, 0.4, np.random.default_rng(55)) * Tensor(weights)).sum()
 
         assert grad_check(f, [x]) < 1e-6
 
@@ -277,6 +289,6 @@ def test_finite_outputs_on_finite_inputs():
         softmax(Tensor(x)),
         layer_norm(Tensor(x), gain, bias),
         matmul(Tensor(x), Tensor(x)),
-        log_clipped(softmax(Tensor(x))),
+        log_softmax(Tensor(x)),
     ):
         assert np.all(np.isfinite(out.data))

@@ -47,14 +47,14 @@ class TestFeatureLoss:
 
 class TestClassLoss:
     def test_zero_when_correct_with_certainty(self):
-        probs = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        logits = Tensor(np.array([[1000.0, 0.0], [0.0, 1000.0]]))
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert class_loss(probs, labels).item() == 0.0
+        assert class_loss(logits, labels).item() == 0.0
 
     def test_uniform_hand_case(self):
-        probs = Tensor(np.full((2, 4), 0.25))
+        logits = Tensor(np.zeros((2, 4)))
         labels = np.eye(4)[[0, 3]]
-        assert class_loss(probs, labels).item() == pytest.approx(2 * np.log(4), abs=1e-12)
+        assert class_loss(logits, labels).item() == pytest.approx(2 * np.log(4), abs=1e-12)
 
     def test_against_summation_oracle(self):
         rng = np.random.default_rng(2)
@@ -64,15 +64,18 @@ class TestClassLoss:
         expected = 0.0
         for i in range(5):
             for j in range(4):
-                expected -= labels[i, j] * np.log(max(probs[i, j], 1e-12))
-        assert class_loss(Tensor(probs), labels).item() == pytest.approx(expected, abs=1e-10)
+                expected -= labels[i, j] * np.log(probs[i, j])
+        assert class_loss(Tensor(logits), labels).item() == pytest.approx(expected, abs=1e-10)
 
-    def test_log_clamp_keeps_loss_finite(self):
-        probs = Tensor(np.array([[0.0, 1.0]]))
+    def test_confident_miss_is_finite_and_keeps_its_gradient(self):
+        # the true class's probability underflows to 0; the loss is the
+        # logit margin and the gradient still pushes the true logit up
+        logits = Tensor(np.array([[0.0, 1000.0]]), requires_grad=True)
         labels = np.array([[1.0, 0.0]])
-        value = class_loss(probs, labels).item()
-        assert np.isfinite(value)
-        assert value == pytest.approx(-np.log(1e-12))
+        loss = class_loss(logits, labels)
+        assert loss.item() == 1000.0
+        loss.backward()
+        np.testing.assert_array_equal(logits.grad, [[-1.0, 1.0]])
 
 
 class TestTotalLoss:
@@ -173,7 +176,7 @@ class TestLambdaLinearity:
                 p.value.grad = None
             roll, _ = model.anticipate(sample.observed)
             loss = total_loss(
-                class_loss(roll.probs, sample.future_labels),
+                class_loss(roll.logits, sample.future_labels),
                 feature_loss(roll.features, sample.future_features),
                 lam,
             )
