@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, glorot, matmul, mul, reshape, softmax, tensor_sum
+from .tensor import Parameter, Tensor, glorot, matmul, mul, reshape, softmax, tensor_sum, transpose
 
 
 @dataclass
@@ -72,23 +72,26 @@ def multi_head(query: Tensor, memory: Tensor, params: TTMParams):
     """Scaled dot-product attention of every head at once, projected back to d_m.
 
     Each head scores softmax(q_h K_h^T / sqrt(d_m)): the temperature uses
-    the full model width, so projected heads keep the same one. Returns
-    (output 1 x d_m, weights (n_heads, memory_len) ndarray); weight rows
-    sum to 1.
+    the full model width, so projected heads keep the same one. The query
+    is (..., 1, d_m) and the memory (..., M, d_m), with the same leading
+    batch axes (none for one window). Returns (output (..., 1, d_m),
+    weights (..., n_heads, M) ndarray); weight rows sum to 1.
     """
-    m = memory.shape[0]
+    m = memory.shape[-2]
     if m < 1:
         raise ValueError("multi_head: empty memory (need t >= 2 observed chunks)")
+    lead = memory.shape[:-2]
     d_m = query.shape[-1]
     n = params.n_heads
     d_k = d_m // n
-    q = reshape(matmul(query, params.wq.value), (1, n, d_k))
-    k = reshape(matmul(memory, params.wk.value), (m, n, d_k))
-    v = reshape(matmul(memory, params.wv.value), (m, n, d_k))
-    scores = tensor_sum(mul(k, q), axis=-1).T  # (n, m)
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes
+    q = reshape(matmul(query, params.wq.value), lead + (1, n, d_k))
+    k = reshape(matmul(memory, params.wk.value), lead + (m, n, d_k))
+    v = reshape(matmul(memory, params.wv.value), lead + (m, n, d_k))
+    scores = transpose(tensor_sum(mul(k, q), axis=-1), swap)  # (..., n, m)
     weights = softmax(mul(scores, 1.0 / math.sqrt(d_m)))
-    heads = tensor_sum(mul(reshape(weights.T, (m, n, 1)), v), axis=0)  # (n, d_k)
-    out = matmul(reshape(heads, (1, d_m)), params.wo.value)
+    heads = tensor_sum(mul(reshape(transpose(weights, swap), lead + (m, n, 1)), v), axis=-3)
+    out = matmul(reshape(heads, lead + (1, d_m)), params.wo.value)
     return out, weights.data
 
 
@@ -97,18 +100,19 @@ def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):
 
     Position rows are added to all T inputs; the last (position-encoded)
     row queries the earlier T-1 rows as memory, and the attended output is
-    added back onto the query. Returns (1 x d_m summary,
-    (n_heads, T-1) attention weights).
+    added back onto the query. `f_seq` is one (T, d_m) window or a
+    (B, T, d_m) stack. Returns ((..., 1, d_m) summary,
+    (..., n_heads, T-1) attention weights).
     """
-    t = f_seq.shape[0]
+    t = f_seq.shape[-2]
     if t < 2:
         raise ValueError(f"aggregate: sequence too short, need T >= 2, got {t}")
-    if pe.shape[0] < t or pe.shape[1] != f_seq.shape[1]:
+    if pe.shape[0] < t or pe.shape[1] != f_seq.shape[-1]:
         raise ValueError(
             f"aggregate: position table {pe.shape} cannot cover input {f_seq.shape}"
         )
     x = f_seq + Tensor(pe[:t])
-    query = x[t - 1 : t]
-    memory = x[: t - 1]
+    query = x[..., t - 1 : t, :]
+    memory = x[..., : t - 1, :]
     attended, weights = multi_head(query, memory, params)
     return attended + query, weights

@@ -18,6 +18,7 @@ from .prediction import (
     PredictionBlockParams,
     Rollout,
     classify,
+    draw_uniforms,
     init_block_params,
     prediction_block,
 )
@@ -32,7 +33,6 @@ from .tensor import (
     reshape,
     sigmoid,
     softmax,
-    take,
     tanh,
 )
 
@@ -78,33 +78,34 @@ def conv1d_lengths(t: int) -> list[int]:
 
 
 def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
-    """Reduce the T x d_m window to 1 x d_m through three strided convs.
+    """Reduce the (..., T, d_m) window(s) to (..., 1, d_m) through three strided convs.
 
     Each layer zero-pads one row top and bottom; ReLU sits between layers,
     and the last observed feature is added onto the result (shortcut).
     With the default T=8 the lengths run 8 -> 4 -> 2 -> 1. Any T not
     reducing to exactly 1 is rejected.
     """
-    t = f_seq.shape[0]
+    t = f_seq.shape[-2]
     if conv1d_lengths(t)[-1] != 1 or min(conv1d_lengths(t)) < 1:
         raise ValueError(
             f"conv1d_aggregate: T={t} does not reduce to length 1 "
             f"(lengths {conv1d_lengths(t)})"
         )
-    d_m = f_seq.shape[1]
+    lead = f_seq.shape[:-2]
+    d_m = f_seq.shape[-1]
+    pad = Tensor(np.zeros(lead + (CONV_PAD, d_m)))
     x = f_seq
     for layer in range(CONV_LAYERS):
-        length = x.shape[0]
-        out_len = _conv_out_len(length)
-        padded = concat([Tensor(np.zeros((CONV_PAD, d_m))), x, Tensor(np.zeros((CONV_PAD, d_m)))], axis=0)
+        out_len = _conv_out_len(x.shape[-2])
+        padded = concat([pad, x, pad], axis=-2)
         rows = np.concatenate(
             [np.arange(j * CONV_STRIDE, j * CONV_STRIDE + CONV_KERNEL) for j in range(out_len)]
         )
-        windows = reshape(take(padded, rows), (out_len, CONV_KERNEL * d_m))
+        windows = reshape(padded[..., rows, :], lead + (out_len, CONV_KERNEL * d_m))
         x = matmul(windows, params.weights[layer].value) + params.biases[layer].value
         if layer < CONV_LAYERS - 1:
             x = relu(x)
-    return x + f_seq[t - 1 : t]
+    return x + f_seq[..., t - 1 : t, :]
 
 
 @dataclass
@@ -144,8 +145,8 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LSTMParams):
     d_h = params.d_h
     pre = matmul(concat([x, h], axis=-1), params.w.value) + params.b.value
     gates = sigmoid(pre)  # one node for i, f and o; its g block goes unused
-    i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
-    g = tanh(pre[:, 2 * d_h : 3 * d_h])
+    i, f, o = (gates[..., k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
+    g = tanh(pre[..., 2 * d_h : 3 * d_h])
     c_new = mul(f, c) + mul(i, g)
     h_new = mul(o, tanh(c_new))
     return h_new, c_new
@@ -155,20 +156,20 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     """Run the recurrence over the window; the summary is its final hidden state.
 
     The last observed feature is added onto the summary (shortcut), so the
-    hidden width must equal the feature width.
+    hidden width must equal the feature width. A (B, T, d_m) stack runs the
+    recurrence on B rows at once and gives (B, 1, d_m).
     """
-    d_m = f_seq.shape[1]
+    d_m = f_seq.shape[-1]
     if params.d_h != d_m or params.d_in != d_m:
         raise ValueError(
             f"lstm_encode: needs d_h = d_in = d_m, got d_h={params.d_h}, "
             f"d_in={params.d_in}, d_m={d_m}"
         )
-    t = f_seq.shape[0]
-    h = Tensor(np.zeros((1, d_m)))
-    c = Tensor(np.zeros((1, d_m)))
+    t = f_seq.shape[-2]
+    h = c = Tensor(np.zeros(f_seq.shape[:-2] + (1, d_m)))
     for step in range(t):
-        h, c = lstm_cell(f_seq[step : step + 1], h, c, params)
-    return h + f_seq[t - 1 : t]
+        h, c = lstm_cell(f_seq[..., step : step + 1, :], h, c, params)
+    return h + f_seq[..., t - 1 : t, :]
 
 
 @dataclass
@@ -197,7 +198,7 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
     h = s_t
-    c = Tensor(np.zeros((1, params.lstm.d_h)))
+    c = Tensor(np.zeros(s_t.shape[:-1] + (params.lstm.d_h,)))
     x = concat([f_t, classify(f_t, params.classifier)], axis=-1)
     features = []
     logits = []
@@ -207,7 +208,7 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -
         features.append(h)
         logits.append(z)
         x = concat([h, softmax(z)], axis=-1)
-    return Rollout(concat(features, axis=0), concat(logits, axis=0))
+    return Rollout(concat(features, axis=-2), concat(logits, axis=-2))
 
 
 @dataclass
@@ -244,14 +245,17 @@ def ssp_rollout(
     """Predict horizons 1..l at once, with no chaining.
 
     Row tau - 1 of the block input is s_t (+) f_t (+) p_t (+) onehot(tau),
-    so every horizon is independent of the others. One (l, d_m) dropout
-    draw, taken only when an rng is given, reads the same rng stream as l
-    draws of (1, d_m).
+    so every horizon is independent of the others. s_t and f_t are
+    (..., 1, d_m) rows, and the rollout is (..., l, ·). One (..., l, d_m)
+    dropout draw, taken only when an rng is given, reads the same rng
+    stream as per-window, per-horizon draws of (1, d_m).
     """
     if horizon < 1 or horizon > params.horizon:
         raise ValueError(f"horizon={horizon} outside 1..{params.horizon}")
+    lead = s_t.shape[:-2]
     shared = concat([s_t, f_t, classify(f_t, params.classifier)], axis=-1)
-    tags = Tensor(np.eye(horizon, params.horizon))
-    x = concat([shared[np.zeros(horizon, dtype=int)], tags], axis=-1)
-    features = prediction_block(x, params.block, rng, rate)
+    tags = np.eye(horizon, params.horizon) + np.zeros(lead + (1, 1))  # one set per window
+    x = concat([shared[..., np.zeros(horizon, dtype=int), :], Tensor(tags)], axis=-1)
+    uniforms = draw_uniforms(rng, rate, lead + (horizon, s_t.shape[-1]))
+    features = prediction_block(x, params.block, uniforms, rate)
     return Rollout(features, matmul(features, params.classifier.value))

@@ -27,6 +27,7 @@ from .model import (
     model_count,
     save_checkpoint,
 )
+from .tensor import Tensor, no_grad
 from .training import TrainConfig, train, write_history_csv
 
 # config key -> dataclass field; n_classes is spelt model.classes in config files
@@ -121,6 +122,11 @@ def load_dir(path) -> list[datamod.FeatureSequence]:
 
 def training_sequences(rc, data_dir=None) -> list[datamod.FeatureSequence]:
     if data_dir or rc["data.source"] == "files":
+        if not (data_dir or rc["data.dir"]):
+            raise ValueError(
+                "data.source = files needs the training directory in data.dir or --data; "
+                "data.dir is empty"
+            )
         return load_dir(data_dir or rc["data.dir"])
     cfg = synthetic_config(rc)
     return datamod.gen_synthetic(cfg, rc["data.n_train"], rc["data.length"])
@@ -275,19 +281,21 @@ def cmd_dump_attention(args) -> int:
         raise ValueError("attention dumps need a transformer aggregator (model.aggregator=ttm)")
     sequences = heldout_sequences(rc, args.data)
     seq_len = model.config.seq_len
-    from .tensor import Tensor
 
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh, no_grad():
         fh.write("video_id,t,head,memory_pos,weight\n")
         for seq in sequences:
+            anchors = range(seq_len - 1, len(seq))
+            if not anchors:
+                continue
             feats = seq.features.astype(np.float64)
-            for t in range(seq_len - 1, len(seq)):
-                window = Tensor(feats[t - seq_len + 1 : t + 1])
-                _, weights = model.aggregate(window)
-                for head in range(weights.shape[0]):
-                    for m in range(weights.shape[1]):
+            stack = np.stack([feats[t - seq_len + 1 : t + 1] for t in anchors])
+            _, weights = model.aggregate(Tensor(stack))  # (anchors, heads, seq_len - 1)
+            for t, per_head in zip(anchors, weights):
+                for head, row in enumerate(per_head):
+                    for m, weight in enumerate(row):
                         pos = t - seq_len + 1 + m
-                        fh.write(f"{seq.video_id},{t},{head},{pos},{float(weights[head, m])!r}\n")
+                        fh.write(f"{seq.video_id},{t},{head},{pos},{float(weight)!r}\n")
     print(f"wrote attention weights for {len(sequences)} sequences to {args.out}")
     return 0
 

@@ -3,7 +3,8 @@
 Any aggregator (ttm, conv1d, lstm) pairs with any predictor (ppm, ssp,
 lstm) through one interface: the aggregator turns a T x d_m window into a
 1 x d_m summary, the predictor turns (summary, current feature) into a
-rollout of future (feature, class logits) pairs.
+rollout of future (feature, class logits) pairs. A (B, T, d_m) stack of
+windows runs the same code with a leading batch axis on every tensor.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import attention, baselines, prediction
-from .tensor import Parameter, Tensor
+from .tensor import Parameter, Tensor, no_grad
 
 AGGREGATORS = ("ttm", "conv1d", "lstm")
 PREDICTORS = ("ppm", "ssp", "lstm")
@@ -97,7 +98,7 @@ class AnticipationModel:
         return sum(p.size for p in self.parameters())
 
     def aggregate(self, f_seq: Tensor):
-        """Returns (1 x d_m summary, attention weights or None)."""
+        """Returns ((..., 1, d_m) summary, attention weights or None)."""
         c = self.config
         if c.aggregator == "ttm":
             return attention.aggregate(f_seq, self.agg_params, self.pe)
@@ -117,31 +118,39 @@ class AnticipationModel:
         return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon)
 
     def anticipate(self, observed: np.ndarray, rng=None):
-        """Full forward pass on one observed window.
+        """Full forward pass on one (T, d_m) window or a (B, T, d_m) stack.
 
-        Returns (Rollout, attention weights or None). Dropout is on exactly
-        when an rng is given, as in training; no rng means no dropout. The
+        Returns (Rollout, attention weights or None): a window gives a
+        (horizon, ·) rollout and (n_heads, T-1) weights, a stack gives
+        (B, horizon, ·) and (B, n_heads, T-1), and row b equals the call on
+        window b. Dropout is on exactly when an rng is given, as in
+        training; no rng means no dropout. A stack draws the masks of all
+        its windows at once, in the rng order of one call per window. The
         predictor sees the raw last observed feature; positional encoding
         stays internal to the transformer aggregator.
         """
         f_seq = Tensor(observed)
-        if f_seq.shape[0] != self.config.seq_len:
+        t = self.config.seq_len
+        if f_seq.data.ndim not in (2, 3) or f_seq.shape[-2] != t:
             raise ValueError(
-                f"anticipate: window length {f_seq.shape[0]} != configured "
-                f"seq_len {self.config.seq_len}"
+                f"anticipate: observed shape {f_seq.shape} is not (T, d_m) or "
+                f"(B, T, d_m) with T = seq_len {t}"
             )
         s_t, weights = self.aggregate(f_seq)
-        f_t = f_seq[self.config.seq_len - 1 : self.config.seq_len]
-        return self.predict(s_t, f_t, rng), weights
+        return self.predict(s_t, f_seq[..., t - 1 : t, :], rng), weights
 
     def scorer(self):
-        """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores."""
+        """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores.
+
+        Scoring builds no tape (`no_grad`), so it holds no graph.
+        """
         seq_len = self.config.seq_len
 
         def score(sequence, t: int) -> np.ndarray:
             window = np.asarray(sequence.features[t - seq_len + 1 : t + 1], dtype=np.float64)
-            roll, _ = self.anticipate(window)
-            return roll.probs.data
+            with no_grad():
+                roll, _ = self.anticipate(window)
+                return roll.probs.data
 
         return score
 

@@ -67,10 +67,13 @@ class PPMParams:
 
 @dataclass
 class Rollout:
-    """l predicted (feature, class logits) pairs, stacked row-wise."""
+    """l predicted (feature, class logits) pairs, stacked along axis -2.
 
-    features: Tensor  # (horizon, d_m)
-    logits: Tensor  # (horizon, n_classes)
+    One window gives (horizon, ·); a stack of B windows gives (B, horizon, ·).
+    """
+
+    features: Tensor  # (..., horizon, d_m)
+    logits: Tensor  # (..., horizon, n_classes)
 
     @property
     def probs(self) -> Tensor:
@@ -105,10 +108,18 @@ def classify(f: Tensor, w_c: Parameter) -> Tensor:
     return softmax(matmul(f, w_c.value))
 
 
+def draw_uniforms(rng, rate: float, shape):
+    """Dropout uniforms of `shape` in one draw, or None when dropout is off.
+
+    Dropout is on exactly when an rng is given and the rate is positive.
+    """
+    return rng.random(shape) if rng is not None and rate > 0.0 else None
+
+
 def prediction_block(
-    x: Tensor, params: PredictionBlockParams, rng=None, rate: float = 0.1
+    x: Tensor, params: PredictionBlockParams, uniforms=None, rate: float = 0.1
 ) -> Tensor:
-    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when an rng is given)."""
+    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when uniforms are given)."""
     if x.shape[-1] != params.in_dim:
         raise ValueError(
             f"prediction_block: input extent {x.shape[-1]} != expected {params.in_dim}"
@@ -116,7 +127,7 @@ def prediction_block(
     h = relu(matmul(x, params.fc1_w.value) + params.fc1_b.value)
     y = matmul(h, params.fc2_w.value) + params.fc2_b.value
     y = layer_norm(y, params.ln_gain, params.ln_bias)
-    return dropout(y, rate, rng)
+    return dropout(y, rate, uniforms)
 
 
 def rollout(
@@ -136,20 +147,27 @@ def rollout(
     (history, feature, probability) throughout. With feed_features False
     (the no-feature ablation) later steps put zeros in the feature slot,
     so only the probability and the history carry information forward.
+
+    s_t and f_t are (..., 1, d_m) rows with the same leading batch axes.
     Dropout is on exactly when an rng is given; no rng means no dropout.
+    Its uniforms come from one (..., horizon, d_m) draw, and step s uses
+    slice s of it, which reads the rng stream as per-window, per-step
+    draws would.
     """
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
-    zero_slot = Tensor(np.zeros((1, s_t.shape[-1])))
+    uniforms = draw_uniforms(rng, rate, s_t.shape[:-2] + (horizon, s_t.shape[-1]))
+    zero_slot = Tensor(np.zeros(s_t.shape))
     feat_in, p = f_t, classify(f_t, params.classifier)
     features = []
     logits = []
     for step in range(horizon):
         block = params.initial if step == 0 else params.progressive
-        f = prediction_block(concat([s_t, feat_in, p], axis=-1), block, rng, rate)
+        u = None if uniforms is None else uniforms[..., step : step + 1, :]
+        f = prediction_block(concat([s_t, feat_in, p], axis=-1), block, u, rate)
         z = matmul(f, params.classifier.value)
         p = softmax(z)
         features.append(f)
         logits.append(z)
         feat_in = f if feed_features else zero_slot
-    return Rollout(concat(features, axis=0), concat(logits, axis=0))
+    return Rollout(concat(features, axis=-2), concat(logits, axis=-2))

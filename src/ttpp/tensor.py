@@ -4,11 +4,19 @@ A small define-by-run engine: every operation stores a backward closure on
 its output, and ``Tensor.backward()`` replays the tape in reverse
 topological order. Storage is plain numpy float64, row-major. The tape is
 rebuilt on every forward pass, so rollouts of varying length need no
-special casing.
+special casing. Inside ``no_grad()`` no tape is built at all.
+
+Operations act on the last axis or two and treat any axes before them as
+batch axes: ``matmul`` multiplies a (..., k) operand by a shared 2-D
+(k, n) weight, and the elementwise ops broadcast. A mini-batch therefore
+runs as one graph over a (B, ...) stack instead of one graph per sample.
+Dropout takes pre-drawn uniforms, so a caller can draw the masks of a
+whole batch at once in the order per-sample draws would read them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -19,7 +27,25 @@ class ShapeError(ValueError):
 
 
 class GradientError(RuntimeError):
-    """A gradient is missing where the optimizer requires one."""
+    """A gradient is missing or non-finite where the optimizer requires one."""
+
+
+_taping = True  # False inside no_grad()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no tape inside the block: results hold no parents or backward closures.
+
+    Forward values are computed by the same numpy calls, so they are equal
+    bit for bit to the taped ones.
+    """
+    global _taping
+    saved, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = saved
 
 
 class Tensor:
@@ -148,6 +174,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
+    if not _taping:
+        return out
     live = tuple(p for p in parents if p._tracked)
     if live:
         out._parents = live
@@ -205,24 +233,37 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """(..., k) times a 2-D (k, n) weight; the leading axes of `a` are batch axes.
+
+    Batch axes are folded into the rows of one 2-D product, which is
+    faster than numpy's product per matrix of the stack; the weight
+    gradient sums over them the same way.
+    """
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    data = a.data @ b.data
+    k, n = b.data.shape
+    if a.data.ndim == 2:
+        data = a.data @ b.data
+    else:
+        data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
 
     def backward(g):
+        rows = g.reshape(-1, n)
         if a._tracked:
-            a._accumulate(g @ b.data.T)
+            a._accumulate((rows @ b.data.T).reshape(a.data.shape))
         if b._tracked:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(a.data.reshape(-1, k).T @ rows)
 
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g.T)
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute the axes as `axes` lists them; all of them reversed when None."""
 
-    return _make(a.data.T, (a,), backward)
+    def backward(g):
+        a._accumulate(g.transpose(None if axes is None else np.argsort(axes)))
+
+    return _make(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -349,13 +390,22 @@ def layer_norm(x: Tensor, gain, bias, eps: float = 1e-5) -> Tensor:
     return _make(data, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, rate: float, rng=None) -> Tensor:
-    """Inverted dropout (survivors scaled by 1/(1-rate)); no rng means no dropout."""
+def dropout(x: Tensor, rate: float, uniforms=None) -> Tensor:
+    """Inverted dropout from pre-drawn uniforms; no uniforms means no dropout.
+
+    An entry is kept where its uniform in [0, 1) is >= rate, and survivors
+    are scaled by 1/(1-rate). `uniforms` has the shape of `x`. Drawing
+    them outside lets one draw serve a whole batch: ``rng.random((B, H,
+    d))`` reads the rng stream in the same C order as B x H draws of
+    (1, d), sample by sample and step by step.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None or rate == 0.0:
+    if uniforms is None or rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+    if np.shape(uniforms) != x.data.shape:
+        raise ShapeError(f"dropout: uniforms {np.shape(uniforms)} for input {x.data.shape}")
+    keep = (uniforms >= rate) / (1.0 - rate)
 
     def backward(g):
         x._accumulate(g * keep)
@@ -392,13 +442,21 @@ def glorot(rng, rows: int, cols: int) -> np.ndarray:
 
 
 def sgd_step(params, lr: float, momentum: float = 0.0) -> None:
-    """buffer <- momentum*buffer + grad; value <- value - lr*buffer; clear grads."""
+    """buffer <- momentum*buffer + grad; value <- value - lr*buffer; clear grads.
+
+    Every gradient is checked before any parameter moves, so a missing or
+    non-finite one raises a GradientError naming its parameter and leaves
+    no step half-applied.
+    """
     for p in params:
         g = p.value.grad
         if g is None:
             raise GradientError(f"parameter {p.name!r} has no gradient")
+        if not np.isfinite(g).all():
+            raise GradientError(f"parameter {p.name!r} has a non-finite gradient")
+    for p in params:
         p.momentum *= momentum
-        p.momentum += g
+        p.momentum += p.value.grad
         p.value.data -= lr * p.momentum
         p.value.grad = None
 

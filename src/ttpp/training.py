@@ -2,8 +2,9 @@
 
 Per sample, the feature reconstruction loss sums squared errors over all
 predicted steps and the classification loss sums cross-entropy over all
-predicted steps; the batch averages sample losses. Runs are bit-for-bit
-reproducible from (config, dataset, seed).
+predicted steps; the batch averages sample losses. Both losses sum over
+every leading axis, so one call covers a whole (B, horizon, ·) batch.
+Runs are bit-for-bit reproducible from (config, dataset, seed).
 """
 
 from __future__ import annotations
@@ -91,12 +92,17 @@ def check_samples(model: AnticipationModel, samples) -> None:
 def train(model: AnticipationModel, samples, config: TrainConfig) -> list[EpochStats]:
     """Mini-batch SGD with momentum over reshuffled samples.
 
-    History records per-epoch mean class loss, feature loss, total loss,
-    and horizon-1 training accuracy. A non-finite batch loss aborts with
-    the epoch/batch named rather than training on.
+    Each mini-batch runs as one graph over the (B, T, d_m) stack of its
+    windows. History records per-epoch mean class loss, feature loss,
+    total loss, and horizon-1 training accuracy. A non-finite batch loss
+    aborts with the epoch/batch named rather than training on.
     """
     check_samples(model, samples)
     params = model.parameters()
+    observed, future_features, future_labels = (
+        np.stack([getattr(s, field) for s in samples])
+        for field in ("observed", "future_features", "future_labels")
+    )
     rng = np.random.default_rng(config.seed)
     n = len(samples)
     history: list[EpochStats] = []
@@ -106,25 +112,19 @@ def train(model: AnticipationModel, samples, config: TrainConfig) -> list[EpochS
         sum_lr = 0.0
         hits = 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            batch = [samples[i] for i in order[start : start + config.batch_size]]
-            losses = []
-            for sample in batch:
-                roll, _ = model.anticipate(sample.observed, rng=rng)
-                l_c = class_loss(roll.logits, sample.future_labels)
-                l_r = feature_loss(roll.features, sample.future_features)
-                losses.append(total_loss(l_c, l_r, config.lam))
-                sum_lc += l_c.item()
-                sum_lr += l_r.item()
-                if roll.logits.data[0].argmax() == sample.future_labels[0].argmax():
-                    hits += 1
-            batch_total = losses[0]
-            for extra in losses[1:]:
-                batch_total = batch_total + extra
-            batch_loss = mul(batch_total, 1.0 / len(batch))
+            batch = order[start : start + config.batch_size]
+            labels = future_labels[batch]
+            roll, _ = model.anticipate(observed[batch], rng=rng)
+            l_c = class_loss(roll.logits, labels)
+            l_r = feature_loss(roll.features, future_features[batch])
+            batch_loss = mul(total_loss(l_c, l_r, config.lam), 1.0 / len(batch))
             if not np.isfinite(batch_loss.data):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}"
                 )
+            sum_lc += l_c.item()
+            sum_lr += l_r.item()
+            hits += int((roll.logits.data[:, 0].argmax(-1) == labels[:, 0].argmax(-1)).sum())
             batch_loss.backward()
             sgd_step(params, config.lr, config.momentum)
         history.append(

@@ -144,6 +144,17 @@ class TestTrainEval:
             assert "data.dir holds the training files" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_files_source_without_a_directory_is_refused(self, tmp_path, monkeypatch, capsys):
+        # an empty data.dir must not fall back to the .feat files of the working directory
+        data = tmp_path / "data"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        monkeypatch.chdir(data / "train")
+        run = tmp_path / "run"
+        rc = main(["train", "--set", "data.source=files", "--out-dir", str(run), *FAST])
+        assert rc == 1
+        assert "data.dir is empty" in capsys.readouterr().err
+        assert not (run / "checkpoint.bin").exists()
+
     def test_unknown_subcommand_fails(self, capsys):
         assert main(["frobnicate"]) != 0
 

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from ttpp.tensor import (
     GradientError,
     Parameter,
     ShapeError,
     Tensor,
+    add,
     dropout,
     grad_check,
     layer_norm,
@@ -21,6 +25,7 @@ from ttpp.tensor import (
     softmax,
     tanh,
     tensor_sum,
+    transpose,
 )
 
 
@@ -49,6 +54,18 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        with pytest.raises(ShapeError, match=r"\(4, 2, 3\).*\(2, 3, 1\)"):
+            matmul(Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros((2, 3, 1))))
+
+    def test_batched_rows_equal_per_matrix_products(self):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(2, 3, 4, 5))
+        b = rng.normal(size=(5, 2))
+        out = matmul(Tensor(a), Tensor(b))
+        assert out.shape == (2, 3, 4, 2)
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_allclose(out.data[i, j], a[i, j] @ b, rtol=0, atol=1e-12)
 
     def test_backward_accumulates_both_sides(self):
         rng = np.random.default_rng(1)
@@ -141,35 +158,44 @@ class TestLayerNorm:
 class TestReluDropout:
     def test_rate_zero_is_pure_relu(self):
         rng = np.random.default_rng(0)
-        for draws in (rng, None):
+        for draws in (rng.random(2), None):
             out = dropout(relu(Tensor([-1.0, 2.0])), 0.0, draws)
             np.testing.assert_array_equal(out.data, [0.0, 2.0])
 
     def test_eval_equals_rate_zero(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(4, 4))
-        # no rng is inference: no dropout at any rate
+        # no uniforms is inference: no dropout at any rate
         a = dropout(relu(Tensor(x)), 0.5)
-        b = dropout(relu(Tensor(x)), 0.0, np.random.default_rng(7))
+        b = dropout(relu(Tensor(x)), 0.0, np.random.default_rng(7).random((4, 4)))
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_train_keep_fraction_and_scaling(self):
         rng = np.random.default_rng(8)
         x = np.ones(100_000)
-        out = dropout(Tensor(x), 0.5, rng)
+        out = dropout(Tensor(x), 0.5, rng.random(x.shape))
         kept = out.data != 0
         assert abs(kept.mean() - 0.5) < 0.01
         np.testing.assert_allclose(out.data[kept], 2.0)
 
     def test_mask_deterministic_given_rng_state(self):
         x = np.linspace(-1, 1, 64)
-        a = dropout(Tensor(x), 0.3, np.random.default_rng(123))
-        b = dropout(Tensor(x), 0.3, np.random.default_rng(123))
+        a = dropout(Tensor(x), 0.3, np.random.default_rng(123).random(64))
+        b = dropout(Tensor(x), 0.3, np.random.default_rng(123).random(64))
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_mask_keeps_uniforms_at_or_above_rate(self):
+        u = np.array([0.0, 0.29, 0.3, 0.31, 0.99])
+        out = dropout(Tensor(np.ones(5)), 0.3, u)
+        np.testing.assert_array_equal(out.data, np.array([0, 0, 1, 1, 1]) / 0.7)
+
+    def test_uniforms_must_match_the_input(self):
+        with pytest.raises(ShapeError, match="uniforms"):
+            dropout(Tensor(np.ones((2, 3))), 0.3, np.zeros(3))
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            dropout(Tensor([1.0]), 1.0, np.random.default_rng(0))
+            dropout(Tensor([1.0]), 1.0, np.zeros(1))
 
 
 class TestGradCheck:
@@ -200,6 +226,8 @@ class TestGradCheck:
         w3 = Tensor(rng.normal(size=(1, 3, 5)))
         cost = Tensor(rng.normal(size=(4, 5)))
         cost3 = Tensor(rng.normal(size=(3, 4)))
+        cost_t = Tensor(rng.normal(size=(2, 5, 2)))
+        cost_m = Tensor(rng.normal(size=(2, 4, 3)))
         gain = Tensor(rng.normal(size=5))
         bias = Tensor(rng.normal(size=5))
 
@@ -217,18 +245,28 @@ class TestGradCheck:
             "reshape_3d_mul_sum": lambda t: (
                 tensor_sum(mul(reshape(t, (4, 1, 5)), w3), axis=-1).T * cost3
             ).sum(),
+            "transpose_axes": lambda t: (
+                transpose(reshape(t, (2, 2, 5)), (1, 2, 0)) * cost_t
+            ).sum(),
         }
         for name, f in cases.items():
             err = grad_check(f, [Tensor(rng.normal(size=(4, 5)))])
             assert err < 1e-4, f"{name}: {err}"
+        # a batched (2, 4, 5) operand times a shared (5, 3) weight, both gradients
+        err = grad_check(
+            lambda a, b: (matmul(a, b) * cost_m).sum(),
+            [Tensor(rng.normal(size=(2, 4, 5))), Tensor(w)],
+        )
+        assert err < 1e-4, f"matmul_3d: {err}"
 
     def test_dropout_backward_with_fixed_rng(self):
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 6)))
         weights = rng.normal(size=(3, 6))
+        uniforms = np.random.default_rng(55).random((3, 6))
 
         def f(t):
-            return (dropout(t, 0.4, np.random.default_rng(55)) * Tensor(weights)).sum()
+            return (dropout(t, 0.4, uniforms) * Tensor(weights)).sum()
 
         assert grad_check(f, [x]) < 1e-6
 
@@ -266,11 +304,58 @@ class TestSGD:
         with pytest.raises(GradientError, match="'w'"):
             sgd_step([p], lr=0.1, momentum=0.0)
 
+    def test_non_finite_gradient_named_before_any_update(self):
+        first = Parameter("first", np.ones(2))
+        second = Parameter("second", np.ones(3))
+        for bad in (np.nan, np.inf, -np.inf):
+            first.value.grad = np.ones(2)
+            second.value.grad = np.array([0.5, bad, 0.5])
+            with pytest.raises(GradientError, match="'second'.*non-finite"):
+                sgd_step([first, second], lr=0.1, momentum=0.9)
+            # no step half-applied: the finite parameter did not move either
+            np.testing.assert_array_equal(first.value.data, np.ones(2))
+            np.testing.assert_array_equal(first.momentum, np.zeros(2))
+
     def test_grads_cleared_after_step(self):
         p = Parameter("w", np.ones(2))
         p.value.grad = np.ones(2)
         sgd_step([p], lr=0.1, momentum=0.5)
         assert p.value.grad is None
+
+
+class TestBatchedGradientProperties:
+    """Random leading shapes through grad_check: the batch axes of the ops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        rows=st.integers(1, 3),
+        k=st.integers(1, 4),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_batched_matmul(self, lead, rows, k, n, seed):
+        rng = np.random.default_rng(seed)
+        shape = (*lead, rows, k)
+        cost = Tensor(rng.normal(size=(*lead, rows, n)))
+        a = Tensor(rng.normal(size=shape))
+        b = Tensor(rng.normal(size=(k, n)))
+        assert grad_check(lambda x, y: (matmul(x, y) * cost).sum(), [a, b]) < 1e-6
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, max_side=3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_broadcast_add_and_mul(self, shapes, seed):
+        rng = np.random.default_rng(seed)
+        (sa, sb), out = shapes.input_shapes, shapes.result_shape
+        cost = Tensor(rng.normal(size=out))
+        for op in (add, mul):
+            a = Tensor(rng.normal(size=sa))
+            b = Tensor(rng.normal(size=sb))
+            err = grad_check(lambda x, y: (op(x, y) * cost).sum(), [a, b])
+            assert err < 1e-6, f"{op.__name__} {sa} with {sb}: {err}"
 
 
 def test_forward_ops_deterministic():

@@ -1,14 +1,16 @@
 """Losses and the training loop: values, determinism, divergence."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ttpp.data import gen_synthetic, make_samples, standard_synthetic_config
-from ttpp.model import AnticipationModel, ModelConfig
-from ttpp.tensor import Tensor
+from ttpp.model import AnticipationModel, ModelConfig, grid_configs
+from ttpp.tensor import Tensor, mul, no_grad, sgd_step
 from ttpp.training import (
+    EpochStats,
     TrainConfig,
     TrainingDiverged,
     class_loss,
@@ -164,6 +166,109 @@ class TestTrain:
         for h in history:
             assert h.total_loss == pytest.approx(h.class_loss + tc.lam * h.feature_loss)
             assert 0.0 <= h.train_acc_h1 <= 1.0
+
+
+def per_sample_train(model, samples, config):
+    """The per-sample loop that batched `train` replaced, kept as its oracle.
+
+    One graph per sample, summed over the batch; dropout masks are drawn
+    window by window, step by step, from the training rng.
+    """
+    params = model.parameters()
+    rng = np.random.default_rng(config.seed)
+    n = len(samples)
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        sum_lc = sum_lr = 0.0
+        hits = 0
+        for start in range(0, n, config.batch_size):
+            batch = [samples[i] for i in order[start : start + config.batch_size]]
+            losses = []
+            for sample in batch:
+                roll, _ = model.anticipate(sample.observed, rng=rng)
+                l_c = class_loss(roll.logits, sample.future_labels)
+                l_r = feature_loss(roll.features, sample.future_features)
+                losses.append(total_loss(l_c, l_r, config.lam))
+                sum_lc += l_c.item()
+                sum_lr += l_r.item()
+                hits += roll.logits.data[0].argmax() == sample.future_labels[0].argmax()
+            batch_total = losses[0]
+            for extra in losses[1:]:
+                batch_total = batch_total + extra
+            mul(batch_total, 1.0 / len(batch)).backward()
+            sgd_step(params, config.lr, config.momentum)
+        history.append(
+            EpochStats(epoch, sum_lc / n, sum_lr / n, (sum_lc + config.lam * sum_lr) / n, hits / n)
+        )
+    return history
+
+
+GRID_BASE = ModelConfig(d_m=8, n_heads=2, n_classes=3, seq_len=8, horizon=3)
+GRID_CELLS = grid_configs(GRID_BASE)
+
+
+def grid_samples():
+    cfg = standard_synthetic_config(n_classes=3, d_m=8, seed=9, noise_sigma=0.3)
+    return [s for q in gen_synthetic(cfg, 2, 17) for s in make_samples(q, 8, 3)]
+
+
+class TestBatchedEqualsPerSample:
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
+    def test_train_matches_per_sample_oracle(self, cell, dropout):
+        samples = grid_samples()  # 14 samples: batches of 4, 4, 4 and 2
+        tc = TrainConfig(lr=0.01, momentum=0.9, batch_size=4, epochs=2, seed=4)
+        cell = replace(cell, dropout=dropout)
+        batched, oracle = AnticipationModel(cell, seed=2), AnticipationModel(cell, seed=2)
+        got = train(batched, samples, tc)
+        want = per_sample_train(oracle, samples, tc)
+        for g, w in zip(got, want):
+            assert (g.epoch, g.train_acc_h1) == (w.epoch, w.train_acc_h1)
+            np.testing.assert_allclose(
+                [g.class_loss, g.feature_loss, g.total_loss],
+                [w.class_loss, w.feature_loss, w.total_loss], rtol=1e-12, atol=0,
+            )
+        assert len(got) == len(want) == 2
+        for p, q in zip(batched.parameters(), oracle.parameters()):
+            np.testing.assert_allclose(p.value.data, q.value.data, rtol=0, atol=1e-12,
+                                       err_msg=p.name)
+
+    @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
+    def test_stack_equals_window_by_window(self, cell):
+        model = AnticipationModel(cell, seed=3)
+        stack = np.random.default_rng(8).normal(size=(5, 8, 8))
+        for draws in (lambda: None, lambda: np.random.default_rng(6)):
+            rng = draws()
+            roll, weights = model.anticipate(stack, rng=draws())
+            assert roll.features.shape == (5, 3, 8) and roll.logits.shape == (5, 3, 3)
+            for b, window in enumerate(stack):
+                one, one_weights = model.anticipate(window, rng=rng)
+                np.testing.assert_allclose(roll.features.data[b], one.features.data,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(roll.logits.data[b], one.logits.data,
+                                           rtol=0, atol=1e-12)
+                if cell.aggregator == "ttm":
+                    assert weights.shape == (5, 2, 7)
+                    np.testing.assert_allclose(weights[b], one_weights, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
+    def test_no_grad_outputs_equal_taped_and_hold_no_tape(self, cell):
+        model = AnticipationModel(cell, seed=3)
+        stack = np.random.default_rng(10).normal(size=(3, 8, 8))
+        for observed in (stack, stack[0]):
+            taped, _ = model.anticipate(observed, rng=np.random.default_rng(1))
+            with no_grad():
+                untaped, _ = model.anticipate(observed, rng=np.random.default_rng(1))
+            np.testing.assert_array_equal(untaped.features.data, taped.features.data)
+            np.testing.assert_array_equal(untaped.logits.data, taped.logits.data)
+            assert taped.logits._parents
+            for out in (untaped.features, untaped.logits, untaped.probs):
+                assert out._parents == () and out._backward is None
+        # taping resumes after the block, also when the block raised
+        with pytest.raises(ValueError), no_grad():
+            model.anticipate(stack[:, :4])
+        assert model.anticipate(stack[0])[0].logits._parents
 
 
 class TestLambdaLinearity:
