@@ -66,10 +66,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -237,15 +233,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Batch axes are folded into the rows of one 2-D product, which is
     faster than numpy's product per matrix of the stack; the weight
-    gradient sums over them the same way.
+    gradient sums over them the same way. A 2-D operand folds to itself.
     """
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
     k, n = b.data.shape
-    if a.data.ndim == 2:
-        data = a.data @ b.data
-    else:
-        data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+    data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
 
     def backward(g):
         rows = g.reshape(-1, n)
@@ -257,11 +250,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute the axes as `axes` lists them; all of them reversed when None."""
+def transpose(a: Tensor, axes) -> Tensor:
+    """Permute the axes as `axes` lists them."""
 
     def backward(g):
-        a._accumulate(g.transpose(None if axes is None else np.argsort(axes)))
+        a._accumulate(g.transpose(np.argsort(axes)))
 
     return _make(a.data.transpose(axes), (a,), backward)
 

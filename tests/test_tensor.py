@@ -243,7 +243,8 @@ class TestGradCheck:
             + (t[0:1] * 2.0).sum(),
             # the multi-head pattern: split rows into heads, broadcast, reduce
             "reshape_3d_mul_sum": lambda t: (
-                tensor_sum(mul(reshape(t, (4, 1, 5)), w3), axis=-1).T * cost3
+                transpose(tensor_sum(mul(reshape(t, (4, 1, 5)), w3), axis=-1), (1, 0))
+                * cost3
             ).sum(),
             "transpose_axes": lambda t: (
                 transpose(reshape(t, (2, 2, 5)), (1, 2, 0)) * cost_t
