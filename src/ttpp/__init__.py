@@ -34,16 +34,11 @@ from .data import (
     FeatureSequence,
     SyntheticConfig,
     TrainingSample,
-    chunk_frames,
-    coarse_labels,
     gen_synthetic,
     load_features,
-    load_features_csv,
     make_samples,
-    phase_coded_config,
     reference_scorer,
     save_features,
-    save_features_csv,
     standard_synthetic_config,
 )
 from .metrics import (

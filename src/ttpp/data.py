@@ -1,4 +1,4 @@
-"""Feature sequences: chunking, file formats, synthetic generation.
+"""Feature sequences: the binary .feat format and synthetic generation.
 
 A sequence is one untrimmed stream of per-chunk feature rows with one
 class label per chunk (class 0 is background). The synthetic generator
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class FeatureSequence:
     features: np.ndarray  # (T_total, d_m) float32
     labels: np.ndarray  # (T_total,) int
     n_classes: int
-    chunk_seconds: float = 0.25
 
     def __post_init__(self):
         self.features = np.ascontiguousarray(self.features, dtype=np.float32)
@@ -69,37 +69,6 @@ class TrainingSample:
     future_labels: np.ndarray  # (horizon, n_classes) one-hot float64
 
 
-def chunk_frames(
-    frame_features: np.ndarray,
-    chunk_size: int,
-    frame_labels: np.ndarray,
-    n_classes: int | None = None,
-    video_id: str = "chunked",
-    chunk_seconds: float = 0.25,
-) -> FeatureSequence:
-    """Collapse frames into non-overlapping chunks.
-
-    Chunk feature = mean of its frames; chunk label = label of the central
-    frame (index chunk_size // 2 inside the chunk). Trailing frames that
-    do not fill a chunk are dropped.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    frame_features = np.asarray(frame_features)
-    frame_labels = np.asarray(frame_labels)
-    n = frame_features.shape[0]
-    n_chunks = n // chunk_size
-    if n_chunks == 0:
-        raise ValueError(f"cannot chunk {n} frames with chunk_size {chunk_size}")
-    used = n_chunks * chunk_size
-    feats = frame_features[:used].reshape(n_chunks, chunk_size, -1).mean(axis=1)
-    center = chunk_size // 2
-    labels = frame_labels[center:used:chunk_size][:n_chunks]
-    if n_classes is None:
-        n_classes = int(frame_labels.max()) + 1
-    return FeatureSequence(video_id, feats, labels, n_classes, chunk_seconds)
-
-
 def save_features(seq: FeatureSequence, path) -> None:
     """Binary format: magic, u16 version, u32 T_total, u32 d_m, u32 C,
     float32 little-endian rows, then u16 labels."""
@@ -116,75 +85,45 @@ def save_features(seq: FeatureSequence, path) -> None:
 
 
 def load_features(path) -> FeatureSequence:
-    """Load the binary format; video_id is the file stem."""
-    import os
+    """Load the binary format; video_id is the file stem.
 
+    Every failure is a FeatureFileError naming the file: a short or padded
+    file, an unknown version, a non-finite feature value or a label out of
+    range.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+
+    def fail(message: str, offset: int) -> FeatureFileError:
+        return FeatureFileError(f"{path}: {message}", offset)
+
     if len(blob) < 8 or blob[:8] != FEATURE_MAGIC:
-        raise FeatureFileError(f"bad magic in {path}: expected {FEATURE_MAGIC!r}", 0)
+        raise fail(f"bad magic, expected {FEATURE_MAGIC!r}", 0)
     if len(blob) < 22:
-        raise FeatureFileError("truncated header", len(blob))
+        raise fail("truncated header", len(blob))
     version, t_total, d_m, n_classes = struct.unpack_from("<HIII", blob, 8)
     if version != FEATURE_VERSION:
-        raise FeatureFileError(f"unsupported version {version}", 8)
+        raise fail(f"unsupported version {version}", 8)
     offset = 22
     feat_bytes = 4 * t_total * d_m
     if len(blob) < offset + feat_bytes:
-        raise FeatureFileError(
-            f"truncated features: need {feat_bytes} bytes for {t_total}x{d_m}",
-            len(blob),
-        )
+        raise fail(f"truncated features: need {feat_bytes} bytes for {t_total}x{d_m}", len(blob))
     features = np.frombuffer(blob[offset : offset + feat_bytes], dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(features))
+    if bad.size:
+        raise fail(f"non-finite feature value {features[bad[0]]}", offset + 4 * int(bad[0]))
     features = features.reshape(t_total, d_m).copy()
     offset += feat_bytes
     label_bytes = 2 * t_total
     if len(blob) < offset + label_bytes:
-        raise FeatureFileError(f"truncated labels: need {label_bytes} bytes", len(blob))
+        raise fail(f"truncated labels: need {label_bytes} bytes", len(blob))
     labels = np.frombuffer(blob[offset : offset + label_bytes], dtype="<u2").astype(np.int64)
     offset += label_bytes
     if len(blob) != offset:
-        raise FeatureFileError(f"{len(blob) - offset} trailing bytes", offset)
+        raise fail(f"{len(blob) - offset} trailing bytes", offset)
     if len(labels) and labels.max() >= n_classes:
-        raise FeatureFileError(
-            f"label {labels.max()} out of range for {n_classes} classes", offset
-        )
-    video_id = os.path.splitext(os.path.basename(str(path)))[0]
-    return FeatureSequence(video_id, features, labels, n_classes)
-
-
-def save_features_csv(seq: FeatureSequence, path) -> None:
-    """Text format: one header line `video_id,d_m,C`, then `label,f_1..f_dm` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{seq.video_id},{seq.d_m},{seq.n_classes}\n")
-        for label, row in zip(seq.labels, seq.features):
-            values = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{label},{values}\n")
-
-
-def load_features_csv(path) -> FeatureSequence:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FeatureFileError("empty feature csv", 0)
-    head = lines[0].split(",")
-    if len(head) != 3:
-        raise FeatureFileError(f"header must be video_id,d_m,C, got {lines[0]!r}", 0)
-    video_id, d_m, n_classes = head[0], int(head[1]), int(head[2])
-    labels = []
-    rows = []
-    offset = len(lines[0]) + 1
-    for idx, line in enumerate(lines[1:], start=1):
-        parts = line.split(",")
-        if len(parts) != d_m + 1:
-            raise FeatureFileError(
-                f"row {idx} has {len(parts) - 1} feature values, expected {d_m}", offset
-            )
-        labels.append(int(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-        offset += len(line) + 1
-    features = np.array(rows, dtype=np.float32) if rows else np.zeros((0, d_m), np.float32)
-    return FeatureSequence(video_id, features, np.array(labels, dtype=np.int64), n_classes)
+        raise fail(f"label {labels.max()} out of range for {n_classes} classes", offset)
+    return FeatureSequence(Path(path).stem, features, labels, n_classes)
 
 
 @dataclass
@@ -267,65 +206,6 @@ def standard_synthetic_config(
         noise_sigma=noise_sigma,
         seed=seed,
         duration_law=duration_law,
-    )
-
-
-def phase_coded_config(
-    n_coarse: int,
-    n_phases: int,
-    d_m: int,
-    seed: int = 0,
-    noise_sigma: float = 0.5,
-    phase_scale: float = 0.6,
-    branch: float = 0.75,
-) -> SyntheticConfig:
-    """Explicit-duration process expanded into (class, phase) micro-states.
-
-    Each coarse class runs through n_phases micro-states one chunk at a
-    time; at the segment end it hands off to the next class with
-    probability `branch` (and to the class after that, or back to itself
-    when only two classes exist, otherwise). Prototypes are class base
-    vectors plus per-phase offsets, so features carry within-segment
-    phase that the label alone does not. Train and evaluate against
-    coarse labels via `coarse_labels`.
-    """
-    if n_coarse < 2 or n_phases < 1:
-        raise ValueError("need at least 2 coarse classes and 1 phase")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x9A5E]))
-    m = n_coarse * n_phases
-    transition = np.zeros((m, m))
-    for k in range(n_coarse):
-        for a in range(n_phases - 1):
-            transition[k * n_phases + a, k * n_phases + a + 1] = 1.0
-        end = k * n_phases + n_phases - 1
-        nxt = (k + 1) % n_coarse
-        alt = k if n_coarse == 2 else (k + 2) % n_coarse
-        transition[end, nxt * n_phases] += branch
-        transition[end, alt * n_phases] += 1.0 - branch
-    base = rng.normal(size=(n_coarse, d_m))
-    phase = phase_scale * rng.normal(size=(n_phases, d_m))
-    prototypes = np.array(
-        [base[k] + phase[a] for k in range(n_coarse) for a in range(n_phases)]
-    )
-    return SyntheticConfig(
-        n_classes=m,
-        d_m=d_m,
-        transition=transition,
-        duration_mean=1.0,
-        prototypes=prototypes,
-        noise_sigma=noise_sigma,
-        seed=seed,
-    )
-
-
-def coarse_labels(seq: FeatureSequence, n_phases: int, n_coarse: int) -> FeatureSequence:
-    """Collapse (class, phase) micro-labels back to coarse class labels."""
-    return FeatureSequence(
-        seq.video_id,
-        seq.features,
-        seq.labels // n_phases,
-        n_coarse,
-        seq.chunk_seconds,
     )
 
 

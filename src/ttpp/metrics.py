@@ -67,6 +67,7 @@ def accuracy(pred_labels, true_labels) -> float:
 
 
 METRICS = ("cap", "map", "acc")
+CHUNK_SECONDS = 0.25  # length of one feature chunk, for the report headers
 
 
 @dataclass
@@ -85,8 +86,8 @@ class HorizonReport:
         return len(self.horizon_labels)
 
 
-def horizon_labels(horizon: int, chunk_seconds: float = 0.25) -> list[str]:
-    return [f"{tau * chunk_seconds:g}s" for tau in range(1, horizon + 1)]
+def horizon_labels(horizon: int) -> list[str]:
+    return [f"{tau * CHUNK_SECONDS:g}s" for tau in range(1, horizon + 1)]
 
 
 def evaluate_horizons(
@@ -111,7 +112,6 @@ def evaluate_horizons(
     if not sequences:
         raise ValueError("no sequences to evaluate")
     n_classes = sequences[0].n_classes
-    chunk_seconds = sequences[0].chunk_seconds
     scores = [[] for _ in range(horizon)]
     truths = [[] for _ in range(horizon)]
     for seq in sequences:
@@ -161,7 +161,7 @@ def evaluate_horizons(
         raise ValueError("empty report: every horizon/class cell was skipped")
     return HorizonReport(
         metric=metric,
-        horizon_labels=horizon_labels(horizon, chunk_seconds),
+        horizon_labels=horizon_labels(horizon),
         per_class=per_class,
         means=means,
         average=float(valid.mean()),

@@ -260,10 +260,22 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             end = offset + 8 * n
             if end > len(blob):
                 raise struct.error("short read")
-            state[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
+            values = np.frombuffer(blob[offset:end], dtype="<f8")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(
+                    f"parameter {name!r} holds a non-finite value at offset "
+                    f"{offset + 8 * int(bad[0])} in {path}"
+                )
+            state[name] = values.reshape(shape).copy()
             offset = end
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
         raise ValueError(f"truncated/corrupt checkpoint at offset {offset}: {exc}") from exc
+    if offset != len(blob):
+        raise ValueError(
+            f"{len(blob) - offset} trailing bytes after the last parameter "
+            f"at offset {offset} in {path}"
+        )
     return config, state
 
 

@@ -62,10 +62,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -120,9 +116,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, _ensure(other))
 
-    def __rsub__(self, other):
-        return sub(_ensure(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -132,18 +125,11 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, _ensure(other))
-
     def __getitem__(self, key):
         return take(self, key)
 
     def sum(self, axis=None, keepdims: bool = False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        out = tensor_sum(self, axis=axis, keepdims=keepdims)
-        return mul(out, out.data.size / self.data.size)
 
 
 def _ensure(x) -> Tensor:

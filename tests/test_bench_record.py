@@ -1,0 +1,129 @@
+"""scripts/bench_record.py: summaries of fake parent and change run records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+SPEC = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+SECONDS = SPEC["run_seconds"]
+METRICS = [m["name"] for m in SPEC["end_to_end"]]
+
+
+def write_run(directory: Path, workload: str, seed: int, metrics: dict, trace: int = 0,
+              size: str = "full", seconds=SECONDS, suffix: str = ".json") -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    record = {
+        "args": {"workload": workload, "seed": seed, "trace": trace,
+                 "size": size, "seconds": seconds},
+        "environment": {"commit": directory.name},
+        "result": {
+            "correct": True, "failed": 0, "attempted": 10,
+            "metrics": {name: {"value": value} for name, value in metrics.items()},
+        },
+    }
+    path = directory / f"{workload}-seed{seed}-trace{trace}{suffix}"
+    path.write_text(json.dumps(record), encoding="utf-8")
+
+
+def uniform(value: float) -> dict:
+    return {name: value for name in METRICS}
+
+
+def summarize(parent: Path, change: Path) -> dict:
+    return bench_record.summarize(
+        bench_record.load_runs(parent, SECONDS)[0],
+        bench_record.load_runs(change, SECONDS)[0],
+        SPEC,
+    )
+
+
+def test_medians_and_quartiles_equal_numpy_percentiles(tmp_path):
+    rng = np.random.default_rng(0)
+    values = {"parent": rng.normal(10, 2, size=(7, len(METRICS))),
+              "change": rng.normal(12, 3, size=(6, len(METRICS)))}
+    for side, table in values.items():
+        for seed, row in enumerate(table):
+            write_run(tmp_path / side, "train-ttpp", seed, dict(zip(METRICS, row)))
+    metrics = summarize(tmp_path / "parent", tmp_path / "change")["train-ttpp"]["metrics"]
+    for j, name in enumerate(METRICS):
+        for side, table in values.items():
+            q1, median, q3 = np.percentile(table[:, j], [25, 50, 75])
+            assert metrics[name][side] == {"median": median, "q1": q1, "q3": q3}
+        assert metrics[name]["ratio"] == pytest.approx(
+            metrics[name]["change"]["median"] / metrics[name]["parent"]["median"]
+        )
+
+
+def test_pairs_follow_each_metrics_direction_and_ties_count_for_neither(tmp_path):
+    # seed 0: change higher, 1: change lower, 2: a tie, 3: change higher,
+    # 4: parent only and 5: change only, so neither is a pair
+    parent = {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0, 4: 1.0}
+    change = {0: 2.0, 1: 0.5, 2: 1.0, 3: 3.0, 5: 0.1}
+    for seed, value in parent.items():
+        write_run(tmp_path / "parent", "train-lstm", seed, uniform(value))
+    for seed, value in change.items():
+        write_run(tmp_path / "change", "train-lstm", seed, uniform(value))
+    metrics = summarize(tmp_path / "parent", tmp_path / "change")["train-lstm"]["metrics"]
+    for m in SPEC["end_to_end"]:
+        row = metrics[m["name"]]
+        assert row["pairs"] == 4
+        assert row["pairs_won_by_change"] == (2 if m["better"] == "higher" else 1), m["name"]
+
+
+def test_tiny_runs_other_lengths_and_span_files_are_skipped(tmp_path):
+    out = tmp_path / "out"
+    write_run(out, "grid-smoke", 1, uniform(1.0))
+    write_run(out, "grid-smoke", 2, uniform(50.0), size="tiny")
+    write_run(out, "grid-smoke", 3, uniform(50.0), seconds=SECONDS + 1)
+    write_run(out, "grid-smoke", 4, uniform(50.0), suffix=".spans.json")
+    runs, environment = bench_record.load_runs(out, SECONDS)
+    assert list(runs) == [("grid-smoke", 0)]
+    assert [seed for seed, _ in runs[("grid-smoke", 0)]] == [1]
+    assert environment == {"commit": "out"}
+
+
+def test_a_workload_missing_on_one_side_is_left_out(tmp_path):
+    write_run(tmp_path / "parent", "train-ttpp", 1, uniform(1.0))
+    write_run(tmp_path / "parent", "grid-smoke", 1, uniform(1.0))
+    write_run(tmp_path / "change", "train-ttpp", 1, uniform(2.0))
+    write_run(tmp_path / "change", "train-lstm", 1, uniform(2.0))
+    assert list(summarize(tmp_path / "parent", tmp_path / "change")) == ["train-ttpp"]
+
+
+def test_traced_takes_the_first_traced_run_of_each_side(tmp_path):
+    for side, seeds in (("parent", (7, 8)), ("change", (8, 9))):
+        for seed in seeds:
+            write_run(tmp_path / side, "train-ttpp", seed, {"tensor.nodes_per_sample": seed},
+                      trace=1)
+        write_run(tmp_path / side, "train-ttpp", 1, uniform(1.0))
+    parent = bench_record.load_runs(tmp_path / "parent", SECONDS)[0]
+    change = bench_record.load_runs(tmp_path / "change", SECONDS)[0]
+    record = bench_record.traced(parent, change, SPEC)
+    assert list(record) == ["train-ttpp"]
+    assert record["train-ttpp"]["parent"] == {"seed": 7, "correct": True, "failed": 0,
+                                              "tensor.nodes_per_sample": 7}
+    assert record["train-ttpp"]["change"]["seed"] == 8
+
+
+def test_main_writes_the_record(tmp_path, capsys):
+    write_run(tmp_path / "parent", "train-ttpp", 1, uniform(1.0))
+    write_run(tmp_path / "change", "train-ttpp", 1, uniform(2.0))
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--out", str(out), "--note", "fake runs",
+    ]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["note"] == "fake runs"
+    assert record["environment"] == {"parent": {"commit": "parent"},
+                                     "change": {"commit": "change"}}
+    assert record["end_to_end"]["train-ttpp"]["change"]["runs"] == 1
+    assert record["traced"] == {}

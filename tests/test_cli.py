@@ -128,6 +128,52 @@ class TestTrainEval:
         assert rc == 1
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
+    def test_damaged_checkpoint_is_refused(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(run), *FAST]) == 0
+        checkpoint = run / "checkpoint.bin"
+        saved = checkpoint.read_bytes()
+        eval_args = [
+            "eval", "--checkpoint", str(checkpoint), "--data", str(data / "heldout"),
+            "--out", str(tmp_path / "r.csv"), *FAST,
+        ]
+        capsys.readouterr()
+        checkpoint.write_bytes(saved + bytes(14))
+        assert main(eval_args) == 1
+        assert "14 trailing bytes" in capsys.readouterr().err
+        nan = bytearray(saved)
+        nan[-8:] = np.float64(np.nan).tobytes()  # last entry of the last parameter
+        checkpoint.write_bytes(bytes(nan))
+        assert main(eval_args) == 1
+        assert "holds a non-finite value" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_damaged_feature_file_is_named(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(run), *FAST]) == 0
+        damaged = sorted((data / "heldout").glob("*.feat"))[-1]
+        saved = damaged.read_bytes()
+        eval_args = [
+            "eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(data / "heldout"),
+            "--out", str(tmp_path / "r.csv"), *FAST,
+        ]
+        capsys.readouterr()
+        nan = bytearray(saved)
+        nan[22 + 4 * 5 : 22 + 4 * 6] = np.float32(np.nan).tobytes()  # row 0, column 5
+        damaged.write_bytes(bytes(nan))
+        assert main(eval_args) == 1
+        err = capsys.readouterr().err
+        assert str(damaged) in err and "non-finite feature value" in err
+        damaged.write_bytes(saved[:100])
+        assert main(eval_args) == 1
+        err = capsys.readouterr().err
+        assert str(damaged) in err and "truncated features" in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_files_config_needs_heldout_files(self, tmp_path, capsys):
         # data.dir is what train reads; eval and dump-attention must not score on it
         data = tmp_path / "data"

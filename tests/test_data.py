@@ -1,52 +1,26 @@
-"""Chunking, feature file formats, synthetic process, reference scorer."""
+"""The .feat format, synthetic process, reference scorer."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ttpp.data import (
     FeatureFileError,
     FeatureSequence,
     SyntheticConfig,
-    chunk_frames,
-    coarse_labels,
     gen_synthetic,
     horizon_transition,
     load_features,
-    load_features_csv,
     make_samples,
-    phase_coded_config,
     reference_scorer,
     save_features,
-    save_features_csv,
     standard_synthetic_config,
 )
-
-
-class TestChunkFrames:
-    def test_floor_and_remainder(self):
-        rng = np.random.default_rng(0)
-        seq = chunk_frames(rng.normal(size=(13, 4)), 6, np.zeros(13, dtype=int), n_classes=1)
-        assert len(seq) == 2  # one trailing frame dropped
-
-    def test_constant_features_survive_averaging(self):
-        frames = np.tile(np.array([1.0, 2.0, 3.0]), (12, 1))
-        seq = chunk_frames(frames, 6, np.zeros(12, dtype=int), n_classes=1)
-        np.testing.assert_allclose(seq.features, np.tile([1.0, 2.0, 3.0], (2, 1)), rtol=1e-6)
-
-    def test_label_comes_from_central_frame(self):
-        labels = np.array([0, 0, 0, 1, 1, 1])
-        seq = chunk_frames(np.zeros((6, 2)), 6, labels, n_classes=2)
-        assert seq.labels[0] == 1  # frame index 3 of the chunk
-
-    def test_mean_is_frame_average(self):
-        rng = np.random.default_rng(1)
-        frames = rng.normal(size=(12, 3))
-        seq = chunk_frames(frames, 6, np.zeros(12, dtype=int), n_classes=1)
-        np.testing.assert_allclose(seq.features[0], frames[:6].mean(axis=0), rtol=1e-6)
-
-    def test_too_few_frames(self):
-        with pytest.raises(ValueError, match="chunk"):
-            chunk_frames(np.zeros((5, 2)), 6, np.zeros(5, dtype=int))
 
 
 def random_sequence(seed=0, length=20, d_m=6, n_classes=4, video_id="vid"):
@@ -112,38 +86,42 @@ class TestBinaryFormat:
         with pytest.raises(FeatureFileError, match="out of range"):
             load_features(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_at_its_offset(self, tmp_path, value):
+        seq = random_sequence(seed=5, length=6, d_m=3)
+        seq.features[4, 1] = value
+        path = tmp_path / "n.feat"
+        save_features(seq, path)
+        with pytest.raises(FeatureFileError, match="non-finite") as err:
+            load_features(path)
+        assert err.value.offset == 22 + 4 * (4 * 3 + 1)
+        assert str(path) in str(err.value)
+
+    def test_every_error_names_the_file(self, tmp_path):
+        seq = random_sequence(seed=6)
+        path = tmp_path / "named.feat"
+        save_features(seq, path)
+        blob = path.read_bytes()
+        corruptions = {
+            "truncated header": blob[:15],
+            "unsupported version": blob[:8] + b"\x09\x00" + blob[10:],
+            "truncated features": blob[:100],
+            "truncated labels": blob[:-1],
+            "trailing": blob + b"x",
+            "magic": b"NOTMAGIC" + blob[8:],
+        }
+        for cause, corrupt in corruptions.items():
+            path.write_bytes(corrupt)
+            with pytest.raises(FeatureFileError, match=cause) as err:
+                load_features(path)
+            assert str(path) in str(err.value), cause
+
     def test_labels_beyond_u16_rejected_on_save(self, tmp_path):
         # label 70000 would wrap to 4464 in the u16 field
         seq = FeatureSequence("big", np.zeros((2, 3)), np.array([0, 70000]), 70001)
         with pytest.raises(ValueError, match="65536"):
             save_features(seq, tmp_path / "big.feat")
         assert not (tmp_path / "big.feat").exists()
-
-
-class TestCsvFormat:
-    def test_round_trip(self, tmp_path):
-        seq = random_sequence(seed=5, length=7)
-        path = tmp_path / "vid.csv"
-        save_features_csv(seq, path)
-        loaded = load_features_csv(path)
-        np.testing.assert_array_equal(loaded.features, seq.features)
-        np.testing.assert_array_equal(loaded.labels, seq.labels)
-        assert loaded.video_id == seq.video_id
-        twice = tmp_path / "again.csv"
-        save_features_csv(loaded, twice)
-        assert path.read_bytes() == twice.read_bytes()
-
-    def test_row_width_checked(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("vid,3,2\n0,1.0,2.0\n")
-        with pytest.raises(FeatureFileError, match="row 1"):
-            load_features_csv(path)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "h.csv"
-        path.write_text("only,two\n")
-        with pytest.raises(FeatureFileError, match="header"):
-            load_features_csv(path)
 
 
 class TestGenSynthetic:
@@ -285,23 +263,65 @@ class TestHorizonTransition:
         assert hits / total > 1.0 / 3 + 0.1
 
 
-class TestPhaseCodedProcess:
-    def test_micro_transition_is_row_stochastic(self):
-        cfg = phase_coded_config(3, 4, d_m=8, seed=13)
-        np.testing.assert_allclose(cfg.transition.sum(axis=1), 1.0, atol=1e-12)
-        assert cfg.n_classes == 12
+@st.composite
+def feature_sequences(draw):
+    t = draw(st.integers(0, 12))
+    d_m = draw(st.integers(1, 5))
+    n_classes = draw(st.integers(1, 65536))
+    finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    features = draw(arrays(np.float32, (t, d_m), elements=finite))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=t, max_size=t))
+    return FeatureSequence("vid", features, np.array(labels, dtype=np.int64), n_classes)
 
-    def test_phases_advance_deterministically(self):
-        cfg = phase_coded_config(2, 3, d_m=4, seed=14, noise_sigma=0.0)
-        seq = gen_synthetic(cfg, 1, 40)[0]
-        for a, b in zip(seq.labels[:-1], seq.labels[1:]):
-            if a % 3 != 2:  # inside a segment the phase just increments
-                assert b == a + 1
 
-    def test_coarse_labels_collapse_phases(self):
-        cfg = phase_coded_config(2, 3, d_m=4, seed=15)
-        seq = gen_synthetic(cfg, 1, 30)[0]
-        coarse = coarse_labels(seq, 3, 2)
-        assert coarse.n_classes == 2
-        np.testing.assert_array_equal(coarse.labels, seq.labels // 3)
-        np.testing.assert_array_equal(coarse.features, seq.features)
+def load_bytes(blob: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vid.feat"
+        path.write_bytes(blob)
+        return load_features(path)
+
+
+def saved_bytes(seq) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "vid.feat"
+        save_features(seq, path)
+        return path.read_bytes()
+
+
+class TestFeatureFileProperties:
+    """Random shapes, labels and values: a .feat file loads exactly or fails by name."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=feature_sequences())
+    def test_save_then_load_is_the_identity(self, seq):
+        loaded = load_bytes(saved_bytes(seq))
+        assert loaded.features.tobytes() == seq.features.tobytes()
+        np.testing.assert_array_equal(loaded.labels, seq.labels)
+        assert loaded.n_classes == seq.n_classes and loaded.video_id == "vid"
+
+    @settings(max_examples=15, deadline=None)
+    @given(seq=feature_sequences())
+    def test_every_proper_prefix_is_refused(self, seq):
+        blob = saved_bytes(seq)
+        for end in range(len(blob)):
+            with pytest.raises(FeatureFileError):
+                load_bytes(blob[:end])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seq=feature_sequences(), extra=st.binary(min_size=1, max_size=16))
+    def test_appended_bytes_are_refused(self, seq, extra):
+        with pytest.raises(FeatureFileError, match="trailing"):
+            load_bytes(saved_bytes(seq) + extra)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seq=feature_sequences().filter(lambda s: s.features.size > 0),
+        value=st.sampled_from([np.nan, np.inf, -np.inf]),
+        data=st.data(),
+    )
+    def test_a_non_finite_entry_is_refused_at_its_offset(self, seq, value, data):
+        entry = data.draw(st.integers(0, seq.features.size - 1))
+        seq.features.flat[entry] = value
+        with pytest.raises(FeatureFileError, match="non-finite") as err:
+            load_bytes(saved_bytes(seq))
+        assert err.value.offset == 22 + 4 * entry
