@@ -56,7 +56,6 @@ from .model import (
     ModelConfig,
     grid_configs,
     load_checkpoint,
-    model_count,
     save_checkpoint,
 )
 from .prediction import (

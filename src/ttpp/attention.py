@@ -35,7 +35,7 @@ class TTMParams:
         return [self.wq, self.wk, self.wv, self.wo]
 
 
-def init_ttm_params(d_m: int, n_heads: int, rng, prefix: str = "ttm") -> TTMParams:
+def init_ttm_params(d_m: int, n_heads: int, rng) -> TTMParams:
     """Glorot init with one draw per head, so each head has the d_m x d_k limit.
 
     Draws run q heads, then k heads, then v heads, then the output projection.
@@ -44,10 +44,10 @@ def init_ttm_params(d_m: int, n_heads: int, rng, prefix: str = "ttm") -> TTMPara
         raise ValueError(f"n_heads={n_heads} must divide d_m={d_m}")
     d_k = d_m // n_heads
     wq, wk, wv = (
-        Parameter(f"{prefix}.{name}", np.hstack([glorot(rng, d_m, d_k) for _ in range(n_heads)]))
+        Parameter(f"ttm.{name}", np.hstack([glorot(rng, d_m, d_k) for _ in range(n_heads)]))
         for name in "qkv"
     )
-    wo = Parameter(f"{prefix}.o", glorot(rng, d_m, d_m))
+    wo = Parameter("ttm.o", glorot(rng, d_m, d_m))
     return TTMParams(wq, wk, wv, wo, n_heads)
 
 

@@ -53,14 +53,12 @@ class Conv1DStack:
         return [*self.weights, *self.biases]
 
 
-def init_conv1d_params(d_m: int, rng, prefix: str = "conv1d") -> Conv1DStack:
+def init_conv1d_params(d_m: int, rng) -> Conv1DStack:
     weights = [
-        Parameter(f"{prefix}.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m))
+        Parameter(f"conv1d.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m))
         for i in range(CONV_LAYERS)
     ]
-    biases = [
-        Parameter(f"{prefix}.b{i}", np.zeros(d_m)) for i in range(CONV_LAYERS)
-    ]
+    biases = [Parameter(f"conv1d.b{i}", np.zeros(d_m)) for i in range(CONV_LAYERS)]
     return Conv1DStack(weights, biases)
 
 
@@ -183,9 +181,9 @@ class DecoderParams:
         return [*self.lstm.parameters(), self.classifier]
 
 
-def init_lstm_decoder_params(d_m: int, n_classes: int, rng, prefix: str = "dec") -> DecoderParams:
-    lstm = init_lstm_params(d_m + n_classes, d_m, rng, prefix)
-    return DecoderParams(lstm, Parameter(f"{prefix}.classifier", glorot(rng, d_m, n_classes)))
+def init_lstm_decoder_params(d_m: int, n_classes: int, rng) -> DecoderParams:
+    lstm = init_lstm_params(d_m + n_classes, d_m, rng, "dec")
+    return DecoderParams(lstm, Parameter("dec.classifier", glorot(rng, d_m, n_classes)))
 
 
 def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -> Rollout:
@@ -223,26 +221,19 @@ class SSPParams:
         return [*self.block.parameters(), self.classifier]
 
 
-def init_ssp_params(
-    d_m: int, n_classes: int, horizon: int, rng, prefix: str = "ssp"
-) -> SSPParams:
+def init_ssp_params(d_m: int, n_classes: int, horizon: int, rng) -> SSPParams:
     in_dim = 2 * d_m + n_classes + horizon
     return SSPParams(
-        block=init_block_params(in_dim, d_m, rng, f"{prefix}.block"),
-        classifier=Parameter(f"{prefix}.classifier", glorot(rng, d_m, n_classes)),
+        block=init_block_params(in_dim, d_m, rng, "ssp.block"),
+        classifier=Parameter("ssp.classifier", glorot(rng, d_m, n_classes)),
         horizon=horizon,
     )
 
 
 def ssp_rollout(
-    s_t: Tensor,
-    f_t: Tensor,
-    params: SSPParams,
-    horizon: int,
-    rng=None,
-    rate: float = 0.1,
+    s_t: Tensor, f_t: Tensor, params: SSPParams, rng=None, rate: float = 0.1
 ) -> Rollout:
-    """Predict horizons 1..l at once, with no chaining.
+    """Predict horizons 1..l (l = params.horizon) at once, with no chaining.
 
     Row tau - 1 of the block input is s_t (+) f_t (+) p_t (+) onehot(tau),
     so every horizon is independent of the others. s_t and f_t are
@@ -250,11 +241,10 @@ def ssp_rollout(
     dropout draw, taken only when an rng is given, reads the same rng
     stream as per-window, per-horizon draws of (1, d_m).
     """
-    if horizon < 1 or horizon > params.horizon:
-        raise ValueError(f"horizon={horizon} outside 1..{params.horizon}")
+    horizon = params.horizon
     lead = s_t.shape[:-2]
     shared = concat([s_t, f_t, classify(f_t, params.classifier)], axis=-1)
-    tags = np.eye(horizon, params.horizon) + np.zeros(lead + (1, 1))  # one set per window
+    tags = np.eye(horizon) + np.zeros(lead + (1, 1))  # one set per window
     x = concat([shared[..., np.zeros(horizon, dtype=int), :], Tensor(tags)], axis=-1)
     uniforms = draw_uniforms(rng, rate, lead + (horizon, s_t.shape[-1]))
     features = prediction_block(x, params.block, uniforms, rate)

@@ -24,7 +24,6 @@ from .model import (
     file_sha256,
     grid_configs,
     load_checkpoint,
-    model_count,
     save_checkpoint,
 )
 from .tensor import Tensor, no_grad
@@ -40,8 +39,6 @@ TRAIN_KEYS = {f"train.{f.name}": f.name for f in fields(TrainConfig)}
 DEFAULTS: dict[str, object] = {
     **{key: getattr(ModelConfig, name) for key, name in MODEL_KEYS.items()},
     **{key: getattr(TrainConfig, name) for key, name in TRAIN_KEYS.items()},
-    "data.source": "synthetic",
-    "data.dir": "",
     "data.n_train": 12,
     "data.n_eval": 6,
     "data.length": 40,
@@ -53,6 +50,7 @@ DEFAULTS: dict[str, object] = {
 }
 
 HELDOUT_SEED_OFFSET = 7919
+SPLITS = {"train": ("data.n_train", 0), "heldout": ("data.n_eval", HELDOUT_SEED_OFFSET)}
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -82,15 +80,13 @@ def resolve_config(config_path=None, overrides=()) -> dict[str, object]:
     for key, value in pending.items():
         if key not in DEFAULTS:
             raise ValueError(f"unknown config key {key!r}")
-        default = DEFAULTS[key]
-        if isinstance(default, bool):
-            resolved[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(default, int):
-            resolved[key] = int(value)
-        elif isinstance(default, float):
-            resolved[key] = float(value)
-        else:
-            resolved[key] = value
+        kind = type(DEFAULTS[key])  # int, float or str
+        try:
+            resolved[key] = kind(value)
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r} expects {kind.__name__}, got {value!r}"
+            ) from None
     return resolved
 
 
@@ -102,8 +98,29 @@ def train_config(rc: dict[str, object]) -> TrainConfig:
     return TrainConfig(**{name: rc[key] for key, name in TRAIN_KEYS.items()})
 
 
-def synthetic_config(rc: dict[str, object]) -> datamod.SyntheticConfig:
-    return datamod.standard_synthetic_config(
+def split_sequences(rc, split: str, data_dir=None) -> list[datamod.FeatureSequence]:
+    """The .feat files under `data_dir`, or else the synthetic `split` of SPLITS.
+
+    A file whose d_m or class count differs from the configured model's is
+    refused by name, before it can be trained on or scored.
+    """
+    if data_dir:
+        files = sorted(Path(data_dir).glob("*.feat"))
+        if not files:
+            raise FileNotFoundError(f"no .feat files under {data_dir}")
+        want = (rc["model.d_m"], rc["model.classes"])
+        sequences = []
+        for path in files:
+            seq = datamod.load_features(path)
+            if (seq.d_m, seq.n_classes) != want:
+                raise ValueError(
+                    f"{path}: d_m {seq.d_m} with {seq.n_classes} classes, but the model "
+                    f"has model.d_m = {want[0]} and model.classes = {want[1]}"
+                )
+            sequences.append(seq)
+        return sequences
+    count_key, seed_offset = SPLITS[split]
+    cfg = datamod.standard_synthetic_config(
         n_classes=rc["model.classes"],
         d_m=rc["model.d_m"],
         seed=rc["data.seed"],
@@ -111,38 +128,9 @@ def synthetic_config(rc: dict[str, object]) -> datamod.SyntheticConfig:
         duration_mean=rc["data.duration_mean"],
         duration_law=rc["data.duration_law"],
     )
-
-
-def load_dir(path) -> list[datamod.FeatureSequence]:
-    files = sorted(Path(path).glob("*.feat"))
-    if not files:
-        raise FileNotFoundError(f"no .feat files under {path}")
-    return [datamod.load_features(f) for f in files]
-
-
-def training_sequences(rc, data_dir=None) -> list[datamod.FeatureSequence]:
-    if data_dir or rc["data.source"] == "files":
-        if not (data_dir or rc["data.dir"]):
-            raise ValueError(
-                "data.source = files needs the training directory in data.dir or --data; "
-                "data.dir is empty"
-            )
-        return load_dir(data_dir or rc["data.dir"])
-    cfg = synthetic_config(rc)
-    return datamod.gen_synthetic(cfg, rc["data.n_train"], rc["data.length"])
-
-
-def heldout_sequences(rc, data_dir=None) -> list[datamod.FeatureSequence]:
-    if data_dir:
-        return load_dir(data_dir)
-    if rc["data.source"] == "files":
-        raise ValueError(
-            "data.source = files needs the heldout files given on the command line "
-            "(--data, or --heldout-data for grid); data.dir holds the training files"
-        )
-    cfg = synthetic_config(rc)
-    cfg = replace(cfg, seed=cfg.seed + HELDOUT_SEED_OFFSET)
-    return datamod.gen_synthetic(cfg, rc["data.n_eval"], rc["data.length"])
+    # both splits share one process; the heldout one draws with another seed
+    cfg = replace(cfg, seed=cfg.seed + seed_offset)
+    return datamod.gen_synthetic(cfg, rc[count_key], rc["data.length"])
 
 
 def samples_from(sequences, seq_len: int, horizon: int):
@@ -165,19 +153,16 @@ def write_manifest(out_dir: Path, rc, outputs) -> None:
 
 def cmd_gen(args) -> int:
     rc = resolve_config(args.config, args.set or [])
-    cfg = synthetic_config(rc)
     out = Path(args.out_dir)
-    (out / "train").mkdir(parents=True, exist_ok=True)
-    (out / "heldout").mkdir(parents=True, exist_ok=True)
-    train_seqs = datamod.gen_synthetic(cfg, rc["data.n_train"], rc["data.length"])
-    held_cfg = replace(cfg, seed=cfg.seed + HELDOUT_SEED_OFFSET)
-    held_seqs = datamod.gen_synthetic(held_cfg, rc["data.n_eval"], rc["data.length"])
-    for seq in train_seqs:
-        datamod.save_features(seq, out / "train" / f"{seq.video_id}.feat")
-    for seq in held_seqs:
-        datamod.save_features(seq, out / "heldout" / f"{seq.video_id}.feat")
+    written = {}
+    for split in SPLITS:
+        (out / split).mkdir(parents=True, exist_ok=True)
+        sequences = split_sequences(rc, split)
+        for seq in sequences:
+            datamod.save_features(seq, out / split / f"{seq.video_id}.feat")
+        written[split] = len(sequences)
     print(
-        f"wrote {len(train_seqs)} train + {len(held_seqs)} heldout sequences "
+        f"wrote {written['train']} train + {written['heldout']} heldout sequences "
         f"of length {rc['data.length']} to {out}"
     )
     return 0
@@ -187,7 +172,7 @@ def cmd_train(args) -> int:
     rc = resolve_config(args.config, args.set or [])
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sequences = training_sequences(rc, args.data)
+    sequences = split_sequences(rc, "train", args.data)
     mc = model_config(rc)
     tc = train_config(rc)
     samples = samples_from(sequences, mc.seq_len, mc.horizon)
@@ -227,7 +212,7 @@ def _load_model(rc, checkpoint) -> AnticipationModel:
 def cmd_eval(args) -> int:
     rc = resolve_config(args.config, args.set or [])
     model = _load_model(rc, args.checkpoint)
-    sequences = heldout_sequences(rc, args.data)
+    sequences = split_sequences(rc, "heldout", args.data)
     report = metricsmod.evaluate_horizons(
         model.scorer(),
         sequences,
@@ -249,8 +234,8 @@ def cmd_grid(args) -> int:
         raise ValueError(
             "grid on feature files needs --heldout-data; it would score on the training files"
         )
-    held_seqs = heldout_sequences(rc, args.heldout_data)
-    train_seqs = training_sequences(rc, args.data)
+    held_seqs = split_sequences(rc, "heldout", args.heldout_data)
+    train_seqs = split_sequences(rc, "train", args.data)
     mc = model_config(rc)
     tc = train_config(rc)
     samples = samples_from(train_seqs, mc.seq_len, mc.horizon)
@@ -279,7 +264,7 @@ def cmd_dump_attention(args) -> int:
     model = _load_model(rc, args.checkpoint)
     if model.config.aggregator != "ttm":
         raise ValueError("attention dumps need a transformer aggregator (model.aggregator=ttm)")
-    sequences = heldout_sequences(rc, args.data)
+    sequences = split_sequences(rc, "heldout", args.data)
     seq_len = model.config.seq_len
 
     with open(args.out, "w", encoding="utf-8") as fh, no_grad():
@@ -307,7 +292,7 @@ def cmd_param_count(args) -> int:
     for cell in grid_configs(base):
         if cell.ppm_variant != "full":
             continue  # the ablation shares ppm parameter shapes
-        rows.append((cell.name, model_count(cell)))
+        rows.append((cell.name, AnticipationModel(cell).param_count()))
     lines = ["method,params"] + [f"{name},{count}" for name, count in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -340,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model, persist checkpoint + history")
     common(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--data", help="directory of .feat files (overrides data source)")
+    p.add_argument("--data", help="directory of .feat files")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="emit a per-horizon report CSV")
@@ -364,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="directory of .feat files")
     p.set_defaults(func=cmd_dump_attention)
 
-    p = sub.add_parser("param-count", help="closed-form parameter counts per method")
+    p = sub.add_parser("param-count", help="parameter counts per method")
     common(p)
     p.add_argument("--out", help="optional CSV path")
     p.set_defaults(func=cmd_param_count)

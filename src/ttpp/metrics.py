@@ -105,6 +105,7 @@ def evaluate_horizons(
     (background class 0 is excluded) and classes without positives are
     skipped; for acc the per-horizon value is plain argmax accuracy and
     the per-class slots hold accuracy conditioned on the true class.
+    Every sequence must have the class count of the first.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -112,6 +113,12 @@ def evaluate_horizons(
     if not sequences:
         raise ValueError("no sequences to evaluate")
     n_classes = sequences[0].n_classes
+    for seq in sequences:
+        if seq.n_classes != n_classes:
+            raise ValueError(
+                f"sequence {seq.video_id!r} has {seq.n_classes} classes, "
+                f"but {sequences[0].video_id!r} has {n_classes}"
+            )
     scores = [[] for _ in range(horizon)]
     truths = [[] for _ in range(horizon)]
     for seq in sequences:

@@ -1,4 +1,4 @@
-"""Aggregator x predictor composition, parameter counting, checkpoints.
+"""Aggregator x predictor composition and checkpoints.
 
 Any aggregator (ttm, conv1d, lstm) pairs with any predictor (ppm, ssp,
 lstm) through one interface: the aggregator turns a T x d_m window into a
@@ -70,9 +70,8 @@ class ModelConfig:
 class AnticipationModel:
     """One trained (or trainable) aggregator/predictor pair."""
 
-    def __init__(self, config: ModelConfig, rng=None, seed: int = 0):
-        if rng is None:
-            rng = np.random.default_rng(seed)
+    def __init__(self, config: ModelConfig, seed: int = 0):
+        rng = np.random.default_rng(seed)
         self.config = config
         c = config
         if c.aggregator == "ttm":
@@ -114,7 +113,7 @@ class AnticipationModel:
                 feed_features=c.ppm_variant == "full",
             )
         if c.predictor == "ssp":
-            return baselines.ssp_rollout(s_t, f_t, self.pred_params, c.horizon, rng, c.dropout)
+            return baselines.ssp_rollout(s_t, f_t, self.pred_params, rng, c.dropout)
         return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon)
 
     def anticipate(self, observed: np.ndarray, rng=None):
@@ -168,31 +167,6 @@ class AnticipationModel:
                 )
             p.value.data = arr.copy()
             p.momentum = np.zeros_like(p.value.data)
-
-
-def model_count(config: ModelConfig) -> int:
-    """Closed-form parameter total for a config; matches the built model exactly."""
-    c = config
-    d, n = c.d_m, c.n_classes
-
-    def block(in_dim: int) -> int:  # fc1, fc2, layer-norm gain and bias
-        hidden = d // 2
-        return in_dim * hidden + hidden + hidden * d + d + 2 * d
-
-    def lstm(d_in: int) -> int:  # four gates over [x, h], plus their biases
-        return 4 * d * (d_in + d + 1)
-
-    agg = {
-        "ttm": 4 * d * d,  # q, k, v and output projections, for any head count
-        "conv1d": baselines.CONV_LAYERS * (baselines.CONV_KERNEL * d * d + d),
-        "lstm": lstm(d),
-    }[c.aggregator]
-    pred = {
-        "ppm": 2 * block(2 * d + n) + d * n,
-        "ssp": block(2 * d + n + c.horizon) + d * n,
-        "lstm": lstm(d + n) + d * n,
-    }[c.predictor]
-    return agg + pred
 
 
 def grid_configs(base: ModelConfig) -> list[ModelConfig]:

@@ -94,12 +94,12 @@ def init_block_params(in_dim: int, d_m: int, rng, prefix: str) -> PredictionBloc
     )
 
 
-def init_ppm_params(d_m: int, n_classes: int, rng, prefix: str = "ppm") -> PPMParams:
+def init_ppm_params(d_m: int, n_classes: int, rng) -> PPMParams:
     in_dim = 2 * d_m + n_classes
     return PPMParams(
-        initial=init_block_params(in_dim, d_m, rng, f"{prefix}.initial"),
-        progressive=init_block_params(in_dim, d_m, rng, f"{prefix}.progressive"),
-        classifier=Parameter(f"{prefix}.classifier", glorot(rng, d_m, n_classes)),
+        initial=init_block_params(in_dim, d_m, rng, "ppm.initial"),
+        progressive=init_block_params(in_dim, d_m, rng, "ppm.progressive"),
+        classifier=Parameter("ppm.classifier", glorot(rng, d_m, n_classes)),
     )
 
 
@@ -126,7 +126,7 @@ def prediction_block(
         )
     h = relu(matmul(x, params.fc1_w.value) + params.fc1_b.value)
     y = matmul(h, params.fc2_w.value) + params.fc2_b.value
-    y = layer_norm(y, params.ln_gain, params.ln_bias)
+    y = layer_norm(y, params.ln_gain.value, params.ln_bias.value)
     return dropout(y, rate, uniforms)
 
 

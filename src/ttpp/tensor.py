@@ -114,7 +114,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return sub(self, _ensure(other))
+        return add(self, mul(_ensure(other), -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -134,11 +134,6 @@ class Tensor:
 
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _value(x) -> Tensor:
-    # accepts a bare Tensor or anything carrying one in .value (Parameter)
-    return x if isinstance(x, Tensor) else x.value
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -166,8 +161,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
 
 
 def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = Tensor(b)
+    b = _ensure(b)
     data = a.data + b.data
 
     def backward(g):
@@ -179,39 +173,18 @@ def add(a: Tensor, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
+def mul(a: Tensor, b) -> Tensor:
+    """Elementwise product; a scalar `b` is a 0-d operand."""
+    b = _ensure(b)
+    data = a.data * b.data
 
     def backward(g):
         if a._tracked:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         if b._tracked:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, np.ndarray):
-        b = Tensor(b)
-    if isinstance(b, Tensor):
-        data = a.data * b.data
-
-        def backward(g):
-            if a._tracked:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if b._tracked:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-        return _make(data, (a, b), backward)
-
-    scale = float(b)
-    data = a.data * scale
-
-    def backward_scalar(g):
-        a._accumulate(g * scale)
-
-    return _make(data, (a,), backward_scalar)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -339,10 +312,8 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Standardize along the last axis, then apply learned gain and bias."""
-    gain = _value(gain)
-    bias = _value(bias)
     n = x.data.shape[-1]
     if gain.data.shape[-1] != n or bias.data.shape[-1] != n:
         raise ShapeError(

@@ -19,7 +19,7 @@ from ttpp.baselines import (
     ssp_rollout,
 )
 from ttpp.attention import init_ttm_params
-from ttpp.model import AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, model_count
+from ttpp.model import AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig
 from ttpp.prediction import init_ppm_params
 from ttpp.tensor import Parameter, Tensor, glorot, grad_check
 
@@ -299,11 +299,11 @@ class TestSSP:
         params = init_ssp_params(4, 3, 4, rng)
         s = Tensor(rng.normal(size=(1, 4)))
         f = Tensor(rng.normal(size=(1, 4)))
-        feats = ssp_rollout(s, f, params, 2).features.data
+        feats = ssp_rollout(s, f, params).features.data
         assert np.abs(feats[0] - feats[1]).max() > 0  # tags route through fc1
         # zeroing the tag columns of fc1 makes every horizon identical
         params.block.fc1_w.value.data[-4:, :] = 0.0
-        feats = ssp_rollout(s, f, params, 2).features.data
+        feats = ssp_rollout(s, f, params).features.data
         np.testing.assert_array_equal(feats[0], feats[1])
 
     def test_zero_params_give_uniform(self):
@@ -313,19 +313,25 @@ class TestSSP:
         rng = np.random.default_rng(19)
         s = Tensor(rng.normal(size=(1, 4)))
         f = Tensor(rng.normal(size=(1, 4)))
-        roll = ssp_rollout(s, f, params, 4)
+        roll = ssp_rollout(s, f, params)
         np.testing.assert_allclose(roll.probs.data, np.full((4, 3), 1 / 3), atol=1e-12)
 
     def test_horizons_independent_of_evaluation_order(self):
-        # a shorter rollout is a prefix of a longer one: no row sees another
+        # a shorter rollout is a prefix of a longer one: no row sees another.
+        # The horizon-h predictor is the horizon-4 one without the fc1 rows
+        # of tags h+1..4.
         rng = np.random.default_rng(20)
         params = init_ssp_params(4, 3, 4, rng)
         s = Tensor(rng.normal(size=(1, 4)))
         f = Tensor(rng.normal(size=(1, 4)))
-        full = ssp_rollout(s, f, params, 4).features.data
+        full = ssp_rollout(s, f, params).features.data
+        fc1_w = params.block.fc1_w
         for horizon in (1, 2, 3):
+            rows = fc1_w.value.data[: 2 * 4 + 3 + horizon]
+            block = replace(params.block, fc1_w=Parameter(fc1_w.name, rows))
+            shorter = replace(params, block=block, horizon=horizon)
             np.testing.assert_allclose(
-                ssp_rollout(s, f, params, horizon).features.data, full[:horizon],
+                ssp_rollout(s, f, shorter).features.data, full[:horizon],
                 rtol=0, atol=1e-12,
             )
 
@@ -342,17 +348,10 @@ class TestSSP:
         def draws():
             return np.random.default_rng(100 + seed) if train else None
 
-        roll = ssp_rollout(Tensor(s), Tensor(f), params, 5, draws(), 0.3)
+        roll = ssp_rollout(Tensor(s), Tensor(f), params, draws(), 0.3)
         feats, logits = ssp_loop_oracle(s, f, params, 5, draws(), 0.3)
         np.testing.assert_allclose(roll.features.data, feats, rtol=0, atol=1e-12)
         np.testing.assert_allclose(roll.logits.data, logits, rtol=0, atol=1e-12)
-
-    def test_horizon_out_of_range(self):
-        params = init_ssp_params(4, 3, 4, np.random.default_rng(21))
-        s = Tensor(np.zeros((1, 4)))
-        for horizon in (0, 5):
-            with pytest.raises(ValueError, match="horizon"):
-                ssp_rollout(s, s, params, horizon)
 
     def test_gradient(self):
         rng = np.random.default_rng(22)
@@ -362,7 +361,7 @@ class TestSSP:
         cost = Tensor(rng.normal(size=(3, 3)))
 
         def loss(*tensors):
-            roll = ssp_rollout(s, f, params, 3)
+            roll = ssp_rollout(s, f, params)
             return (roll.probs * cost).sum()
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
@@ -411,14 +410,32 @@ class TestGridComposition:
             seq_len=8,
             horizon=6,
         )
-        model = AnticipationModel(cfg, seed=1)
-        assert model.param_count() == model_count(cfg)
+        d, n = cfg.d_m, cfg.n_classes
+
+        def block(in_dim):  # fc1, fc2, layer-norm gain and bias
+            hidden = d // 2
+            return in_dim * hidden + hidden + hidden * d + d + 2 * d
+
+        def lstm(d_in):  # four gates over [x, h], plus their biases
+            return 4 * d * (d_in + d + 1)
+
+        agg = {
+            "ttm": 4 * d * d,  # q, k, v and output projections, for any head count
+            "conv1d": 3 * (3 * d * d + d),  # three kernel-3 layers with biases
+            "lstm": lstm(d),
+        }[aggregator]
+        pred = {
+            "ppm": 2 * block(2 * d + n) + d * n,
+            "ssp": block(2 * d + n + cfg.horizon) + d * n,
+            "lstm": lstm(d + n) + d * n,
+        }[predictor]
+        assert AnticipationModel(cfg, seed=1).param_count() == agg + pred
 
     @pytest.mark.parametrize("d_m", [16, 64, 256])
     def test_transformer_stack_is_smaller_than_recurrent_stack(self, d_m):
         base = ModelConfig(d_m=d_m, n_heads=4, n_classes=5)
-        ttpp = model_count(base)
-        ed = model_count(replace(base, aggregator="lstm", predictor="lstm"))
+        ttpp = AnticipationModel(base).param_count()
+        ed = AnticipationModel(replace(base, aggregator="lstm", predictor="lstm")).param_count()
         assert ttpp < ed
 
     def test_ttm_count_closed_form(self):

@@ -46,6 +46,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config key"):
             resolve_config(cfg, [])
 
+    @pytest.mark.parametrize(
+        "item, kind", [("train.epochs=2.5", "int"), ("model.dropout=lots", "float")]
+    )
+    def test_bad_value_names_key_type_and_value(self, item, kind, capsys):
+        key, value = item.split("=")
+        with pytest.raises(ValueError) as err:
+            resolve_config(None, [item])
+        assert str(err.value) == f"config key {key!r} expects {kind}, got {value!r}"
+        assert main(["param-count", "--set", item]) == 1
+        assert f"error: config key {key!r} expects {kind}" in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.d_m 32\n")
@@ -62,6 +73,35 @@ class TestGen:
         assert len(train_files) == 3 and len(held_files) == 2
         seq = load_features(train_files[0])
         assert seq.d_m == 8 and len(seq) == 16
+
+    def test_heldout_split_shares_the_training_process(self, tmp_path):
+        # without noise every row is its label's prototype, in both splits
+        data = tmp_path / "data"
+        assert main(["gen", "--out-dir", str(data), *FAST, "--set", "data.noise_sigma=0"]) == 0
+        rows = {}
+        for split in ("train", "heldout"):
+            for path in sorted((data / split).glob("*.feat")):
+                seq = load_features(path)
+                for label, row in zip(seq.labels, seq.features):
+                    rows.setdefault((split, int(label)), set()).add(row.tobytes())
+        for label in range(3):
+            assert len(rows[("train", label)]) == 1
+            assert rows[("heldout", label)] == rows[("train", label)]
+
+    def test_files_reproduce_the_in_memory_split(self, tmp_path):
+        # train and eval on gen's files write the bytes the synthetic run writes
+        data = tmp_path / "data"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        synthetic, files = tmp_path / "synthetic", tmp_path / "files"
+        assert main(["train", "--out-dir", str(synthetic), *FAST]) == 0
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(files), *FAST]) == 0
+        for name in ("history.csv", "checkpoint.bin"):
+            assert (files / name).read_bytes() == (synthetic / name).read_bytes()
+        checkpoint = ["--checkpoint", str(synthetic / "checkpoint.bin")]
+        assert main(["eval", *checkpoint, "--out", str(tmp_path / "a.csv"), *FAST]) == 0
+        assert main(["eval", *checkpoint, "--data", str(data / "heldout"),
+                     "--out", str(tmp_path / "b.csv"), *FAST]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestTrainEval:
@@ -174,32 +214,34 @@ class TestTrainEval:
         assert str(damaged) in err and "truncated features" in err
         assert not (tmp_path / "r.csv").exists()
 
-    def test_files_config_needs_heldout_files(self, tmp_path, capsys):
-        # data.dir is what train reads; eval and dump-attention must not score on it
+    def test_files_of_another_model_shape_are_refused_by_name(self, tmp_path, capsys):
+        # a file with another class count or d_m must not be trained on or
+        # scored: scoring 4-class files with a 3-class model gave a number
         data = tmp_path / "data"
         run = tmp_path / "run"
         assert main(["gen", "--out-dir", str(data), *FAST]) == 0
-        cfg = tmp_path / "files.cfg"
-        cfg.write_text(f"data.source = files\ndata.dir = {data / 'train'}\n")
-        assert main(["train", "--config", str(cfg), "--out-dir", str(run), *FAST]) == 0
-        checkpoint = ["--checkpoint", str(run / "checkpoint.bin")]
-        for command in ("eval", "dump-attention"):
-            out = tmp_path / f"{command}.csv"
-            rc = main([command, "--config", str(cfg), *checkpoint, "--out", str(out), *FAST])
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(run), *FAST]) == 0
+        for key, shape in (("model.classes", "with 4 classes"), ("model.d_m", "d_m 4 with")):
+            other = tmp_path / f"other-{key}"
+            assert main(["gen", "--out-dir", str(other), *FAST, "--set", f"{key}=4"]) == 0
+            mixed = tmp_path / f"mixed-{key}"
+            mixed.mkdir()
+            for path in sorted((data / "heldout").glob("*.feat")):
+                (mixed / path.name).write_bytes(path.read_bytes())
+            odd = mixed / "zz-odd.feat"  # sorts last, after files that load
+            odd.write_bytes(sorted((other / "heldout").glob("*.feat"))[0].read_bytes())
+            capsys.readouterr()
+            report = tmp_path / "r.csv"
+            rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--data", str(mixed),
+                       "--out", str(report), *FAST])
             assert rc == 1
-            assert "data.dir holds the training files" in capsys.readouterr().err
-            assert not out.exists()
-
-    def test_files_source_without_a_directory_is_refused(self, tmp_path, monkeypatch, capsys):
-        # an empty data.dir must not fall back to the .feat files of the working directory
-        data = tmp_path / "data"
-        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
-        monkeypatch.chdir(data / "train")
-        run = tmp_path / "run"
-        rc = main(["train", "--set", "data.source=files", "--out-dir", str(run), *FAST])
-        assert rc == 1
-        assert "data.dir is empty" in capsys.readouterr().err
-        assert not (run / "checkpoint.bin").exists()
+            err = capsys.readouterr().err
+            assert str(odd) in err and f"{key} = " in err and shape in err
+            assert not report.exists()
+            rc = main(["train", "--data", str(mixed), "--out-dir", str(tmp_path / "r2"), *FAST])
+            assert rc == 1
+            assert str(odd) in capsys.readouterr().err
+            assert not (tmp_path / "r2" / "checkpoint.bin").exists()
 
     def test_unknown_subcommand_fails(self, capsys):
         assert main(["frobnicate"]) != 0

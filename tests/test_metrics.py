@@ -194,6 +194,18 @@ class TestEvaluateHorizons:
         with pytest.raises(ValueError, match="empty report"):
             evaluate_horizons(onehot_oracle_scorer(1), [seq], horizon=1, seq_len=8, metric="acc")
 
+    def test_sequence_of_another_class_count_is_named(self):
+        # a 4-class scorer on a 4-class then a 6-class sequence must not
+        # produce a report: n_classes comes from the first sequence
+        four = label_sequence([0, 1, 2, 3] * 3, 4, video_id="four")
+        six = label_sequence([0, 1, 2, 3] * 3, 6, video_id="six")
+
+        def scorer(seq, t):
+            return np.full((2, 4), 0.25)
+
+        with pytest.raises(ValueError, match="'six' has 6 classes, but 'four' has 4"):
+            evaluate_horizons(scorer, [four, six], horizon=2, seq_len=4, metric="acc")
+
     def test_random_scores_match_analytic_expectation(self):
         # E[AP] under a random ranking with P positives of N:
         # sum_k (1/N + (k-1)(P-1)/(N(N-1))) / k
