@@ -8,12 +8,11 @@ single aggregated vector per observed window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, glorot, matmul, mul, reshape, softmax, tensor_sum, transpose
+from .tensor import Parameter, Tensor, attention, glorot
 
 
 @dataclass
@@ -75,24 +74,13 @@ def multi_head(query: Tensor, memory: Tensor, params: TTMParams):
     the full model width, so projected heads keep the same one. The query
     is (..., 1, d_m) and the memory (..., M, d_m), with the same leading
     batch axes (none for one window). Returns (output (..., 1, d_m),
-    weights (..., n_heads, M) ndarray); weight rows sum to 1.
+    weights (..., n_heads, M) ndarray); weight rows sum to 1. The whole
+    layer is one fused `attention` node.
     """
-    m = memory.shape[-2]
-    if m < 1:
+    if memory.shape[-2] < 1:
         raise ValueError("multi_head: empty memory (need t >= 2 observed chunks)")
-    lead = memory.shape[:-2]
-    d_m = query.shape[-1]
-    n = params.n_heads
-    d_k = d_m // n
-    swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes
-    q = reshape(matmul(query, params.wq.value), lead + (1, n, d_k))
-    k = reshape(matmul(memory, params.wk.value), lead + (m, n, d_k))
-    v = reshape(matmul(memory, params.wv.value), lead + (m, n, d_k))
-    scores = transpose(tensor_sum(mul(k, q), axis=-1), swap)  # (..., n, m)
-    weights = softmax(mul(scores, 1.0 / math.sqrt(d_m)))
-    heads = tensor_sum(mul(reshape(transpose(weights, swap), lead + (m, n, 1)), v), axis=-3)
-    out = matmul(reshape(heads, lead + (1, d_m)), params.wo.value)
-    return out, weights.data
+    p = params
+    return attention(query, memory, p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads)
 
 
 def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):

@@ -22,19 +22,7 @@ from .prediction import (
     init_block_params,
     prediction_block,
 )
-from .tensor import (
-    Parameter,
-    Tensor,
-    concat,
-    glorot,
-    matmul,
-    mul,
-    relu,
-    reshape,
-    sigmoid,
-    softmax,
-    tanh,
-)
+from .tensor import Parameter, Tensor, concat, glorot, lstm_step, matmul, relu, reshape, softmax
 
 CONV_LAYERS = 3
 CONV_KERNEL = 3
@@ -140,14 +128,9 @@ def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMPara
 
 
 def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LSTMParams):
-    d_h = params.d_h
-    pre = matmul(concat([x, h], axis=-1), params.w.value) + params.b.value
-    gates = sigmoid(pre)  # one node for i, f and o; its g block goes unused
-    i, f, o = (gates[..., k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
-    g = tanh(pre[..., 2 * d_h : 3 * d_h])
-    c_new = mul(f, c) + mul(i, g)
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    """One step: the new (h, c), sliced from one fused `lstm_step` node."""
+    hc = lstm_step(x, h, c, params.w.value, params.b.value)
+    return hc[..., : params.d_h], hc[..., params.d_h :]
 
 
 def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:

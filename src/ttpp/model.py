@@ -91,7 +91,17 @@ class AnticipationModel:
             self.pred_params = baselines.init_lstm_decoder_params(c.d_m, c.n_classes, rng)
 
     def parameters(self) -> list[Parameter]:
-        return [*self.agg_params.parameters(), *self.pred_params.parameters()]
+        """The parameters the configured forward uses, which train and checkpoint.
+
+        A one-step PPM rollout never reaches the progressive block, so at
+        horizon 1 that block is left out: it would get no gradient.
+        """
+        pred = self.pred_params
+        if self.config.predictor == "ppm" and self.config.horizon == 1:
+            used = [*pred.initial.parameters(), pred.classifier]
+        else:
+            used = pred.parameters()
+        return [*self.agg_params.parameters(), *used]
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -12,17 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Parameter,
-    Tensor,
-    concat,
-    dropout,
-    glorot,
-    layer_norm,
-    matmul,
-    relu,
-    softmax,
-)
+from .tensor import Parameter, Tensor, concat, glorot, matmul, mlp_norm, softmax
 
 
 @dataclass
@@ -119,15 +109,19 @@ def draw_uniforms(rng, rate: float, shape):
 def prediction_block(
     x: Tensor, params: PredictionBlockParams, uniforms=None, rate: float = 0.1
 ) -> Tensor:
-    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when uniforms are given)."""
+    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when uniforms are given).
+
+    One fused `mlp_norm` node; the uniforms have the output's shape.
+    """
     if x.shape[-1] != params.in_dim:
         raise ValueError(
             f"prediction_block: input extent {x.shape[-1]} != expected {params.in_dim}"
         )
-    h = relu(matmul(x, params.fc1_w.value) + params.fc1_b.value)
-    y = matmul(h, params.fc2_w.value) + params.fc2_b.value
-    y = layer_norm(y, params.ln_gain.value, params.ln_bias.value)
-    return dropout(y, rate, uniforms)
+    p = params
+    return mlp_norm(
+        x, p.fc1_w.value, p.fc1_b.value, p.fc2_w.value, p.fc2_b.value,
+        p.ln_gain.value, p.ln_bias.value, rate, uniforms,
+    )
 
 
 def rollout(

@@ -10,8 +10,18 @@ Operations act on the last axis or two and treat any axes before them as
 batch axes: ``matmul`` multiplies a (..., k) operand by a shared 2-D
 (k, n) weight, and the elementwise ops broadcast. A mini-batch therefore
 runs as one graph over a (B, ...) stack instead of one graph per sample.
-Dropout takes pre-drawn uniforms, so a caller can draw the masks of a
-whole batch at once in the order per-sample draws would read them.
+
+The cost of a small graph is the tape, one Python node per op, not the
+flops. So each model layer is one fused op with one node and a
+hand-written backward: ``mlp_norm`` (two dense layers, layer norm and
+dropout: the prediction block), ``attention`` (multi-head attention of one
+query row over a memory) and ``lstm_step`` (one LSTM cell step). Each
+computes what a chain of single ops (matmul, add, relu, softmax, ...)
+would, with the same numpy reductions on the same memory layouts: a
+gradient is C-contiguous wherever a node of that chain would have copied
+it. Summation order therefore matches, and so do the numbers, bit for
+bit. Dropout takes pre-drawn uniforms, so a caller can draw the masks of
+a whole batch at once in the order per-sample draws would read them.
 """
 
 from __future__ import annotations
@@ -209,15 +219,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    """Permute the axes as `axes` lists them."""
-
-    def backward(g):
-        a._accumulate(g.transpose(np.argsort(axes)))
-
-    return _make(a.data.transpose(axes), (a,), backward)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     orig = a.data.shape
 
@@ -240,12 +241,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [_ensure(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum(sizes)[:-1]
 
     def backward(g):
-        for t, piece in zip(tensors, np.split(g, offsets, axis=axis)):
+        index = [slice(None)] * g.ndim
+        start = 0
+        for t, size in zip(tensors, sizes):
             if t._tracked:
-                t._accumulate(piece)
+                index[axis] = slice(start, start + size)
+                t._accumulate(g[tuple(index)])
+            start += size
 
     return _make(data, tuple(tensors), backward)
 
@@ -270,29 +274,15 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        a._accumulate(g * y * (1.0 - y))
-
-    return _make(y, (a,), backward)
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - y * y))
-
-    return _make(y, (a,), backward)
+def _softmax_data(a: np.ndarray) -> np.ndarray:
+    shifted = a - a.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis, stabilized by max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_data(a.data)
 
     def backward(g):
         inner = (g * y).sum(axis=-1, keepdims=True)
@@ -312,55 +302,203 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Standardize along the last axis, then apply learned gain and bias."""
-    n = x.data.shape[-1]
-    if gain.data.shape[-1] != n or bias.data.shape[-1] != n:
-        raise ShapeError(
-            f"layer_norm: gain/bias extents {gain.data.shape}/{bias.data.shape} "
-            f"do not match input last axis {n}"
-        )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
-    data = xhat * gain.data + bias.data
-
-    def backward(g):
-        if gain._tracked:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias._tracked:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if x._tracked:
-            gh = g * gain.data
-            m1 = gh.mean(axis=-1, keepdims=True)
-            m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv_std * (gh - m1 - xhat * m2))
-
-    return _make(data, (x, gain, bias), backward)
-
-
-def dropout(x: Tensor, rate: float, uniforms=None) -> Tensor:
-    """Inverted dropout from pre-drawn uniforms; no uniforms means no dropout.
+def _keep_mask(rate: float, uniforms, shape) -> np.ndarray | None:
+    """Inverted-dropout multipliers from pre-drawn uniforms, or None for no dropout.
 
     An entry is kept where its uniform in [0, 1) is >= rate, and survivors
-    are scaled by 1/(1-rate). `uniforms` has the shape of `x`. Drawing
-    them outside lets one draw serve a whole batch: ``rng.random((B, H,
-    d))`` reads the rng stream in the same C order as B x H draws of
-    (1, d), sample by sample and step by step.
+    are scaled by 1/(1-rate). `uniforms` has the output's `shape`; None,
+    or rate 0, means no dropout. Drawing them outside lets one draw serve
+    a whole batch: ``rng.random((B, H, d))`` reads the rng stream in the
+    same C order as B x H draws of (1, d), sample by sample and step by
+    step.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if uniforms is None or rate == 0.0:
-        return x
-    if np.shape(uniforms) != x.data.shape:
-        raise ShapeError(f"dropout: uniforms {np.shape(uniforms)} for input {x.data.shape}")
-    keep = (uniforms >= rate) / (1.0 - rate)
+        return None
+    if np.shape(uniforms) != shape:
+        raise ShapeError(f"dropout: uniforms {np.shape(uniforms)} for output {shape}")
+    return (uniforms >= rate) / (1.0 - rate)
+
+
+def mlp_norm(x, w1, b1, w2, b2, gain, bias, rate: float = 0.0, uniforms=None) -> Tensor:
+    """dropout(layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias) as one node.
+
+    `x` is (..., k), with (k, m) `w1`, (m, n) `w2` and (n,) biases, gain
+    and bias. Layer norm standardizes along the last axis by the
+    population mean and variance (summed by ``np.add.reduce`` as
+    ``np.mean`` and ``np.var`` sum), with eps 1e-5. Dropout follows
+    `_keep_mask`.
+    """
+    k, m = w1.data.shape
+    n = w2.data.shape[1]
+    if x.data.shape[-1] != k or w2.data.shape[0] != m:
+        raise ShapeError(
+            f"mlp_norm: input {x.data.shape} through weights {w1.data.shape}, {w2.data.shape}"
+        )
+    if (b1.data.shape, b2.data.shape, gain.data.shape, bias.data.shape) != ((m,), (n,), (n,), (n,)):
+        raise ShapeError(
+            f"mlp_norm: biases {b1.data.shape}, {b2.data.shape} and gain/bias "
+            f"{gain.data.shape}/{bias.data.shape} do not fit widths {m}, {n}"
+        )
+    lead = x.data.shape[:-1]
+    pre = (x.data.reshape(-1, k) @ w1.data).reshape(lead + (m,)) + b1.data
+    active = pre > 0
+    hidden = np.where(active, pre, 0.0)
+    y = (hidden.reshape(-1, m) @ w2.data).reshape(lead + (n,)) + b2.data
+    dev = y - np.add.reduce(y, axis=-1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n + 1e-5)
+    xhat = dev * inv_std
+    data = xhat * gain.data + bias.data
+    keep = _keep_mask(rate, uniforms, data.shape)
+    if keep is not None:
+        data = data * keep
 
     def backward(g):
-        x._accumulate(g * keep)
+        if keep is not None:
+            g = g * keep
+        if gain._tracked:
+            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if bias._tracked:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        gh = g * gain.data
+        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
+        gy = inv_std * (gh - m1 - xhat * m2)
+        if b2._tracked:
+            b2._accumulate(_unbroadcast(gy, b2.data.shape))
+        rows = gy.reshape(-1, n)
+        if w2._tracked:
+            w2._accumulate(hidden.reshape(-1, m).T @ rows)
+        gpre = (rows @ w2.data.T).reshape(lead + (m,)) * active
+        if b1._tracked:
+            b1._accumulate(_unbroadcast(gpre, b1.data.shape))
+        rows = gpre.reshape(-1, m)
+        if w1._tracked:
+            w1._accumulate(x.data.reshape(-1, k).T @ rows)
+        if x._tracked:
+            x._accumulate((rows @ w1.data.T).reshape(x.data.shape))
 
-    return _make(x.data * keep, (x,), backward)
+    return _make(data, (x, w1, b1, w2, b2, gain, bias), backward)
+
+
+def attention(query, memory, wq, wk, wv, wo, n_heads: int):
+    """Multi-head scaled dot-product attention of one query row, as one node.
+
+    `query` is (..., 1, d) and `memory` (..., M, d), with the same leading
+    batch axes, and the four weights are (d, d). Head h owns columns
+    h*d/n_heads to (h+1)*d/n_heads of the q, k and v projections; it
+    scores softmax(q_h k_h^T / sqrt(d)), the full width as temperature.
+    The head outputs, side by side, are projected by `wo`. Returns the
+    (..., 1, d) output and the (..., n_heads, M) weights as an ndarray.
+    """
+    lead = memory.data.shape[:-2]
+    m, d = memory.data.shape[-2:]
+    if query.data.shape != lead + (1, d) or d % n_heads:
+        raise ShapeError(
+            f"attention: query {query.data.shape} for memory {memory.data.shape} "
+            f"and {n_heads} heads"
+        )
+    d_k = d // n_heads
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes
+    back = tuple(np.argsort(swap))
+    mem_rows = memory.data.reshape(-1, d)
+    q = (query.data.reshape(-1, d) @ wq.data).reshape(lead + (1, n_heads, d_k))
+    k = (mem_rows @ wk.data).reshape(lead + (m, n_heads, d_k))
+    v = (mem_rows @ wv.data).reshape(lead + (m, n_heads, d_k))
+    scale = 1.0 / math.sqrt(d)
+    weights = _softmax_data(np.add.reduce(k * q, axis=-1).transpose(swap) * scale)
+    spread = weights.transpose(swap).reshape(lead + (m, n_heads, 1))
+    heads = np.add.reduce(spread * v, axis=-3).reshape(lead + (1, d))
+    data = (heads.reshape(-1, d) @ wo.data).reshape(lead + (1, d))
+
+    # The copies below keep each reduction's input in the layout, and so the
+    # summation order, that the chain of single ops gave it.
+    def backward(g):
+        rows = g.reshape(-1, d)
+        if wo._tracked:
+            wo._accumulate(heads.reshape(-1, d).T @ rows)
+        g_prod = np.broadcast_to(
+            (rows @ wo.data.T).reshape(lead + (1, n_heads, d_k)), v.shape
+        ).copy()
+        if wv._tracked or memory._tracked:
+            g_v = (g_prod * spread).reshape(-1, d)
+            if wv._tracked:
+                wv._accumulate(mem_rows.T @ g_v)
+            if memory._tracked:
+                memory._accumulate((g_v @ wv.data.T).reshape(memory.data.shape))
+        if not (wq._tracked or wk._tracked or query._tracked or memory._tracked):
+            return
+        g_w = np.ascontiguousarray(
+            _unbroadcast(g_prod * v, spread.shape).reshape(lead + (m, n_heads)).transpose(back)
+        )
+        g_scores = np.ascontiguousarray(
+            (weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * scale)
+            .transpose(back)
+        )
+        g_qk = np.broadcast_to(np.expand_dims(g_scores, -1), k.shape).copy()
+        if wk._tracked or memory._tracked:
+            g_k = (g_qk * q).reshape(-1, d)
+            if wk._tracked:
+                wk._accumulate(mem_rows.T @ g_k)
+            if memory._tracked:
+                memory._accumulate((g_k @ wk.data.T).reshape(memory.data.shape))
+        if wq._tracked or query._tracked:
+            g_q = _unbroadcast(g_qk * k, q.shape).reshape(-1, d)
+            if wq._tracked:
+                wq._accumulate(query.data.reshape(-1, d).T @ g_q)
+            if query._tracked:
+                query._accumulate((g_q @ wq.data.T).reshape(query.data.shape))
+
+    return _make(data, (query, memory, wq, wk, wv, wo), backward), weights
+
+
+def lstm_step(x, h, c, w, b) -> Tensor:
+    """One LSTM cell step as one node; returns the new [h | c] side by side.
+
+    `x` is (..., d_in), `h` and `c` are (..., d_h), `w` is (d_in + d_h,
+    4 d_h) with the x rows first, and `b` is (4 d_h,). The gates i, f, g,
+    o own column blocks 0 to 3: c' = f c + i g and h' = o tanh(c'), with
+    sigmoid i, f, o and tanh g.
+    """
+    d_h = b.data.shape[0] // 4
+    d_in = x.data.shape[-1]
+    if w.data.shape != (d_in + d_h, 4 * d_h) or h.data.shape[-1] != d_h or c.data.shape[-1] != d_h:
+        raise ShapeError(
+            f"lstm_step: x {x.data.shape}, h {h.data.shape}, c {c.data.shape} "
+            f"for weight {w.data.shape} and bias {b.data.shape}"
+        )
+    xh = np.concatenate([x.data, h.data], axis=-1)
+    lead = xh.shape[:-1]
+    pre = (xh.reshape(-1, d_in + d_h) @ w.data).reshape(lead + (4 * d_h,)) + b.data
+    gates = 1.0 / (1.0 + np.exp(-pre))  # all four blocks; the g block goes unused
+    i, f, o = (gates[..., k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
+    cand = np.tanh(pre[..., 2 * d_h : 3 * d_h])
+    c_new = f * c.data + i * cand
+    tc = np.tanh(c_new)
+    data = np.concatenate([o * tc, c_new], axis=-1)
+
+    def backward(g):
+        gh, gc = g[..., :d_h], g[..., d_h:]
+        gc = gc + gh * o * (1.0 - tc * tc)
+        dgate = np.concatenate([gc * cand, gc * c.data, gc * i, gh * tc], axis=-1)
+        dpre = dgate * gates * (1.0 - gates)
+        dpre[..., 2 * d_h : 3 * d_h] = dgate[..., 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
+        if c._tracked:
+            c._accumulate(gc * f)
+        if b._tracked:
+            b._accumulate(_unbroadcast(dpre, b.data.shape))
+        rows = dpre.reshape(-1, 4 * d_h)
+        if w._tracked:
+            w._accumulate(xh.reshape(-1, d_in + d_h).T @ rows)
+        if x._tracked or h._tracked:
+            gxh = (rows @ w.data.T).reshape(xh.shape)
+            if x._tracked:
+                x._accumulate(gxh[..., :d_in])
+            if h._tracked:
+                h._accumulate(gxh[..., d_in:])
+
+    return _make(data, (x, h, c, w, b), backward)
 
 
 class Parameter:

@@ -431,6 +431,26 @@ class TestGridComposition:
         }[predictor]
         assert AnticipationModel(cfg, seed=1).param_count() == agg + pred
 
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_listed_parameters_are_the_ones_the_forward_reads(
+        self, aggregator, predictor, horizon
+    ):
+        # parameters() is what trains, checkpoints and counts: a parameter
+        # the forward never reads gets no gradient and stops training
+        cfg = ModelConfig(aggregator=aggregator, predictor=predictor, d_m=8, n_heads=2,
+                          n_classes=3, horizon=horizon)
+        model = AnticipationModel(cfg, seed=0)
+        rng = np.random.default_rng(26)
+        roll, _ = model.anticipate(rng.normal(size=(8, 8)))
+        loss = (roll.features * Tensor(rng.normal(size=roll.features.shape))).sum() + (
+            roll.logits * Tensor(rng.normal(size=roll.logits.shape))).sum()
+        loss.backward()
+        built = [*model.agg_params.parameters(), *model.pred_params.parameters()]
+        reached = [p.name for p in built if p.value.grad is not None]
+        assert [p.name for p in model.parameters()] == reached
+
     @pytest.mark.parametrize("d_m", [16, 64, 256])
     def test_transformer_stack_is_smaller_than_recurrent_stack(self, d_m):
         base = ModelConfig(d_m=d_m, n_heads=4, n_classes=5)

@@ -8,7 +8,7 @@ import pytest
 from ttpp.cli import main, model_config, resolve_config, train_config
 from ttpp.data import load_features
 from ttpp.metrics import read_report_csv
-from ttpp.model import ModelConfig
+from ttpp.model import ModelConfig, load_checkpoint
 from ttpp.training import TrainConfig, read_history_csv
 
 FAST = [
@@ -133,6 +133,23 @@ class TestTrainEval:
         assert len(labels) == 2  # horizon columns
         assert list(rows) == ["ttm-ppm"]
         assert all(0.0 <= v <= 1.0 for v in rows["ttm-ppm"])
+
+    def test_one_step_ppm_trains_and_evaluates(self, tmp_path, capsys):
+        # a one-step rollout never reaches the progressive block, so the
+        # model must not list it: training stopped on its missing gradient
+        one_step = [*FAST, "--set", "model.horizon=1"]
+        run = tmp_path / "run"
+        assert main(["train", "--out-dir", str(run), *one_step]) == 0
+        assert len(read_history_csv(run / "history.csv")) == 2
+        config, state = load_checkpoint(run / "checkpoint.bin")
+        assert config.horizon == 1
+        assert state and not any(name.startswith("ppm.progressive.") for name in state)
+        report = tmp_path / "report.csv"
+        rc = main(["eval", "--checkpoint", str(run / "checkpoint.bin"),
+                   "--out", str(report), *one_step])
+        assert rc == 0, capsys.readouterr().err
+        labels, rows = read_report_csv(report)
+        assert len(labels) == 1 and 0.0 <= rows["ttm-ppm"][0] <= 1.0
 
     def test_eval_without_checkpoint_names_path(self, tmp_path, capsys):
         rc = main([
