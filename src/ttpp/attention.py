@@ -75,10 +75,8 @@ def multi_head(query: Tensor, memory: Tensor, params: TTMParams):
     is (..., 1, d_m) and the memory (..., M, d_m), with the same leading
     batch axes (none for one window). Returns (output (..., 1, d_m),
     weights (..., n_heads, M) ndarray); weight rows sum to 1. The whole
-    layer is one fused `attention` node.
+    layer is one fused `attention` node, which refuses an empty memory.
     """
-    if memory.shape[-2] < 1:
-        raise ValueError("multi_head: empty memory (need t >= 2 observed chunks)")
     p = params
     return attention(query, memory, p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads)
 

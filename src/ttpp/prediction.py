@@ -26,10 +26,6 @@ class PredictionBlockParams:
     ln_gain: Parameter
     ln_bias: Parameter
 
-    @property
-    def in_dim(self) -> int:
-        return self.fc1_w.shape[0]
-
     def parameters(self) -> list[Parameter]:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.ln_gain, self.ln_bias]
 
@@ -111,12 +107,9 @@ def prediction_block(
 ) -> Tensor:
     """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when uniforms are given).
 
-    One fused `mlp_norm` node; the uniforms have the output's shape.
+    One fused `mlp_norm` node; the uniforms have the output's shape. An
+    input whose last extent differs from fc1's rows is a ShapeError.
     """
-    if x.shape[-1] != params.in_dim:
-        raise ValueError(
-            f"prediction_block: input extent {x.shape[-1]} != expected {params.in_dim}"
-        )
     p = params
     return mlp_norm(
         x, p.fc1_w.value, p.fc1_b.value, p.fc2_w.value, p.fc2_b.value,

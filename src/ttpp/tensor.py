@@ -334,7 +334,8 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, rate: float = 0.0, uniforms=None) ->
     n = w2.data.shape[1]
     if x.data.shape[-1] != k or w2.data.shape[0] != m:
         raise ShapeError(
-            f"mlp_norm: input {x.data.shape} through weights {w1.data.shape}, {w2.data.shape}"
+            f"mlp_norm: input extent {x.data.shape[-1]} does not fit weights "
+            f"{w1.data.shape}, {w2.data.shape}"
         )
     if (b1.data.shape, b2.data.shape, gain.data.shape, bias.data.shape) != ((m,), (n,), (n,), (n,)):
         raise ShapeError(
@@ -394,14 +395,15 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
     """
     lead = memory.data.shape[:-2]
     m, d = memory.data.shape[-2:]
+    if m < 1:
+        raise ShapeError(f"attention: empty memory {memory.data.shape}")
     if query.data.shape != lead + (1, d) or d % n_heads:
         raise ShapeError(
             f"attention: query {query.data.shape} for memory {memory.data.shape} "
             f"and {n_heads} heads"
         )
     d_k = d // n_heads
-    swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes
-    back = tuple(np.argsort(swap))
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes; self-inverse
     mem_rows = memory.data.reshape(-1, d)
     q = (query.data.reshape(-1, d) @ wq.data).reshape(lead + (1, n_heads, d_k))
     k = (mem_rows @ wk.data).reshape(lead + (m, n_heads, d_k))
@@ -430,11 +432,11 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
         if not (wq._tracked or wk._tracked or query._tracked or memory._tracked):
             return
         g_w = np.ascontiguousarray(
-            _unbroadcast(g_prod * v, spread.shape).reshape(lead + (m, n_heads)).transpose(back)
+            _unbroadcast(g_prod * v, spread.shape).reshape(lead + (m, n_heads)).transpose(swap)
         )
         g_scores = np.ascontiguousarray(
             (weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * scale)
-            .transpose(back)
+            .transpose(swap)
         )
         g_qk = np.broadcast_to(np.expand_dims(g_scores, -1), k.shape).copy()
         if wk._tracked or memory._tracked:
@@ -463,7 +465,7 @@ def lstm_step(x, h, c, w, b) -> Tensor:
     """
     d_h = b.data.shape[0] // 4
     d_in = x.data.shape[-1]
-    if w.data.shape != (d_in + d_h, 4 * d_h) or h.data.shape[-1] != d_h or c.data.shape[-1] != d_h:
+    if w.data.shape != (d_in + d_h, 4 * d_h) or (h.data.shape[-1], c.data.shape[-1]) != (d_h, d_h):
         raise ShapeError(
             f"lstm_step: x {x.data.shape}, h {h.data.shape}, c {c.data.shape} "
             f"for weight {w.data.shape} and bias {b.data.shape}"
