@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
@@ -125,11 +125,7 @@ def norm_only(x, gain, bias, rate=0.0, uniforms=None):
     the ReLU passes everything, so this is layer norm (then dropout)."""
     n = np.shape(x)[-1]
     eye, zero = Tensor(np.eye(n)), Tensor(np.zeros(n))
-    return mlp_norm(Tensor(x), eye, zero, eye, zero, _t(gain), _t(bias), rate, uniforms)
-
-
-def _t(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return mlp_norm(Tensor(x), eye, zero, eye, zero, Tensor(gain), Tensor(bias), rate, uniforms)
 
 
 class TestLayerNorm:
@@ -573,6 +569,8 @@ class TestFusedGradientProperties:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(*lead, rows, k)))
         layers = [Tensor(rng.normal(size=s)) for s in ((k, m), (m,), (m, n), (n,), (n,), (n,))]
+        # a central difference is no derivative within a step of the ReLU kink
+        assume(np.abs(x.data @ layers[0].data + layers[1].data).min() > 1e-3)
         uniforms = rng.random((*lead, rows, n)) if dropout else None
         cost = Tensor(rng.normal(size=(*lead, rows, n)))
 
