@@ -18,7 +18,6 @@ from .prediction import (
     PredictionBlockParams,
     Rollout,
     classify,
-    draw_uniforms,
     init_block_params,
     prediction_block,
 )
@@ -106,14 +105,6 @@ class LSTMParams:
     w: Parameter
     b: Parameter
 
-    @property
-    def d_h(self) -> int:
-        return self.b.shape[0] // 4
-
-    @property
-    def d_in(self) -> int:
-        return self.w.shape[0] - self.d_h
-
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]
 
@@ -127,30 +118,19 @@ def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMPara
     return LSTMParams(Parameter(f"{prefix}.w", w), Parameter(f"{prefix}.b", np.zeros(4 * d_h)))
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor, params: LSTMParams):
-    """One step: the new (h, c), sliced from one fused `lstm_step` node."""
-    hc = lstm_step(x, h, c, params.w.value, params.b.value)
-    return hc[..., : params.d_h], hc[..., params.d_h :]
-
-
 def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     """Run the recurrence over the window; the summary is its final hidden state.
 
     The last observed feature is added onto the summary (shortcut), so the
-    hidden width must equal the feature width. A (B, T, d_m) stack runs the
-    recurrence on B rows at once and gives (B, 1, d_m).
+    hidden width must equal the feature width; `lstm_step` refuses any
+    other. A (B, T, d_m) stack runs the recurrence on B rows at once and
+    gives (B, 1, d_m).
     """
-    d_m = f_seq.shape[-1]
-    if params.d_h != d_m or params.d_in != d_m:
-        raise ValueError(
-            f"lstm_encode: needs d_h = d_in = d_m, got d_h={params.d_h}, "
-            f"d_in={params.d_in}, d_m={d_m}"
-        )
-    t = f_seq.shape[-2]
-    h = c = Tensor(np.zeros(f_seq.shape[:-2] + (1, d_m)))
+    t, d_m = f_seq.shape[-2:]
+    state = Tensor(np.zeros(f_seq.shape[:-2] + (1, 2 * d_m)))
     for step in range(t):
-        h, c = lstm_cell(f_seq[..., step : step + 1, :], h, c, params)
-    return h + f_seq[..., t - 1 : t, :]
+        state = lstm_step(f_seq[..., step : step + 1, :], state, params.w.value, params.b.value)
+    return state[..., :d_m] + f_seq[..., t - 1 : t, :]
 
 
 @dataclass
@@ -170,7 +150,7 @@ def init_lstm_decoder_params(d_m: int, n_classes: int, rng) -> DecoderParams:
 
 
 def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -> Rollout:
-    """Decode l steps: hidden starts at s_t, each hidden state is a feature.
+    """Decode l steps from the state [s_t | 0]; each hidden state is a feature.
 
     Step inputs are previous predicted feature (+) previous probability;
     the first step consumes f_t (+) its classified probability. The shared
@@ -178,13 +158,14 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -
     """
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
-    h = s_t
-    c = Tensor(np.zeros(s_t.shape[:-1] + (params.lstm.d_h,)))
+    d_m = s_t.shape[-1]
+    state = concat([s_t, Tensor(np.zeros(s_t.shape))], axis=-1)
     x = concat([f_t, classify(f_t, params.classifier)], axis=-1)
     features = []
     logits = []
     for _ in range(horizon):
-        h, c = lstm_cell(x, h, c, params.lstm)
+        state = lstm_step(x, state, params.lstm.w.value, params.lstm.b.value)
+        h = state[..., :d_m]
         z = matmul(h, params.classifier.value)
         features.append(h)
         logits.append(z)
@@ -213,22 +194,18 @@ def init_ssp_params(d_m: int, n_classes: int, horizon: int, rng) -> SSPParams:
     )
 
 
-def ssp_rollout(
-    s_t: Tensor, f_t: Tensor, params: SSPParams, rng=None, rate: float = 0.1
-) -> Rollout:
+def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollout:
     """Predict horizons 1..l (l = params.horizon) at once, with no chaining.
 
     Row tau - 1 of the block input is s_t (+) f_t (+) p_t (+) onehot(tau),
     so every horizon is independent of the others. s_t and f_t are
-    (..., 1, d_m) rows, and the rollout is (..., l, ·). One (..., l, d_m)
-    dropout draw, taken only when an rng is given, reads the same rng
-    stream as per-window, per-horizon draws of (1, d_m).
+    (..., 1, d_m) rows, and the rollout is (..., l, ·). `keep` is a
+    (..., l, d_m) dropout mask from `keep_mask`; None means no dropout.
     """
     horizon = params.horizon
     lead = s_t.shape[:-2]
     shared = concat([s_t, f_t, classify(f_t, params.classifier)], axis=-1)
     tags = np.eye(horizon) + np.zeros(lead + (1, 1))  # one set per window
     x = concat([shared[..., np.zeros(horizon, dtype=int), :], Tensor(tags)], axis=-1)
-    uniforms = draw_uniforms(rng, rate, lead + (horizon, s_t.shape[-1]))
-    features = prediction_block(x, params.block, uniforms, rate)
+    features = prediction_block(x, params.block, keep)
     return Rollout(features, matmul(features, params.classifier.value))

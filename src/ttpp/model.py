@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import attention, baselines, prediction
-from .tensor import Parameter, Tensor, no_grad
+from .tensor import Parameter, Tensor, keep_mask, no_grad
 
 AGGREGATORS = ("ttm", "conv1d", "lstm")
 PREDICTORS = ("ppm", "ssp", "lstm")
@@ -116,15 +116,20 @@ class AnticipationModel:
         return baselines.lstm_encode(f_seq, self.agg_params), None
 
     def predict(self, s_t: Tensor, f_t: Tensor, rng=None) -> prediction.Rollout:
+        """The rollout; PPM and SSP draw one (..., horizon, d_m) dropout mask from `rng`.
+
+        The LSTM decoder has no dropout and reads nothing from `rng`.
+        """
         c = self.config
+        if c.predictor == "lstm":
+            return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon)
+        keep = keep_mask(rng, c.dropout, s_t.shape[:-2] + (c.horizon, c.d_m))
         if c.predictor == "ppm":
             return prediction.rollout(
-                s_t, f_t, self.pred_params, c.horizon, rng, c.dropout,
+                s_t, f_t, self.pred_params, c.horizon, keep,
                 feed_features=c.ppm_variant == "full",
             )
-        if c.predictor == "ssp":
-            return baselines.ssp_rollout(s_t, f_t, self.pred_params, rng, c.dropout)
-        return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon)
+        return baselines.ssp_rollout(s_t, f_t, self.pred_params, keep)
 
     def anticipate(self, observed: np.ndarray, rng=None):
         """Full forward pass on one (T, d_m) window or a (B, T, d_m) stack.
@@ -226,10 +231,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     try:
         (version,) = struct.unpack_from("<H", blob, offset)
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version} at offset 8")
+            raise ValueError(f"unsupported checkpoint version {version} at offset 8 in {path}")
         count, config_len = struct.unpack_from("<II", blob, offset + 2)
         offset += 10
-        config = ModelConfig(**json.loads(blob[offset : offset + config_len].decode("utf-8")))
+        fields = json.loads(blob[offset : offset + config_len].decode("utf-8"))
+        try:
+            config = ModelConfig(**fields)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model config in checkpoint {path} is invalid: {exc}") from None
         offset += config_len
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", blob, offset)
@@ -254,7 +263,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             state[name] = values.reshape(shape).copy()
             offset = end
     except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
-        raise ValueError(f"truncated/corrupt checkpoint at offset {offset}: {exc}") from exc
+        raise ValueError(
+            f"truncated/corrupt checkpoint at offset {offset} in {path}: {exc}"
+        ) from exc
     if offset != len(blob):
         raise ValueError(
             f"{len(blob) - offset} trailing bytes after the last parameter "

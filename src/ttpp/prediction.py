@@ -94,37 +94,21 @@ def classify(f: Tensor, w_c: Parameter) -> Tensor:
     return softmax(matmul(f, w_c.value))
 
 
-def draw_uniforms(rng, rate: float, shape):
-    """Dropout uniforms of `shape` in one draw, or None when dropout is off.
+def prediction_block(x: Tensor, params: PredictionBlockParams, keep=None) -> Tensor:
+    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when a keep mask is given).
 
-    Dropout is on exactly when an rng is given and the rate is positive.
-    """
-    return rng.random(shape) if rng is not None and rate > 0.0 else None
-
-
-def prediction_block(
-    x: Tensor, params: PredictionBlockParams, uniforms=None, rate: float = 0.1
-) -> Tensor:
-    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when uniforms are given).
-
-    One fused `mlp_norm` node; the uniforms have the output's shape. An
+    One fused `mlp_norm` node; the keep mask has the output's shape. An
     input whose last extent differs from fc1's rows is a ShapeError.
     """
     p = params
     return mlp_norm(
         x, p.fc1_w.value, p.fc1_b.value, p.fc2_w.value, p.fc2_b.value,
-        p.ln_gain.value, p.ln_bias.value, rate, uniforms,
+        p.ln_gain.value, p.ln_bias.value, keep,
     )
 
 
 def rollout(
-    s_t: Tensor,
-    f_t: Tensor,
-    params: PPMParams,
-    horizon: int,
-    rng=None,
-    rate: float = 0.1,
-    feed_features: bool = True,
+    s_t: Tensor, f_t: Tensor, params: PPMParams, horizon: int, keep=None, feed_features: bool = True
 ) -> Rollout:
     """Chain l future (feature, logits) predictions from (s_t, f_t).
 
@@ -136,22 +120,19 @@ def rollout(
     so only the probability and the history carry information forward.
 
     s_t and f_t are (..., 1, d_m) rows with the same leading batch axes.
-    Dropout is on exactly when an rng is given; no rng means no dropout.
-    Its uniforms come from one (..., horizon, d_m) draw, and step s uses
-    slice s of it, which reads the rng stream as per-window, per-step
-    draws would.
+    `keep` is a (..., horizon, d_m) dropout mask from `keep_mask`, and step
+    s uses slice s of it; None means no dropout.
     """
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
-    uniforms = draw_uniforms(rng, rate, s_t.shape[:-2] + (horizon, s_t.shape[-1]))
     zero_slot = Tensor(np.zeros(s_t.shape))
     feat_in, p = f_t, classify(f_t, params.classifier)
     features = []
     logits = []
     for step in range(horizon):
         block = params.initial if step == 0 else params.progressive
-        u = None if uniforms is None else uniforms[..., step : step + 1, :]
-        f = prediction_block(concat([s_t, feat_in, p], axis=-1), block, u, rate)
+        k = None if keep is None else keep[..., step : step + 1, :]
+        f = prediction_block(concat([s_t, feat_in, p], axis=-1), block, k)
         z = matmul(f, params.classifier.value)
         p = softmax(z)
         features.append(f)

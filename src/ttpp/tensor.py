@@ -20,8 +20,9 @@ computes what a chain of single ops (matmul, add, relu, softmax, ...)
 would, with the same numpy reductions on the same memory layouts: a
 gradient is C-contiguous wherever a node of that chain would have copied
 it. Summation order therefore matches, and so do the numbers, bit for
-bit. Dropout takes pre-drawn uniforms, so a caller can draw the masks of
-a whole batch at once in the order per-sample draws would read them.
+bit. Dropout takes a keep mask drawn by `keep_mask`, so a caller can draw
+the masks of a whole batch at once in the order per-sample draws would
+read them.
 """
 
 from __future__ import annotations
@@ -302,33 +303,26 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
-def _keep_mask(rate: float, uniforms, shape) -> np.ndarray | None:
-    """Inverted-dropout multipliers from pre-drawn uniforms, or None for no dropout.
+def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
+    """Inverted dropout: 1/(1-rate) where a uniform in [0, 1) is >= rate, else 0.
 
-    An entry is kept where its uniform in [0, 1) is >= rate, and survivors
-    are scaled by 1/(1-rate). `uniforms` has the output's `shape`; None,
-    or rate 0, means no dropout. Drawing them outside lets one draw serve
-    a whole batch: ``rng.random((B, H, d))`` reads the rng stream in the
-    same C order as B x H draws of (1, d), sample by sample and step by
-    step.
+    None (no dropout) without an rng or at rate 0. One draw of `shape`
+    reads the rng in C order, as B x H draws of (1, d) would for (B, H, d).
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if uniforms is None or rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
-    if np.shape(uniforms) != shape:
-        raise ShapeError(f"dropout: uniforms {np.shape(uniforms)} for output {shape}")
-    return (uniforms >= rate) / (1.0 - rate)
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
-def mlp_norm(x, w1, b1, w2, b2, gain, bias, rate: float = 0.0, uniforms=None) -> Tensor:
-    """dropout(layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias) as one node.
+def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
+    """layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias, times `keep`, as one node.
 
     `x` is (..., k), with (k, m) `w1`, (m, n) `w2` and (n,) biases, gain
     and bias. Layer norm standardizes along the last axis by the
     population mean and variance (summed by ``np.add.reduce`` as
-    ``np.mean`` and ``np.var`` sum), with eps 1e-5. Dropout follows
-    `_keep_mask`.
+    ``np.mean`` and ``np.var`` sum), with eps 1e-5. `keep`, a dropout
+    mask from `keep_mask` with the output's shape, multiplies the output;
+    None means no dropout.
     """
     k, m = w1.data.shape
     n = w2.data.shape[1]
@@ -351,8 +345,9 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, rate: float = 0.0, uniforms=None) ->
     inv_std = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n + 1e-5)
     xhat = dev * inv_std
     data = xhat * gain.data + bias.data
-    keep = _keep_mask(rate, uniforms, data.shape)
     if keep is not None:
+        if np.shape(keep) != data.shape:
+            raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {data.shape}")
         data = data * keep
 
     def backward(g):
@@ -455,52 +450,51 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
     return _make(data, (query, memory, wq, wk, wv, wo), backward), weights
 
 
-def lstm_step(x, h, c, w, b) -> Tensor:
-    """One LSTM cell step as one node; returns the new [h | c] side by side.
+def lstm_step(x, state, w, b) -> Tensor:
+    """One LSTM cell step as one node, from and to the state [h | c] side by side.
 
-    `x` is (..., d_in), `h` and `c` are (..., d_h), `w` is (d_in + d_h,
+    `x` is (..., d_in), `state` is (..., 2 d_h), `w` is (d_in + d_h,
     4 d_h) with the x rows first, and `b` is (4 d_h,). The gates i, f, g,
     o own column blocks 0 to 3: c' = f c + i g and h' = o tanh(c'), with
     sigmoid i, f, o and tanh g.
     """
     d_h = b.data.shape[0] // 4
     d_in = x.data.shape[-1]
-    if w.data.shape != (d_in + d_h, 4 * d_h) or (h.data.shape[-1], c.data.shape[-1]) != (d_h, d_h):
+    if w.data.shape != (d_in + d_h, 4 * d_h) or state.data.shape[-1] != 2 * d_h:
         raise ShapeError(
-            f"lstm_step: x {x.data.shape}, h {h.data.shape}, c {c.data.shape} "
+            f"lstm_step: x {x.data.shape}, state {state.data.shape} "
             f"for weight {w.data.shape} and bias {b.data.shape}"
         )
-    xh = np.concatenate([x.data, h.data], axis=-1)
+    c = state.data[..., d_h:]
+    xh = np.concatenate([x.data, state.data[..., :d_h]], axis=-1)
     lead = xh.shape[:-1]
     pre = (xh.reshape(-1, d_in + d_h) @ w.data).reshape(lead + (4 * d_h,)) + b.data
     gates = 1.0 / (1.0 + np.exp(-pre))  # all four blocks; the g block goes unused
     i, f, o = (gates[..., k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
     cand = np.tanh(pre[..., 2 * d_h : 3 * d_h])
-    c_new = f * c.data + i * cand
+    c_new = f * c + i * cand
     tc = np.tanh(c_new)
     data = np.concatenate([o * tc, c_new], axis=-1)
 
     def backward(g):
         gh, gc = g[..., :d_h], g[..., d_h:]
         gc = gc + gh * o * (1.0 - tc * tc)
-        dgate = np.concatenate([gc * cand, gc * c.data, gc * i, gh * tc], axis=-1)
+        dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
         dpre = dgate * gates * (1.0 - gates)
         dpre[..., 2 * d_h : 3 * d_h] = dgate[..., 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
-        if c._tracked:
-            c._accumulate(gc * f)
         if b._tracked:
             b._accumulate(_unbroadcast(dpre, b.data.shape))
         rows = dpre.reshape(-1, 4 * d_h)
         if w._tracked:
             w._accumulate(xh.reshape(-1, d_in + d_h).T @ rows)
-        if x._tracked or h._tracked:
+        if x._tracked or state._tracked:
             gxh = (rows @ w.data.T).reshape(xh.shape)
             if x._tracked:
                 x._accumulate(gxh[..., :d_in])
-            if h._tracked:
-                h._accumulate(gxh[..., d_in:])
+            if state._tracked:
+                state._accumulate(np.concatenate([gxh[..., d_in:], gc * f], axis=-1))
 
-    return _make(data, (x, h, c, w, b), backward)
+    return _make(data, (x, state, w, b), backward)
 
 
 class Parameter:

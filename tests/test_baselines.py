@@ -13,7 +13,6 @@ from ttpp.baselines import (
     init_lstm_decoder_params,
     init_lstm_params,
     init_ssp_params,
-    lstm_cell,
     lstm_decode,
     lstm_encode,
     ssp_rollout,
@@ -21,7 +20,7 @@ from ttpp.baselines import (
 from ttpp.attention import init_ttm_params
 from ttpp.model import AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig
 from ttpp.prediction import init_ppm_params
-from ttpp.tensor import Parameter, Tensor, glorot, grad_check
+from ttpp.tensor import Parameter, Tensor, glorot, grad_check, keep_mask
 
 
 def zeroed(params):
@@ -164,7 +163,7 @@ class TestLSTMEncode:
 
     def test_hidden_width_must_match_features(self):
         params = init_lstm_params(4, 6, np.random.default_rng(11))
-        with pytest.raises(ValueError, match="d_h"):
+        with pytest.raises(ValueError, match="lstm_step"):
             lstm_encode(Tensor(np.zeros((4, 4))), params)
 
     def test_gradient(self):
@@ -348,7 +347,7 @@ class TestSSP:
         def draws():
             return np.random.default_rng(100 + seed) if train else None
 
-        roll = ssp_rollout(Tensor(s), Tensor(f), params, draws(), 0.3)
+        roll = ssp_rollout(Tensor(s), Tensor(f), params, keep_mask(draws(), 0.3, (5, 6)))
         feats, logits = ssp_loop_oracle(s, f, params, 5, draws(), 0.3)
         np.testing.assert_allclose(roll.features.data, feats, rtol=0, atol=1e-12)
         np.testing.assert_allclose(roll.logits.data, logits, rtol=0, atol=1e-12)
@@ -397,6 +396,24 @@ class TestGridComposition:
         seeded, _ = model.anticipate(window, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(seeded.features.data, plain.features.data)
         np.testing.assert_array_equal(seeded.logits.data, plain.logits.data)
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("predictor, dropout, uniforms", [
+        ("ppm", 0.1, 2 * 3 * 8), ("ssp", 0.1, 2 * 3 * 8), ("lstm", 0.1, 0),
+        ("ppm", 0.0, 0), ("ssp", 0.0, 0),
+    ])
+    def test_a_taped_call_reads_one_mask_of_uniforms(self, aggregator, predictor, dropout,
+                                                     uniforms):
+        # B x H x d_m uniforms for the one dropout mask, and nothing else
+        cfg = ModelConfig(aggregator=aggregator, predictor=predictor, d_m=8, n_heads=2,
+                          n_classes=3, horizon=3, dropout=dropout)
+        model = AnticipationModel(cfg, seed=0)
+        rng = np.random.default_rng(6)
+        roll, _ = model.anticipate(np.random.default_rng(25).normal(size=(2, 8, 8)), rng=rng)
+        assert roll.features._parents
+        fresh = np.random.default_rng(6)
+        fresh.random(uniforms)
+        assert rng.bit_generator.state == fresh.bit_generator.state
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
     @pytest.mark.parametrize("predictor", PREDICTORS)

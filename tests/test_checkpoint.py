@@ -1,5 +1,8 @@
 """Checkpoint files: exact round trips, and refusal of every damaged file."""
 
+import json
+import re
+import struct
 import tempfile
 from pathlib import Path
 
@@ -56,6 +59,31 @@ def test_trailing_bytes_are_refused_at_their_offset(tmp_path):
         load_checkpoint(path)
 
 
+def with_header(blob: bytes, version=None, **fields) -> bytes:
+    """A saved checkpoint with its version and/or config fields replaced."""
+    old_version, count, config_len = struct.unpack_from("<HII", blob, 8)
+    config = json.loads(blob[18 : 18 + config_len])
+    config.update(fields)
+    packed = json.dumps(config, sort_keys=True).encode("utf-8")
+    header = struct.pack("<HII", old_version if version is None else version, count, len(packed))
+    return blob[:8] + header + packed + blob[18 + config_len :]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"version": 3}, "unsupported checkpoint version 3 at offset 8 in {path}"),
+    ({"colour": "red"}, "model config in checkpoint {path} is invalid: "
+                        ".*unexpected keyword argument 'colour'"),
+    ({"dropout": 1.5}, "model config in checkpoint {path} is invalid: "
+                       r"dropout must be in \[0, 1\), got 1.5"),
+], ids=["version", "unknown-field", "refused-value"])
+def test_a_bad_header_is_refused_naming_the_file(tmp_path, change, message):
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(AnticipationModel(ModelConfig(), seed=3), path)
+    path.write_bytes(with_header(path.read_bytes(), **change))
+    with pytest.raises(ValueError, match=message.format(path=re.escape(str(path)))):
+        load_checkpoint(path)
+
+
 def test_a_non_finite_parameter_is_refused_by_name(tmp_path):
     model = AnticipationModel(ModelConfig(), seed=2)
     classifier = next(p for p in model.parameters() if p.name == "ppm.classifier")
@@ -83,8 +111,11 @@ class TestCheckpointProperties:
     def test_a_proper_prefix_is_refused(self, config, data):
         blob = saved_bytes(AnticipationModel(config))
         end = data.draw(st.integers(0, len(blob) - 1))
-        with pytest.raises(ValueError):
-            load_bytes(blob[:end])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.bin"
+            path.write_bytes(blob[:end])
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_checkpoint(path)
 
     @settings(max_examples=60, deadline=None)
     @given(config=grid_cells(), extra=st.binary(min_size=1, max_size=16))

@@ -57,6 +57,28 @@ class TestConfig:
         assert main(["param-count", "--set", item]) == 1
         assert f"error: config key {key!r} expects {kind}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("items, field", [
+        (["model.aggregator=gru"], "aggregator"),
+        (["model.predictor=rnn"], "predictor"),
+        (["model.ppm_variant=half"], "ppm_variant"),
+        (["model.d_m=18", "model.n_heads=4"], "n_heads"),
+        (["model.d_m=9", "model.n_heads=3"], "d_m"),
+        (["model.seq_len=1"], "seq_len"),
+        (["model.horizon=0"], "horizon"),
+        (["model.dropout=1.0"], "dropout"),
+        (["model.dropout=-0.1"], "dropout"),
+        (["train.lr=-0.001"], "lr"),
+        (["train.momentum=1.0"], "momentum"),
+        (["train.batch_size=0"], "batch_size"),
+        (["train.epochs=0"], "epochs"),
+        (["train.lam=-0.5"], "lam"),
+    ])
+    def test_every_refused_value_names_its_field(self, items, field):
+        rc = resolve_config(None, items)
+        build = model_config if items[0].startswith("model.") else train_config
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            build(rc)
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.d_m 32\n")

@@ -10,7 +10,7 @@ from ttpp.prediction import (
     prediction_block,
     rollout,
 )
-from ttpp.tensor import Parameter, Tensor, grad_check
+from ttpp.tensor import Parameter, Tensor, grad_check, keep_mask
 
 
 def zero_block(in_dim, d_m):
@@ -180,7 +180,7 @@ class TestRollout:
             Tensor(rng.normal(size=(1, 8))),
             params,
             horizon=5,
-            rng=np.random.default_rng(0) if mode == "train" else None,
+            keep=keep_mask(np.random.default_rng(0) if mode == "train" else None, 0.1, (5, 8)),
         )
         np.testing.assert_allclose(roll.probs.data.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(roll.probs.data > 0)
@@ -193,10 +193,10 @@ class TestRollout:
         a = rollout(s, f, params, 3)
         b = rollout(s, f, params, 3)
         np.testing.assert_array_equal(a.features.data, b.features.data)
-        t1 = rollout(s, f, params, 3, rng=np.random.default_rng(9))
-        t2 = rollout(s, f, params, 3, rng=np.random.default_rng(9))
+        t1 = rollout(s, f, params, 3, keep_mask(np.random.default_rng(9), 0.1, (3, 8)))
+        t2 = rollout(s, f, params, 3, keep_mask(np.random.default_rng(9), 0.1, (3, 8)))
         np.testing.assert_array_equal(t1.features.data, t2.features.data)
-        assert np.abs(t1.features.data - a.features.data).max() > 0  # the rng turns dropout on
+        assert np.abs(t1.features.data - a.features.data).max() > 0  # the mask turns dropout on
 
     def test_gradient_through_chained_steps(self):
         rng = np.random.default_rng(16)

@@ -16,6 +16,7 @@ from ttpp.tensor import (
     attention,
     concat,
     grad_check,
+    keep_mask,
     log_softmax,
     lstm_step,
     matmul,
@@ -120,12 +121,12 @@ class TestSoftmax:
             assert np.all(out.data > 0)
 
 
-def norm_only(x, gain, bias, rate=0.0, uniforms=None):
+def norm_only(x, gain, bias, keep=None):
     """mlp_norm with identity dense layers and zero biases: on inputs >= 0
     the ReLU passes everything, so this is layer norm (then dropout)."""
     n = np.shape(x)[-1]
     eye, zero = Tensor(np.eye(n)), Tensor(np.zeros(n))
-    return mlp_norm(Tensor(x), eye, zero, eye, zero, Tensor(gain), Tensor(bias), rate, uniforms)
+    return mlp_norm(Tensor(x), eye, zero, eye, zero, Tensor(gain), Tensor(bias), keep)
 
 
 class TestLayerNorm:
@@ -164,56 +165,61 @@ class TestLayerNorm:
             norm_only(np.zeros((2, 4)), np.ones(3), np.zeros(4))
 
 
+class FixedDraws:
+    """An rng stand-in whose next ``random`` draw is the given array."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms)
+
+    def random(self, shape):
+        assert self.uniforms.shape == shape
+        return self.uniforms
+
+
 class TestReluDropout:
-    """The ReLU and the dropout keep-mask of mlp_norm."""
+    """The ReLU of mlp_norm, and the dropout keep mask its output is multiplied by."""
 
     def test_rate_zero_is_pure_relu(self):
         # the hidden ReLU maps -1 to 0, and nothing else changes the output
-        x = np.array([-1.0, 2.0])
         base = norm_only(np.array([0.0, 2.0]), np.ones(2), np.zeros(2))
-        for draws in (np.random.default_rng(0).random(2), None):
-            out = norm_only(x, np.ones(2), np.zeros(2), 0.0, draws)
-            np.testing.assert_array_equal(out.data, base.data)
+        keep = keep_mask(np.random.default_rng(0), 0.0, (2,))
+        out = norm_only(np.array([-1.0, 2.0]), np.ones(2), np.zeros(2), keep)
+        np.testing.assert_array_equal(out.data, base.data)
 
     def test_eval_equals_rate_zero(self):
+        # no rng is inference: no dropout at any rate; rate 0 reads no draws
+        assert keep_mask(None, 0.5, (4, 4)) is None
         rng = np.random.default_rng(7)
-        x = rng.uniform(0, 1, size=(4, 4))
-        # no uniforms is inference: no dropout at any rate
-        a = norm_only(x, np.ones(4), np.zeros(4), 0.5)
-        b = norm_only(x, np.ones(4), np.zeros(4), 0.0, np.random.default_rng(7).random((4, 4)))
-        np.testing.assert_array_equal(a.data, b.data)
+        assert keep_mask(rng, 0.0, (4, 4)) is None
+        assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
 
     def test_train_keep_fraction_and_scaling(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0, 1, size=(25_000, 4))
-        u = rng.random(x.shape)
+        u = np.random.default_rng(80).random(x.shape)
+        keep = keep_mask(np.random.default_rng(80), 0.5, x.shape)
         base = norm_only(x, np.ones(4), np.zeros(4)).data
-        out = norm_only(x, np.ones(4), np.zeros(4), 0.5, u).data
+        out = norm_only(x, np.ones(4), np.zeros(4), keep).data
         kept = u >= 0.5
         assert abs(kept.mean() - 0.5) < 0.01
         np.testing.assert_allclose(out[kept], 2.0 * base[kept], rtol=1e-15)
         np.testing.assert_array_equal(out[~kept], 0.0)
 
     def test_mask_deterministic_given_rng_state(self):
-        x = np.linspace(0, 1, 64).reshape(8, 8)
-        a = norm_only(x, np.ones(8), np.zeros(8), 0.3, np.random.default_rng(123).random((8, 8)))
-        b = norm_only(x, np.ones(8), np.zeros(8), 0.3, np.random.default_rng(123).random((8, 8)))
-        np.testing.assert_array_equal(a.data, b.data)
+        a = keep_mask(np.random.default_rng(123), 0.3, (8, 8))
+        b = keep_mask(np.random.default_rng(123), 0.3, (8, 8))
+        np.testing.assert_array_equal(a, b)
 
     def test_mask_keeps_uniforms_at_or_above_rate(self):
+        keep = keep_mask(FixedDraws([0.0, 0.29, 0.3, 0.31, 0.99]), 0.3, (5,))
+        np.testing.assert_array_equal(keep, np.array([0, 0, 1, 1, 1]) / 0.7)
         x = np.array([0.5, 1.0, 2.0, 3.0, 5.0])
-        u = np.array([0.0, 0.29, 0.3, 0.31, 0.99])
         base = norm_only(x, np.ones(5), np.zeros(5)).data
-        out = norm_only(x, np.ones(5), np.zeros(5), 0.3, u)
-        np.testing.assert_array_equal(out.data, base * (np.array([0, 0, 1, 1, 1]) / 0.7))
+        np.testing.assert_array_equal(norm_only(x, np.ones(5), np.zeros(5), keep).data, base * keep)
 
-    def test_uniforms_must_match_the_input(self):
-        with pytest.raises(ShapeError, match="uniforms"):
-            norm_only(np.ones((2, 3)), np.ones(3), np.zeros(3), 0.3, np.zeros(3))
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            norm_only(np.ones(1), np.ones(1), np.zeros(1), 1.0, np.zeros(1))
+    def test_keep_mask_must_match_the_output(self):
+        with pytest.raises(ShapeError, match="keep mask"):
+            norm_only(np.ones((2, 3)), np.ones(3), np.zeros(3), np.ones(3))
 
 
 class TestGradCheck:
@@ -250,7 +256,10 @@ class TestGradCheck:
         dense = [Tensor(rng.normal(size=shape)) for shape in ((5, 3), (3,), (3, 5), (5,))]
         proj = [Tensor(rng.normal(size=(5, 5))) for _ in range(4)]
         cost_a = Tensor(rng.normal(size=(1, 5)))
-        cell = [Tensor(rng.normal(size=shape)) for shape in ((4, 2), (4, 2), (7, 8), (8,))]
+        h, c = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        cell = [Tensor(np.concatenate([h, c], axis=-1))] + [
+            Tensor(rng.normal(size=shape)) for shape in ((7, 8), (8,))
+        ]
         cost_l = Tensor(rng.normal(size=(4, 4)))
 
         cases = {
@@ -283,12 +292,12 @@ class TestGradCheck:
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(3, 6)))
         weights = rng.normal(size=(3, 6))
-        uniforms = np.random.default_rng(55).random((3, 6))
+        keep = keep_mask(np.random.default_rng(55), 0.4, (3, 6))
         layers = [Tensor(rng.normal(size=shape)) for shape in ((6, 4), (4,), (4, 6), (6,))]
         gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
 
         def f(t):
-            return (mlp_norm(t, *layers, gain, bias, 0.4, uniforms) * Tensor(weights)).sum()
+            return (mlp_norm(t, *layers, gain, bias, keep) * Tensor(weights)).sum()
 
         assert grad_check(f, [x]) < 1e-6
 
@@ -447,9 +456,10 @@ def attention_oracle(query, memory, wq, wk, wv, wo, n_heads, cost):
     return out, weights, grads
 
 
-def lstm_oracle(x, h, c, w, b, cost):
+def lstm_oracle(x, state, w, b, cost):
     """Output [h' | c'] and the gradients of sum(out * cost), gate by gate."""
     d_h, d_in = b.shape[0] // 4, x.shape[-1]
+    h, c = state[..., :d_h], state[..., d_h:]
     xh = np.concatenate([x, h], axis=-1)
     pre = xh @ w + b
     i, f, o = (np_sigmoid(pre[..., k * d_h : (k + 1) * d_h]) for k in (0, 1, 3))
@@ -465,7 +475,7 @@ def lstm_oracle(x, h, c, w, b, cost):
     )
     dxh = dpre @ w.T
     rows = dpre.reshape(-1, 4 * d_h)
-    grads = [dxh[..., :d_in], dxh[..., d_in:], dc2 * f,
+    grads = [dxh[..., :d_in], np.concatenate([dxh[..., d_in:], dc2 * f], axis=-1),
              xh.reshape(-1, d_in + d_h).T @ rows, rows.sum(0)]
     return np.concatenate([o * tc, c2], axis=-1), grads
 
@@ -497,11 +507,11 @@ class TestFusedOpsMatchOracles:
         k, m, n, rows = 7, 4, 6, 2
         shapes = [(*lead, rows, k), (k, m), (m,), (m, n), (n,), (n,), (n,)]
         arrays = [rng.normal(size=s) for s in shapes]
-        uniforms = rng.random((*lead, rows, n)) if rate else None
-        keep = (uniforms >= rate) / (1 - rate) if rate else np.ones((*lead, rows, n))
+        keep = (rng.random((*lead, rows, n)) >= rate) / (1 - rate) if rate else None
         cost = rng.normal(size=(*lead, rows, n))
-        out, grads = taped(mlp_norm, arrays, cost, rate, uniforms)
-        expected, expected_grads = mlp_norm_oracle(*arrays, keep, cost)
+        out, grads = taped(mlp_norm, arrays, cost, keep)
+        ones = np.ones((*lead, rows, n))
+        expected, expected_grads = mlp_norm_oracle(*arrays, ones if keep is None else keep, cost)
         assert_close(out.data, expected, "forward")
         for name, got, want in zip(["x", "w1", "b1", "w2", "b2", "gain", "bias"], grads,
                                    expected_grads):
@@ -527,14 +537,13 @@ class TestFusedOpsMatchOracles:
     def test_lstm_step(self, lead):
         rng = np.random.default_rng(60 + len(lead))
         d_in, d_h = 5, 3
-        shapes = [(*lead, 1, d_in), (*lead, 1, d_h), (*lead, 1, d_h), (d_in + d_h, 4 * d_h),
-                  (4 * d_h,)]
+        shapes = [(*lead, 1, d_in), (*lead, 1, 2 * d_h), (d_in + d_h, 4 * d_h), (4 * d_h,)]
         arrays = [rng.normal(size=s) for s in shapes]
         cost = rng.normal(size=(*lead, 1, 2 * d_h))
         out, grads = taped(lstm_step, arrays, cost)
         expected, expected_grads = lstm_oracle(*arrays, cost)
         assert_close(out.data, expected, "forward")
-        for name, got, want in zip(["x", "h", "c", "w", "b"], grads, expected_grads):
+        for name, got, want in zip(["x", "state", "w", "b"], grads, expected_grads):
             assert_close(got, want, name)
 
     def test_shape_errors_name_the_operands(self):
@@ -546,8 +555,8 @@ class TestFusedOpsMatchOracles:
             attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
                       *[Tensor(np.eye(4))] * 4, 2)
         with pytest.raises(ShapeError, match="lstm_step"):
-            lstm_step(z, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
-                      Tensor(np.zeros((6, 12))), Tensor(np.zeros(12)))
+            lstm_step(z, Tensor(np.zeros((2, 6))), Tensor(np.zeros((6, 12))),
+                      Tensor(np.zeros(12)))
 
 
 batch_lead = st.lists(st.integers(1, 3), max_size=2)
@@ -571,11 +580,11 @@ class TestFusedGradientProperties:
         layers = [Tensor(rng.normal(size=s)) for s in ((k, m), (m,), (m, n), (n,), (n,), (n,))]
         # a central difference is no derivative within a step of the ReLU kink
         assume(np.abs(x.data @ layers[0].data + layers[1].data).min() > 1e-3)
-        uniforms = rng.random((*lead, rows, n)) if dropout else None
+        keep = (rng.random((*lead, rows, n)) >= 0.3) / 0.7 if dropout else None
         cost = Tensor(rng.normal(size=(*lead, rows, n)))
 
         def f(*_):
-            return (mlp_norm(x, *layers, 0.3, uniforms) * cost).sum()
+            return (mlp_norm(x, *layers, keep) * cost).sum()
 
         assert grad_check(f, [x, *layers] if tracked else layers) < 1e-5
 
@@ -600,15 +609,15 @@ class TestFusedGradientProperties:
            tracked=st.booleans(), seed=st.integers(0, 2**16))
     def test_lstm_step(self, lead, d_in, d_h, tracked, seed):
         rng = np.random.default_rng(seed)
-        x, h, c = (Tensor(rng.normal(size=(*lead, 1, d))) for d in (d_in, d_h, d_h))
+        x, state = (Tensor(rng.normal(size=(*lead, 1, d))) for d in (d_in, 2 * d_h))
         w = Tensor(rng.normal(size=(d_in + d_h, 4 * d_h)))
         b = Tensor(rng.normal(size=4 * d_h))
         cost = Tensor(rng.normal(size=(*lead, 1, 2 * d_h)))
 
         def f(*_):
-            return (lstm_step(x, h, c, w, b) * cost).sum()
+            return (lstm_step(x, state, w, b) * cost).sum()
 
-        assert grad_check(f, [x, h, c, w, b] if tracked else [x, w, b]) < 1e-5
+        assert grad_check(f, [x, state, w, b] if tracked else [x, w, b]) < 1e-5
 
 
 class TestTapeNodes:
@@ -616,13 +625,13 @@ class TestTapeNodes:
 
     One node per fused layer call. ttm-ppm builds 4 per rollout step
     (input concat, prediction block, classifier, softmax) and 13 others;
-    lstm-lstm 4 per encoder step (input slice, cell, h and c slices), 6
-    per decoder step and 11 others. Splitting a fused layer back into
-    single ops raises these counts.
+    lstm-lstm 2 per encoder step (input slice, cell), 5 per decoder step
+    (cell, h slice, classifier, softmax, next input concat) and 13 others.
+    Splitting a fused layer back into single ops raises these counts.
     """
 
     @pytest.mark.parametrize("aggregator, predictor, nodes", [("ttm", "ppm", 45),
-                                                               ("lstm", "lstm", 91)])
+                                                               ("lstm", "lstm", 69)])
     def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         window = np.random.default_rng(0).normal(size=(8, 16))
