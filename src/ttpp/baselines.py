@@ -2,10 +2,10 @@
 
 Aggregation: a 3-layer strided temporal convolution stack, or a
 single-layer LSTM encoder. Prediction: an LSTM decoder seeded with the
-aggregated vector, or a single-shot block that predicts any one horizon
-directly from a one-hot horizon tag. All share the interfaces of the
-transformer aggregator and progressive predictor so every pairing
-composes without special cases.
+aggregated vector (one fused `tensor.lstm_rollout` node), or a
+single-shot block that predicts any one horizon directly from a one-hot
+horizon tag. All share the interfaces of the transformer aggregator and
+progressive predictor so every pairing composes without special cases.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .prediction import (
     init_block_params,
     prediction_block,
 )
-from .tensor import Parameter, Tensor, concat, glorot, lstm_step, matmul, relu, reshape, softmax
+from .tensor import (Parameter, Tensor, concat, glorot, lstm_rollout, lstm_step, matmul, relu,
+                     reshape)
 
 CONV_LAYERS = 3
 CONV_KERNEL = 3
@@ -156,21 +157,10 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -
     the first step consumes f_t (+) its classified probability. The shared
     classifier scores every hidden state.
     """
-    if horizon < 1:
-        raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
-    d_m = s_t.shape[-1]
-    state = concat([s_t, Tensor(np.zeros(s_t.shape))], axis=-1)
-    x = concat([f_t, classify(f_t, params.classifier)], axis=-1)
-    features = []
-    logits = []
-    for _ in range(horizon):
-        state = lstm_step(x, state, params.lstm.w.value, params.lstm.b.value)
-        h = state[..., :d_m]
-        z = matmul(h, params.classifier.value)
-        features.append(h)
-        logits.append(z)
-        x = concat([h, softmax(z)], axis=-1)
-    return Rollout(concat(features, axis=-2), concat(logits, axis=-2))
+    features, logits = lstm_rollout(
+        s_t, f_t, params.lstm.w.value, params.lstm.b.value, params.classifier.value, horizon
+    )
+    return Rollout(features, logits)
 
 
 @dataclass

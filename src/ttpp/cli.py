@@ -205,7 +205,10 @@ def _load_model(rc, checkpoint) -> AnticipationModel:
             f"checkpoint {path} was trained with another model config: {', '.join(differ)}"
         )
     model = AnticipationModel(config, seed=rc["train.seed"])
-    model.load_state(state)
+    try:
+        model.load_state(state)
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {path}") from None
     return model
 
 

@@ -119,32 +119,38 @@ def evaluate_horizons(
                 f"sequence {seq.video_id!r} has {seq.n_classes} classes, "
                 f"but {sequences[0].video_id!r} has {n_classes}"
             )
-    scores = [[] for _ in range(horizon)]
-    truths = [[] for _ in range(horizon)]
+    # per anchor, sequence by sequence: its table, the chunks after it, and
+    # the index of the next chunk in all sequences' labels end to end
+    tables, room, future, offset = [], [], [], 0
     for seq in sequences:
         total = len(seq)
-        for t in range(seq_len - 1, total - 1):
+        anchors = np.arange(seq_len - 1, total - 1)
+        for t in anchors.tolist():
             table = np.asarray(scores_fn(seq, t))
             if table.shape != (horizon, n_classes):
                 raise ValueError(
                     f"scorer returned {table.shape}, expected ({horizon}, {n_classes})"
                 )
-            last = min(horizon, total - 1 - t)
-            for tau in range(1, last + 1):
-                scores[tau - 1].append(table[tau - 1])
-                truths[tau - 1].append(seq.labels[t + tau])
-    n_scored = sum(len(s) for s in scores)
-    if n_scored == 0:
+            tables.append(table)
+        room.append(total - 1 - anchors)
+        future.append(offset + anchors + 1)
+        offset += total
+    if not tables:
         raise ValueError(
             f"empty report: no position has {seq_len} observed chunks plus a future"
         )
+    scores = np.stack(tables)
+    room, future = np.concatenate(room), np.concatenate(future)
+    labels = np.concatenate([seq.labels for seq in sequences])
     per_class = np.full((horizon, n_classes), np.nan)
     means = np.full(horizon, np.nan)
+    n_scored = 0
     for tau in range(horizon):
-        if not scores[tau]:
+        scored = room > tau  # anchors with a chunk tau + 1 steps ahead
+        if not scored.any():
             continue
-        table = np.stack(scores[tau])
-        truth = np.asarray(truths[tau])
+        table, truth = scores[scored, tau], labels[future[scored] + tau]
+        n_scored += len(truth)
         if metric == "acc":
             pred = table.argmax(axis=1)
             means[tau] = accuracy(pred, truth)

@@ -4,6 +4,7 @@ From the aggregated history vector and the current feature, an initial
 block predicts the next chunk feature; a single shared block then chains
 forward, each step consuming the aggregated history again (skip
 connection) plus its own previous feature and probability predictions.
+The whole chain runs as one fused `tensor.ppm_rollout` node.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, concat, glorot, matmul, mlp_norm, softmax
+from .tensor import Parameter, Tensor, glorot, matmul, mlp_norm, ppm_rollout, softmax
 
 
 @dataclass
@@ -28,6 +29,10 @@ class PredictionBlockParams:
 
     def parameters(self) -> list[Parameter]:
         return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.ln_gain, self.ln_bias]
+
+    def values(self) -> tuple[Tensor, ...]:
+        """The tensors in the order `mlp_norm` takes them."""
+        return tuple(p.value for p in self.parameters())
 
 
 @dataclass
@@ -100,11 +105,7 @@ def prediction_block(x: Tensor, params: PredictionBlockParams, keep=None) -> Ten
     One fused `mlp_norm` node; the keep mask has the output's shape. An
     input whose last extent differs from fc1's rows is a ShapeError.
     """
-    p = params
-    return mlp_norm(
-        x, p.fc1_w.value, p.fc1_b.value, p.fc2_w.value, p.fc2_b.value,
-        p.ln_gain.value, p.ln_bias.value, keep,
-    )
+    return mlp_norm(x, *params.values(), keep)
 
 
 def rollout(
@@ -123,19 +124,8 @@ def rollout(
     `keep` is a (..., horizon, d_m) dropout mask from `keep_mask`, and step
     s uses slice s of it; None means no dropout.
     """
-    if horizon < 1:
-        raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
-    zero_slot = Tensor(np.zeros(s_t.shape))
-    feat_in, p = f_t, classify(f_t, params.classifier)
-    features = []
-    logits = []
-    for step in range(horizon):
-        block = params.initial if step == 0 else params.progressive
-        k = None if keep is None else keep[..., step : step + 1, :]
-        f = prediction_block(concat([s_t, feat_in, p], axis=-1), block, k)
-        z = matmul(f, params.classifier.value)
-        p = softmax(z)
-        features.append(f)
-        logits.append(z)
-        feat_in = f if feed_features else zero_slot
-    return Rollout(concat(features, axis=-2), concat(logits, axis=-2))
+    features, logits = ppm_rollout(
+        s_t, f_t, params.initial.values(), params.progressive.values(),
+        params.classifier.value, horizon, keep, feed_features,
+    )
+    return Rollout(features, logits)

@@ -11,18 +11,20 @@ batch axes: ``matmul`` multiplies a (..., k) operand by a shared 2-D
 (k, n) weight, and the elementwise ops broadcast. A mini-batch therefore
 runs as one graph over a (B, ...) stack instead of one graph per sample.
 
-The cost of a small graph is the tape, one Python node per op, not the
-flops. So each model layer is one fused op with one node and a
+The cost of a small graph is the tape and the numpy calls per node, not
+the flops. So each model layer is one fused op with one node and a
 hand-written backward: ``mlp_norm`` (two dense layers, layer norm and
 dropout: the prediction block), ``attention`` (multi-head attention of one
 query row over a memory) and ``lstm_step`` (one LSTM cell step). Each
-computes what a chain of single ops (matmul, add, relu, softmax, ...)
-would, with the same numpy reductions on the same memory layouts: a
-gradient is C-contiguous wherever a node of that chain would have copied
-it. Summation order therefore matches, and so do the numbers, bit for
-bit. Dropout takes a keep mask drawn by `keep_mask`, so a caller can draw
-the masks of a whole batch at once in the order per-sample draws would
-read them.
+predictor's whole rollout is one too: ``ppm_rollout`` and ``lstm_rollout``
+write every step's input into one preallocated buffer and run back through
+time by hand, building two tensors (the features and their logits). Each
+op computes what a chain of single ops (matmul, add, relu, softmax, ...)
+would, with the same numpy reductions on the same memory layouts, and adds
+each gradient's terms in that chain's order, so the numbers match bit for
+bit. Arrays only a backward reads are kept only while taping. Dropout takes
+a keep mask drawn by `keep_mask`, so a caller can draw the masks of a whole
+batch at once in the order per-sample draws would read them.
 """
 
 from __future__ import annotations
@@ -171,6 +173,21 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
+def _tapes(parents) -> bool:
+    """Whether an op on `parents` records a node: taping is on and one is tracked."""
+    return _taping and any(p._tracked for p in parents)
+
+
+def _plus(acc, term):
+    """acc + term, where an `acc` of None is a gradient nobody sent."""
+    return term if acc is None else acc + term
+
+
+def _send(t: Tensor, g: np.ndarray) -> None:
+    if t._tracked:
+        t._accumulate(g)
+
+
 def add(a: Tensor, b) -> Tensor:
     b = _ensure(b)
     data = a.data + b.data
@@ -275,10 +292,15 @@ def relu(a: Tensor) -> Tensor:
     return _make(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def _softmax_data(a: np.ndarray) -> np.ndarray:
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_data(a: np.ndarray, out=None) -> np.ndarray:
+    e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
+
+
+def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient of softmax's input from its output `y` and output gradient `g`."""
+    return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -286,8 +308,7 @@ def softmax(a: Tensor) -> Tensor:
     y = _softmax_data(a.data)
 
     def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        a._accumulate(y * (g - inner))
+        a._accumulate(_softmax_grad(g, y))
 
     return _make(y, (a,), backward)
 
@@ -314,6 +335,62 @@ def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
+def _check_block(op: str, k: int, w1, b1, w2, b2, gain, bias) -> int:
+    """The output width of a prediction block over inputs of extent k."""
+    m, n = w1.data.shape[1], w2.data.shape[1]
+    if w1.data.shape[0] != k or w2.data.shape[0] != m:
+        raise ShapeError(
+            f"{op}: input extent {k} does not fit weights {w1.data.shape}, {w2.data.shape}"
+        )
+    if (b1.data.shape, b2.data.shape, gain.data.shape, bias.data.shape) != ((m,), (n,), (n,), (n,)):
+        raise ShapeError(
+            f"{op}: biases {b1.data.shape}, {b2.data.shape} and gain/bias "
+            f"{gain.data.shape}/{bias.data.shape} do not fit widths {m}, {n}"
+        )
+    return n
+
+
+def _block_forward(x, block, keep, out, tape: bool):
+    """`mlp_norm` on 2-D rows into `out` (new if None); returns it and, if taping,
+    the backward's inputs. np.maximum, the ReLU, propagates a NaN."""
+    w1, b1, w2, b2, gain, bias = block
+    pre = x @ w1.data
+    pre += b1.data
+    hidden = np.maximum(pre, 0.0, out=pre)
+    y = hidden @ w2.data
+    y += b2.data
+    n = y.shape[1]
+    y -= np.add.reduce(y, axis=-1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5)
+    xhat = np.multiply(y, inv_std, out=None if tape else y)
+    out = np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    if keep is not None:
+        out *= keep
+    return out, ((x, hidden, xhat, inv_std, keep) if tape else None)
+
+
+def _block_backward(g, cache, block):
+    """Sends the block's weights their gradients; returns the input's, all on 2-D rows."""
+    w1, b1, w2, b2, gain, bias = block
+    x, hidden, xhat, inv_std, keep = cache
+    n = xhat.shape[1]
+    if keep is not None:
+        g = g * keep
+    _send(gain, _unbroadcast(g * xhat, gain.data.shape))
+    _send(bias, _unbroadcast(g, bias.data.shape))
+    gh = g * gain.data
+    m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
+    m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
+    gy = inv_std * (gh - m1 - xhat * m2)
+    _send(b2, _unbroadcast(gy, b2.data.shape))
+    _send(w2, hidden.T @ gy)
+    gpre = (gy @ w2.data.T) * (hidden > 0)
+    _send(b1, _unbroadcast(gpre, b1.data.shape))
+    _send(w1, x.T @ gpre)
+    return gpre @ w1.data.T
+
+
 def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     """layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias, times `keep`, as one node.
 
@@ -324,58 +401,129 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     mask from `keep_mask` with the output's shape, multiplies the output;
     None means no dropout.
     """
-    k, m = w1.data.shape
-    n = w2.data.shape[1]
-    if x.data.shape[-1] != k or w2.data.shape[0] != m:
-        raise ShapeError(
-            f"mlp_norm: input extent {x.data.shape[-1]} does not fit weights "
-            f"{w1.data.shape}, {w2.data.shape}"
-        )
-    if (b1.data.shape, b2.data.shape, gain.data.shape, bias.data.shape) != ((m,), (n,), (n,), (n,)):
-        raise ShapeError(
-            f"mlp_norm: biases {b1.data.shape}, {b2.data.shape} and gain/bias "
-            f"{gain.data.shape}/{bias.data.shape} do not fit widths {m}, {n}"
-        )
-    lead = x.data.shape[:-1]
-    pre = (x.data.reshape(-1, k) @ w1.data).reshape(lead + (m,)) + b1.data
-    active = pre > 0
-    hidden = np.where(active, pre, 0.0)
-    y = (hidden.reshape(-1, m) @ w2.data).reshape(lead + (n,)) + b2.data
-    dev = y - np.add.reduce(y, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / n + 1e-5)
-    xhat = dev * inv_std
-    data = xhat * gain.data + bias.data
-    if keep is not None:
-        if np.shape(keep) != data.shape:
-            raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {data.shape}")
-        data = data * keep
+    block = (w1, b1, w2, b2, gain, bias)
+    k = x.data.shape[-1]
+    n = _check_block("mlp_norm", k, *block)
+    shape = x.data.shape[:-1] + (n,)
+    if keep is not None and np.shape(keep) != shape:
+        raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
+    keep = None if keep is None else np.reshape(keep, (-1, n))
+    data, cache = _block_forward(x.data.reshape(-1, k), block, keep, None, _tapes((x, *block)))
 
     def backward(g):
-        if keep is not None:
-            g = g * keep
-        if gain._tracked:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias._tracked:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        gh = g * gain.data
-        m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
-        m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
-        gy = inv_std * (gh - m1 - xhat * m2)
-        if b2._tracked:
-            b2._accumulate(_unbroadcast(gy, b2.data.shape))
-        rows = gy.reshape(-1, n)
-        if w2._tracked:
-            w2._accumulate(hidden.reshape(-1, m).T @ rows)
-        gpre = (rows @ w2.data.T).reshape(lead + (m,)) * active
-        if b1._tracked:
-            b1._accumulate(_unbroadcast(gpre, b1.data.shape))
-        rows = gpre.reshape(-1, m)
-        if w1._tracked:
-            w1._accumulate(x.data.reshape(-1, k).T @ rows)
-        if x._tracked:
-            x._accumulate((rows @ w1.data.T).reshape(x.data.shape))
+        _send(x, _block_backward(g.reshape(-1, n), cache, block).reshape(x.data.shape))
 
-    return _make(data, (x, w1, b1, w2, b2, gain, bias), backward)
+    return _make(data.reshape(shape), (x, *block), backward)
+
+
+def _check_rollout(op: str, s_t, f_t, classifier, horizon: int) -> tuple[int, int]:
+    if horizon < 1:
+        raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
+    shape = s_t.data.shape
+    if (len(shape) < 2 or shape[-2] != 1 or f_t.data.shape != shape
+            or classifier.data.ndim != 2 or classifier.data.shape[0] != shape[-1]):
+        raise ShapeError(f"{op}: s_t {shape}, f_t {f_t.data.shape}, "
+                         f"classifier {classifier.data.shape}")
+    return classifier.data.shape
+
+
+def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bool, step,
+             step_back):
+    """What the fused rollouts share. Step s reads input row x[s]: a feature in
+    columns `fs` and a probability in the C after them, [f_t | softmax(f_t
+    classifier)] in row 0 and in row s+1 step s's feature (zeros unless
+    `feed`) and softmax(logits). `step(s, out)` writes step s's feature
+    into `out` and returns it with its cache; `step_back(s, g, gx, cache)`
+    maps the gradients of that feature and of row s+1 (None at the end) to
+    that of row s. The logits are a child of the features node, handing it
+    their gradient."""
+    wc = classifier.data
+    d, n_classes = wc.shape
+    ps = slice(fs.stop, fs.stop + n_classes)
+    f_rows = f_t.data.reshape(-1, d)
+    n = f_rows.shape[0]
+    x[0, :, fs] = f_rows
+    _softmax_data(f_rows @ wc, out=x[0, :, ps])
+    x[1:, :, fs] = 0.0  # stays zero unless each step writes its feature there
+    feats = x[1:, :, fs] if feed else np.empty((horizon, n, d))
+    logits = np.empty((horizon, n, n_classes))
+    caches = []
+    for s in range(horizon):
+        f, cache = step(s, feats[s])
+        np.matmul(f, wc, out=logits[s])
+        caches.append(cache)
+        if s + 1 < horizon:
+            _softmax_data(logits[s], out=x[s + 1, :, ps])
+
+    # Back through time. A gradient with several terms adds them in the order
+    # the chain of single ops' tape did: a feature's from the features
+    # output, then from the next step's input, then from the classifier.
+    def backward(g_feats, g_logits):
+        g_feats, g_logits = (
+            None if g is None else np.ascontiguousarray(g.reshape(n, horizon, -1).swapaxes(0, 1))
+            for g in (g_feats, g_logits)
+        )
+        gx = None
+        for s in reversed(range(horizon)):
+            g = None if g_feats is None else g_feats[s]
+            gz = None if g_logits is None else g_logits[s]
+            if gx is not None:
+                g = _plus(g, gx[:, fs]) if feed else g
+                gz = _plus(gz, _softmax_grad(gx[:, ps], x[s + 1, :, ps]))
+            if gz is not None:
+                g = _plus(g, gz @ wc.T)
+                _send(classifier, feats[s].T @ gz)
+            gx = step_back(s, g, gx, caches[s])
+        _send(f_t, gx[:, fs].reshape(f_t.data.shape))
+        gz = _softmax_grad(gx[:, ps], x[0, :, ps])
+        _send(classifier, f_rows.T @ gz)
+        _send(f_t, (gz @ wc.T).reshape(f_t.data.shape))
+
+    lead = s_t.data.shape[:-2]
+    out_f, out_z = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(lead + a.shape[::2])
+                    for a in (feats, logits))
+    handed = []
+    features = _make(out_f, parents, lambda g: backward(g, handed.pop() if handed else None))
+    out = Tensor(out_z)
+    if features._backward is not None:
+        out._parents, out._backward = (features,), handed.append
+    return features, out
+
+
+def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=None,
+                feed_features: bool = True):
+    """The progressive prediction chain as one node: (..., horizon, d) features
+    and their (..., horizon, C) logits from (..., 1, d) rows s_t and f_t.
+
+    Step 1 runs the `initial` block (as `mlp_norm` takes it) on [s_t | f_t
+    | softmax(f_t classifier)], step s > 1 the `progressive` one on [s_t |
+    feature s-1 (zeros unless `feed_features`) | softmax(logits s-1)].
+    `keep` is a (..., horizon, d) dropout mask, slice s for step s, or None.
+    """
+    d, n_classes = _check_rollout("ppm_rollout", s_t, f_t, classifier, horizon)
+    if {_check_block("ppm_rollout", 2 * d + n_classes, *b) for b in (initial, progressive)} != {d}:
+        raise ShapeError(f"ppm_rollout: a block's output width is not d = {d}")
+    lead = s_t.data.shape[:-2]
+    if keep is not None and np.shape(keep) != lead + (horizon, d):
+        raise ShapeError(f"ppm_rollout: keep mask {np.shape(keep)} for {lead + (horizon, d)}")
+    rows = s_t.data.reshape(-1, d)
+    masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
+    blocks = [initial] + [progressive] * (horizon - 1)
+    parents = (s_t, f_t, classifier, *initial, *(progressive if horizon > 1 else ()))
+    tape = _tapes(parents)
+    x = np.empty((horizon + 1, len(rows), 2 * d + n_classes))
+    x[:, :, :d] = rows
+
+    def step(s, out):
+        return _block_forward(x[s], blocks[s], masks[s], out, tape)
+
+    def step_back(s, g, gx, cache):
+        gx = _block_backward(g, cache, blocks[s])
+        _send(s_t, gx[:, :d].reshape(s_t.data.shape))
+        return gx
+
+    return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(d, 2 * d), feed_features,
+                    step, step_back)
 
 
 def attention(query, memory, wq, wk, wv, wo, n_heads: int):
@@ -450,6 +598,37 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
     return _make(data, (query, memory, wq, wk, wv, wo), backward), weights
 
 
+def _cell_forward(xh, c, w, b, tape: bool, h_out=None, c_out=None):
+    """`lstm_step` on 2-D rows [x | h] and c into `h_out`, `c_out` (new if None);
+    returns h', c' and, if taping, the backward's inputs. Callers run it under
+    np.errstate(over="ignore"): a gate below -709 overflows exp to its right 0."""
+    d_h = c.shape[1]
+    pre = xh @ w.data
+    pre += b.data
+    gates = 1.0 / (1.0 + np.exp(-pre))  # all four blocks; the g block goes unused
+    cand = np.tanh(pre[:, 2 * d_h : 3 * d_h])
+    c_new = np.multiply(gates[:, d_h : 2 * d_h], c, out=c_out)
+    c_new += gates[:, :d_h] * cand
+    tc = np.tanh(c_new)
+    h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
+    return h, c_new, ((xh, c, gates, cand, tc) if tape else None)
+
+
+def _cell_backward(gh, gc, cache, w, b):
+    """Sends w and b their gradients from those of h' and c' (None is zero);
+    returns the gradients of the rows [x | h] and of c."""
+    xh, c, gates, cand, tc = cache
+    d_h = c.shape[1]
+    i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
+    gc = _plus(gc, gh * o * (1.0 - tc * tc))
+    dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
+    dpre = dgate * gates * (1.0 - gates)
+    dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
+    _send(b, _unbroadcast(dpre, b.data.shape))
+    _send(w, xh.T @ dpre)
+    return dpre @ w.data.T, gc * f
+
+
 def lstm_step(x, state, w, b) -> Tensor:
     """One LSTM cell step as one node, from and to the state [h | c] side by side.
 
@@ -460,41 +639,63 @@ def lstm_step(x, state, w, b) -> Tensor:
     """
     d_h = b.data.shape[0] // 4
     d_in = x.data.shape[-1]
-    if w.data.shape != (d_in + d_h, 4 * d_h) or state.data.shape[-1] != 2 * d_h:
+    if (w.data.shape != (d_in + d_h, 4 * d_h) or state.data.shape[-1] != 2 * d_h
+            or x.data.shape[:-1] != state.data.shape[:-1]):
         raise ShapeError(
             f"lstm_step: x {x.data.shape}, state {state.data.shape} "
             f"for weight {w.data.shape} and bias {b.data.shape}"
         )
-    c = state.data[..., d_h:]
-    xh = np.concatenate([x.data, state.data[..., :d_h]], axis=-1)
-    lead = xh.shape[:-1]
-    pre = (xh.reshape(-1, d_in + d_h) @ w.data).reshape(lead + (4 * d_h,)) + b.data
-    gates = 1.0 / (1.0 + np.exp(-pre))  # all four blocks; the g block goes unused
-    i, f, o = (gates[..., k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
-    cand = np.tanh(pre[..., 2 * d_h : 3 * d_h])
-    c_new = f * c + i * cand
-    tc = np.tanh(c_new)
-    data = np.concatenate([o * tc, c_new], axis=-1)
+    rows = state.data.reshape(-1, 2 * d_h)
+    xh = np.concatenate([x.data.reshape(-1, d_in), rows[:, :d_h]], axis=-1)
+    data = np.empty(rows.shape)
+    with np.errstate(over="ignore"):
+        _, _, cache = _cell_forward(xh, rows[:, d_h:], w, b, _tapes((x, state, w, b)),
+                                    data[:, :d_h], data[:, d_h:])
 
     def backward(g):
-        gh, gc = g[..., :d_h], g[..., d_h:]
-        gc = gc + gh * o * (1.0 - tc * tc)
-        dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
-        dpre = dgate * gates * (1.0 - gates)
-        dpre[..., 2 * d_h : 3 * d_h] = dgate[..., 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
-        if b._tracked:
-            b._accumulate(_unbroadcast(dpre, b.data.shape))
-        rows = dpre.reshape(-1, 4 * d_h)
-        if w._tracked:
-            w._accumulate(xh.reshape(-1, d_in + d_h).T @ rows)
-        if x._tracked or state._tracked:
-            gxh = (rows @ w.data.T).reshape(xh.shape)
-            if x._tracked:
-                x._accumulate(gxh[..., :d_in])
-            if state._tracked:
-                state._accumulate(np.concatenate([gxh[..., d_in:], gc * f], axis=-1))
+        g = g.reshape(-1, 2 * d_h)
+        gxh, gc = _cell_backward(g[:, :d_h], g[:, d_h:], cache, w, b)
+        _send(x, gxh[:, :d_in].reshape(x.data.shape))
+        _send(state, np.concatenate([gxh[:, d_in:], gc], axis=-1).reshape(state.data.shape))
 
-    return _make(data, (x, state, w, b), backward)
+    return _make(data.reshape(state.data.shape), (x, state, w, b), backward)
+
+
+def lstm_rollout(s_t, f_t, w, b, classifier, horizon: int):
+    """The LSTM decoder chain as one node: (..., horizon, d) features and their
+    (..., horizon, C) logits from (..., 1, d) rows s_t and f_t.
+
+    The `lstm_step` cell `w`, `b` starts from the state [s_t | 0] and the
+    input [f_t | softmax(f_t classifier)]; each step's h is its feature,
+    and [feature | softmax(logits)] is the next input.
+    """
+    d, n_classes = _check_rollout("lstm_rollout", s_t, f_t, classifier, horizon)
+    d_in = d + n_classes
+    if w.data.shape != (d_in + d, 4 * d) or b.data.shape != (4 * d,):
+        raise ShapeError(f"lstm_rollout: weight {w.data.shape} and bias {b.data.shape} "
+                         f"for inputs of width {d_in} and hidden width {d}")
+    rows = s_t.data.reshape(-1, d)
+    parents = (s_t, f_t, w, b, classifier)
+    tape = _tapes(parents)
+    x = np.empty((horizon + 1, len(rows), d_in + d))  # [x | h] in w's row order
+    x[0, :, d_in:] = rows
+    c = [np.zeros(rows.shape), None]  # the cell state after the last step run, its gradient
+
+    def step(s, out):
+        h, c[0], cache = _cell_forward(x[s], c[0], w, b, tape, out)
+        x[s + 1, :, d_in:] = h
+        return h, cache
+
+    def step_back(s, g, gx, cache):  # the state's h gets the next cell's h rows, then g
+        gx, c[1] = _cell_backward(g if gx is None else gx[:, d_in:] + g,
+                                  None if gx is None else c[1], cache, w, b)
+        if s == 0:
+            _send(s_t, gx[:, d_in:].reshape(s_t.data.shape))
+        return gx
+
+    with np.errstate(over="ignore"):
+        return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(0, d), True, step,
+                        step_back)
 
 
 class Parameter:

@@ -236,6 +236,15 @@ class TestLSTMDecode:
         np.testing.assert_allclose(roll.features.data, np.concatenate(feats), atol=1e-10)
         np.testing.assert_allclose(roll.probs.data, np.concatenate(probs), atol=1e-10)
 
+    def test_one_node_per_rollout(self):
+        # the features node runs the whole chain back; the logits hand it their gradient
+        rng = np.random.default_rng(17)
+        params = init_lstm_decoder_params(4, 3, rng)
+        s = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
+        roll = lstm_decode(s, Tensor(rng.normal(size=(2, 1, 4))), params, 3)
+        assert roll.logits._parents == (roll.features,)
+        assert s in roll.features._parents
+
     def test_decoder_init_draws_cell_then_classifier(self):
         params = init_lstm_decoder_params(4, 3, np.random.default_rng(30))
         rng = np.random.default_rng(30)

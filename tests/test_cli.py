@@ -229,6 +229,19 @@ class TestTrainEval:
         assert "holds a non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    def test_checkpoint_of_other_parameters_names_the_file(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["train", "--out-dir", str(run), *FAST]) == 0
+        checkpoint = run / "checkpoint.bin"
+        saved = checkpoint.read_bytes()
+        assert saved.count(b"ttm.q") == 1
+        checkpoint.write_bytes(saved.replace(b"ttm.q", b"ttm.x"))  # a renamed parameter
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(checkpoint), "--out",
+                     str(tmp_path / "r.csv"), *FAST]) == 1
+        err = capsys.readouterr().err
+        assert "missing=['ttm.q'], unexpected=['ttm.x']" in err and str(checkpoint) in err
+
     def test_damaged_feature_file_is_named(self, tmp_path, capsys):
         data = tmp_path / "data"
         run = tmp_path / "run"

@@ -103,6 +103,23 @@ class TestRollout:
         again = rollout(s, f, params, horizon=1)
         np.testing.assert_array_equal(base.features.data, again.features.data)
 
+    def test_single_step_sends_the_progressive_block_no_gradient(self):
+        rng = np.random.default_rng(20)
+        params = random_ppm(seed=20)
+        roll = rollout(Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(1, 8))), params, 1)
+        (roll.features.sum() + roll.logits.sum()).backward()
+        assert all(p.value.grad is None for p in params.progressive.parameters())
+        assert all(p.value.grad is not None for p in [*params.initial.parameters(),
+                                                      params.classifier])
+
+    def test_one_node_per_rollout(self):
+        # the features node runs the whole chain back; the logits hand it their gradient
+        rng = np.random.default_rng(21)
+        s = Tensor(rng.normal(size=(2, 1, 8)), requires_grad=True)
+        roll = rollout(s, Tensor(rng.normal(size=(2, 1, 8))), random_ppm(seed=21), 4)
+        assert roll.logits._parents == (roll.features,)
+        assert s in roll.features._parents
+
     def test_zero_params_give_uniform_probs(self):
         params = random_ppm()
         for p in params.parameters():

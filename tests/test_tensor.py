@@ -1,5 +1,7 @@
 """Tensor engine: forward semantics, backward passes, fused layer ops, SGD."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,11 +20,13 @@ from ttpp.tensor import (
     grad_check,
     keep_mask,
     log_softmax,
+    lstm_rollout,
     lstm_step,
     matmul,
     mlp_norm,
     mul,
     no_grad,
+    ppm_rollout,
     relu,
     reshape,
     sgd_step,
@@ -620,18 +624,293 @@ class TestFusedGradientProperties:
         assert grad_check(f, [x, state, w, b] if tracked else [x, w, b]) < 1e-5
 
 
+# ---- fused rollouts against the chain of single-op nodes they replace ------
+
+
+def ppm_chain(s_t, f_t, initial, progressive, classifier, horizon, keep=None,
+              feed_features=True, inputs=None):
+    """The PPM rollout as a chain of concat, mlp_norm, matmul and softmax nodes:
+    the oracle of `ppm_rollout`. `inputs`, a list, receives each block input."""
+    zero_slot = Tensor(np.zeros(s_t.shape))
+    feat_in, p = f_t, softmax(matmul(f_t, classifier))
+    features, logits = [], []
+    for step in range(horizon):
+        x = concat([s_t, feat_in, p], axis=-1)
+        if inputs is not None:
+            inputs.append(x.data)
+        k = None if keep is None else keep[..., step : step + 1, :]
+        f = mlp_norm(x, *(initial if step == 0 else progressive), k)
+        z = matmul(f, classifier)
+        p = softmax(z)
+        features.append(f)
+        logits.append(z)
+        feat_in = f if feed_features else zero_slot
+    return concat(features, axis=-2), concat(logits, axis=-2)
+
+
+def lstm_chain(s_t, f_t, w, b, classifier, horizon):
+    """The LSTM decoder as a chain of lstm_step, slice, matmul, softmax and
+    concat nodes: the oracle of `lstm_rollout`."""
+    d = s_t.shape[-1]
+    state = concat([s_t, Tensor(np.zeros(s_t.shape))], axis=-1)
+    x = concat([f_t, softmax(matmul(f_t, classifier))], axis=-1)
+    features, logits = [], []
+    for _ in range(horizon):
+        state = lstm_step(x, state, w, b)
+        h = state[..., :d]
+        z = matmul(h, classifier)
+        features.append(h)
+        logits.append(z)
+        x = concat([h, softmax(z)], axis=-1)
+    return concat(features, axis=-2), concat(logits, axis=-2)
+
+
+def ppm_arrays(rng, lead, d=4, n_classes=3):
+    """s_t, f_t, the initial and progressive blocks (six arrays each), the classifier."""
+    width, m = 2 * d + n_classes, d // 2
+    shapes = [(*lead, 1, d)] * 2 + [(width, m), (m,), (m, d), (d,), (d,), (d,)] * 2
+    return [rng.normal(size=s) for s in shapes + [(d, n_classes)]]
+
+
+def lstm_arrays(rng, lead, d=4, n_classes=3):
+    """s_t, f_t, the cell weight and bias, the classifier."""
+    shapes = [(*lead, 1, d)] * 2 + [(2 * d + n_classes, 4 * d), (4 * d,), (d, n_classes)]
+    return [rng.normal(size=s) for s in shapes]
+
+
+def ppm_args(t, horizon, keep=None, feed_features=True):
+    return (t[0], t[1], t[2:8], t[8:14], t[14], horizon, keep, feed_features)
+
+
+def lstm_args(t, horizon):
+    return (*t, horizon)
+
+
+def rollout_grads(op, args_of, arrays, costs):
+    """Features, logits and every input gradient of sum(features * cost_f)
+    + sum(logits * cost_z); a cost of None leaves that output out of the loss."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    features, logits = op(*args_of(tensors))
+    terms = [(out * Tensor(c)).sum() for out, c in zip((features, logits), costs)
+             if c is not None]
+    sum(terms[1:], terms[0]).backward()
+    return features.data, logits.data, [t.grad for t in tensors]
+
+
+def assert_rollouts_agree(fused, chain):
+    """Forward bit for bit, every gradient within 1e-12 (None where the chain sent none)."""
+    np.testing.assert_array_equal(fused[0], chain[0])
+    np.testing.assert_array_equal(fused[1], chain[1])
+    for i, (got, want) in enumerate(zip(fused[2], chain[2])):
+        if want is None:
+            assert got is None, f"input {i} got a gradient the chain never sent"
+        else:
+            assert_close(got, want, f"input {i}")
+
+
+# which outputs the loss reads; "lam 0" leaves the features node without a gradient
+LOSSES = {"both": (True, True), "lam 0": (False, True), "features only": (True, False)}
+
+
+class TestRolloutOpsMatchChains:
+    """The fused rollouts against the chains of single-op nodes they replaced."""
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("feed_features", [True, False])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_ppm_rollout(self, lead, horizon, feed_features, dropout, loss):
+        rng = np.random.default_rng(70 + horizon + len(lead))
+        arrays = ppm_arrays(rng, lead)
+        keep = (rng.random((*lead, horizon, 4)) >= 0.3) / 0.7 if dropout else None
+        costs = [rng.normal(size=(*lead, horizon, n)) if used else None
+                 for n, used in zip((4, 3), LOSSES[loss])]
+
+        def args_of(t):
+            return ppm_args(t, horizon, keep, feed_features)
+
+        fused = rollout_grads(ppm_rollout, args_of, arrays, costs)
+        assert_rollouts_agree(fused, rollout_grads(ppm_chain, args_of, arrays, costs))
+        if horizon == 1:  # the progressive block is never touched
+            assert all(g is None for g in fused[2][8:14])
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_lstm_rollout(self, lead, horizon, loss):
+        rng = np.random.default_rng(80 + horizon + len(lead))
+        arrays = lstm_arrays(rng, lead)
+        costs = [rng.normal(size=(*lead, horizon, n)) if used else None
+                 for n, used in zip((4, 3), LOSSES[loss])]
+
+        def args_of(t):
+            return lstm_args(t, horizon)
+
+        fused = rollout_grads(lstm_rollout, args_of, arrays, costs)
+        assert_rollouts_agree(fused, rollout_grads(lstm_chain, args_of, arrays, costs))
+
+    @pytest.mark.parametrize("op, arrays_of, args_of", [
+        (ppm_rollout, ppm_arrays, ppm_args), (lstm_rollout, lstm_arrays, lstm_args),
+    ])
+    def test_untaped_forward_equals_taped(self, op, arrays_of, args_of):
+        arrays = arrays_of(np.random.default_rng(90), (2,))
+        features, logits = op(*args_of([Tensor(a, requires_grad=True) for a in arrays], 4))
+        with no_grad():
+            plain = op(*args_of([Tensor(a, requires_grad=True) for a in arrays], 4))
+        assert features._parents and logits._parents == (features,)
+        assert not plain[0]._parents and not plain[1]._parents
+        np.testing.assert_array_equal(plain[0].data, features.data)
+        np.testing.assert_array_equal(plain[1].data, logits.data)
+
+    def test_shape_errors(self):
+        t = [Tensor(a) for a in ppm_arrays(np.random.default_rng(91), (2,))]
+        with pytest.raises(ShapeError, match="keep mask"):
+            ppm_rollout(*ppm_args(t, 3, np.ones((2, 2, 4))))
+        with pytest.raises(ShapeError, match="keep mask"):
+            ppm_rollout(*ppm_args(t, 3, np.ones((3, 4))))
+        with pytest.raises(ShapeError, match="ppm_rollout"):
+            ppm_rollout(t[0], t[1][0], t[2:8], t[8:14], t[14], 3)
+        with pytest.raises(ShapeError, match="extent"):
+            ppm_rollout(t[0], t[1], t[2:8], [t[2][:-1], *t[9:14]], t[14], 3)
+        with pytest.raises(ValueError, match="horizon"):
+            ppm_rollout(*ppm_args(t, 0))
+        c = [Tensor(a) for a in lstm_arrays(np.random.default_rng(92), (2,))]
+        with pytest.raises(ShapeError, match="lstm_rollout"):
+            lstm_rollout(c[0], c[1], c[2][1:], c[3], c[4], 3)
+        with pytest.raises(ShapeError, match="lstm_rollout"):
+            lstm_rollout(c[0], c[1], c[2], c[3], Tensor(np.zeros((5, 3))), 3)
+        with pytest.raises(ValueError, match="horizon"):
+            lstm_rollout(*c, 0)
+
+
+class TestRolloutGradientProperties:
+    """grad_check through the fused rollouts, and batched rows against one-window calls.
+
+    `tracked` False leaves s_t and f_t untracked, as the model's last
+    observed feature is: the node must then skip them and still give the
+    weights their gradients.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(lead=batch_lead, horizon=st.integers(1, 3), d=st.sampled_from([2, 4]),
+           n_classes=st.integers(2, 3), feed_features=st.booleans(), dropout=st.booleans(),
+           tracked=st.booleans(), seed=st.integers(0, 2**16))
+    def test_ppm_rollout(self, lead, horizon, d, n_classes, feed_features, dropout, tracked,
+                         seed):
+        rng = np.random.default_rng(seed)
+        t = [Tensor(a) for a in ppm_arrays(rng, lead, d, n_classes)]
+        keep = (rng.random((*lead, horizon, d)) >= 0.3) / 0.7 if dropout else None
+        inputs = []
+        ppm_chain(*ppm_args(t, horizon, keep, feed_features), inputs=inputs)
+        blocks = [t[2:4]] + [t[8:10]] * (horizon - 1)
+        # a central difference is no derivative within a step of a ReLU kink
+        assume(min(np.abs(x @ w.data + b.data).min()
+                   for x, (w, b) in zip(inputs, blocks)) > 1e-3)
+        costs = [Tensor(rng.normal(size=(*lead, horizon, n))) for n in (d, n_classes)]
+
+        def f(*_):
+            features, logits = ppm_rollout(*ppm_args(t, horizon, keep, feed_features))
+            return (features * costs[0]).sum() + (logits * costs[1]).sum()
+
+        used = t if horizon > 1 else t[:8] + t[14:]
+        assert grad_check(f, used if tracked else used[2:]) < 1e-5
+
+    @settings(max_examples=25, deadline=None)
+    @given(lead=batch_lead, horizon=st.integers(1, 3), d=st.integers(1, 3),
+           n_classes=st.integers(2, 3), tracked=st.booleans(), seed=st.integers(0, 2**16))
+    def test_lstm_rollout(self, lead, horizon, d, n_classes, tracked, seed):
+        rng = np.random.default_rng(seed)
+        t = [Tensor(a) for a in lstm_arrays(rng, lead, d, n_classes)]
+        costs = [Tensor(rng.normal(size=(*lead, horizon, n))) for n in (d, n_classes)]
+
+        def f(*_):
+            features, logits = lstm_rollout(*lstm_args(t, horizon))
+            return (features * costs[0]).sum() + (logits * costs[1]).sum()
+
+        assert grad_check(f, t if tracked else t[2:]) < 1e-5
+
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(1, 4), horizon=st.integers(1, 3), ppm=st.booleans(),
+           dropout=st.booleans(), seed=st.integers(0, 2**16))
+    def test_batched_row_equals_one_window_call(self, rows, horizon, ppm, dropout, seed):
+        rng = np.random.default_rng(seed)
+        arrays = (ppm_arrays if ppm else lstm_arrays)(rng, (rows,))
+        keep = (rng.random((rows, horizon, 4)) >= 0.3) / 0.7 if dropout and ppm else None
+        costs = [rng.normal(size=(rows, horizon, n)) for n in (4, 3)]
+
+        def run(arrays, keep, costs):
+            if ppm:
+                return rollout_grads(ppm_rollout, lambda t: ppm_args(t, horizon, keep),
+                                     arrays, costs)
+            return rollout_grads(lstm_rollout, lambda t: lstm_args(t, horizon), arrays, costs)
+
+        batched = run(arrays, keep, costs)
+        for b in range(rows):
+            one = run([a[b] for a in arrays[:2]] + arrays[2:],
+                      None if keep is None else keep[b], [c[b] for c in costs])
+            for got, want in zip(batched[:2], one[:2]):
+                assert_close(got[b], want, f"row {b}")
+            for got, want in zip(batched[2][:2], one[2][:2]):  # s_t and f_t
+                assert_close(got[b], want, f"row {b} input gradient")
+
+
+class TestReluAndGates:
+    """The ReLU of the prediction block and the sigmoid gates of the LSTM cell at the edges."""
+
+    def test_maximum_equals_where_on_non_nan_values(self):
+        pre = np.array([-np.inf, -1e300, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e300, np.inf])
+        got, want = np.maximum(pre, 0.0), np.where(pre > 0, pre, 0.0)
+        assert got.tobytes() == want.tobytes()  # bit for bit, so no -0.0 either
+
+    def test_nan_preactivation_propagates(self):
+        # the ReLU no longer zeroes a NaN pre-activation: the rows turn NaN
+        eye = Tensor(np.eye(3))
+        b1 = Tensor(np.array([0.0, np.nan, 0.0]))
+        out = mlp_norm(Tensor(np.ones((2, 3))), eye, b1, eye, Tensor(np.zeros(3)),
+                       Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        assert np.isnan(out.data).all()
+
+    def test_saturated_gates_are_exactly_zero_without_a_warning(self):
+        # pre-activations of -1000 overflow exp; the i and o gates must come out 0
+        d = 3
+        bias = Tensor(np.concatenate([np.full(d, -1000.0), np.full(d, 1000.0), np.zeros(d),
+                                      np.full(d, -1000.0)]), requires_grad=True)
+        state = Tensor(np.concatenate([np.zeros((2, d)), np.ones((2, d))], axis=-1),
+                       requires_grad=True)
+        w = Tensor(np.zeros((2 * d, 4 * d)), requires_grad=True)
+        cost = Tensor(np.random.default_rng(93).normal(size=(2, 2 * d)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = lstm_step(Tensor(np.zeros((2, d))), state, w, bias)
+            (out * cost).sum().backward()
+            # c' = f c + i g = 1 exactly, and h' = o tanh(c') = 0 exactly
+            np.testing.assert_array_equal(out.data, np.tile([0.0] * d + [1.0] * d, (2, 1)))
+            assert all(np.isfinite(t.grad).all() for t in (w, bias, state))
+            bias.grad = None
+            features, logits = lstm_rollout(
+                Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))),
+                Tensor(np.zeros((2 * d + 2, 4 * d))), bias, Tensor(np.ones((d, 2))), 3)
+            (features.sum() + logits.sum()).backward()
+            np.testing.assert_array_equal(features.data, 0.0)
+            assert np.isfinite(bias.grad).all()
+
+
 class TestTapeNodes:
     """Tensors built by one taped one-window anticipate at the default config.
 
-    One node per fused layer call. ttm-ppm builds 4 per rollout step
-    (input concat, prediction block, classifier, softmax) and 13 others;
-    lstm-lstm 2 per encoder step (input slice, cell), 5 per decoder step
-    (cell, h slice, classifier, softmax, next input concat) and 13 others.
-    Splitting a fused layer back into single ops raises these counts.
+    One node per fused layer call, and two tensors per rollout: the
+    features node and its logits child. ttm-ppm builds 8 others (input,
+    position rows and their sum, query and memory slices, attention,
+    residual, the last feature); lstm-lstm 2 per encoder step (input
+    slice, cell) and 6 others (input, initial state, the summary's slice,
+    the last feature slice, the shortcut sum, the last feature).
+    Splitting a fused layer or rollout back into single ops raises these
+    counts.
     """
 
-    @pytest.mark.parametrize("aggregator, predictor, nodes", [("ttm", "ppm", 45),
-                                                               ("lstm", "lstm", 69)])
+    @pytest.mark.parametrize("aggregator, predictor, nodes", [("ttm", "ppm", 10),
+                                                               ("lstm", "lstm", 24)])
     def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         window = np.random.default_rng(0).normal(size=(8, 16))
