@@ -624,7 +624,7 @@ class TestFusedGradientProperties:
         assert grad_check(f, [x, state, w, b] if tracked else [x, w, b]) < 1e-5
 
 
-# ---- fused rollouts against the chain of single-op nodes they replace ------
+# ---- fused rollouts against chains of single-op nodes ---------------------
 
 
 def ppm_chain(s_t, f_t, initial, progressive, classifier, horizon, keep=None,
@@ -713,7 +713,7 @@ LOSSES = {"both": (True, True), "lam 0": (False, True), "features only": (True, 
 
 
 class TestRolloutOpsMatchChains:
-    """The fused rollouts against the chains of single-op nodes they replaced."""
+    """Each fused rollout against the chain of single-op nodes that computes the same."""
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("horizon", [1, 3])
@@ -864,7 +864,7 @@ class TestReluAndGates:
         assert got.tobytes() == want.tobytes()  # bit for bit, so no -0.0 either
 
     def test_nan_preactivation_propagates(self):
-        # the ReLU no longer zeroes a NaN pre-activation: the rows turn NaN
+        # the ReLU passes a NaN pre-activation on, so the rows turn NaN
         eye = Tensor(np.eye(3))
         b1 = Tensor(np.array([0.0, np.nan, 0.0]))
         out = mlp_norm(Tensor(np.ones((2, 3))), eye, b1, eye, Tensor(np.zeros(3)),
