@@ -1,9 +1,10 @@
 """Temporal transformer aggregation.
 
 The current chunk feature queries the history of earlier chunk features
-through multi-head scaled dot-product attention; the attended summary is
-added back onto the (position-encoded) query through a shortcut, giving a
-single aggregated vector per observed window.
+through multi-head scaled dot-product attention, one fused
+`tensor.attention` node; the attended summary is added back onto the
+(position-encoded) query through a shortcut, giving a single aggregated
+vector per observed window.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ def init_ttm_params(d_m: int, n_heads: int, rng) -> TTMParams:
 
     Draws run q heads, then k heads, then v heads, then the output projection.
     """
-    if d_m % n_heads != 0:
-        raise ValueError(f"n_heads={n_heads} must divide d_m={d_m}")
     d_k = d_m // n_heads
     wq, wk, wv = (
         Parameter(f"ttm.{name}", np.hstack([glorot(rng, d_m, d_k) for _ in range(n_heads)]))
@@ -67,28 +66,14 @@ def positional_encoding(length: int, d_m: int) -> np.ndarray:
     return table
 
 
-def multi_head(query: Tensor, memory: Tensor, params: TTMParams):
-    """Scaled dot-product attention of every head at once, projected back to d_m.
-
-    Each head scores softmax(q_h K_h^T / sqrt(d_m)): the temperature uses
-    the full model width, so projected heads keep the same one. The query
-    is (..., 1, d_m) and the memory (..., M, d_m), with the same leading
-    batch axes (none for one window). Returns (output (..., 1, d_m),
-    weights (..., n_heads, M) ndarray); weight rows sum to 1. The whole
-    layer is one fused `attention` node, which refuses an empty memory.
-    """
-    p = params
-    return attention(query, memory, p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads)
-
-
 def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):
     """Aggregate T observed chunk features into one vector.
 
     Position rows are added to all T inputs; the last (position-encoded)
-    row queries the earlier T-1 rows as memory, and the attended output is
-    added back onto the query. `f_seq` is one (T, d_m) window or a
-    (B, T, d_m) stack. Returns ((..., 1, d_m) summary,
-    (..., n_heads, T-1) attention weights).
+    row queries the earlier T-1 rows as memory, each head scoring
+    softmax(q_h K_h^T / sqrt(d_m)), and the attended output is added back
+    onto the query. `f_seq` is one (T, d_m) window or a (B, T, d_m) stack.
+    Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights).
     """
     t = f_seq.shape[-2]
     if t < 2:
@@ -99,6 +84,8 @@ def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):
         )
     x = f_seq + Tensor(pe[:t])
     query = x[..., t - 1 : t, :]
-    memory = x[..., : t - 1, :]
-    attended, weights = multi_head(query, memory, params)
+    p = params
+    attended, weights = attention(
+        query, x[..., : t - 1, :], p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads
+    )
     return attended + query, weights

@@ -14,15 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prediction import (
-    PredictionBlockParams,
-    Rollout,
-    classify,
-    init_block_params,
-    prediction_block,
-)
-from .tensor import (Parameter, Tensor, concat, glorot, lstm_rollout, lstm_step, matmul, relu,
-                     reshape)
+from .prediction import PredictionBlockParams, Rollout, init_block_params
+from .tensor import (Parameter, Tensor, concat, glorot, lstm_rollout, lstm_step, matmul, mlp_norm,
+                     relu, reshape, softmax)
 
 CONV_LAYERS = 3
 CONV_KERNEL = 3
@@ -194,8 +188,9 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     """
     horizon = params.horizon
     lead = s_t.shape[:-2]
-    shared = concat([s_t, f_t, classify(f_t, params.classifier)], axis=-1)
+    classifier = params.classifier.value
+    shared = concat([s_t, f_t, softmax(matmul(f_t, classifier))], axis=-1)
     tags = np.eye(horizon) + np.zeros(lead + (1, 1))  # one set per window
     x = concat([shared[..., np.zeros(horizon, dtype=int), :], Tensor(tags)], axis=-1)
-    features = prediction_block(x, params.block, keep)
-    return Rollout(features, matmul(features, params.classifier.value))
+    features = mlp_norm(x, *params.block.values(), keep)
+    return Rollout(features, matmul(features, classifier))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 from .training import TrainConfig, train, write_history_csv
 
 # config key -> dataclass field; n_classes is spelt model.classes in config files
@@ -87,6 +88,8 @@ def resolve_config(config_path=None, overrides=()) -> dict[str, object]:
             raise ValueError(
                 f"config key {key!r} expects {kind.__name__}, got {value!r}"
             ) from None
+        if kind is float and not math.isfinite(resolved[key]):
+            raise ValueError(f"config key {key!r} expects a finite float, got {value!r}")
     return resolved
 
 
@@ -278,7 +281,7 @@ def cmd_dump_attention(args) -> int:
                 continue
             feats = seq.features.astype(np.float64)
             stack = np.stack([feats[t - seq_len + 1 : t + 1] for t in anchors])
-            _, weights = model.aggregate(Tensor(stack))  # (anchors, heads, seq_len - 1)
+            _, weights = model.anticipate(stack)  # (anchors, heads, seq_len - 1)
             for t, per_head in zip(anchors, weights):
                 for head, row in enumerate(per_head):
                     for m, weight in enumerate(row):

@@ -1,10 +1,11 @@
 """Aggregator x predictor composition and checkpoints.
 
 Any aggregator (ttm, conv1d, lstm) pairs with any predictor (ppm, ssp,
-lstm) through one interface: the aggregator turns a T x d_m window into a
-1 x d_m summary, the predictor turns (summary, current feature) into a
-rollout of future (feature, class logits) pairs. A (B, T, d_m) stack of
-windows runs the same code with a leading batch axis on every tensor.
+lstm) in `AnticipationModel.anticipate`, the one forward path: the
+aggregator turns a T x d_m window into a 1 x d_m summary, the predictor
+turns (summary, current feature) into a rollout of future (feature, class
+logits) pairs. A (B, T, d_m) stack of windows runs the same code with a
+leading batch axis on every tensor.
 """
 
 from __future__ import annotations
@@ -48,12 +49,19 @@ class ModelConfig:
             raise ValueError(f"predictor must be one of {PREDICTORS}, got {self.predictor!r}")
         if self.ppm_variant not in PPM_VARIANTS:
             raise ValueError(f"ppm_variant must be one of {PPM_VARIANTS}, got {self.ppm_variant!r}")
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
+        if self.d_m < 2:
+            raise ValueError(f"d_m must be >= 2, got {self.d_m}")
         if self.d_m % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide d_m={self.d_m}")
         if self.d_m % 2 != 0:
             raise ValueError(f"d_m must be even, got {self.d_m}")
         if self.seq_len < 2:
             raise ValueError(f"seq_len must be >= 2, got {self.seq_len}")
+        lengths = baselines.conv1d_lengths(self.seq_len)
+        if self.aggregator == "conv1d" and lengths[-1] != 1:
+            raise ValueError(f"seq_len={self.seq_len} gives conv1d lengths {lengths}, not ending in 1")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.dropout < 1.0:
@@ -106,52 +114,40 @@ class AnticipationModel:
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def aggregate(self, f_seq: Tensor):
-        """Returns ((..., 1, d_m) summary, attention weights or None)."""
-        c = self.config
-        if c.aggregator == "ttm":
-            return attention.aggregate(f_seq, self.agg_params, self.pe)
-        if c.aggregator == "conv1d":
-            return baselines.conv1d_aggregate(f_seq, self.agg_params), None
-        return baselines.lstm_encode(f_seq, self.agg_params), None
-
-    def predict(self, s_t: Tensor, f_t: Tensor, rng=None) -> prediction.Rollout:
-        """The rollout; PPM and SSP draw one (..., horizon, d_m) dropout mask from `rng`.
-
-        The LSTM decoder has no dropout and reads nothing from `rng`.
-        """
-        c = self.config
-        if c.predictor == "lstm":
-            return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon)
-        keep = keep_mask(rng, c.dropout, s_t.shape[:-2] + (c.horizon, c.d_m))
-        if c.predictor == "ppm":
-            return prediction.rollout(
-                s_t, f_t, self.pred_params, c.horizon, keep,
-                feed_features=c.ppm_variant == "full",
-            )
-        return baselines.ssp_rollout(s_t, f_t, self.pred_params, keep)
-
     def anticipate(self, observed: np.ndarray, rng=None):
-        """Full forward pass on one (T, d_m) window or a (B, T, d_m) stack.
+        """The forward pass of training, scoring and attention dumps.
 
-        Returns (Rollout, attention weights or None): a window gives a
-        (horizon, ·) rollout and (n_heads, T-1) weights, a stack gives
-        (B, horizon, ·) and (B, n_heads, T-1), and row b equals the call on
-        window b. Dropout is on exactly when an rng is given, as in
-        training; no rng means no dropout. A stack draws the masks of all
-        its windows at once, in the rng order of one call per window. The
-        predictor sees the raw last observed feature; positional encoding
-        stays internal to the transformer aggregator.
+        Returns (Rollout, ttm attention weights or None): one (T, d_m)
+        window gives a (horizon, ·) rollout and (n_heads, T-1) weights, a
+        (B, T, d_m) stack gives (B, horizon, ·) and (B, n_heads, T-1), and
+        row b equals the call on window b. Dropout is on exactly when an rng
+        is given, as in training: PPM and SSP draw one (..., horizon, d_m)
+        keep mask after aggregation, in the rng order of one call per
+        window. The predictor sees the raw last observed feature.
         """
         f_seq = Tensor(observed)
-        t = self.config.seq_len
+        c = self.config
+        t = c.seq_len
         if f_seq.data.ndim not in (2, 3) or f_seq.shape[-2] != t:
             raise ValueError(
                 f"anticipate: observed shape {f_seq.shape} is not (T, d_m) or "
                 f"(B, T, d_m) with T = seq_len {t}"
             )
-        s_t, weights = self.aggregate(f_seq)
-        return self.predict(s_t, f_seq[..., t - 1 : t, :], rng), weights
+        weights = None
+        if c.aggregator == "ttm":
+            s_t, weights = attention.aggregate(f_seq, self.agg_params, self.pe)
+        elif c.aggregator == "conv1d":
+            s_t = baselines.conv1d_aggregate(f_seq, self.agg_params)
+        else:
+            s_t = baselines.lstm_encode(f_seq, self.agg_params)
+        f_t = f_seq[..., t - 1 : t, :]
+        if c.predictor == "lstm":
+            return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon), weights
+        keep = keep_mask(rng, c.dropout, s_t.shape[:-2] + (c.horizon, c.d_m))
+        if c.predictor == "ssp":
+            return baselines.ssp_rollout(s_t, f_t, self.pred_params, keep), weights
+        full = c.ppm_variant == "full"
+        return prediction.rollout(s_t, f_t, self.pred_params, c.horizon, keep, full), weights
 
     def scorer(self):
         """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores.

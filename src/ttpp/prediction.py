@@ -4,7 +4,7 @@ From the aggregated history vector and the current feature, an initial
 block predicts the next chunk feature; a single shared block then chains
 forward, each step consuming the aggregated history again (skip
 connection) plus its own previous feature and probability predictions.
-The whole chain runs as one fused `tensor.ppm_rollout` node.
+`rollout` runs the whole chain as one fused `tensor.ppm_rollout` node.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, glorot, matmul, mlp_norm, ppm_rollout, softmax
+from .tensor import Parameter, Tensor, glorot, ppm_rollout, softmax
 
 
 @dataclass
 class PredictionBlockParams:
-    """Two FC layers (in -> d_m/2 -> d_m) plus layer-norm gain/bias."""
+    """Two FC layers (in -> d_m/2 -> d_m) plus layer-norm gain/bias, run by `mlp_norm`."""
 
     fc1_w: Parameter
     fc1_b: Parameter
@@ -72,8 +72,6 @@ class Rollout:
 
 
 def init_block_params(in_dim: int, d_m: int, rng, prefix: str) -> PredictionBlockParams:
-    if d_m % 2 != 0:
-        raise ValueError(f"d_m must be even, got {d_m}")
     hidden = d_m // 2
     return PredictionBlockParams(
         fc1_w=Parameter(f"{prefix}.fc1_w", glorot(rng, in_dim, hidden)),
@@ -92,20 +90,6 @@ def init_ppm_params(d_m: int, n_classes: int, rng) -> PPMParams:
         progressive=init_block_params(in_dim, d_m, rng, "ppm.progressive"),
         classifier=Parameter("ppm.classifier", glorot(rng, d_m, n_classes)),
     )
-
-
-def classify(f: Tensor, w_c: Parameter) -> Tensor:
-    """Bias-free linear classifier followed by softmax."""
-    return softmax(matmul(f, w_c.value))
-
-
-def prediction_block(x: Tensor, params: PredictionBlockParams, keep=None) -> Tensor:
-    """fc1 -> ReLU -> fc2 -> layer norm -> dropout (only when a keep mask is given).
-
-    One fused `mlp_norm` node; the keep mask has the output's shape. An
-    input whose last extent differs from fc1's rows is a ShapeError.
-    """
-    return mlp_norm(x, *params.values(), keep)
 
 
 def rollout(

@@ -123,16 +123,10 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, mul(_ensure(other), -1.0))
 
     def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
         return mul(self, other)
 
     def __neg__(self):
@@ -141,8 +135,8 @@ class Tensor:
     def __getitem__(self, key):
         return take(self, key)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
 
 def _ensure(x) -> Tensor:
@@ -272,12 +266,11 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return _make(data, tuple(tensors), backward)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tensor_sum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a 0-d tensor."""
+    data = a.data.sum()
 
     def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return _make(data, (a,), backward)

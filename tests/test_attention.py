@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from ttpp.attention import (
-    TTMParams,
-    aggregate,
-    init_ttm_params,
-    multi_head,
-    positional_encoding,
-)
-from ttpp.tensor import Parameter, Tensor, glorot, grad_check
+from ttpp.attention import TTMParams, aggregate, init_ttm_params, positional_encoding
+from ttpp.tensor import Parameter, ShapeError, Tensor, attention, glorot, grad_check
 
 
 class TestPositionalEncoding:
@@ -53,13 +47,19 @@ def identity_params(d_m: int) -> TTMParams:
     )
 
 
+def attend(query: Tensor, memory: Tensor, params: TTMParams):
+    """The fused attention op on a TTM parameter set, as `aggregate` calls it."""
+    p = params
+    return attention(query, memory, p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads)
+
+
 def np_softmax(scores: np.ndarray) -> np.ndarray:
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestAttention:
-    # scaled dot-product behaviour, checked through multi_head
+    # scaled dot-product behaviour of the fused `tensor.attention` op
 
     def test_single_memory_row_passes_value_through(self):
         rng = np.random.default_rng(0)
@@ -67,7 +67,7 @@ class TestAttention:
             params = init_ttm_params(8, 2, rng)
             q = Tensor(rng.normal(size=(1, 8)))
             mem = rng.normal(size=(1, 8))
-            out, w = multi_head(q, Tensor(mem), params)
+            out, w = attend(q, Tensor(mem), params)
             expected = mem @ params.wv.value.data @ params.wo.value.data
             np.testing.assert_allclose(out.data, expected, atol=1e-12)
             np.testing.assert_allclose(w, np.ones((2, 1)), atol=1e-12)
@@ -78,7 +78,7 @@ class TestAttention:
         params = init_ttm_params(6, 2, rng)
         params.wk.value.data[:] = 0.0
         mem = rng.normal(size=(5, 6))
-        out, _ = multi_head(Tensor(rng.normal(size=(1, 6))), Tensor(mem), params)
+        out, _ = attend(Tensor(rng.normal(size=(1, 6))), Tensor(mem), params)
         expected = (mem @ params.wv.value.data).mean(axis=0, keepdims=True) @ params.wo.value.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
@@ -101,7 +101,7 @@ class TestAttention:
             e = np.exp(scores - scores.max())
             w[h] = e / e.sum()
             heads[cols] = sum(w[h, i] * v[i, cols] for i in range(7))
-        out, weights = multi_head(Tensor(query), Tensor(mem), params)
+        out, weights = attend(Tensor(query), Tensor(mem), params)
         np.testing.assert_allclose(out.data[0], heads @ params.wo.value.data, atol=1e-10)
         np.testing.assert_allclose(weights, w, atol=1e-10)
 
@@ -109,12 +109,12 @@ class TestAttention:
         q = Tensor(np.zeros((1, 4)))
         empty = Tensor(np.zeros((0, 4)))
         with pytest.raises(ValueError, match="empty memory"):
-            multi_head(q, empty, identity_params(4))
+            attend(q, empty, identity_params(4))
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         params = init_ttm_params(8, 4, rng)
-        _, w = multi_head(
+        _, w = attend(
             Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(6, 8))), params
         )
         assert w.shape == (4, 6)
@@ -125,9 +125,9 @@ class TestAttention:
         params = init_ttm_params(8, 2, rng)
         q = Tensor(rng.normal(size=(1, 8)))
         mem = Tensor(rng.normal(size=(5, 8)))
-        out1, w1 = multi_head(q, mem, params)
+        out1, w1 = attend(q, mem, params)
         params.wv.value.data *= 2.0
-        out2, w2 = multi_head(q, mem, params)
+        out2, w2 = attend(q, mem, params)
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_allclose(out2.data, 2 * out1.data, rtol=1e-12)
 
@@ -137,7 +137,7 @@ class TestMultiHead:
         rng = np.random.default_rng(5)
         q = rng.normal(size=(1, 6))
         mem = rng.normal(size=(4, 6))
-        out, weights = multi_head(Tensor(q), Tensor(mem), identity_params(6))
+        out, weights = attend(Tensor(q), Tensor(mem), identity_params(6))
         ew = np_softmax(q @ mem.T / np.sqrt(6))
         np.testing.assert_allclose(out.data, ew @ mem, atol=1e-12)
         np.testing.assert_allclose(weights, ew, atol=1e-12)
@@ -146,7 +146,7 @@ class TestMultiHead:
     def test_output_shape(self, n_heads):
         rng = np.random.default_rng(6)
         params = init_ttm_params(16, n_heads, rng)
-        out, weights = multi_head(
+        out, weights = attend(
             Tensor(rng.normal(size=(1, 16))), Tensor(rng.normal(size=(5, 16))), params
         )
         assert out.shape == (1, 16)
@@ -168,7 +168,7 @@ class TestMultiHead:
             w = np_softmax((qi @ ki.T) / np.sqrt(d_m))  # scale uses the model width
             heads.append(w @ vi)
         expected = np.concatenate(heads, axis=-1) @ params.wo.value.data
-        out, _ = multi_head(Tensor(q), Tensor(mem), params)
+        out, _ = attend(Tensor(q), Tensor(mem), params)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     @pytest.mark.parametrize("n_heads", [1, 4])
@@ -186,13 +186,15 @@ class TestMultiHead:
         assert [p.name for p in params.parameters()] == ["ttm.q", "ttm.k", "ttm.v", "ttm.o"]
 
     def test_heads_must_divide_width(self):
-        with pytest.raises(ValueError, match="divide"):
-            init_ttm_params(10, 3, np.random.default_rng(0))
+        # ModelConfig refuses this pairing; the op refuses it from a direct caller
+        params = init_ttm_params(10, 3, np.random.default_rng(0))
+        with pytest.raises(ShapeError, match="3 heads"):
+            attend(Tensor(np.zeros((1, 10))), Tensor(np.zeros((4, 10))), params)
 
     def test_empty_memory_rejected(self):
         params = init_ttm_params(8, 2, np.random.default_rng(8))
         with pytest.raises(ValueError, match="empty memory"):
-            multi_head(Tensor(np.zeros((1, 8))), Tensor(np.zeros((0, 8))), params)
+            attend(Tensor(np.zeros((1, 8))), Tensor(np.zeros((0, 8))), params)
 
 
 class TestAggregate:

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from ttpp.cli import main, model_config, resolve_config, train_config
+from ttpp.cli import DEFAULTS, main, model_config, resolve_config, train_config
 from ttpp.data import load_features
 from ttpp.metrics import read_report_csv
-from ttpp.model import ModelConfig, load_checkpoint
+from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint
+from ttpp.tensor import no_grad
 from ttpp.training import TrainConfig, read_history_csv
 
 FAST = [
@@ -72,12 +73,33 @@ class TestConfig:
         (["train.batch_size=0"], "batch_size"),
         (["train.epochs=0"], "epochs"),
         (["train.lam=-0.5"], "lam"),
+        (["model.n_heads=0"], "n_heads"),
+        (["model.d_m=0"], "d_m"),
+        (["model.aggregator=conv1d", "model.seq_len=9"], "seq_len"),
     ])
     def test_every_refused_value_names_its_field(self, items, field):
         rc = resolve_config(None, items)
         build = model_config if items[0].startswith("model.") else train_config
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             build(rc)
+
+    @pytest.mark.parametrize("key", [k for k, v in DEFAULTS.items() if isinstance(v, float)])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_its_key(self, key, value, capsys):
+        with pytest.raises(ValueError, match=f"^config key '{key}' expects a finite float"):
+            resolve_config(None, [f"{key}={value}"])
+        assert main(["param-count", "--set", f"{key}={value}"]) == 1
+        assert f"error: config key '{key}'" in capsys.readouterr().err
+
+    def test_conv1d_seq_len_is_refused_before_any_cell_trains(self, tmp_path, capsys):
+        # T = 9 leaves conv1d lengths [5, 3, 2]: no grid cell may train first
+        out = tmp_path / "grid.csv"
+        assert main(["grid", "--out", str(out), *FAST, "--set", "model.seq_len=9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seq_len=9" in captured.err and "[5, 3, 2]" in captured.err
+        assert not out.exists()
+        assert main(["param-count", *FAST, "--set", "model.seq_len=9"]) == 1
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -355,6 +377,35 @@ class TestDumpAttention:
         for key, weights in groups.items():
             assert len(weights) == 7  # seq_len - 1 memory slots
             assert abs(sum(weights) - 1.0) < 1e-9
+
+    def test_weights_are_those_anticipate_returns(self, tmp_path):
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(run), *FAST]) == 0
+        out = tmp_path / "attn.csv"
+        assert main([
+            "dump-attention", "--checkpoint", str(run / "checkpoint.bin"),
+            "--data", str(data / "heldout"), "--out", str(out), *FAST,
+        ]) == 0
+        dumped = {}
+        for line in out.read_text().splitlines()[1:]:
+            vid, t, head, pos, weight = line.split(",")
+            dumped[vid, int(t), int(head), int(pos)] = float(weight)
+        config, state = load_checkpoint(run / "checkpoint.bin")
+        model = AnticipationModel(config)
+        model.load_state(state)
+        expected = {}
+        for path in sorted((data / "heldout").glob("*.feat")):
+            seq = load_features(path)
+            anchors = range(config.seq_len - 1, len(seq))
+            stack = np.stack([seq.features[t - config.seq_len + 1 : t + 1] for t in anchors])
+            with no_grad():
+                _, weights = model.anticipate(stack.astype(np.float64))
+            for t, per_head in zip(anchors, weights):
+                for (head, m), weight in np.ndenumerate(per_head):
+                    expected[seq.video_id, t, head, t - config.seq_len + 1 + m] = weight
+        assert dumped == expected
 
     def test_requires_transformer_aggregator(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -1,16 +1,14 @@
-"""Progressive prediction: classifier, block, chained rollout."""
+"""Progressive prediction: classifier, block, chained rollout.
+
+The classifier is softmax(matmul(f, w)) and a prediction block is one
+`mlp_norm` call on the block's parameters, both as the layers call them.
+"""
 
 import numpy as np
 import pytest
 
-from ttpp.prediction import (
-    classify,
-    init_block_params,
-    init_ppm_params,
-    prediction_block,
-    rollout,
-)
-from ttpp.tensor import Parameter, Tensor, grad_check, keep_mask
+from ttpp.prediction import init_block_params, init_ppm_params, rollout
+from ttpp.tensor import Tensor, grad_check, keep_mask, matmul, mlp_norm, softmax
 
 
 def zero_block(in_dim, d_m):
@@ -25,13 +23,14 @@ class TestClassify:
     def test_zero_weights_give_uniform(self):
         rng = np.random.default_rng(0)
         f = Tensor(rng.normal(size=(1, 8)))
-        w = Parameter("c", np.zeros((8, 4)))
-        np.testing.assert_allclose(classify(f, w).data, np.full((1, 4), 0.25))
+        w = Tensor(np.zeros((8, 4)))
+        np.testing.assert_allclose(softmax(matmul(f, w)).data, np.full((1, 4), 0.25))
 
     def test_zero_feature_gives_uniform(self):
         rng = np.random.default_rng(1)
-        w = Parameter("c", rng.normal(size=(8, 4)))
-        np.testing.assert_allclose(classify(Tensor(np.zeros((1, 8))), w).data, np.full((1, 4), 0.25))
+        w = Tensor(rng.normal(size=(8, 4)))
+        out = softmax(matmul(Tensor(np.zeros((1, 8))), w))
+        np.testing.assert_allclose(out.data, np.full((1, 4), 0.25))
 
     def test_against_matmul_softmax_oracle(self):
         rng = np.random.default_rng(2)
@@ -40,7 +39,7 @@ class TestClassify:
         logits = f @ w
         e = np.exp(logits - logits.max())
         expected = e / e.sum()
-        out = classify(Tensor(f), Parameter("c", w))
+        out = softmax(matmul(Tensor(f), Tensor(w)))
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
@@ -50,14 +49,14 @@ class TestPredictionBlock:
         block = zero_block(2 * d_m + 3, d_m)
         bias = np.random.default_rng(3).normal(size=d_m)
         block.ln_bias.value.data[:] = bias
-        out = prediction_block(Tensor(np.random.default_rng(4).normal(size=(1, 19))), block)
+        out = mlp_norm(Tensor(np.random.default_rng(4).normal(size=(1, 19))), *block.values())
         np.testing.assert_allclose(out.data[0], bias, atol=1e-12)
 
     @pytest.mark.parametrize("d_m", [8, 16, 32])
     def test_output_extent(self, d_m):
         rng = np.random.default_rng(5)
         block = init_block_params(2 * d_m + 4, d_m, rng, "b")
-        out = prediction_block(Tensor(rng.normal(size=(1, 2 * d_m + 4))), block)
+        out = mlp_norm(Tensor(rng.normal(size=(1, 2 * d_m + 4))), *block.values())
         assert out.shape == (1, d_m)
 
     def test_against_layer_by_layer_oracle(self):
@@ -72,13 +71,13 @@ class TestPredictionBlock:
         mu = y.mean(axis=-1, keepdims=True)
         var = y.var(axis=-1, keepdims=True)
         expected = (y - mu) / np.sqrt(var + 1e-5) * block.ln_gain.value.data + block.ln_bias.value.data
-        out = prediction_block(Tensor(x), block)
+        out = mlp_norm(Tensor(x), *block.values())
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     def test_extent_mismatch(self):
         block = init_block_params(19, 8, np.random.default_rng(7), "b")
         with pytest.raises(ValueError, match="extent"):
-            prediction_block(Tensor(np.zeros((1, 18))), block)
+            mlp_norm(Tensor(np.zeros((1, 18))), *block.values())
 
     def test_hidden_width_is_half(self):
         block = init_block_params(20, 8, np.random.default_rng(8), "b")

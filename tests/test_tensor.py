@@ -253,7 +253,7 @@ class TestGradCheck:
         w = rng.normal(size=(5, 3))
         w3 = Tensor(rng.normal(size=(1, 3, 5)))
         cost = Tensor(rng.normal(size=(4, 5)))
-        cost3 = Tensor(rng.normal(size=(4, 3)))
+        cost3 = Tensor(rng.normal(size=(4, 3, 5)))
         cost_m = Tensor(rng.normal(size=(2, 4, 3)))
         gain = Tensor(rng.normal(size=5))
         bias = Tensor(rng.normal(size=5))
@@ -277,10 +277,8 @@ class TestGradCheck:
             "slice_concat": lambda t: matmul(t[1:3], Tensor(w)).sum()
             + (concat([t[3:4], t[0:1] * 2.0, t[2:3]], axis=0) * cost[:3]).sum()
             + (concat([t[:, 3:], t[:, :3]], axis=-1) * cost).sum(),
-            # split rows into groups, broadcast against a weight, reduce
-            "reshape_3d_mul_sum": lambda t: (
-                tensor_sum(mul(reshape(t, (4, 1, 5)), w3), axis=-1) * cost3
-            ).sum(),
+            # split rows into groups, broadcast against a weight
+            "reshape_3d_mul": lambda t: tensor_sum(mul(reshape(t, (4, 1, 5)), w3) * cost3),
         }
         for name, f in cases.items():
             err = grad_check(f, [Tensor(rng.normal(size=(4, 5)))])
