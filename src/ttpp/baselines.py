@@ -114,17 +114,16 @@ def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMPara
 
 
 def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
-    """Run the recurrence over the window; the summary is its final hidden state.
+    """Run the window through one `lstm_step` node from a zero state; the
+    summary is the final hidden state.
 
     The last observed feature is added onto the summary (shortcut), so the
     hidden width must equal the feature width; `lstm_step` refuses any
-    other. A (B, T, d_m) stack runs the recurrence on B rows at once and
-    gives (B, 1, d_m).
+    other. A (B, T, d_m) stack is one node too and gives (B, 1, d_m).
     """
     t, d_m = f_seq.shape[-2:]
     state = Tensor(np.zeros(f_seq.shape[:-2] + (1, 2 * d_m)))
-    for step in range(t):
-        state = lstm_step(f_seq[..., step : step + 1, :], state, params.w.value, params.b.value)
+    state = lstm_step(f_seq, state, params.w.value, params.b.value)
     return state[..., :d_m] + f_seq[..., t - 1 : t, :]
 
 

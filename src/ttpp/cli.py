@@ -136,6 +136,17 @@ def split_sequences(rc, split: str, data_dir=None) -> list[datamod.FeatureSequen
     return datamod.gen_synthetic(cfg, rc[count_key], rc["data.length"])
 
 
+def require_chunks(sequences, seq_len: int, horizon: int, rc, data_dir=None) -> None:
+    """Refuse heldout `sequences` none of which has seq_len + horizon chunks: the
+    report would average only the horizons (at horizon 0, windows) it could score."""
+    chunks, longest = seq_len + horizon, max(map(len, sequences), default=0)
+    if longest < chunks:
+        need = "seq_len + horizon" if horizon else "seq_len"
+        where = f"under {data_dir}" if data_dir else f"at data.length = {rc['data.length']}"
+        raise ValueError(f"no heldout sequence {where} has {need} = {chunks} chunks "
+                         f"(the longest has {longest})")
+
+
 def samples_from(sequences, seq_len: int, horizon: int):
     samples = []
     for seq in sequences:
@@ -219,6 +230,7 @@ def cmd_eval(args) -> int:
     rc = resolve_config(args.config, args.set or [])
     model = _load_model(rc, args.checkpoint)
     sequences = split_sequences(rc, "heldout", args.data)
+    require_chunks(sequences, model.config.seq_len, model.config.horizon, rc, args.data)
     report = metricsmod.evaluate_horizons(
         model.scorer(),
         sequences,
@@ -241,8 +253,9 @@ def cmd_grid(args) -> int:
             "grid on feature files needs --heldout-data; it would score on the training files"
         )
     held_seqs = split_sequences(rc, "heldout", args.heldout_data)
-    train_seqs = split_sequences(rc, "train", args.data)
     mc = model_config(rc)
+    require_chunks(held_seqs, mc.seq_len, mc.horizon, rc, args.heldout_data)
+    train_seqs = split_sequences(rc, "train", args.data)
     tc = train_config(rc)
     samples = samples_from(train_seqs, mc.seq_len, mc.horizon)
     reports = {}
@@ -272,13 +285,13 @@ def cmd_dump_attention(args) -> int:
         raise ValueError("attention dumps need a transformer aggregator (model.aggregator=ttm)")
     sequences = split_sequences(rc, "heldout", args.data)
     seq_len = model.config.seq_len
+    require_chunks(sequences, seq_len, 0, rc, args.data)
+    written = [seq for seq in sequences if len(seq) >= seq_len]
 
     with open(args.out, "w", encoding="utf-8") as fh, no_grad():
         fh.write("video_id,t,head,memory_pos,weight\n")
-        for seq in sequences:
+        for seq in written:
             anchors = range(seq_len - 1, len(seq))
-            if not anchors:
-                continue
             feats = seq.features.astype(np.float64)
             stack = np.stack([feats[t - seq_len + 1 : t + 1] for t in anchors])
             _, weights = model.anticipate(stack)  # (anchors, heads, seq_len - 1)
@@ -287,7 +300,7 @@ def cmd_dump_attention(args) -> int:
                     for m, weight in enumerate(row):
                         pos = t - seq_len + 1 + m
                         fh.write(f"{seq.video_id},{t},{head},{pos},{float(weight)!r}\n")
-    print(f"wrote attention weights for {len(sequences)} sequences to {args.out}")
+    print(f"wrote attention weights for {len(written)} sequences to {args.out}")
     return 0
 
 

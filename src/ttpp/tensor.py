@@ -15,16 +15,16 @@ The cost of a small graph is the tape and the numpy calls per node, not
 the flops. So each model layer is one fused op with one node and a
 hand-written backward: ``mlp_norm`` (two dense layers, layer norm and
 dropout: the prediction block), ``attention`` (multi-head attention of one
-query row over a memory) and ``lstm_step`` (one LSTM cell step). Each
-predictor's whole rollout is one too: ``ppm_rollout`` and ``lstm_rollout``
-write every step's input into one preallocated buffer and run back through
-time by hand, building two tensors (the features and their logits). Each
-op computes what a chain of single ops (matmul, add, relu, softmax, ...)
-would, with the same numpy reductions on the same memory layouts, and adds
-each gradient's terms in that chain's order, so the numbers match bit for
-bit. Arrays only a backward reads are kept only while taping. Dropout takes
-a keep mask drawn by `keep_mask`, so a caller can draw the masks of a whole
-batch at once in the order per-sample draws would read them.
+query row over a memory) and ``lstm_step`` (an LSTM over a whole window).
+Each predictor's whole rollout is one too: ``ppm_rollout`` and
+``lstm_rollout`` write every step's input into one preallocated buffer and
+run back through time by hand, building two tensors (the features and
+their logits). The tests hold each op to an oracle: the forward of a
+rollout or of an LSTM window equals the chain of single-op nodes it
+replaces bit for bit, and every other value, gradients included, is within
+1e-12. Arrays only a backward reads are kept only while taping. Dropout
+takes a keep mask drawn by `keep_mask`, so a caller can draw the masks of
+a whole batch at once in the order per-sample draws would read them.
 """
 
 from __future__ import annotations
@@ -550,49 +550,28 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
     heads = np.add.reduce(spread * v, axis=-3).reshape(lead + (1, d))
     data = (heads.reshape(-1, d) @ wo.data).reshape(lead + (1, d))
 
-    # The copies below keep each reduction's input in the layout, and so the
-    # summation order, that the chain of single ops gave it.
-    def backward(g):
+    def backward(g):  # the query's and memory's gradients only when they are tracked
         rows = g.reshape(-1, d)
-        if wo._tracked:
-            wo._accumulate(heads.reshape(-1, d).T @ rows)
-        g_prod = np.broadcast_to(
-            (rows @ wo.data.T).reshape(lead + (1, n_heads, d_k)), v.shape
-        ).copy()
-        if wv._tracked or memory._tracked:
-            g_v = (g_prod * spread).reshape(-1, d)
-            if wv._tracked:
-                wv._accumulate(mem_rows.T @ g_v)
-            if memory._tracked:
-                memory._accumulate((g_v @ wv.data.T).reshape(memory.data.shape))
-        if not (wq._tracked or wk._tracked or query._tracked or memory._tracked):
-            return
-        g_w = np.ascontiguousarray(
-            _unbroadcast(g_prod * v, spread.shape).reshape(lead + (m, n_heads)).transpose(swap)
-        )
-        g_scores = np.ascontiguousarray(
-            (weights * (g_w - (g_w * weights).sum(axis=-1, keepdims=True)) * scale)
-            .transpose(swap)
-        )
-        g_qk = np.broadcast_to(np.expand_dims(g_scores, -1), k.shape).copy()
-        if wk._tracked or memory._tracked:
-            g_k = (g_qk * q).reshape(-1, d)
-            if wk._tracked:
-                wk._accumulate(mem_rows.T @ g_k)
-            if memory._tracked:
-                memory._accumulate((g_k @ wk.data.T).reshape(memory.data.shape))
-        if wq._tracked or query._tracked:
-            g_q = _unbroadcast(g_qk * k, q.shape).reshape(-1, d)
-            if wq._tracked:
-                wq._accumulate(query.data.reshape(-1, d).T @ g_q)
-            if query._tracked:
-                query._accumulate((g_q @ wq.data.T).reshape(query.data.shape))
+        _send(wo, heads.reshape(-1, d).T @ rows)
+        g_heads = (rows @ wo.data.T).reshape(lead + (1, n_heads, d_k))
+        g_v = (spread * g_heads).reshape(-1, d)
+        g_w = np.add.reduce(v * g_heads, axis=-1).transpose(swap)
+        g_scores = np.expand_dims((_softmax_grad(g_w, weights) * scale).transpose(swap), -1)
+        g_k = (g_scores * q).reshape(-1, d)
+        g_q = np.add.reduce(g_scores * k, axis=-3).reshape(-1, d)
+        _send(wv, mem_rows.T @ g_v)
+        _send(wk, mem_rows.T @ g_k)
+        _send(wq, query.data.reshape(-1, d).T @ g_q)
+        if memory._tracked:
+            memory._accumulate((g_v @ wv.data.T + g_k @ wk.data.T).reshape(memory.data.shape))
+        if query._tracked:
+            query._accumulate((g_q @ wq.data.T).reshape(query.data.shape))
 
     return _make(data, (query, memory, wq, wk, wv, wo), backward), weights
 
 
-def _cell_forward(xh, c, w, b, tape: bool, h_out=None, c_out=None):
-    """`lstm_step` on 2-D rows [x | h] and c into `h_out`, `c_out` (new if None);
+def _cell_forward(xh, c, w, b, tape: bool, h_out):
+    """One LSTM cell step on 2-D rows [x | h] and c, writing h' into `h_out`;
     returns h', c' and, if taping, the backward's inputs. Callers run it under
     np.errstate(over="ignore"): a gate below -709 overflows exp to its right 0."""
     d_h = c.shape[1]
@@ -600,7 +579,7 @@ def _cell_forward(xh, c, w, b, tape: bool, h_out=None, c_out=None):
     pre += b.data
     gates = 1.0 / (1.0 + np.exp(-pre))  # all four blocks; the g block goes unused
     cand = np.tanh(pre[:, 2 * d_h : 3 * d_h])
-    c_new = np.multiply(gates[:, d_h : 2 * d_h], c, out=c_out)
+    c_new = gates[:, d_h : 2 * d_h] * c
     c_new += gates[:, :d_h] * cand
     tc = np.tanh(c_new)
     h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
@@ -623,33 +602,40 @@ def _cell_backward(gh, gc, cache, w, b):
 
 
 def lstm_step(x, state, w, b) -> Tensor:
-    """One LSTM cell step as one node, from and to the state [h | c] side by side.
+    """An LSTM over a window as one node: the state [h | c] side by side after
+    the last row, run back through time by hand.
 
-    `x` is (..., d_in), `state` is (..., 2 d_h), `w` is (d_in + d_h,
-    4 d_h) with the x rows first, and `b` is (4 d_h,). The gates i, f, g,
-    o own column blocks 0 to 3: c' = f c + i g and h' = o tanh(c'), with
+    `x` is (..., T, d_in) with rows in time order, `state` the (..., 1,
+    2 d_h) state before the first row, `w` is (d_in + d_h, 4 d_h) with the
+    x rows first, and `b` is (4 d_h,). The gates i, f, g, o own column
+    blocks 0 to 3: c' = f c + i g and h' = o tanh(c') per row, with
     sigmoid i, f, o and tanh g.
     """
     d_h = b.data.shape[0] // 4
-    d_in = x.data.shape[-1]
-    if (w.data.shape != (d_in + d_h, 4 * d_h) or state.data.shape[-1] != 2 * d_h
-            or x.data.shape[:-1] != state.data.shape[:-1]):
-        raise ShapeError(
-            f"lstm_step: x {x.data.shape}, state {state.data.shape} "
-            f"for weight {w.data.shape} and bias {b.data.shape}"
-        )
+    shape = x.data.shape
+    if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (shape[-1] + d_h, 4 * d_h)
+            or state.data.shape != shape[:-2] + (1, 2 * d_h)):
+        raise ShapeError(f"lstm_step: x {x.data.shape}, state {state.data.shape} "
+                         f"for weight {w.data.shape} and bias {b.data.shape}")
+    t, d_in = shape[-2:]
     rows = state.data.reshape(-1, 2 * d_h)
-    xh = np.concatenate([x.data.reshape(-1, d_in), rows[:, :d_h]], axis=-1)
-    data = np.empty(rows.shape)
+    xh = np.empty((t + 1, len(rows), d_in + d_h))  # [x_s | h_s] in w's row order; h_T
+    xh[:t, :, :d_in] = x.data.reshape(-1, t, d_in).swapaxes(0, 1)
+    xh[0, :, d_in:] = rows[:, :d_h]
+    c, caches, tape = rows[:, d_h:], [None] * t, _tapes((x, state, w, b))
     with np.errstate(over="ignore"):
-        _, _, cache = _cell_forward(xh, rows[:, d_h:], w, b, _tapes((x, state, w, b)),
-                                    data[:, :d_h], data[:, d_h:])
+        for s in range(t):
+            _, c, caches[s] = _cell_forward(xh[s], c, w, b, tape, xh[s + 1, :, d_in:])
+    data = np.concatenate([xh[t, :, d_in:], c], axis=-1)
 
     def backward(g):
-        g = g.reshape(-1, 2 * d_h)
-        gxh, gc = _cell_backward(g[:, :d_h], g[:, d_h:], cache, w, b)
-        _send(x, gxh[:, :d_in].reshape(x.data.shape))
-        _send(state, np.concatenate([gxh[:, d_in:], gc], axis=-1).reshape(state.data.shape))
+        gh, gc = np.split(g.reshape(-1, 2 * d_h), 2, axis=1)
+        gx = np.empty((len(rows), t, d_in))
+        for s in reversed(range(t)):
+            gxh, gc = _cell_backward(gh, gc, caches[s], w, b)
+            gx[:, s], gh = gxh[:, :d_in], gxh[:, d_in:]
+        _send(x, gx.reshape(x.data.shape))
+        _send(state, np.concatenate([gh, gc], axis=-1).reshape(state.data.shape))
 
     return _make(data.reshape(state.data.shape), (x, state, w, b), backward)
 

@@ -166,6 +166,25 @@ class TestLSTMEncode:
         with pytest.raises(ValueError, match="lstm_step"):
             lstm_encode(Tensor(np.zeros((4, 4))), params)
 
+    def test_one_step_call_and_one_errstate_per_window(self, monkeypatch):
+        # the whole (B, T, d_m) stack runs as one lstm_step node under one errstate
+        import ttpp.baselines as baselines
+
+        calls = {"lstm_step": 0, "errstate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(baselines, "lstm_step", counted("lstm_step", baselines.lstm_step))
+        monkeypatch.setattr(np, "errstate", counted("errstate", np.errstate))
+        params = init_lstm_params(4, 4, np.random.default_rng(15))
+        out = lstm_encode(Tensor(np.random.default_rng(16).normal(size=(3, 8, 4))), params)
+        assert out.shape == (3, 1, 4) and out._parents
+        assert calls == {"lstm_step": 1, "errstate": 1}
+
     def test_gradient(self):
         rng = np.random.default_rng(12)
         params = init_lstm_params(4, 4, rng)

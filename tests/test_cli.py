@@ -195,6 +195,24 @@ class TestTrainEval:
         labels, rows = read_report_csv(report)
         assert len(labels) == 1 and 0.0 <= rows["ttm-ppm"][0] <= 1.0
 
+    def test_eval_refuses_heldout_too_short_for_every_horizon(self, tmp_path, capsys):
+        # seq_len 8 + horizon 2 = 10 chunks; at 9 only horizon 1 has an anchor
+        run, report = tmp_path / "run", tmp_path / "report.csv"
+        assert main(["train", "--out-dir", str(run), *FAST]) == 0
+        evaluate = ["eval", "--checkpoint", str(run / "checkpoint.bin"), "--out", str(report),
+                    *FAST]
+        assert main([*evaluate, "--set", "data.length=9"]) == 1
+        err = capsys.readouterr().err
+        assert "seq_len + horizon = 10 chunks" in err and "data.length = 9" in err
+        assert not report.exists()
+        data = tmp_path / "short"
+        assert main(["gen", "--out-dir", str(data), *FAST, "--set", "data.length=9"]) == 0
+        assert main([*evaluate, "--data", str(data / "heldout")]) == 1
+        assert str(data / "heldout") in capsys.readouterr().err
+        assert main([*evaluate, "--set", "data.length=10"]) == 0
+        _, rows = read_report_csv(report)
+        assert not np.isnan(rows["ttm-ppm"]).any()
+
     def test_eval_without_checkpoint_names_path(self, tmp_path, capsys):
         rc = main([
             "eval", "--checkpoint", str(tmp_path / "missing.bin"),
@@ -353,6 +371,20 @@ class TestGrid:
         assert "--heldout-data" in capsys.readouterr().err
         assert not (tmp_path / "g.csv").exists()
 
+    def test_short_heldout_files_are_refused_before_any_cell_trains(self, tmp_path, capsys):
+        data, short = tmp_path / "data", tmp_path / "short"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        assert main(["gen", "--out-dir", str(short), *FAST, "--set", "data.length=9"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "g.csv"
+        rc = main(["grid", "--data", str(data / "train"), "--heldout-data",
+                   str(short / "heldout"), "--out", str(out), *FAST])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert "seq_len + horizon = 10 chunks" in captured.err
+        assert str(short / "heldout") in captured.err
+        assert not out.exists()
+
 
 class TestDumpAttention:
     def test_weights_rows_sum_to_one(self, tmp_path):
@@ -406,6 +438,28 @@ class TestDumpAttention:
                 for (head, m), weight in np.ndenumerate(per_head):
                     expected[seq.video_id, t, head, t - config.seq_len + 1 + m] = weight
         assert dumped == expected
+
+    def test_counts_the_sequences_it_wrote(self, tmp_path, capsys):
+        data, short, run = tmp_path / "data", tmp_path / "short", tmp_path / "run"
+        assert main(["gen", "--out-dir", str(data), *FAST]) == 0
+        assert main(["gen", "--out-dir", str(short), *FAST, "--set", "data.length=5"]) == 0
+        assert main(["train", "--data", str(data / "train"), "--out-dir", str(run), *FAST]) == 0
+        dump = ["dump-attention", "--checkpoint", str(run / "checkpoint.bin"), *FAST]
+        capsys.readouterr()
+        # no heldout sequence has seq_len = 8 chunks: nothing to write
+        out = tmp_path / "a.csv"
+        assert main([*dump, "--set", "data.length=5", "--out", str(out)]) == 1
+        assert "seq_len = 8 chunks" in capsys.readouterr().err
+        assert not out.exists()
+        # two full sequences and one of 5 chunks, which has no window
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for path in [*(data / "heldout").glob("*.feat"), *(short / "heldout").glob("*.feat")][:3]:
+            (mixed / f"{path.parent.parent.name}-{path.name}").write_bytes(path.read_bytes())
+        assert main([*dump, "--data", str(mixed), "--out", str(out)]) == 0
+        assert "wrote attention weights for 2 sequences" in capsys.readouterr().out
+        written = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+        assert len(written) == 2
 
     def test_requires_transformer_aggregator(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -260,11 +260,11 @@ class TestGradCheck:
         dense = [Tensor(rng.normal(size=shape)) for shape in ((5, 3), (3,), (3, 5), (5,))]
         proj = [Tensor(rng.normal(size=(5, 5))) for _ in range(4)]
         cost_a = Tensor(rng.normal(size=(1, 5)))
-        h, c = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+        h, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
         cell = [Tensor(np.concatenate([h, c], axis=-1))] + [
             Tensor(rng.normal(size=shape)) for shape in ((7, 8), (8,))
         ]
-        cost_l = Tensor(rng.normal(size=(4, 4)))
+        cost_l = Tensor(rng.normal(size=(1, 4)))
 
         cases = {
             "matmul": lambda t: matmul(t, Tensor(w)).sum(),
@@ -272,7 +272,7 @@ class TestGradCheck:
             "mlp_norm": lambda t: (mlp_norm(t, *dense, gain, bias) * cost).sum(),
             "relu": lambda t: (relu(t) * cost).sum(),
             "attention": lambda t: (attention(t[0:1], t[1:], *proj, 1)[0] * cost_a).sum(),
-            "lstm_step": lambda t: (lstm_step(t, *cell) * cost_l).sum(),
+            "lstm_step": lambda t: (lstm_step(t, *cell) * cost_l).sum(),  # a 4-row window
             "log_softmax": lambda t: (log_softmax(t) * cost).sum(),
             "slice_concat": lambda t: matmul(t[1:3], Tensor(w)).sum()
             + (concat([t[3:4], t[0:1] * 2.0, t[2:3]], axis=0) * cost[:3]).sum()
@@ -557,8 +557,38 @@ class TestFusedOpsMatchOracles:
             attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
                       *[Tensor(np.eye(4))] * 4, 2)
         with pytest.raises(ShapeError, match="lstm_step"):
-            lstm_step(z, Tensor(np.zeros((2, 6))), Tensor(np.zeros((6, 12))),
+            lstm_step(z, Tensor(np.zeros((1, 6))), Tensor(np.zeros((6, 12))),
                       Tensor(np.zeros(12)))
+        w, b = Tensor(np.zeros((7, 12))), Tensor(np.zeros(12))
+        for x_shape, state_shape in [
+            ((2, 4, 4), (2, 6)),  # the state has no row axis
+            ((2, 4, 4), (2, 2, 6)),  # two state rows
+            ((2, 0, 4), (2, 1, 6)),  # an empty window
+            ((4,), (1, 6)),  # x has no row axis
+        ]:
+            with pytest.raises(ShapeError, match="lstm_step"):
+                lstm_step(Tensor(np.zeros(x_shape)), Tensor(np.zeros(state_shape)), w, b)
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    def test_lstm_window_equals_chained_rows(self, lead, t):
+        # forward bit for bit; gradients, the window's and the initial state's too
+        rng = np.random.default_rng(70 + t)
+        d_in, d_h = 4, 3
+        shapes = [(*lead, t, d_in), (*lead, 1, 2 * d_h), (d_in + d_h, 4 * d_h), (4 * d_h,)]
+        arrays = [rng.normal(size=s) for s in shapes]
+        cost = rng.normal(size=(*lead, 1, 2 * d_h))
+
+        def chained(x, state, w, b):
+            for s in range(t):
+                state = lstm_step(x[..., s : s + 1, :], state, w, b)
+            return state
+
+        out, grads = taped(lstm_step, arrays, cost)
+        want, want_grads = taped(chained, arrays, cost)
+        np.testing.assert_array_equal(out.data, want.data)
+        for name, got, expected in zip(["x", "state", "w", "b"], grads, want_grads):
+            assert_close(got, expected, name)
 
 
 batch_lead = st.lists(st.integers(1, 3), max_size=2)
@@ -607,11 +637,12 @@ class TestFusedGradientProperties:
         assert grad_check(f, [query, memory, *weights] if tracked else weights) < 1e-5
 
     @settings(max_examples=30, deadline=None)
-    @given(lead=batch_lead, d_in=st.integers(1, 3), d_h=st.integers(1, 2),
+    @given(lead=batch_lead, t=st.integers(1, 4), d_in=st.integers(1, 3), d_h=st.integers(1, 2),
            tracked=st.booleans(), seed=st.integers(0, 2**16))
-    def test_lstm_step(self, lead, d_in, d_h, tracked, seed):
+    def test_lstm_step(self, lead, t, d_in, d_h, tracked, seed):
         rng = np.random.default_rng(seed)
-        x, state = (Tensor(rng.normal(size=(*lead, 1, d))) for d in (d_in, 2 * d_h))
+        x = Tensor(rng.normal(size=(*lead, t, d_in)))
+        state = Tensor(rng.normal(size=(*lead, 1, 2 * d_h)))
         w = Tensor(rng.normal(size=(d_in + d_h, 4 * d_h)))
         b = Tensor(rng.normal(size=4 * d_h))
         cost = Tensor(rng.normal(size=(*lead, 1, 2 * d_h)))
@@ -874,16 +905,16 @@ class TestReluAndGates:
         d = 3
         bias = Tensor(np.concatenate([np.full(d, -1000.0), np.full(d, 1000.0), np.zeros(d),
                                       np.full(d, -1000.0)]), requires_grad=True)
-        state = Tensor(np.concatenate([np.zeros((2, d)), np.ones((2, d))], axis=-1),
+        state = Tensor(np.concatenate([np.zeros((1, d)), np.ones((1, d))], axis=-1),
                        requires_grad=True)
         w = Tensor(np.zeros((2 * d, 4 * d)), requires_grad=True)
-        cost = Tensor(np.random.default_rng(93).normal(size=(2, 2 * d)))
+        cost = Tensor(np.random.default_rng(93).normal(size=(1, 2 * d)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = lstm_step(Tensor(np.zeros((2, d))), state, w, bias)
+            out = lstm_step(Tensor(np.zeros((2, d))), state, w, bias)  # a 2-row window
             (out * cost).sum().backward()
-            # c' = f c + i g = 1 exactly, and h' = o tanh(c') = 0 exactly
-            np.testing.assert_array_equal(out.data, np.tile([0.0] * d + [1.0] * d, (2, 1)))
+            # each row keeps c' = f c + i g = 1 exactly and gives h' = o tanh(c') = 0 exactly
+            np.testing.assert_array_equal(out.data, [[0.0] * d + [1.0] * d])
             assert all(np.isfinite(t.grad).all() for t in (w, bias, state))
             bias.grad = None
             features, logits = lstm_rollout(
@@ -900,15 +931,15 @@ class TestTapeNodes:
     One node per fused layer call, and two tensors per rollout: the
     features node and its logits child. ttm-ppm builds 8 others (input,
     position rows and their sum, query and memory slices, attention,
-    residual, the last feature); lstm-lstm 2 per encoder step (input
-    slice, cell) and 6 others (input, initial state, the summary's slice,
-    the last feature slice, the shortcut sum, the last feature).
+    residual, the last feature); lstm-lstm 7 (input, initial state, the
+    encoder's one `lstm_step` over the window, the summary's slice, the
+    last feature slice, the shortcut sum, the last feature).
     Splitting a fused layer or rollout back into single ops raises these
     counts.
     """
 
     @pytest.mark.parametrize("aggregator, predictor, nodes", [("ttm", "ppm", 10),
-                                                               ("lstm", "lstm", 24)])
+                                                               ("lstm", "lstm", 9)])
     def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         window = np.random.default_rng(0).normal(size=(8, 16))
