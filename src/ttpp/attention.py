@@ -13,11 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, attention, glorot
+from .tensor import Parameter, ParameterSet, Tensor, attention, glorot
 
 
 @dataclass
-class TTMParams:
+class TTMParams(ParameterSet):
     """Query/key/value projections of every head, plus the output projection.
 
     `wq`, `wk` and `wv` are each d_m x d_m: head h owns columns h*d_k to
@@ -30,9 +30,6 @@ class TTMParams:
     wv: Parameter
     wo: Parameter
     n_heads: int
-
-    def parameters(self) -> list[Parameter]:
-        return [self.wq, self.wk, self.wv, self.wo]
 
 
 def init_ttm_params(d_m: int, n_heads: int, rng) -> TTMParams:

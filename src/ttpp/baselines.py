@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prediction import PredictionBlockParams, Rollout, init_block_params
-from .tensor import (Parameter, Tensor, concat, glorot, lstm_rollout, lstm_step, matmul, mlp_norm,
-                     relu, reshape, softmax)
+from .tensor import (Parameter, ParameterSet, Tensor, concat, glorot, lstm_rollout, lstm_step,
+                     matmul, mlp_norm, relu, reshape, softmax)
 
 CONV_LAYERS = 3
 CONV_KERNEL = 3
@@ -25,14 +25,11 @@ CONV_PAD = 1  # symmetric zero rows per layer
 
 
 @dataclass
-class Conv1DStack:
+class Conv1DStack(ParameterSet):
     """Three temporal conv layers, each kernel 3, stride 2, d_m -> d_m."""
 
     weights: list[Parameter]  # each (3*d_m, d_m)
     biases: list[Parameter]  # each (d_m,)
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.weights, *self.biases]
 
 
 def init_conv1d_params(d_m: int, rng) -> Conv1DStack:
@@ -89,7 +86,7 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
 
 
 @dataclass
-class LSTMParams:
+class LSTMParams(ParameterSet):
     """All four gates as one (d_in + d_h) x 4*d_h weight and one 4*d_h bias.
 
     Rows take the input x first, then the previous hidden state h; the
@@ -99,9 +96,6 @@ class LSTMParams:
 
     w: Parameter
     b: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
 
 def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMParams:
@@ -128,14 +122,11 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(ParameterSet):
     """The LSTM decoder's cell and its classifier."""
 
     lstm: LSTMParams
     classifier: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.lstm.parameters(), self.classifier]
 
 
 def init_lstm_decoder_params(d_m: int, n_classes: int, rng) -> DecoderParams:
@@ -157,15 +148,12 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -
 
 
 @dataclass
-class SSPParams:
+class SSPParams(ParameterSet):
     """One block predicting any single horizon, tagged by a one-hot slot."""
 
     block: PredictionBlockParams
     classifier: Parameter
     horizon: int
-
-    def parameters(self) -> list[Parameter]:
-        return [*self.block.parameters(), self.classifier]
 
 
 def init_ssp_params(d_m: int, n_classes: int, horizon: int, rng) -> SSPParams:

@@ -1,4 +1,5 @@
-"""Feature sequences: the binary .feat format and synthetic generation.
+"""Feature sequences, synthetic generation, and the reader and writer of
+the binary files (.feat feature files and model checkpoints).
 
 A sequence is one untrimmed stream of per-chunk feature rows with one
 class label per chunk (class 0 is background). The synthetic generator
@@ -9,6 +10,7 @@ predictor derived from the process itself.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,14 +20,6 @@ import numpy as np
 FEATURE_MAGIC = b"TTPPFEAT"
 FEATURE_VERSION = 1
 DURATION_LAWS = ("geometric", "fixed")
-
-
-class FeatureFileError(ValueError):
-    """Named parse failure, carrying the byte offset where it was detected."""
-
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at byte offset {offset})")
-        self.offset = offset
 
 
 @dataclass
@@ -69,60 +63,114 @@ class TrainingSample:
     future_labels: np.ndarray  # (horizon, n_classes) one-hot float64
 
 
+# Both binary layouts are little-endian: an 8-byte magic, a u16 version, then
+#   .feat v1 (TTPPFEAT): u32 T, u32 d_m, u32 C, T x d_m float32 rows, T u16 labels;
+#   checkpoint v2 (TTPPCKPT): u32 parameter count, u32 length + utf-8 ModelConfig JSON,
+#     then per parameter u16 length + utf-8 name, u8 ndim, ndim u32 dims, float64 values.
+
+
+class FileFormatError(ValueError):
+    """A refused binary file, naming it and the cause; `.offset` is the byte offset."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(f"{message} (at byte offset {offset})")
+        self.offset = offset
+
+
+class Reader:
+    """Bounds-checked cursor over one binary file's fields after its magic and version.
+
+    Sizes are Python ints. A non-finite float, a string that is not utf-8
+    and bytes after the last field are refused at their offset."""
+
+    def __init__(self, path, magic: bytes, version: int):
+        self.blob = Path(path).read_bytes()
+        self.path, self.offset = path, len(magic)
+        if self.blob[: len(magic)] != magic:
+            raise self.error(f"bad magic, expected {magic!r}", 0)
+        (found,) = self.unpack("H", "header")
+        if found != version:
+            raise self.error(f"unsupported version {found}", len(magic))
+
+    def error(self, message: str, offset: int) -> FileFormatError:
+        return FileFormatError(f"{self.path}: {message}", offset)
+
+    def take(self, size: int, what: str) -> bytes:
+        start, self.offset = self.offset, self.offset + size
+        if self.offset > len(self.blob):
+            raise self.error(f"truncated {what}: need {size} bytes", start)
+        return self.blob[start : self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt), what))
+
+    def text(self, length_fmt: str, what: str) -> str:
+        (size,) = self.unpack(length_fmt, what)
+        try:
+            return self.take(size, what).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not utf-8", self.offset - size + exc.start) from None
+
+    def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        size = np.dtype(dtype).itemsize
+        values = np.frombuffer(self.take(size * math.prod(shape), what), dtype)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            at = self.offset - values.nbytes + size * int(bad[0])
+            raise self.error(f"{what} holds a non-finite value {values[bad[0]]}", at)
+        return values.reshape(shape).copy()
+
+    def end(self) -> None:
+        if self.offset != len(self.blob):
+            raise self.error(f"{len(self.blob) - self.offset} trailing bytes", self.offset)
+
+
+class Writer:
+    """Reader's mirror: collects the fields, refusing a non-finite float by name, then writes."""
+
+    def __init__(self, path, magic: bytes, version: int):
+        self.path, self.chunks = path, [magic, struct.pack("<H", version)]
+
+    def pack(self, fmt: str, *values) -> None:
+        self.chunks.append(struct.pack("<" + fmt, *values))
+
+    def text(self, length_fmt: str, value: str) -> None:
+        raw = value.encode("utf-8")
+        self.chunks += [struct.pack("<" + length_fmt, len(raw)), raw]
+
+    def array(self, values: np.ndarray, dtype: str, what: str) -> None:
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            raise ValueError(f"{self.path}: not written, {what} holds a non-finite value "
+                             f"at index {tuple(bad[0].tolist())}")
+        self.chunks.append(np.ascontiguousarray(values, dtype=dtype).tobytes())
+
+    def write(self) -> None:
+        Path(self.path).write_bytes(b"".join(self.chunks))
+
+
 def save_features(seq: FeatureSequence, path) -> None:
-    """Binary format: magic, u16 version, u32 T_total, u32 d_m, u32 C,
-    float32 little-endian rows, then u16 labels."""
     if seq.n_classes > 65536:
-        raise ValueError(
-            f"save_features: labels are stored as u16, so n_classes must be <= 65536, "
-            f"got {seq.n_classes}"
-        )
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<HIII", FEATURE_VERSION, len(seq), seq.d_m, seq.n_classes))
-        fh.write(np.ascontiguousarray(seq.features, dtype="<f4").tobytes())
-        fh.write(seq.labels.astype("<u2").tobytes())
+        raise ValueError(f"save_features: labels are stored as u16, so n_classes must be "
+                         f"<= 65536, got {seq.n_classes}")
+    out = Writer(path, FEATURE_MAGIC, FEATURE_VERSION)
+    out.pack("III", len(seq), seq.d_m, seq.n_classes)
+    out.array(seq.features, "<f4", "features")
+    out.array(seq.labels, "<u2", "labels")
+    out.write()
 
 
 def load_features(path) -> FeatureSequence:
-    """Load the binary format; video_id is the file stem.
-
-    Every failure is a FeatureFileError naming the file: a short or padded
-    file, an unknown version, a non-finite feature value or a label out of
-    range.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-
-    def fail(message: str, offset: int) -> FeatureFileError:
-        return FeatureFileError(f"{path}: {message}", offset)
-
-    if len(blob) < 8 or blob[:8] != FEATURE_MAGIC:
-        raise fail(f"bad magic, expected {FEATURE_MAGIC!r}", 0)
-    if len(blob) < 22:
-        raise fail("truncated header", len(blob))
-    version, t_total, d_m, n_classes = struct.unpack_from("<HIII", blob, 8)
-    if version != FEATURE_VERSION:
-        raise fail(f"unsupported version {version}", 8)
-    offset = 22
-    feat_bytes = 4 * t_total * d_m
-    if len(blob) < offset + feat_bytes:
-        raise fail(f"truncated features: need {feat_bytes} bytes for {t_total}x{d_m}", len(blob))
-    features = np.frombuffer(blob[offset : offset + feat_bytes], dtype="<f4")
-    bad = np.flatnonzero(~np.isfinite(features))
+    """video_id is the file stem; a label out of range is refused at its offset."""
+    r = Reader(path, FEATURE_MAGIC, FEATURE_VERSION)
+    t_total, d_m, n_classes = r.unpack("III", "header")
+    features = r.array("<f4", (t_total, d_m), "features")
+    labels = r.array("<u2", (t_total,), "labels").astype(np.int64)
+    bad = np.flatnonzero(labels >= n_classes)
     if bad.size:
-        raise fail(f"non-finite feature value {features[bad[0]]}", offset + 4 * int(bad[0]))
-    features = features.reshape(t_total, d_m).copy()
-    offset += feat_bytes
-    label_bytes = 2 * t_total
-    if len(blob) < offset + label_bytes:
-        raise fail(f"truncated labels: need {label_bytes} bytes", len(blob))
-    labels = np.frombuffer(blob[offset : offset + label_bytes], dtype="<u2").astype(np.int64)
-    offset += label_bytes
-    if len(blob) != offset:
-        raise fail(f"{len(blob) - offset} trailing bytes", offset)
-    if len(labels) and labels.max() >= n_classes:
-        raise fail(f"label {labels.max()} out of range for {n_classes} classes", offset)
+        at = r.offset - 2 * (t_total - int(bad[0]))
+        raise r.error(f"label {labels[bad[0]]} out of range for {n_classes} classes", at)
+    r.end()
     return FeatureSequence(Path(path).stem, features, labels, n_classes)
 
 

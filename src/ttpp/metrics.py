@@ -95,7 +95,7 @@ def evaluate_horizons(
     sequences,
     horizon: int,
     seq_len: int,
-    metric: str = "map",
+    metric: str,
 ) -> HorizonReport:
     """Score every future chunk at every horizon and reduce per metric.
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import attention, baselines, prediction
+from .data import Reader, Writer
 from .tensor import Parameter, Tensor, keep_mask, no_grad
 
 AGGREGATORS = ("ttm", "conv1d", "lstm")
@@ -191,82 +191,40 @@ def grid_configs(base: ModelConfig) -> list[ModelConfig]:
     return cells
 
 
-# checkpoint format v2: magic, u16 version, u32 parameter count, u32 length
-# of the ModelConfig as utf8 JSON, the JSON, then per parameter u16 name
-# length + utf8 name, u8 ndim, u32 dims, float64 little-endian data.
-# Fused layouts: ttm.q, ttm.k and ttm.v hold head h in columns h*d_k to
-# (h+1)*d_k; enc.w and dec.w hold the x rows, then the h rows, and the gate
-# column blocks in i, f, g, o order.
+# Byte layout: next to `data.Reader`. Fused layouts: ttm.q, ttm.k and ttm.v
+# hold head h in columns h*d_k to (h+1)*d_k; enc.w and dec.w hold the x rows,
+# then the h rows, and the gate column blocks in i, f, g, o order.
 
 
 def save_checkpoint(model: AnticipationModel, path) -> None:
-    with open(path, "wb") as fh:
-        params = model.parameters()
-        config = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HII", CHECKPOINT_VERSION, len(params), len(config)))
-        fh.write(config)
-        for p in params:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<B", p.value.data.ndim))
-            for dim in p.value.data.shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(p.value.data.astype("<f8").tobytes())
+    params = model.parameters()
+    out = Writer(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    out.pack("I", len(params))
+    out.text("I", json.dumps(asdict(model.config), sort_keys=True))
+    for p in params:
+        out.text("H", p.name)
+        out.pack(f"B{p.value.data.ndim}I", p.value.data.ndim, *p.shape)
+        out.array(p.value.data, "<f8", f"parameter {p.name!r}")
+    out.write()
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Returns (the config the model was built with, parameters by name)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic at offset 0 in {path}")
-    offset = 8
-    state: dict[str, np.ndarray] = {}
+    r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+    (count,) = r.unpack("I", "header")
+    config_at = r.offset + 4  # past the JSON's u32 length
+    fields = r.text("I", "model config")
     try:
-        (version,) = struct.unpack_from("<H", blob, offset)
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version} at offset 8 in {path}")
-        count, config_len = struct.unpack_from("<II", blob, offset + 2)
-        offset += 10
-        fields = json.loads(blob[offset : offset + config_len].decode("utf-8"))
-        try:
-            config = ModelConfig(**fields)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"model config in checkpoint {path} is invalid: {exc}") from None
-        offset += config_len
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, offset)
-            offset += 2
-            name = blob[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", blob, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-            offset += 4 * ndim
-            n = int(np.prod(shape)) if ndim else 1
-            end = offset + 8 * n
-            if end > len(blob):
-                raise struct.error("short read")
-            values = np.frombuffer(blob[offset:end], dtype="<f8")
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(
-                    f"parameter {name!r} holds a non-finite value at offset "
-                    f"{offset + 8 * int(bad[0])} in {path}"
-                )
-            state[name] = values.reshape(shape).copy()
-            offset = end
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:
-        raise ValueError(
-            f"truncated/corrupt checkpoint at offset {offset} in {path}: {exc}"
-        ) from exc
-    if offset != len(blob):
-        raise ValueError(
-            f"{len(blob) - offset} trailing bytes after the last parameter "
-            f"at offset {offset} in {path}"
-        )
+        config = ModelConfig(**json.loads(fields))
+    except (TypeError, ValueError) as exc:
+        raise r.error(f"invalid model config: {exc}", config_at) from None
+    state: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        name = r.text("H", "parameter name")
+        (ndim,) = r.unpack("B", f"shape of parameter {name!r}")
+        shape = r.unpack(f"{ndim}I", f"shape of parameter {name!r}")
+        state[name] = r.array("<f8", shape, f"parameter {name!r}")
+    r.end()
     return config, state
 
 

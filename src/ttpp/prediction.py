@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, Tensor, glorot, ppm_rollout, softmax
+from .tensor import Parameter, ParameterSet, Tensor, glorot, ppm_rollout, softmax
 
 
 @dataclass
-class PredictionBlockParams:
-    """Two FC layers (in -> d_m/2 -> d_m) plus layer-norm gain/bias, run by `mlp_norm`."""
+class PredictionBlockParams(ParameterSet):
+    """Two FC layers (in -> d_m/2 -> d_m) plus layer-norm gain/bias, in `mlp_norm`'s order."""
 
     fc1_w: Parameter
     fc1_b: Parameter
@@ -27,16 +27,9 @@ class PredictionBlockParams:
     ln_gain: Parameter
     ln_bias: Parameter
 
-    def parameters(self) -> list[Parameter]:
-        return [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b, self.ln_gain, self.ln_bias]
-
-    def values(self) -> tuple[Tensor, ...]:
-        """The tensors in the order `mlp_norm` takes them."""
-        return tuple(p.value for p in self.parameters())
-
 
 @dataclass
-class PPMParams:
+class PPMParams(ParameterSet):
     """Initial block, the shared progressive block, and the classifier.
 
     The progressive block is one parameter set reused by every step after
@@ -47,13 +40,6 @@ class PPMParams:
     initial: PredictionBlockParams
     progressive: PredictionBlockParams
     classifier: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [
-            *self.initial.parameters(),
-            *self.progressive.parameters(),
-            self.classifier,
-        ]
 
 
 @dataclass

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -697,6 +698,27 @@ class Parameter:
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.shape})"
+
+
+class ParameterSet:
+    """Base of the parameter dataclasses: `parameters()` lists the Parameter
+    fields in declaration order, going down into lists and nested sets, so a
+    new field trains and checkpoints without being listed by hand."""
+
+    def parameters(self) -> list[Parameter]:
+        found = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    found.append(item)
+                elif isinstance(item, ParameterSet):
+                    found += item.parameters()
+        return found
+
+    def values(self) -> tuple[Tensor, ...]:
+        """The tensors of `parameters()`, in order."""
+        return tuple(p.value for p in self.parameters())
 
 
 def glorot(rng, rows: int, cols: int) -> np.ndarray:

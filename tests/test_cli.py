@@ -241,11 +241,12 @@ class TestTrainEval:
         path.write_bytes(b"TTPPCKPT\x02\x00")  # magic and version, no counts
         rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "r.csv"), *FAST])
         assert rc == 1
-        assert "truncated/corrupt checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: truncated header: need 4 bytes (at byte offset 10)" in err
         path.write_bytes(b"TTPPCKPT\x01\x00" + bytes(4))  # a version-1 header
         rc = main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "r.csv"), *FAST])
         assert rc == 1
-        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+        assert f"{path}: unsupported version 1 (at byte offset 8)" in capsys.readouterr().err
 
     def test_damaged_checkpoint_is_refused(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -299,7 +300,7 @@ class TestTrainEval:
         damaged.write_bytes(bytes(nan))
         assert main(eval_args) == 1
         err = capsys.readouterr().err
-        assert str(damaged) in err and "non-finite feature value" in err
+        assert f"{damaged}: features holds a non-finite value nan (at byte offset 42)" in err
         damaged.write_bytes(saved[:100])
         assert main(eval_args) == 1
         err = capsys.readouterr().err

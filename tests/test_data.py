@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ttpp.data import (
-    FeatureFileError,
     FeatureSequence,
+    FileFormatError,
     SyntheticConfig,
     gen_synthetic,
     horizon_transition,
@@ -21,6 +21,12 @@ from ttpp.data import (
     save_features,
     standard_synthetic_config,
 )
+
+
+def with_feature(blob: bytes, entry: int, value) -> bytes:
+    """A saved .feat file with its flat feature `entry` overwritten by `value`."""
+    at = 22 + 4 * entry
+    return blob[:at] + np.float32(value).tobytes() + blob[at + 4 :]
 
 
 def random_sequence(seed=0, length=20, d_m=6, n_classes=4, video_id="vid"):
@@ -55,7 +61,7 @@ class TestBinaryFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.feat"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-        with pytest.raises(FeatureFileError, match="magic") as err:
+        with pytest.raises(FileFormatError, match="magic") as err:
             load_features(path)
         assert err.value.offset == 0
 
@@ -65,7 +71,7 @@ class TestBinaryFormat:
         save_features(seq, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(FeatureFileError, match="truncated"):
+        with pytest.raises(FileFormatError, match="truncated"):
             load_features(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -73,7 +79,7 @@ class TestBinaryFormat:
         path = tmp_path / "g.feat"
         save_features(seq, path)
         path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(FeatureFileError, match="trailing"):
+        with pytest.raises(FileFormatError, match="trailing"):
             load_features(path)
 
     def test_label_out_of_range(self, tmp_path):
@@ -83,16 +89,17 @@ class TestBinaryFormat:
         blob = bytearray(path.read_bytes())
         blob[-2:] = (9).to_bytes(2, "little")  # final label becomes 9 >= 4
         path.write_bytes(bytes(blob))
-        with pytest.raises(FeatureFileError, match="out of range"):
+        with pytest.raises(FileFormatError, match="label 9 out of range for 4 classes") as err:
             load_features(path)
+        assert err.value.offset == len(blob) - 2
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_rejected_at_its_offset(self, tmp_path, value):
         seq = random_sequence(seed=5, length=6, d_m=3)
-        seq.features[4, 1] = value
         path = tmp_path / "n.feat"
         save_features(seq, path)
-        with pytest.raises(FeatureFileError, match="non-finite") as err:
+        path.write_bytes(with_feature(path.read_bytes(), 4 * 3 + 1, value))  # row 4, column 1
+        with pytest.raises(FileFormatError, match="non-finite") as err:
             load_features(path)
         assert err.value.offset == 22 + 4 * (4 * 3 + 1)
         assert str(path) in str(err.value)
@@ -102,19 +109,21 @@ class TestBinaryFormat:
         path = tmp_path / "named.feat"
         save_features(seq, path)
         blob = path.read_bytes()
+        labels_at = 22 + 4 * seq.features.size
         corruptions = {
-            "truncated header": blob[:15],
-            "unsupported version": blob[:8] + b"\x09\x00" + blob[10:],
-            "truncated features": blob[:100],
-            "truncated labels": blob[:-1],
-            "trailing": blob + b"x",
-            "magic": b"NOTMAGIC" + blob[8:],
+            "truncated header": (blob[:15], 10),
+            "unsupported version": (blob[:8] + b"\x09\x00" + blob[10:], 8),
+            "truncated features": (blob[:100], 22),
+            "truncated labels": (blob[:-1], labels_at),
+            "trailing": (blob + b"x", len(blob)),
+            "magic": (b"NOTMAGIC" + blob[8:], 0),
         }
-        for cause, corrupt in corruptions.items():
+        for cause, (corrupt, offset) in corruptions.items():
             path.write_bytes(corrupt)
-            with pytest.raises(FeatureFileError, match=cause) as err:
+            with pytest.raises(FileFormatError, match=cause) as err:
                 load_features(path)
             assert str(path) in str(err.value), cause
+            assert err.value.offset == offset, cause
 
     def test_labels_beyond_u16_rejected_on_save(self, tmp_path):
         # label 70000 would wrap to 4464 in the u16 field
@@ -122,6 +131,15 @@ class TestBinaryFormat:
         with pytest.raises(ValueError, match="65536"):
             save_features(seq, tmp_path / "big.feat")
         assert not (tmp_path / "big.feat").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_refused_on_save(self, tmp_path, value):
+        seq = random_sequence(seed=7, length=6, d_m=3)
+        seq.features[4, 1] = value
+        cause = r"features holds a non-finite value at index \(4, 1\)"
+        with pytest.raises(ValueError, match=cause):
+            save_features(seq, tmp_path / "n.feat")
+        assert not (tmp_path / "n.feat").exists()
 
 
 class TestGenSynthetic:
@@ -304,13 +322,13 @@ class TestFeatureFileProperties:
     def test_every_proper_prefix_is_refused(self, seq):
         blob = saved_bytes(seq)
         for end in range(len(blob)):
-            with pytest.raises(FeatureFileError):
+            with pytest.raises(FileFormatError):
                 load_bytes(blob[:end])
 
     @settings(max_examples=40, deadline=None)
     @given(seq=feature_sequences(), extra=st.binary(min_size=1, max_size=16))
     def test_appended_bytes_are_refused(self, seq, extra):
-        with pytest.raises(FeatureFileError, match="trailing"):
+        with pytest.raises(FileFormatError, match="trailing"):
             load_bytes(saved_bytes(seq) + extra)
 
     @settings(max_examples=40, deadline=None)
@@ -321,7 +339,6 @@ class TestFeatureFileProperties:
     )
     def test_a_non_finite_entry_is_refused_at_its_offset(self, seq, value, data):
         entry = data.draw(st.integers(0, seq.features.size - 1))
-        seq.features.flat[entry] = value
-        with pytest.raises(FeatureFileError, match="non-finite") as err:
-            load_bytes(saved_bytes(seq))
+        with pytest.raises(FileFormatError, match="non-finite") as err:
+            load_bytes(with_feature(saved_bytes(seq), entry, value))
         assert err.value.offset == 22 + 4 * entry

@@ -1,6 +1,7 @@
 """Tensor engine: forward semantics, backward passes, fused layer ops, SGD."""
 
 import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from ttpp.model import AnticipationModel, ModelConfig
+from ttpp.attention import TTMParams
+from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint, save_checkpoint
 from ttpp.tensor import (
     GradientError,
     Parameter,
+    ParameterSet,
     ShapeError,
     Tensor,
     add,
@@ -354,6 +357,46 @@ class TestSGD:
         p.value.grad = np.ones(2)
         sgd_step([p], lr=0.1, momentum=0.5)
         assert p.value.grad is None
+
+
+def named(name: str) -> Parameter:
+    return Parameter(name, np.zeros(2))
+
+
+class TestParameterSet:
+    def test_a_new_field_is_trained_and_checkpointed(self, tmp_path):
+        """A field a container gains is listed with no hand-kept list to update."""
+
+        @dataclass
+        class WithFeedForward(TTMParams):
+            ffn: Parameter
+
+        model = AnticipationModel(ModelConfig(), seed=0)
+        kept = {f.name: getattr(model.agg_params, f.name) for f in fields(TTMParams)}
+        model.agg_params = WithFeedForward(**kept, ffn=named("ttm.ffn"))
+        names = [p.name for p in model.parameters()]
+        assert names[:5] == ["ttm.q", "ttm.k", "ttm.v", "ttm.o", "ttm.ffn"]
+        assert names[5:] == [p.name for p in model.pred_params.parameters()]
+        save_checkpoint(model, tmp_path / "checkpoint.bin")
+        _, state = load_checkpoint(tmp_path / "checkpoint.bin")
+        assert list(state) == names
+
+    def test_lists_and_nested_sets_in_declaration_order(self):
+        @dataclass
+        class Inner(ParameterSet):
+            a: Parameter
+            width: int  # not a Parameter: skipped
+
+        @dataclass
+        class Outer(ParameterSet):
+            layers: list
+            inner: Inner
+            last: Parameter
+
+        outer = Outer([named("l0"), Inner(named("l1"), 3)], Inner(named("i"), 1), named("z"))
+        params = outer.parameters()
+        assert [p.name for p in params] == ["l0", "l1", "i", "z"]
+        assert all(v is p.value for v, p in zip(outer.values(), params, strict=True))
 
 
 class TestBatchedGradientProperties:
