@@ -63,11 +63,9 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
     reducing to exactly 1 is rejected.
     """
     t = f_seq.shape[-2]
-    if conv1d_lengths(t)[-1] != 1 or min(conv1d_lengths(t)) < 1:
-        raise ValueError(
-            f"conv1d_aggregate: T={t} does not reduce to length 1 "
-            f"(lengths {conv1d_lengths(t)})"
-        )
+    lengths = conv1d_lengths(t)
+    if lengths[-1] != 1:
+        raise ValueError(f"conv1d_aggregate: T={t} does not reduce to length 1 (lengths {lengths})")
     lead = f_seq.shape[:-2]
     d_m = f_seq.shape[-1]
     pad = Tensor(np.zeros(lead + (CONV_PAD, d_m)))

@@ -9,6 +9,7 @@ identical invocations produce identical files.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -22,7 +23,6 @@ from . import metrics as metricsmod
 from .model import (
     AnticipationModel,
     ModelConfig,
-    file_sha256,
     grid_configs,
     load_checkpoint,
     save_checkpoint,
@@ -136,37 +136,46 @@ def split_sequences(rc, split: str, data_dir=None) -> list[datamod.FeatureSequen
     return datamod.gen_synthetic(cfg, rc[count_key], rc["data.length"])
 
 
-def require_chunks(sequences, seq_len: int, horizon: int, rc, data_dir=None) -> None:
-    """Refuse heldout `sequences` none of which has seq_len + horizon chunks: the
-    report would average only the horizons (at horizon 0, windows) it could score."""
+def heldout_sequences(rc, seq_len: int, horizon: int, data_dir=None):
+    """The heldout split, refused when none of its sequences has seq_len + horizon
+    chunks: the report would average only the horizons (at horizon 0, windows)
+    it could score."""
+    sequences = split_sequences(rc, "heldout", data_dir)
     chunks, longest = seq_len + horizon, max(map(len, sequences), default=0)
     if longest < chunks:
         need = "seq_len + horizon" if horizon else "seq_len"
         where = f"under {data_dir}" if data_dir else f"at data.length = {rc['data.length']}"
         raise ValueError(f"no heldout sequence {where} has {need} = {chunks} chunks "
                          f"(the longest has {longest})")
+    return sequences
 
 
-def samples_from(sequences, seq_len: int, horizon: int):
-    samples = []
-    for seq in sequences:
-        samples.extend(datamod.make_samples(seq, seq_len, horizon))
-    return samples
+def training_samples(rc, seq_len: int, horizon: int, data_dir=None):
+    """Every window of the train split with seq_len observed and horizon future chunks."""
+    return [sample for seq in split_sequences(rc, "train", data_dir)
+            for sample in datamod.make_samples(seq, seq_len, horizon)]
+
+
+def heldout_report(model: AnticipationModel, sequences, rc) -> metricsmod.HorizonReport:
+    """The model's eval.metric per horizon over every anchor of `sequences`."""
+    c = model.config
+    return metricsmod.evaluate_horizons(model.scorer(), sequences, horizon=c.horizon,
+                                        seq_len=c.seq_len, metric=rc["eval.metric"])
 
 
 def write_manifest(out_dir: Path, rc, outputs) -> None:
     manifest = {
         "seed": rc["train.seed"],
         "config": {k: rc[k] for k in sorted(rc)},
-        "outputs": {name: file_sha256(out_dir / name) for name in outputs},
+        "outputs": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                    for name in outputs},
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def cmd_gen(args) -> int:
-    rc = resolve_config(args.config, args.set or [])
+def cmd_gen(args, rc) -> int:
     out = Path(args.out_dir)
     written = {}
     for split in SPLITS:
@@ -182,14 +191,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    rc = resolve_config(args.config, args.set or [])
+def cmd_train(args, rc) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    sequences = split_sequences(rc, "train", args.data)
     mc = model_config(rc)
     tc = train_config(rc)
-    samples = samples_from(sequences, mc.seq_len, mc.horizon)
+    samples = training_samples(rc, mc.seq_len, mc.horizon, args.data)
     model = AnticipationModel(mc, seed=tc.seed)
     history = train(model, samples, tc)
     save_checkpoint(model, out / "checkpoint.bin")
@@ -226,18 +233,10 @@ def _load_model(rc, checkpoint) -> AnticipationModel:
     return model
 
 
-def cmd_eval(args) -> int:
-    rc = resolve_config(args.config, args.set or [])
+def cmd_eval(args, rc) -> int:
     model = _load_model(rc, args.checkpoint)
-    sequences = split_sequences(rc, "heldout", args.data)
-    require_chunks(sequences, model.config.seq_len, model.config.horizon, rc, args.data)
-    report = metricsmod.evaluate_horizons(
-        model.scorer(),
-        sequences,
-        horizon=model.config.horizon,
-        seq_len=model.config.seq_len,
-        metric=rc["eval.metric"],
-    )
+    c = model.config
+    report = heldout_report(model, heldout_sequences(rc, c.seq_len, c.horizon, args.data), rc)
     metricsmod.write_report_csv({model.config.name: report}, args.out)
     print(
         f"{model.config.name}: {rc['eval.metric']} per horizon "
@@ -246,18 +245,15 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_grid(args) -> int:
-    rc = resolve_config(args.config, args.set or [])
+def cmd_grid(args, rc) -> int:
     if args.data and not args.heldout_data:
         raise ValueError(
             "grid on feature files needs --heldout-data; it would score on the training files"
         )
-    held_seqs = split_sequences(rc, "heldout", args.heldout_data)
     mc = model_config(rc)
-    require_chunks(held_seqs, mc.seq_len, mc.horizon, rc, args.heldout_data)
-    train_seqs = split_sequences(rc, "train", args.data)
+    held_seqs = heldout_sequences(rc, mc.seq_len, mc.horizon, args.heldout_data)
     tc = train_config(rc)
-    samples = samples_from(train_seqs, mc.seq_len, mc.horizon)
+    samples = training_samples(rc, mc.seq_len, mc.horizon, args.data)
     reports = {}
     for idx, cell in enumerate(grid_configs(mc)):
         cell_seed = int(
@@ -265,27 +261,19 @@ def cmd_grid(args) -> int:
         )
         model = AnticipationModel(cell, seed=cell_seed)
         train(model, samples, replace(tc, seed=cell_seed))
-        reports[cell.name] = metricsmod.evaluate_horizons(
-            model.scorer(),
-            held_seqs,
-            horizon=cell.horizon,
-            seq_len=cell.seq_len,
-            metric=rc["eval.metric"],
-        )
+        reports[cell.name] = heldout_report(model, held_seqs, rc)
         print(f"{cell.name}: avg {reports[cell.name].average:.4f}")
     metricsmod.write_report_csv(reports, args.out)
     print(f"wrote {len(reports)} method rows to {args.out}")
     return 0
 
 
-def cmd_dump_attention(args) -> int:
-    rc = resolve_config(args.config, args.set or [])
+def cmd_dump_attention(args, rc) -> int:
     model = _load_model(rc, args.checkpoint)
     if model.config.aggregator != "ttm":
         raise ValueError("attention dumps need a transformer aggregator (model.aggregator=ttm)")
-    sequences = split_sequences(rc, "heldout", args.data)
     seq_len = model.config.seq_len
-    require_chunks(sequences, seq_len, 0, rc, args.data)
+    sequences = heldout_sequences(rc, seq_len, 0, args.data)
     written = [seq for seq in sequences if len(seq) >= seq_len]
 
     with open(args.out, "w", encoding="utf-8") as fh, no_grad():
@@ -304,8 +292,7 @@ def cmd_dump_attention(args) -> int:
     return 0
 
 
-def cmd_param_count(args) -> int:
-    rc = resolve_config(args.config, args.set or [])
+def cmd_param_count(args, rc) -> int:
     base = model_config(rc)
     rows = []
     for cell in grid_configs(base):
@@ -380,7 +367,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(args, resolve_config(args.config, args.set or []))
     except SystemExit as exc:  # argparse error paths
         return int(exc.code or 0)
     except (ValueError, OSError, RuntimeError) as exc:

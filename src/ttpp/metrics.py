@@ -18,7 +18,9 @@ class NoPositivesError(ValueError):
     """A class with zero positive frames has no defined AP; callers skip it."""
 
 
-def _ranked_positives(scores, positives):
+def _ranked_precision(scores, positives, calibrated: bool) -> float:
+    """Mean of TP/(TP + FP/w) over the positive cut-offs, w = N_neg/N_pos when
+    `calibrated` and there are negatives, else w = 1 (TP + FP is the rank)."""
     scores = np.asarray(scores, dtype=np.float64)
     positives = np.asarray(positives).astype(bool)
     if scores.shape != positives.shape or scores.ndim != 1:
@@ -28,32 +30,23 @@ def _ranked_positives(scores, positives):
         )
     if not positives.any():
         raise NoPositivesError("no positive frames for this class")
-    order = np.argsort(-scores, kind="stable")
-    return positives[order]
+    ranked = positives[np.argsort(-scores, kind="stable")]
+    n_pos = int(ranked.sum())
+    n_neg = ranked.size - n_pos
+    w = n_neg / n_pos if calibrated and n_neg else 1
+    tp = np.cumsum(ranked)
+    fp = np.arange(1, ranked.size + 1) - tp
+    return float((tp / (tp + fp / w))[ranked].sum() / n_pos)
 
 
 def calibrated_ap(scores, positives) -> float:
     """Average of TP/(TP + FP/w) over positive cut-offs, w = N_neg/N_pos."""
-    ranked = _ranked_positives(scores, positives)
-    n_pos = int(ranked.sum())
-    n_neg = ranked.size - n_pos
-    tp = np.cumsum(ranked)
-    fp = np.arange(1, ranked.size + 1) - tp
-    if n_neg == 0:
-        cprec = np.ones(ranked.size)
-    else:
-        w = n_neg / n_pos
-        cprec = tp / (tp + fp / w)
-    return float(cprec[ranked].sum() / n_pos)
+    return _ranked_precision(scores, positives, calibrated=True)
 
 
 def average_precision(scores, positives) -> float:
     """Standard AP with the same deterministic ordering."""
-    ranked = _ranked_positives(scores, positives)
-    n_pos = int(ranked.sum())
-    tp = np.cumsum(ranked)
-    prec = tp / np.arange(1, ranked.size + 1)
-    return float(prec[ranked].sum() / n_pos)
+    return _ranked_precision(scores, positives, calibrated=False)
 
 
 def accuracy(pred_labels, true_labels) -> float:

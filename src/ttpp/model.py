@@ -10,7 +10,6 @@ leading batch axis on every tensor.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -227,10 +226,3 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     r.end()
     return config, state
 
-
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -101,6 +101,15 @@ class TestConfig:
         assert not out.exists()
         assert main(["param-count", *FAST, "--set", "model.seq_len=9"]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_the_model_config_is_refused_before_data_is_made(self, command, tmp_path, capsys):
+        # the model config is checked before any data is made, so a bad d_m is
+        # named, not reported as the generator's numpy error
+        out = ["--out-dir", str(tmp_path / "run")] if command == "train" else [
+            "--out", str(tmp_path / "grid.csv")]
+        assert main([command, *out, *FAST, "--set", "model.d_m=-2"]) == 1
+        assert capsys.readouterr().err == "error: d_m must be >= 2, got -2\n"
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model.d_m 32\n")
@@ -385,6 +394,16 @@ class TestGrid:
         assert "seq_len + horizon = 10 chunks" in captured.err
         assert str(short / "heldout") in captured.err
         assert not out.exists()
+
+    def test_feature_files_give_the_in_memory_report(self, tmp_path):
+        data = tmp_path / "data"
+        cap = [*FAST, "--set", "eval.metric=cap"]
+        assert main(["gen", "--out-dir", str(data), *cap]) == 0
+        memory, files = tmp_path / "memory.csv", tmp_path / "files.csv"
+        assert main(["grid", "--out", str(memory), *cap]) == 0
+        assert main(["grid", "--data", str(data / "train"), "--heldout-data",
+                     str(data / "heldout"), "--out", str(files), *cap]) == 0
+        assert files.read_bytes() == memory.read_bytes()
 
 
 class TestDumpAttention:
