@@ -1,11 +1,12 @@
 """Alternative aggregators and predictors for the comparison grid.
 
-Aggregation: a 3-layer strided temporal convolution stack, or a
-single-layer LSTM encoder. Prediction: an LSTM decoder seeded with the
-aggregated vector (one fused `tensor.lstm_rollout` node), or a
-single-shot block that predicts any one horizon directly from a one-hot
-horizon tag. All share the interfaces of the transformer aggregator and
-progressive predictor so every pairing composes without special cases.
+Aggregation: a strided temporal convolution stack whose depth follows
+the window length, or a single-layer LSTM encoder. Prediction: an LSTM
+decoder seeded with the aggregated vector (one fused
+`tensor.lstm_rollout` node), or a single-shot block that predicts any
+one horizon directly from a one-hot horizon tag. All share the
+interfaces of the transformer aggregator and progressive predictor so
+every pairing composes without special cases.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .prediction import PredictionBlockParams, Rollout, init_block_params
 from .tensor import (Parameter, ParameterSet, Tensor, concat, glorot, lstm_rollout, lstm_step,
                      matmul, mlp_norm, relu, reshape, softmax)
 
-CONV_LAYERS = 3
 CONV_KERNEL = 3
 CONV_STRIDE = 2
 CONV_PAD = 1  # symmetric zero rows per layer
@@ -26,60 +26,50 @@ CONV_PAD = 1  # symmetric zero rows per layer
 
 @dataclass
 class Conv1DStack(ParameterSet):
-    """Three temporal conv layers, each kernel 3, stride 2, d_m -> d_m."""
+    """Temporal conv layers, each kernel 3, stride 2, d_m -> d_m.
+
+    Each layer takes L rows to ceil(L / 2), so a window of T rows needs
+    (T - 1).bit_length() layers: 3 at T = 8, 4 at T = 9 to 16.
+    """
 
     weights: list[Parameter]  # each (3*d_m, d_m)
     biases: list[Parameter]  # each (d_m,)
 
 
-def init_conv1d_params(d_m: int, rng) -> Conv1DStack:
-    weights = [
-        Parameter(f"conv1d.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m))
-        for i in range(CONV_LAYERS)
-    ]
-    biases = [Parameter(f"conv1d.b{i}", np.zeros(d_m)) for i in range(CONV_LAYERS)]
+def init_conv1d_params(d_m: int, seq_len: int, rng) -> Conv1DStack:
+    layers = range((seq_len - 1).bit_length())
+    weights = [Parameter(f"conv1d.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m)) for i in layers]
+    biases = [Parameter(f"conv1d.b{i}", np.zeros(d_m)) for i in layers]
     return Conv1DStack(weights, biases)
 
 
-def _conv_out_len(length: int) -> int:
-    return (length + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
-
-
-def conv1d_lengths(t: int) -> list[int]:
-    """Temporal lengths after each conv layer, e.g. 8 -> [4, 2, 1]."""
-    lengths = []
-    for _ in range(CONV_LAYERS):
-        t = _conv_out_len(t)
-        lengths.append(t)
-    return lengths
-
-
 def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
-    """Reduce the (..., T, d_m) window(s) to (..., 1, d_m) through three strided convs.
+    """Reduce the (..., T, d_m) window(s) to (..., 1, d_m) through the stack's strided convs.
 
     Each layer zero-pads one row top and bottom; ReLU sits between layers,
     and the last observed feature is added onto the result (shortcut).
-    With the default T=8 the lengths run 8 -> 4 -> 2 -> 1. Any T not
-    reducing to exactly 1 is rejected.
+    At T=8 the three layers run 8 -> 4 -> 2 -> 1. A window longer than
+    2 ** layers, which would not reach one row, is rejected.
     """
     t = f_seq.shape[-2]
-    lengths = conv1d_lengths(t)
-    if lengths[-1] != 1:
-        raise ValueError(f"conv1d_aggregate: T={t} does not reduce to length 1 (lengths {lengths})")
+    if t > 2 ** len(params.weights):
+        raise ValueError(
+            f"conv1d_aggregate: {len(params.weights)} layers do not reduce T={t} to length 1"
+        )
     lead = f_seq.shape[:-2]
     d_m = f_seq.shape[-1]
     pad = Tensor(np.zeros(lead + (CONV_PAD, d_m)))
     x = f_seq
-    for layer in range(CONV_LAYERS):
-        out_len = _conv_out_len(x.shape[-2])
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if layer:
+            x = relu(x)
+        out_len = (x.shape[-2] + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
         padded = concat([pad, x, pad], axis=-2)
         rows = np.concatenate(
             [np.arange(j * CONV_STRIDE, j * CONV_STRIDE + CONV_KERNEL) for j in range(out_len)]
         )
         windows = reshape(padded[..., rows, :], lead + (out_len, CONV_KERNEL * d_m))
-        x = matmul(windows, params.weights[layer].value) + params.biases[layer].value
-        if layer < CONV_LAYERS - 1:
-            x = relu(x)
+        x = matmul(windows, w.value) + b.value
     return x + f_seq[..., t - 1 : t, :]
 
 

@@ -54,13 +54,8 @@ class ModelConfig:
             raise ValueError(f"d_m must be >= 2, got {self.d_m}")
         if self.d_m % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide d_m={self.d_m}")
-        if self.d_m % 2 != 0:
-            raise ValueError(f"d_m must be even, got {self.d_m}")
         if self.seq_len < 2:
             raise ValueError(f"seq_len must be >= 2, got {self.seq_len}")
-        lengths = baselines.conv1d_lengths(self.seq_len)
-        if self.aggregator == "conv1d" and lengths[-1] != 1:
-            raise ValueError(f"seq_len={self.seq_len} gives conv1d lengths {lengths}, not ending in 1")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if not 0.0 <= self.dropout < 1.0:
@@ -85,7 +80,7 @@ class AnticipationModel:
             self.agg_params = attention.init_ttm_params(c.d_m, c.n_heads, rng)
             self.pe = attention.positional_encoding(c.seq_len, c.d_m)
         elif c.aggregator == "conv1d":
-            self.agg_params = baselines.init_conv1d_params(c.d_m, rng)
+            self.agg_params = baselines.init_conv1d_params(c.d_m, c.seq_len, rng)
             self.pe = None
         else:
             self.agg_params = baselines.init_lstm_params(c.d_m, c.d_m, rng, prefix="enc")

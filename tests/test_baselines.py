@@ -8,7 +8,6 @@ import pytest
 from ttpp.baselines import (
     DecoderParams,
     conv1d_aggregate,
-    conv1d_lengths,
     init_conv1d_params,
     init_lstm_decoder_params,
     init_lstm_params,
@@ -40,22 +39,29 @@ def gate_blocks(params, d_in):
 class TestConv1D:
     def test_zero_weights_zero_biases_give_zero(self):
         # the stack contributes zero, so only the shortcut's last feature remains
-        params = zeroed(init_conv1d_params(4, np.random.default_rng(0)))
+        params = zeroed(init_conv1d_params(4, 8, np.random.default_rng(0)))
         x = np.random.default_rng(1).normal(size=(8, 4))
         out = conv1d_aggregate(Tensor(x), params)
         np.testing.assert_array_equal(out.data, x[7:8])
 
-    def test_lengths_reduce_eight_to_one(self):
-        assert conv1d_lengths(8) == [4, 2, 1]
+    @pytest.mark.parametrize("t", range(2, 65))
+    def test_depth_follows_the_window(self, t):
+        # the fewest layers that halve T (rounding up) to one row: 3 at T = 8, 4 at T = 9
+        halvings, rows = 0, t
+        while rows > 1:
+            halvings, rows = halvings + 1, -(-rows // 2)
         rng = np.random.default_rng(2)
-        out = conv1d_aggregate(Tensor(rng.normal(size=(8, 4))), init_conv1d_params(4, rng))
+        params = init_conv1d_params(4, t, rng)
+        assert len(params.weights) == len(params.biases) == halvings
+        out = conv1d_aggregate(Tensor(rng.normal(size=(t, 4))), params)
         assert out.shape == (1, 4)
 
-    def test_against_sliding_window_oracle(self):
+    @pytest.mark.parametrize("t", [2, 3, 4, 5, 8, 9, 16, 17, 64])
+    def test_against_sliding_window_oracle(self, t):
         rng = np.random.default_rng(3)
         d = 4
-        params = init_conv1d_params(d, rng)
-        x = rng.normal(size=(8, d))
+        params = init_conv1d_params(d, t, rng)
+        x = rng.normal(size=(t, d))
 
         def conv_layer(inp, w, b):
             padded = np.concatenate([np.zeros((1, d)), inp, np.zeros((1, d))])
@@ -67,23 +73,25 @@ class TestConv1D:
             return out
 
         h = x
-        for layer in range(3):
+        layers = len(params.weights)
+        for layer in range(layers):
             h = conv_layer(h, params.weights[layer].value.data, params.biases[layer].value.data)
-            if layer < 2:
+            if layer < layers - 1:
                 h = np.maximum(h, 0.0)
-        expected = h + x[7:8]
+        assert h.shape == (1, d)
+        expected = h + x[t - 1 : t]
         out = conv1d_aggregate(Tensor(x), params)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     def test_incompatible_length_rejected(self):
-        params = init_conv1d_params(4, np.random.default_rng(4))
+        params = init_conv1d_params(4, 8, np.random.default_rng(4))
         with pytest.raises(ValueError, match="reduce"):
             conv1d_aggregate(Tensor(np.zeros((11, 4))), params)
 
     def test_shortcut_adds_last_feature(self):
         # a zero last-layer weight leaves its bias as the stack's output
         rng = np.random.default_rng(5)
-        params = init_conv1d_params(4, rng)
+        params = init_conv1d_params(4, 8, rng)
         params.weights[-1].value.data[:] = 0.0
         params.biases[-1].value.data[:] = rng.normal(size=4)
         x = rng.normal(size=(8, 4))
@@ -92,7 +100,7 @@ class TestConv1D:
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
-        params = init_conv1d_params(4, rng)
+        params = init_conv1d_params(4, 8, rng)
         x = rng.normal(size=(8, 4))
         cost = Tensor(rng.normal(size=(1, 4)))
 
@@ -445,14 +453,18 @@ class TestGridComposition:
 
     @pytest.mark.parametrize("aggregator", AGGREGATORS)
     @pytest.mark.parametrize("predictor", PREDICTORS)
-    def test_closed_form_count_matches_built_model(self, aggregator, predictor):
+    @pytest.mark.parametrize("d_m, n_heads, seq_len, conv_layers", [
+        (16, 4, 8, 3), (16, 4, 16, 4), (9, 3, 8, 3),
+    ])
+    def test_closed_form_count_matches_built_model(self, aggregator, predictor, d_m, n_heads,
+                                                   seq_len, conv_layers):
         cfg = ModelConfig(
             aggregator=aggregator,
             predictor=predictor,
-            d_m=16,
-            n_heads=4,
+            d_m=d_m,
+            n_heads=n_heads,
             n_classes=5,
-            seq_len=8,
+            seq_len=seq_len,
             horizon=6,
         )
         d, n = cfg.d_m, cfg.n_classes
@@ -466,7 +478,7 @@ class TestGridComposition:
 
         agg = {
             "ttm": 4 * d * d,  # q, k, v and output projections, for any head count
-            "conv1d": 3 * (3 * d * d + d),  # three kernel-3 layers with biases
+            "conv1d": conv_layers * (3 * d * d + d),  # kernel-3 layers with biases
             "lstm": lstm(d),
         }[aggregator]
         pred = {

@@ -31,7 +31,7 @@ def grid_cells(draw):
         d_m=d_m,
         n_heads=n_heads,
         n_classes=draw(st.integers(2, 5)),
-        seq_len=draw(st.integers(2, 8)),  # conv1d reduces only T <= 8 to one row
+        seq_len=draw(st.integers(2, 16)),  # conv1d builds 1 to 4 layers
         horizon=draw(st.integers(1, 4)),
         dropout=draw(st.sampled_from([0.0, 0.1, 0.5])),
     )

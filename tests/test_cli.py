@@ -63,7 +63,6 @@ class TestConfig:
         (["model.predictor=rnn"], "predictor"),
         (["model.ppm_variant=half"], "ppm_variant"),
         (["model.d_m=18", "model.n_heads=4"], "n_heads"),
-        (["model.d_m=9", "model.n_heads=3"], "d_m"),
         (["model.seq_len=1"], "seq_len"),
         (["model.horizon=0"], "horizon"),
         (["model.dropout=1.0"], "dropout"),
@@ -75,7 +74,6 @@ class TestConfig:
         (["train.lam=-0.5"], "lam"),
         (["model.n_heads=0"], "n_heads"),
         (["model.d_m=0"], "d_m"),
-        (["model.aggregator=conv1d", "model.seq_len=9"], "seq_len"),
     ])
     def test_every_refused_value_names_its_field(self, items, field):
         rc = resolve_config(None, items)
@@ -91,15 +89,19 @@ class TestConfig:
         assert main(["param-count", "--set", f"{key}={value}"]) == 1
         assert f"error: config key '{key}'" in capsys.readouterr().err
 
-    def test_conv1d_seq_len_is_refused_before_any_cell_trains(self, tmp_path, capsys):
-        # T = 9 leaves conv1d lengths [5, 3, 2]: no grid cell may train first
+    def test_conv1d_past_eight_rows_builds_four_layers(self, tmp_path, capsys):
+        # T = 9 needs a fourth halving: 9 -> 5 -> 3 -> 2 -> 1
         out = tmp_path / "grid.csv"
-        assert main(["grid", "--out", str(out), *FAST, "--set", "model.seq_len=9"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "seq_len=9" in captured.err and "[5, 3, 2]" in captured.err
-        assert not out.exists()
-        assert main(["param-count", *FAST, "--set", "model.seq_len=9"]) == 1
+        flags = [*FAST, "--set", "model.seq_len=9"]
+        assert main(["grid", "--out", str(out), *flags]) == 0
+        _, rows = read_report_csv(out)
+        assert {"conv1d-ppm", "conv1d-ssp", "conv1d-lstm"} <= set(rows)
+        capsys.readouterr()
+        assert main(["param-count", *flags]) == 0
+        counts = dict(line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1])
+        at_eight = AnticipationModel(ModelConfig(aggregator="conv1d", d_m=8, n_heads=2,
+                                                 n_classes=3, horizon=2)).param_count()
+        assert int(counts["conv1d-ppm"]) == at_eight + 3 * 8 * 8 + 8  # one more layer
 
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_the_model_config_is_refused_before_data_is_made(self, command, tmp_path, capsys):

@@ -138,6 +138,14 @@ class TestAccuracy:
         with pytest.raises(ValueError):
             accuracy([], [])
 
+    @pytest.mark.parametrize("pred, true, message", [
+        ([1, 2], [1], r"length mismatch: \(2,\) vs \(1,\)"),
+        ([], [], "accuracy of an empty prediction set is undefined"),
+    ])
+    def test_refusals_name_their_cause(self, pred, true, message):
+        with pytest.raises(ValueError, match=message):
+            accuracy(pred, true)
+
 
 def label_sequence(labels, n_classes, d_m=4, video_id="seq"):
     labels = np.asarray(labels)
@@ -205,6 +213,16 @@ class TestEvaluateHorizons:
 
         with pytest.raises(ValueError, match="'six' has 6 classes, but 'four' has 4"):
             evaluate_horizons(scorer, [four, six], horizon=2, seq_len=4, metric="acc")
+
+    @pytest.mark.parametrize("sequences, metric, message", [
+        ("one", "auc", r"metric must be one of \('cap', 'map', 'acc'\), got 'auc'"),
+        ("none", "acc", "no sequences to evaluate"),
+        ("one", "acc", r"scorer returned \(1, 3\), expected \(2, 3\)"),
+    ])
+    def test_refusals_name_their_cause(self, sequences, metric, message):
+        seqs = {"one": [label_sequence([0, 1, 2] * 4, 3)], "none": []}[sequences]
+        with pytest.raises(ValueError, match=message):
+            evaluate_horizons(onehot_oracle_scorer(1), seqs, horizon=2, seq_len=4, metric=metric)
 
     def test_random_scores_match_analytic_expectation(self):
         # E[AP] under a random ranking with P positives of N:
@@ -280,4 +298,28 @@ class TestReportCSV:
         path = tmp_path / "junk.csv"
         path.write_text("x,y\n1,2\n")
         with pytest.raises(ValueError, match="report"):
+            read_report_csv(path)
+
+    @pytest.mark.parametrize("horizons, message", [
+        ([], "no reports to write"),
+        ([3, 2], "report 'm1' has mismatched horizon labels"),
+    ])
+    def test_write_refusals_name_their_cause(self, horizons, message, tmp_path):
+        reports = {
+            f"m{i}": HorizonReport("acc", horizon_labels(h), np.zeros((h, 2)), np.zeros(h), 0.0, 0)
+            for i, h in enumerate(horizons)
+        }
+        path = tmp_path / "report.csv"
+        with pytest.raises(ValueError, match=message):
+            write_report_csv(reports, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n1,2\n", "not a horizon report csv"),
+        ("method,0.25s,avg\nttm-ppm,0.5\n", "malformed report row: 'ttm-ppm,0.5'"),
+    ])
+    def test_read_refusals_name_their_cause(self, text, message, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
             read_report_csv(path)

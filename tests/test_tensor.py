@@ -1001,12 +1001,21 @@ class TestTapeNodes:
     residual, the last feature); lstm-lstm 7 (input, initial state, the
     encoder's one `lstm_step` over the window, the summary's slice, the
     last feature slice, the shortcut sum, the last feature).
+    conv1d and SSP still run as chains of generic ops. conv1d-ppm builds 22
+    others: the input, the zero pad rows, per layer (three at T = 8) the
+    padded concat, its kernel rows, their reshape, the matmul and the bias
+    sum, a ReLU before the second and third layers, then the last feature
+    slice, the shortcut sum and the last feature. ttm-ssp builds ttm's 8
+    and 6 in SSP (the current feature's logits and their softmax, the
+    shared row, its horizon copies, the one-hot tags, the block input);
+    its rollout's features node is the block's one `mlp_norm`.
     Splitting a fused layer or rollout back into single ops raises these
     counts.
     """
 
-    @pytest.mark.parametrize("aggregator, predictor, nodes", [("ttm", "ppm", 10),
-                                                               ("lstm", "lstm", 9)])
+    @pytest.mark.parametrize("aggregator, predictor, nodes", [
+        ("ttm", "ppm", 10), ("lstm", "lstm", 9), ("conv1d", "ppm", 24), ("ttm", "ssp", 16),
+    ])
     def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         window = np.random.default_rng(0).normal(size=(8, 16))
