@@ -25,6 +25,20 @@ replaces bit for bit, and every other value, gradients included, is within
 1e-12. Arrays only a backward reads are kept only while taping. Dropout
 takes a keep mask drawn by `keep_mask`, so a caller can draw the masks of
 a whole batch at once in the order per-sample draws would read them.
+
+At one window a fused op's operands are single rows, so what a numpy call
+costs is its dispatch, and each has a fast path with the same bits. The
+fused ops keep to three rules (costs per call on one-row operands, timed
+with `timeit` on 2 CPUs under numpy 2.4.6):
+- A 2-D product is `_dot(a, b)`: ``ndarray.dot`` (0.6-1.0 us) instead of
+  the matmul gufunc `@` (1.55-1.85 us), on C- or F-contiguous operands
+  only; a strided view goes to `@`, as `.dot` may sum it in another order.
+- A 1-D parameter (a bias, a layer-norm gain) enters as a (1, n) row,
+  taken by `_row` once per op call: ``y += b`` with a (1, 16) `b` on a
+  (1, 16) `y` takes the same-shape loop (0.87 us), a (16,) `b` the
+  broadcasting one (1.85 us).
+- No Python scalar is a left operand: ``np.reciprocal(x)`` for ``1.0 / x``
+  (0.46 us against 0.98) and ``np.subtract(1.0, x)`` for ``1.0 - x``.
 """
 
 from __future__ import annotations
@@ -183,6 +197,20 @@ def _send(t: Tensor, g: np.ndarray) -> None:
         t._accumulate(g)
 
 
+def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b of 2-D operands, through ``ndarray.dot`` when both are C- or
+    F-contiguous. On a strided view `.dot` may sum in another order than
+    `@`, so those take `np.matmul`."""
+    if a.flags.forc and b.flags.forc:
+        return a.dot(b, out)
+    return np.matmul(a, b, out=out)
+
+
+def _row(t: Tensor) -> np.ndarray:
+    """A 1-D parameter as a (1, n) row view, which adds to (1, n) rows without broadcasting."""
+    return t.data[None]
+
+
 def add(a: Tensor, b) -> Tensor:
     b = _ensure(b)
     data = a.data + b.data
@@ -220,14 +248,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
     k, n = b.data.shape
-    data = (a.data.reshape(-1, k) @ b.data).reshape(a.data.shape[:-1] + (n,))
+    data = _dot(a.data.reshape(-1, k), b.data).reshape(a.data.shape[:-1] + (n,))
 
     def backward(g):
         rows = g.reshape(-1, n)
         if a._tracked:
-            a._accumulate((rows @ b.data.T).reshape(a.data.shape))
+            a._accumulate(_dot(rows, b.data.T).reshape(a.data.shape))
         if b._tracked:
-            b._accumulate(a.data.reshape(-1, k).T @ rows)
+            b._accumulate(_dot(a.data.reshape(-1, k).T, rows))
 
     return _make(data, (a, b), backward)
 
@@ -344,45 +372,53 @@ def _check_block(op: str, k: int, w1, b1, w2, b2, gain, bias) -> int:
     return n
 
 
-def _block_forward(x, block, keep, out, tape: bool):
-    """`mlp_norm` on 2-D rows into `out` (new if None); returns it and, if taping,
-    the backward's inputs. np.maximum, the ReLU, propagates a NaN."""
+def _block_data(block) -> tuple[np.ndarray, ...]:
+    """A block's arrays as `_block_forward` takes them: biases, gain and bias as rows."""
     w1, b1, w2, b2, gain, bias = block
-    pre = x @ w1.data
-    pre += b1.data
+    return w1.data, _row(b1), w2.data, _row(b2), _row(gain), _row(bias)
+
+
+def _block_forward(x, data, keep, out, tape: bool):
+    """`mlp_norm` on 2-D rows into `out` (new if None), with `data` from
+    `_block_data`; returns it and, if taping, the backward's inputs.
+    np.maximum, the ReLU, propagates a NaN."""
+    w1, b1, w2, b2, gain, bias = data
+    pre = _dot(x, w1)
+    pre += b1
     hidden = np.maximum(pre, 0.0, out=pre)
-    y = hidden @ w2.data
-    y += b2.data
+    y = _dot(hidden, w2)
+    y += b2
     n = y.shape[1]
     y -= np.add.reduce(y, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5)
+    inv_std = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5))
     xhat = np.multiply(y, inv_std, out=None if tape else y)
-    out = np.multiply(xhat, gain.data, out=out)
-    out += bias.data
+    out = np.multiply(xhat, gain, out=out)
+    out += bias
     if keep is not None:
         out *= keep
     return out, ((x, hidden, xhat, inv_std, keep) if tape else None)
 
 
-def _block_backward(g, cache, block):
+def _block_backward(g, cache, block, data):
     """Sends the block's weights their gradients; returns the input's, all on 2-D rows."""
     w1, b1, w2, b2, gain, bias = block
+    w1_data, _, w2_data, _, gain_row, _ = data
     x, hidden, xhat, inv_std, keep = cache
     n = xhat.shape[1]
     if keep is not None:
         g = g * keep
     _send(gain, _unbroadcast(g * xhat, gain.data.shape))
     _send(bias, _unbroadcast(g, bias.data.shape))
-    gh = g * gain.data
+    gh = g * gain_row
     m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
     m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
     gy = inv_std * (gh - m1 - xhat * m2)
     _send(b2, _unbroadcast(gy, b2.data.shape))
-    _send(w2, hidden.T @ gy)
-    gpre = (gy @ w2.data.T) * (hidden > 0)
+    _send(w2, _dot(hidden.T, gy))
+    gpre = _dot(gy, w2_data.T) * (hidden > 0)
     _send(b1, _unbroadcast(gpre, b1.data.shape))
-    _send(w1, x.T @ gpre)
-    return gpre @ w1.data.T
+    _send(w1, _dot(x.T, gpre))
+    return _dot(gpre, w1_data.T)
 
 
 def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
@@ -402,12 +438,13 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     if keep is not None and np.shape(keep) != shape:
         raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
     keep = None if keep is None else np.reshape(keep, (-1, n))
-    data, cache = _block_forward(x.data.reshape(-1, k), block, keep, None, _tapes((x, *block)))
+    data = _block_data(block)
+    out, cache = _block_forward(x.data.reshape(-1, k), data, keep, None, _tapes((x, *block)))
 
     def backward(g):
-        _send(x, _block_backward(g.reshape(-1, n), cache, block).reshape(x.data.shape))
+        _send(x, _block_backward(g.reshape(-1, n), cache, block, data).reshape(x.data.shape))
 
-    return _make(data.reshape(shape), (x, *block), backward)
+    return _make(out.reshape(shape), (x, *block), backward)
 
 
 def _check_rollout(op: str, s_t, f_t, classifier, horizon: int) -> tuple[int, int]:
@@ -437,14 +474,14 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     f_rows = f_t.data.reshape(-1, d)
     n = f_rows.shape[0]
     x[0, :, fs] = f_rows
-    _softmax_data(f_rows @ wc, out=x[0, :, ps])
+    _softmax_data(_dot(f_rows, wc), out=x[0, :, ps])
     x[1:, :, fs] = 0.0  # stays zero unless each step writes its feature there
     feats = x[1:, :, fs] if feed else np.empty((horizon, n, d))
     logits = np.empty((horizon, n, n_classes))
     caches = []
     for s in range(horizon):
         f, cache = step(s, feats[s])
-        np.matmul(f, wc, out=logits[s])
+        _dot(f, wc, out=logits[s])
         caches.append(cache)
         if s + 1 < horizon:
             _softmax_data(logits[s], out=x[s + 1, :, ps])
@@ -465,13 +502,13 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
                 g = _plus(g, gx[:, fs]) if feed else g
                 gz = _plus(gz, _softmax_grad(gx[:, ps], x[s + 1, :, ps]))
             if gz is not None:
-                g = _plus(g, gz @ wc.T)
-                _send(classifier, feats[s].T @ gz)
+                g = _plus(g, _dot(gz, wc.T))
+                _send(classifier, _dot(feats[s].T, gz))
             gx = step_back(s, g, gx, caches[s])
         _send(f_t, gx[:, fs].reshape(f_t.data.shape))
         gz = _softmax_grad(gx[:, ps], x[0, :, ps])
-        _send(classifier, f_rows.T @ gz)
-        _send(f_t, (gz @ wc.T).reshape(f_t.data.shape))
+        _send(classifier, _dot(f_rows.T, gz))
+        _send(f_t, _dot(gz, wc.T).reshape(f_t.data.shape))
 
     lead = s_t.data.shape[:-2]
     out_f, out_z = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(lead + a.shape[::2])
@@ -503,16 +540,17 @@ def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=N
     rows = s_t.data.reshape(-1, d)
     masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
     blocks = [initial] + [progressive] * (horizon - 1)
+    data = [_block_data(initial)] + [_block_data(progressive)] * (horizon - 1)
     parents = (s_t, f_t, classifier, *initial, *(progressive if horizon > 1 else ()))
     tape = _tapes(parents)
     x = np.empty((horizon + 1, len(rows), 2 * d + n_classes))
     x[:, :, :d] = rows
 
     def step(s, out):
-        return _block_forward(x[s], blocks[s], masks[s], out, tape)
+        return _block_forward(x[s], data[s], masks[s], out, tape)
 
     def step_back(s, g, gx, cache):
-        gx = _block_backward(g, cache, blocks[s])
+        gx = _block_backward(g, cache, blocks[s], data[s])
         _send(s_t, gx[:, :d].reshape(s_t.data.shape))
         return gx
 
@@ -542,43 +580,45 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
     d_k = d // n_heads
     swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes; self-inverse
     mem_rows = memory.data.reshape(-1, d)
-    q = (query.data.reshape(-1, d) @ wq.data).reshape(lead + (1, n_heads, d_k))
-    k = (mem_rows @ wk.data).reshape(lead + (m, n_heads, d_k))
-    v = (mem_rows @ wv.data).reshape(lead + (m, n_heads, d_k))
+    q = _dot(query.data.reshape(-1, d), wq.data).reshape(lead + (1, n_heads, d_k))
+    k = _dot(mem_rows, wk.data).reshape(lead + (m, n_heads, d_k))
+    v = _dot(mem_rows, wv.data).reshape(lead + (m, n_heads, d_k))
     scale = 1.0 / math.sqrt(d)
     weights = _softmax_data(np.add.reduce(k * q, axis=-1).transpose(swap) * scale)
     spread = weights.transpose(swap).reshape(lead + (m, n_heads, 1))
     heads = np.add.reduce(spread * v, axis=-3).reshape(lead + (1, d))
-    data = (heads.reshape(-1, d) @ wo.data).reshape(lead + (1, d))
+    data = _dot(heads.reshape(-1, d), wo.data).reshape(lead + (1, d))
 
     def backward(g):  # the query's and memory's gradients only when they are tracked
         rows = g.reshape(-1, d)
-        _send(wo, heads.reshape(-1, d).T @ rows)
-        g_heads = (rows @ wo.data.T).reshape(lead + (1, n_heads, d_k))
+        _send(wo, _dot(heads.reshape(-1, d).T, rows))
+        g_heads = _dot(rows, wo.data.T).reshape(lead + (1, n_heads, d_k))
         g_v = (spread * g_heads).reshape(-1, d)
         g_w = np.add.reduce(v * g_heads, axis=-1).transpose(swap)
         g_scores = np.expand_dims((_softmax_grad(g_w, weights) * scale).transpose(swap), -1)
         g_k = (g_scores * q).reshape(-1, d)
         g_q = np.add.reduce(g_scores * k, axis=-3).reshape(-1, d)
-        _send(wv, mem_rows.T @ g_v)
-        _send(wk, mem_rows.T @ g_k)
-        _send(wq, query.data.reshape(-1, d).T @ g_q)
+        _send(wv, _dot(mem_rows.T, g_v))
+        _send(wk, _dot(mem_rows.T, g_k))
+        _send(wq, _dot(query.data.reshape(-1, d).T, g_q))
         if memory._tracked:
-            memory._accumulate((g_v @ wv.data.T + g_k @ wk.data.T).reshape(memory.data.shape))
+            g_mem = _dot(g_v, wv.data.T) + _dot(g_k, wk.data.T)
+            memory._accumulate(g_mem.reshape(memory.data.shape))
         if query._tracked:
-            query._accumulate((g_q @ wq.data.T).reshape(query.data.shape))
+            query._accumulate(_dot(g_q, wq.data.T).reshape(query.data.shape))
 
     return _make(data, (query, memory, wq, wk, wv, wo), backward), weights
 
 
 def _cell_forward(xh, c, w, b, tape: bool, h_out):
-    """One LSTM cell step on 2-D rows [x | h] and c, writing h' into `h_out`;
-    returns h', c' and, if taping, the backward's inputs. Callers run it under
+    """One LSTM cell step on 2-D rows [x | h] and c, with the arrays `w` and
+    `b` (a (1, 4 d_h) row), writing h' into `h_out`; returns h', c' and, if
+    taping, the backward's inputs. Callers run it under
     np.errstate(over="ignore"): a gate below -709 overflows exp to its right 0."""
     d_h = c.shape[1]
-    pre = xh @ w.data
-    pre += b.data
-    gates = 1.0 / (1.0 + np.exp(-pre))  # all four blocks; the g block goes unused
+    pre = _dot(xh, w)
+    pre += b
+    gates = np.reciprocal(np.exp(-pre) + 1.0)  # all four blocks; the g block goes unused
     cand = np.tanh(pre[:, 2 * d_h : 3 * d_h])
     c_new = gates[:, d_h : 2 * d_h] * c
     c_new += gates[:, :d_h] * cand
@@ -588,18 +628,18 @@ def _cell_forward(xh, c, w, b, tape: bool, h_out):
 
 
 def _cell_backward(gh, gc, cache, w, b):
-    """Sends w and b their gradients from those of h' and c' (None is zero);
-    returns the gradients of the rows [x | h] and of c."""
+    """Sends the tensors w and b their gradients from those of h' and c' (None
+    is zero); returns the gradients of the rows [x | h] and of c."""
     xh, c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
-    gc = _plus(gc, gh * o * (1.0 - tc * tc))
+    gc = _plus(gc, gh * o * np.subtract(1.0, tc * tc))
     dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
-    dpre = dgate * gates * (1.0 - gates)
-    dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
+    dpre = dgate * gates * np.subtract(1.0, gates)
+    dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * np.subtract(1.0, cand * cand)
     _send(b, _unbroadcast(dpre, b.data.shape))
-    _send(w, xh.T @ dpre)
-    return dpre @ w.data.T, gc * f
+    _send(w, _dot(xh.T, dpre))
+    return _dot(dpre, w.data.T), gc * f
 
 
 def lstm_step(x, state, w, b) -> Tensor:
@@ -624,9 +664,10 @@ def lstm_step(x, state, w, b) -> Tensor:
     xh[:t, :, :d_in] = x.data.reshape(-1, t, d_in).swapaxes(0, 1)
     xh[0, :, d_in:] = rows[:, :d_h]
     c, caches, tape = rows[:, d_h:], [None] * t, _tapes((x, state, w, b))
+    b_row = _row(b)
     with np.errstate(over="ignore"):
         for s in range(t):
-            _, c, caches[s] = _cell_forward(xh[s], c, w, b, tape, xh[s + 1, :, d_in:])
+            _, c, caches[s] = _cell_forward(xh[s], c, w.data, b_row, tape, xh[s + 1, :, d_in:])
     data = np.concatenate([xh[t, :, d_in:], c], axis=-1)
 
     def backward(g):
@@ -660,9 +701,10 @@ def lstm_rollout(s_t, f_t, w, b, classifier, horizon: int):
     x = np.empty((horizon + 1, len(rows), d_in + d))  # [x | h] in w's row order
     x[0, :, d_in:] = rows
     c = [np.zeros(rows.shape), None]  # the cell state after the last step run, its gradient
+    b_row = _row(b)
 
     def step(s, out):
-        h, c[0], cache = _cell_forward(x[s], c[0], w, b, tape, out)
+        h, c[0], cache = _cell_forward(x[s], c[0], w.data, b_row, tape, out)
         x[s + 1, :, d_in:] = h
         return h, cache
 
@@ -717,8 +759,14 @@ class ParameterSet:
         return found
 
     def values(self) -> tuple[Tensor, ...]:
-        """The tensors of `parameters()`, in order."""
-        return tuple(p.value for p in self.parameters())
+        """The tensors of `parameters()`, in order, listed on the first call
+        only, so a forward walks no fields. Training and `load_state` change
+        a tensor's data, never the tensor, so the tuple follows the weights."""
+        try:
+            return self._values
+        except AttributeError:
+            self._values = tuple(p.value for p in self.parameters())
+            return self._values
 
 
 def glorot(rng, rows: int, cols: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
+from ttpp import tensor
 from ttpp.attention import TTMParams
 from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint, save_checkpoint
 from ttpp.tensor import (
@@ -397,6 +398,34 @@ class TestParameterSet:
         params = outer.parameters()
         assert [p.name for p in params] == ["l0", "l1", "i", "z"]
         assert all(v is p.value for v, p in zip(outer.values(), params, strict=True))
+
+    @pytest.mark.parametrize("predictor", ["ppm", "ssp"])
+    def test_listed_tensors_follow_the_weights(self, predictor):
+        """`values()` lists a set's tensors once; a model that ran a forward
+        before `load_state` or `sgd_step` scores as a fresh model given the
+        same weights, whose first forward lists them anew."""
+        config = ModelConfig(predictor=predictor)
+        window = np.random.default_rng(5).normal(size=(8, 16))
+
+        def scores(model):
+            with no_grad():
+                roll, _ = model.anticipate(window)
+            return roll.probs.data.tobytes()
+
+        def fresh(weights_of):
+            model = AnticipationModel(config, seed=0)
+            model.load_state({p.name: p.value.data for p in weights_of.parameters()})
+            return model
+
+        model = AnticipationModel(config, seed=0)
+        donor = AnticipationModel(config, seed=1)
+        before = scores(model)
+        model.load_state({p.name: p.value.data for p in donor.parameters()})
+        assert scores(model) == scores(donor) != before
+        roll, _ = model.anticipate(window)
+        roll.logits.sum().backward()
+        sgd_step(model.parameters(), lr=0.1)
+        assert scores(model) == scores(fresh(model)) != scores(donor)
 
 
 class TestBatchedGradientProperties:
@@ -949,6 +978,123 @@ class TestRolloutGradientProperties:
                 assert_close(got[b], want, f"row {b}")
             for got, want in zip(batched[2][:2], one[2][:2]):  # s_t and f_t
                 assert_close(got[b], want, f"row {b} input gradient")
+
+
+# ---- the fused ops against the arithmetic of their plain numpy forms ------
+
+
+def plain_block_forward(x, data, keep, out, tape: bool):
+    """`tensor._block_forward` as `@`, 1-D bias broadcasting and 1.0 / np.sqrt."""
+    w1, b1, w2, b2, gain, bias = data
+    pre = x @ w1
+    pre += b1
+    hidden = np.maximum(pre, 0.0, out=pre)
+    y = hidden @ w2
+    y += b2
+    n = y.shape[1]
+    y -= np.add.reduce(y, axis=-1, keepdims=True) / n
+    inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5)
+    xhat = np.multiply(y, inv_std, out=None if tape else y)
+    out = np.multiply(xhat, gain, out=out)
+    out += bias
+    if keep is not None:
+        out *= keep
+    return out, ((x, hidden, xhat, inv_std, keep) if tape else None)
+
+
+def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
+    """`tensor._cell_forward` with `@`, a 1-D bias and the sigmoid 1.0 / (1.0 + exp(-pre))."""
+    d_h = c.shape[1]
+    pre = xh @ w
+    pre += b
+    gates = 1.0 / (1.0 + np.exp(-pre))
+    cand = np.tanh(pre[:, 2 * d_h : 3 * d_h])
+    c_new = gates[:, d_h : 2 * d_h] * c
+    c_new += gates[:, :d_h] * cand
+    tc = np.tanh(c_new)
+    h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
+    return h, c_new, ((xh, c, gates, cand, tc) if tape else None)
+
+
+def plain_cell_backward(gh, gc, cache, w, b):
+    """`tensor._cell_backward` with `@` and Python-scalar left operands."""
+    xh, c, gates, cand, tc = cache
+    d_h = c.shape[1]
+    i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
+    gc = gh * o * (1.0 - tc * tc) if gc is None else gc + gh * o * (1.0 - tc * tc)
+    dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
+    dpre = dgate * gates * (1.0 - gates)
+    dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
+    if b._tracked:
+        b._accumulate(dpre.sum(axis=0))
+    if w._tracked:
+        w._accumulate(xh.T @ dpre)
+    return dpre @ w.data.T, gc * f
+
+
+def outputs_and_grads(op, arrays, args_of, costs):
+    """The op's output arrays and every input gradient of sum(output_i * cost_i)."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    result = op(*args_of(tensors))
+    outs = result if isinstance(result, tuple) else (result,)
+    loss = (outs[0] * Tensor(costs[0])).sum()
+    for out, cost in zip(outs[1:], costs[1:]):
+        loss = loss + (out * Tensor(cost)).sum()
+    loss.backward()
+    return [out.data for out in outs] + [t.grad for t in tensors]
+
+
+def block_case(rng, lead):
+    k, m, n = 36, 8, 16  # the model's PPM block at d_m 16 and 4 classes
+    shapes = [(*lead, 1, k), (k, m), (m,), (m, n), (n,), (n,), (n,)]
+    keep = (rng.random((*lead, 1, n)) >= 0.1) / 0.9
+    return (mlp_norm, [rng.normal(size=s) for s in shapes], lambda t: (*t, keep),
+            [rng.normal(size=(*lead, 1, n))])
+
+
+def ppm_case(rng, lead):
+    horizon = 4
+    keep = (rng.random((*lead, horizon, 16)) >= 0.1) / 0.9
+    return (ppm_rollout, ppm_arrays(rng, lead, 16, 4), lambda t: ppm_args(t, horizon, keep),
+            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)])
+
+
+def lstm_step_case(rng, lead):
+    t, d = 8, 16
+    shapes = [(*lead, t, d), (*lead, 1, 2 * d), (2 * d, 4 * d), (4 * d,)]
+    return (lstm_step, [rng.normal(size=s) for s in shapes], lambda ts: ts,
+            [rng.normal(size=(*lead, 1, 2 * d))])
+
+
+def lstm_rollout_case(rng, lead):
+    horizon = 4
+    return (lstm_rollout, lstm_arrays(rng, lead, 16, 4), lambda t: lstm_args(t, horizon),
+            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)])
+
+
+class TestFastPathsKeepTheBits:
+    """Each fused op, forward and every gradient, equals by bytes the same op
+    run with the plain numpy arithmetic its fast paths replace: `@` for
+    `_dot`, 1-D biases broadcast over the rows, 1.0 / np.sqrt(...) in the
+    layer norm and 1.0 / (1.0 + exp(-pre)) for the gates. The PPM rollout
+    feeds its features forward, so the classifier's gradient multiplies a
+    strided column slice of the step buffer, which `_dot` must hand to `@`.
+    """
+
+    @pytest.mark.parametrize("case", [block_case, ppm_case, lstm_step_case, lstm_rollout_case])
+    @pytest.mark.parametrize("lead", [(), (16,)], ids=["one row", "B rows"])
+    def test_bytes_equal_plain_arithmetic(self, case, lead, monkeypatch):
+        op, arrays, args_of, costs = case(np.random.default_rng(100 + len(lead)), lead)
+        fast = outputs_and_grads(op, arrays, args_of, costs)
+        monkeypatch.setattr(tensor, "_dot", lambda a, b, out=None: np.matmul(a, b, out=out))
+        monkeypatch.setattr(tensor, "_row", lambda t: t.data)
+        monkeypatch.setattr(tensor, "_block_forward", plain_block_forward)
+        monkeypatch.setattr(tensor, "_cell_forward", plain_cell_forward)
+        monkeypatch.setattr(tensor, "_cell_backward", plain_cell_backward)
+        plain = outputs_and_grads(op, arrays, args_of, costs)
+        assert len(fast) == len(plain)
+        for i, (got, want) in enumerate(zip(fast, plain)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"array {i}"
 
 
 class TestReluAndGates:
