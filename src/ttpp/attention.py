@@ -1,10 +1,10 @@
 """Temporal transformer aggregation.
 
 The current chunk feature queries the history of earlier chunk features
-through multi-head scaled dot-product attention, one fused
-`tensor.attention` node; the attended summary is added back onto the
-(position-encoded) query through a shortcut, giving a single aggregated
-vector per observed window.
+through multi-head scaled dot-product attention, and the attended summary
+is added back onto the (position-encoded) query through a shortcut, giving
+a single aggregated vector per observed window. The whole layer, position
+rows and shortcut included, is one fused `tensor.attention` node.
 """
 
 from __future__ import annotations
@@ -79,10 +79,4 @@ def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):
         raise ValueError(
             f"aggregate: position table {pe.shape} cannot cover input {f_seq.shape}"
         )
-    x = f_seq + Tensor(pe[:t])
-    query = x[..., t - 1 : t, :]
-    p = params
-    attended, weights = attention(
-        query, x[..., : t - 1, :], p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads
-    )
-    return attended + query, weights
+    return attention(f_seq, pe[:t], *params.values(), params.n_heads)

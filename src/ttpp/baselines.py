@@ -65,9 +65,7 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
             x = relu(x)
         out_len = (x.shape[-2] + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
         padded = concat([pad, x, pad], axis=-2)
-        rows = np.concatenate(
-            [np.arange(j * CONV_STRIDE, j * CONV_STRIDE + CONV_KERNEL) for j in range(out_len)]
-        )
+        rows = (CONV_STRIDE * np.arange(out_len)[:, None] + np.arange(CONV_KERNEL)).ravel()
         windows = reshape(padded[..., rows, :], lead + (out_len, CONV_KERNEL * d_m))
         x = matmul(windows, w.value) + b.value
     return x + f_seq[..., t - 1 : t, :]

@@ -54,6 +54,8 @@ class ModelConfig:
             raise ValueError(f"d_m must be >= 2, got {self.d_m}")
         if self.d_m % self.n_heads != 0:
             raise ValueError(f"n_heads={self.n_heads} must divide d_m={self.d_m}")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2, got {self.n_classes}")
         if self.seq_len < 2:
             raise ValueError(f"seq_len must be >= 2, got {self.seq_len}")
         if self.horizon < 1:

@@ -14,17 +14,19 @@ runs as one graph over a (B, ...) stack instead of one graph per sample.
 The cost of a small graph is the tape and the numpy calls per node, not
 the flops. So each model layer is one fused op with one node and a
 hand-written backward: ``mlp_norm`` (two dense layers, layer norm and
-dropout: the prediction block), ``attention`` (multi-head attention of one
-query row over a memory) and ``lstm_step`` (an LSTM over a whole window).
+dropout: the prediction block), ``attention`` (the whole TTM layer: position
+rows, multi-head attention of a window's last row over the rows before it,
+and the shortcut) and ``lstm_step`` (an LSTM over a whole window).
 Each predictor's whole rollout is one too: ``ppm_rollout`` and
 ``lstm_rollout`` write every step's input into one preallocated buffer and
 run back through time by hand, building two tensors (the features and
 their logits). The tests hold each op to an oracle: the forward of a
-rollout or of an LSTM window equals the chain of single-op nodes it
-replaces bit for bit, and every other value, gradients included, is within
-1e-12. Arrays only a backward reads are kept only while taping. Dropout
-takes a keep mask drawn by `keep_mask`, so a caller can draw the masks of
-a whole batch at once in the order per-sample draws would read them.
+rollout, of an LSTM window or of the TTM layer equals the chain of
+single-op nodes it replaces bit for bit, and every other value, gradients
+included, is within 1e-12. Arrays only a backward reads are kept only
+while taping. Dropout takes a keep mask drawn by `keep_mask`, so a caller
+can draw the masks of a whole batch at once in the order per-sample draws
+would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
@@ -558,29 +560,29 @@ def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=N
                     step, step_back)
 
 
-def attention(query, memory, wq, wk, wv, wo, n_heads: int):
-    """Multi-head scaled dot-product attention of one query row, as one node.
+def attention(window, pe, wq, wk, wv, wo, n_heads: int):
+    """The TTM layer as one node: a window's last row attends over its earlier
+    rows, and the attended result is added back onto that row.
 
-    `query` is (..., 1, d) and `memory` (..., M, d), with the same leading
-    batch axes, and the four weights are (d, d). Head h owns columns
-    h*d/n_heads to (h+1)*d/n_heads of the q, k and v projections; it
-    scores softmax(q_h k_h^T / sqrt(d)), the full width as temperature.
-    The head outputs, side by side, are projected by `wo`. Returns the
-    (..., 1, d) output and the (..., n_heads, M) weights as an ndarray.
+    `window` is (..., T, d) with T >= 2, `pe` a (T, d) position table added
+    to each window, and the four weights are (d, d). With x = window + pe,
+    row T-1 queries rows :T-1. Head h owns columns h*d/n_heads to
+    (h+1)*d/n_heads of the q, k and v projections; it scores softmax(q_h
+    k_h^T / sqrt(d)), the full width as temperature. The head outputs, side
+    by side, are projected by `wo` and added onto x's last row. Returns the
+    (..., 1, d) output and the (..., n_heads, T-1) weights as an ndarray.
     """
-    lead = memory.data.shape[:-2]
-    m, d = memory.data.shape[-2:]
-    if m < 1:
-        raise ShapeError(f"attention: empty memory {memory.data.shape}")
-    if query.data.shape != lead + (1, d) or d % n_heads:
-        raise ShapeError(
-            f"attention: query {query.data.shape} for memory {memory.data.shape} "
-            f"and {n_heads} heads"
-        )
-    d_k = d // n_heads
+    shape = window.data.shape
+    if len(shape) < 2 or shape[-2] < 2 or np.shape(pe) != shape[-2:] or shape[-1] % n_heads:
+        raise ShapeError(f"attention: window {shape}, position table {np.shape(pe)} and "
+                         f"{n_heads} heads: needs T >= 2 rows, a (T, d) table, heads dividing d")
+    lead, (t, d) = shape[:-2], shape[-2:]
+    m, d_k = t - 1, d // n_heads
     swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes; self-inverse
-    mem_rows = memory.data.reshape(-1, d)
-    q = _dot(query.data.reshape(-1, d), wq.data).reshape(lead + (1, n_heads, d_k))
+    x = window.data + pe
+    query = x[..., m:, :]
+    q_rows, mem_rows = query.reshape(-1, d), x[..., :m, :].reshape(-1, d)
+    q = _dot(q_rows, wq.data).reshape(lead + (1, n_heads, d_k))
     k = _dot(mem_rows, wk.data).reshape(lead + (m, n_heads, d_k))
     v = _dot(mem_rows, wv.data).reshape(lead + (m, n_heads, d_k))
     scale = 1.0 / math.sqrt(d)
@@ -588,8 +590,9 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
     spread = weights.transpose(swap).reshape(lead + (m, n_heads, 1))
     heads = np.add.reduce(spread * v, axis=-3).reshape(lead + (1, d))
     data = _dot(heads.reshape(-1, d), wo.data).reshape(lead + (1, d))
+    data += query
 
-    def backward(g):  # the query's and memory's gradients only when they are tracked
+    def backward(g):  # the window's gradient only when it is tracked
         rows = g.reshape(-1, d)
         _send(wo, _dot(heads.reshape(-1, d).T, rows))
         g_heads = _dot(rows, wo.data.T).reshape(lead + (1, n_heads, d_k))
@@ -600,14 +603,14 @@ def attention(query, memory, wq, wk, wv, wo, n_heads: int):
         g_q = np.add.reduce(g_scores * k, axis=-3).reshape(-1, d)
         _send(wv, _dot(mem_rows.T, g_v))
         _send(wk, _dot(mem_rows.T, g_k))
-        _send(wq, _dot(query.data.reshape(-1, d).T, g_q))
-        if memory._tracked:
-            g_mem = _dot(g_v, wv.data.T) + _dot(g_k, wk.data.T)
-            memory._accumulate(g_mem.reshape(memory.data.shape))
-        if query._tracked:
-            query._accumulate(_dot(g_q, wq.data.T).reshape(query.data.shape))
+        _send(wq, _dot(q_rows.T, g_q))
+        if window._tracked:
+            g_x = np.empty(shape)
+            g_x[..., :m, :] = (_dot(g_v, wv.data.T) + _dot(g_k, wk.data.T)).reshape(lead + (m, d))
+            g_x[..., m:, :] = g + _dot(g_q, wq.data.T).reshape(g.shape)
+            window._accumulate(g_x)
 
-    return _make(data, (query, memory, wq, wk, wv, wo), backward), weights
+    return _make(data, (window, wq, wk, wv, wo), backward), weights
 
 
 def _cell_forward(xh, c, w, b, tape: bool, h_out):

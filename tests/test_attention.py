@@ -47,10 +47,13 @@ def identity_params(d_m: int) -> TTMParams:
     )
 
 
-def attend(query: Tensor, memory: Tensor, params: TTMParams):
-    """The fused attention op on a TTM parameter set, as `aggregate` calls it."""
+def attend(memory: np.ndarray, query: np.ndarray, params: TTMParams):
+    """The fused TTM layer, as `aggregate` calls it, on the window [memory | query]
+    with zero position rows: the attended memory plus the query row."""
+    window = np.concatenate([memory, query], axis=-2)
     p = params
-    return attention(query, memory, p.wq.value, p.wk.value, p.wv.value, p.wo.value, p.n_heads)
+    return attention(Tensor(window), np.zeros(window.shape[-2:]), p.wq.value, p.wk.value,
+                     p.wv.value, p.wo.value, p.n_heads)
 
 
 def np_softmax(scores: np.ndarray) -> np.ndarray:
@@ -65,10 +68,10 @@ class TestAttention:
         rng = np.random.default_rng(0)
         for _ in range(5):
             params = init_ttm_params(8, 2, rng)
-            q = Tensor(rng.normal(size=(1, 8)))
+            q = rng.normal(size=(1, 8))
             mem = rng.normal(size=(1, 8))
-            out, w = attend(q, Tensor(mem), params)
-            expected = mem @ params.wv.value.data @ params.wo.value.data
+            out, w = attend(mem, q, params)
+            expected = mem @ params.wv.value.data @ params.wo.value.data + q
             np.testing.assert_allclose(out.data, expected, atol=1e-12)
             np.testing.assert_allclose(w, np.ones((2, 1)), atol=1e-12)
 
@@ -78,8 +81,10 @@ class TestAttention:
         params = init_ttm_params(6, 2, rng)
         params.wk.value.data[:] = 0.0
         mem = rng.normal(size=(5, 6))
-        out, _ = attend(Tensor(rng.normal(size=(1, 6))), Tensor(mem), params)
+        q = rng.normal(size=(1, 6))
+        out, _ = attend(mem, q, params)
         expected = (mem @ params.wv.value.data).mean(axis=0, keepdims=True) @ params.wo.value.data
+        expected += q
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_against_naive_loop_oracle(self):
@@ -101,35 +106,32 @@ class TestAttention:
             e = np.exp(scores - scores.max())
             w[h] = e / e.sum()
             heads[cols] = sum(w[h, i] * v[i, cols] for i in range(7))
-        out, weights = attend(Tensor(query), Tensor(mem), params)
-        np.testing.assert_allclose(out.data[0], heads @ params.wo.value.data, atol=1e-10)
+        out, weights = attend(mem, query, params)
+        np.testing.assert_allclose(out.data[0], heads @ params.wo.value.data + query[0],
+                                   atol=1e-10)
         np.testing.assert_allclose(weights, w, atol=1e-10)
 
-    def test_empty_memory_rejected(self):
-        q = Tensor(np.zeros((1, 4)))
-        empty = Tensor(np.zeros((0, 4)))
-        with pytest.raises(ValueError, match="empty memory"):
-            attend(q, empty, identity_params(4))
+    def test_window_of_one_row_rejected(self):
+        with pytest.raises(ValueError, match="T >= 2 rows"):
+            attend(np.zeros((0, 4)), np.zeros((1, 4)), identity_params(4))
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         params = init_ttm_params(8, 4, rng)
-        _, w = attend(
-            Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(6, 8))), params
-        )
+        _, w = attend(rng.normal(size=(6, 8)), rng.normal(size=(1, 8)), params)
         assert w.shape == (4, 6)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_output_linear_in_values_for_fixed_weights(self):
         rng = np.random.default_rng(4)
         params = init_ttm_params(8, 2, rng)
-        q = Tensor(rng.normal(size=(1, 8)))
-        mem = Tensor(rng.normal(size=(5, 8)))
-        out1, w1 = attend(q, mem, params)
+        q = rng.normal(size=(1, 8))
+        mem = rng.normal(size=(5, 8))
+        out1, w1 = attend(mem, q, params)
         params.wv.value.data *= 2.0
-        out2, w2 = attend(q, mem, params)
+        out2, w2 = attend(mem, q, params)
         np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_allclose(out2.data, 2 * out1.data, rtol=1e-12)
+        np.testing.assert_allclose(out2.data - q, 2 * (out1.data - q), rtol=1e-12)
 
 
 class TestMultiHead:
@@ -137,18 +139,16 @@ class TestMultiHead:
         rng = np.random.default_rng(5)
         q = rng.normal(size=(1, 6))
         mem = rng.normal(size=(4, 6))
-        out, weights = attend(Tensor(q), Tensor(mem), identity_params(6))
+        out, weights = attend(mem, q, identity_params(6))
         ew = np_softmax(q @ mem.T / np.sqrt(6))
-        np.testing.assert_allclose(out.data, ew @ mem, atol=1e-12)
+        np.testing.assert_allclose(out.data, ew @ mem + q, atol=1e-12)
         np.testing.assert_allclose(weights, ew, atol=1e-12)
 
     @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
     def test_output_shape(self, n_heads):
         rng = np.random.default_rng(6)
         params = init_ttm_params(16, n_heads, rng)
-        out, weights = attend(
-            Tensor(rng.normal(size=(1, 16))), Tensor(rng.normal(size=(5, 16))), params
-        )
+        out, weights = attend(rng.normal(size=(5, 16)), rng.normal(size=(1, 16)), params)
         assert out.shape == (1, 16)
         assert weights.shape == (n_heads, 5)
 
@@ -167,8 +167,8 @@ class TestMultiHead:
             vi = mem @ params.wv.value.data[:, cols]
             w = np_softmax((qi @ ki.T) / np.sqrt(d_m))  # scale uses the model width
             heads.append(w @ vi)
-        expected = np.concatenate(heads, axis=-1) @ params.wo.value.data
-        out, _ = attend(Tensor(q), Tensor(mem), params)
+        expected = np.concatenate(heads, axis=-1) @ params.wo.value.data + q
+        out, _ = attend(mem, q, params)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     @pytest.mark.parametrize("n_heads", [1, 4])
@@ -189,12 +189,12 @@ class TestMultiHead:
         # ModelConfig refuses this pairing; the op refuses it from a direct caller
         params = init_ttm_params(10, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="3 heads"):
-            attend(Tensor(np.zeros((1, 10))), Tensor(np.zeros((4, 10))), params)
+            attend(np.zeros((4, 10)), np.zeros((1, 10)), params)
 
-    def test_empty_memory_rejected(self):
+    def test_window_of_one_row_rejected(self):
         params = init_ttm_params(8, 2, np.random.default_rng(8))
-        with pytest.raises(ValueError, match="empty memory"):
-            attend(Tensor(np.zeros((1, 8))), Tensor(np.zeros((0, 8))), params)
+        with pytest.raises(ValueError, match="T >= 2 rows"):
+            attend(np.zeros((0, 8)), np.zeros((1, 8)), params)
 
 
 class TestAggregate:

@@ -74,12 +74,18 @@ class TestConfig:
         (["train.lam=-0.5"], "lam"),
         (["model.n_heads=0"], "n_heads"),
         (["model.d_m=0"], "d_m"),
+        (["model.classes=1"], "n_classes"),
+        (["model.classes=0"], "n_classes"),
+        (["model.classes=-1"], "n_classes"),
     ])
-    def test_every_refused_value_names_its_field(self, items, field):
+    def test_every_refused_value_names_its_field(self, items, field, capsys):
         rc = resolve_config(None, items)
         build = model_config if items[0].startswith("model.") else train_config
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             build(rc)
+        if build is model_config:  # param-count builds only the model config
+            assert main(["param-count", *(a for item in items for a in ("--set", item))]) == 1
+            assert f"error: {field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", [k for k, v in DEFAULTS.items() if isinstance(v, float)])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

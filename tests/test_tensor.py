@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from ttpp import tensor
-from ttpp.attention import TTMParams
+from ttpp.attention import TTMParams, positional_encoding
 from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint, save_checkpoint
 from ttpp.tensor import (
     GradientError,
@@ -263,6 +263,7 @@ class TestGradCheck:
         bias = Tensor(rng.normal(size=5))
         dense = [Tensor(rng.normal(size=shape)) for shape in ((5, 3), (3,), (3, 5), (5,))]
         proj = [Tensor(rng.normal(size=(5, 5))) for _ in range(4)]
+        pe = positional_encoding(4, 5)
         cost_a = Tensor(rng.normal(size=(1, 5)))
         h, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
         cell = [Tensor(np.concatenate([h, c], axis=-1))] + [
@@ -275,7 +276,7 @@ class TestGradCheck:
             "softmax": lambda t: (softmax(t) * cost).sum(),
             "mlp_norm": lambda t: (mlp_norm(t, *dense, gain, bias) * cost).sum(),
             "relu": lambda t: (relu(t) * cost).sum(),
-            "attention": lambda t: (attention(t[0:1], t[1:], *proj, 1)[0] * cost_a).sum(),
+            "attention": lambda t: (attention(t, pe, *proj, 1)[0] * cost_a).sum(),  # 4-row window
             "lstm_step": lambda t: (lstm_step(t, *cell) * cost_l).sum(),  # a 4-row window
             "log_softmax": lambda t: (log_softmax(t) * cost).sum(),
             "slice_concat": lambda t: matmul(t[1:3], Tensor(w)).sum()
@@ -496,17 +497,18 @@ def mlp_norm_oracle(x, w1, b1, w2, b2, gain, bias, keep, cost):
     return out.reshape(x.shape[:-1] + (n,)), grads
 
 
-def attention_oracle(query, memory, wq, wk, wv, wo, n_heads, cost):
+def attention_oracle(window, pe, wq, wk, wv, wo, n_heads, cost):
     """Output, weights and gradients of sum(out * cost), window by window and head by head."""
-    lead = memory.shape[:-2]
-    m, d = memory.shape[-2:]
-    d_k = d // n_heads
+    lead = window.shape[:-2]
+    t, d = window.shape[-2:]
+    m, d_k = t - 1, d // n_heads
+    x = window + pe
     out = np.zeros(lead + (1, d))
     weights = np.zeros(lead + (n_heads, m))
-    grads = [np.zeros_like(a) for a in (query, memory, wq, wk, wv, wo)]
-    d_query, d_memory, d_wq, d_wk, d_wv, d_wo = grads
+    grads = [np.zeros_like(a) for a in (window, wq, wk, wv, wo)]
+    d_window, d_wq, d_wk, d_wv, d_wo = grads
     for idx in np.ndindex(*lead):
-        row, mem, c = query[idx][0], memory[idx], cost[idx][0]
+        row, mem, c = x[idx][m], x[idx][:m], cost[idx][0]
         qv, keys, vals = row @ wq, mem @ wk, mem @ wv
         heads = np.zeros(d)
         d_heads = wo @ c
@@ -520,14 +522,61 @@ def attention_oracle(query, memory, wq, wk, wv, wo, n_heads, cost):
             d_scores = (np.diag(w) - np.outer(w, w)) @ (vals[:, cols] @ d_heads[cols]) / np.sqrt(d)
             d_qv[cols] = keys[:, cols].T @ d_scores
             d_keys[:, cols] = np.outer(d_scores, qv[cols])
-        out[idx][0] = heads @ wo
+        out[idx][0] = heads @ wo + row
         d_wo += np.outer(heads, c)
         d_wq += np.outer(row, d_qv)
-        d_query[idx][0] = wq @ d_qv
+        d_window[idx][m] = wq @ d_qv + c
         d_wk += mem.T @ d_keys
         d_wv += mem.T @ d_vals
-        d_memory[idx] = d_keys @ wk.T + d_vals @ wv.T
+        d_window[idx][:m] = d_keys @ wk.T + d_vals @ wv.T
     return out, weights, grads
+
+
+def query_attention(query, memory, wq, wk, wv, wo, n_heads):
+    """Attention of a (..., 1, d) query row over a (..., M, d) memory as one
+    node, in the arithmetic of `tensor.attention` before it took the whole
+    TTM layer: the node `ttm_chain` wraps."""
+    lead, (m, d) = memory.shape[:-2], memory.shape[-2:]
+    d_k = d // n_heads
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))
+    mem_rows, q_rows = memory.data.reshape(-1, d), query.data.reshape(-1, d)
+    q = tensor._dot(q_rows, wq.data).reshape(lead + (1, n_heads, d_k))
+    k = tensor._dot(mem_rows, wk.data).reshape(lead + (m, n_heads, d_k))
+    v = tensor._dot(mem_rows, wv.data).reshape(lead + (m, n_heads, d_k))
+    scale = 1.0 / np.sqrt(d)
+    weights = tensor._softmax_data(np.add.reduce(k * q, axis=-1).transpose(swap) * scale)
+    spread = weights.transpose(swap).reshape(lead + (m, n_heads, 1))
+    heads = np.add.reduce(spread * v, axis=-3).reshape(lead + (1, d))
+    data = tensor._dot(heads.reshape(-1, d), wo.data).reshape(lead + (1, d))
+
+    def backward(g):
+        rows = g.reshape(-1, d)
+        wo._accumulate(tensor._dot(heads.reshape(-1, d).T, rows))
+        g_heads = tensor._dot(rows, wo.data.T).reshape(lead + (1, n_heads, d_k))
+        g_v = (spread * g_heads).reshape(-1, d)
+        g_w = np.add.reduce(v * g_heads, axis=-1).transpose(swap)
+        g_scores = np.expand_dims((tensor._softmax_grad(g_w, weights) * scale).transpose(swap),
+                                  -1)
+        g_k = (g_scores * q).reshape(-1, d)
+        g_q = np.add.reduce(g_scores * k, axis=-3).reshape(-1, d)
+        wv._accumulate(tensor._dot(mem_rows.T, g_v))
+        wk._accumulate(tensor._dot(mem_rows.T, g_k))
+        wq._accumulate(tensor._dot(q_rows.T, g_q))
+        g_mem = tensor._dot(g_v, wv.data.T) + tensor._dot(g_k, wk.data.T)
+        memory._accumulate(g_mem.reshape(memory.shape))
+        query._accumulate(tensor._dot(g_q, wq.data.T).reshape(query.shape))
+
+    return tensor._make(data, (query, memory, wq, wk, wv, wo), backward), weights
+
+
+def ttm_chain(window, pe, wq, wk, wv, wo, n_heads):
+    """The TTM layer as generic add and slice nodes around `query_attention`:
+    the tape the fused `attention` replaces."""
+    t = window.shape[-2]
+    x = window + Tensor(pe)
+    query = x[..., t - 1 : t, :]
+    attended, weights = query_attention(query, x[..., : t - 1, :], wq, wk, wv, wo, n_heads)
+    return attended + query, weights
 
 
 def lstm_oracle(x, state, w, b, cost):
@@ -594,18 +643,28 @@ class TestFusedOpsMatchOracles:
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_attention(self, lead, n_heads):
+        # against the chain it replaces, forward and weights bit for bit, and
+        # against the per-head oracle; the window is tracked, so it gets its gradient
         rng = np.random.default_rng(50 + n_heads)
-        d, m = 8, 5
-        shapes = [(*lead, 1, d), (*lead, m, d)] + [(d, d)] * 4
+        d, t = 8, 6
+        shapes = [(*lead, t, d)] + [(d, d)] * 4
         arrays = [rng.normal(size=s) for s in shapes]
+        pe = rng.normal(size=(t, d))
         cost = rng.normal(size=(*lead, 1, d))
-        (out, weights), grads = taped(attention, arrays, cost, n_heads)
-        expected, expected_weights, expected_grads = attention_oracle(*arrays, n_heads, cost)
+        (out, weights), grads = taped(
+            lambda window, *w: attention(window, pe, *w, n_heads), arrays, cost)
+        (chain_out, chain_weights), chain_grads = taped(
+            lambda window, *w: ttm_chain(window, pe, *w, n_heads), arrays, cost)
+        np.testing.assert_array_equal(out.data, chain_out.data)
+        np.testing.assert_array_equal(weights, chain_weights)
+        expected, expected_weights, expected_grads = attention_oracle(arrays[0], pe, *arrays[1:],
+                                                                      n_heads, cost)
         assert_close(out.data, expected, "forward")
         assert_close(weights, expected_weights, "weights")
-        for name, got, want in zip(["query", "memory", "wq", "wk", "wv", "wo"], grads,
-                                   expected_grads):
+        for name, got, want, oracle in zip(["window", "wq", "wk", "wv", "wo"], grads,
+                                           chain_grads, expected_grads):
             assert_close(got, want, name)
+            assert_close(got, oracle, name)
 
     @pytest.mark.parametrize("lead", LEADS)
     def test_lstm_step(self, lead):
@@ -625,9 +684,15 @@ class TestFusedOpsMatchOracles:
         with pytest.raises(ShapeError, match="mlp_norm"):
             mlp_norm(z, Tensor(np.zeros((3, 2))), *(Tensor(np.zeros(s)) for s in
                                                      ((2,), (2, 4), (4,), (4,), (4,))))
-        with pytest.raises(ShapeError, match="attention"):
-            attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))),
-                      *[Tensor(np.eye(4))] * 4, 2)
+        for window_shape, pe_shape in [
+            ((3, 4), (2, 4)),  # a position table for another window length
+            ((2, 3, 4), (3, 3)),  # or another width
+            ((1, 4), (1, 4)),  # no memory
+            ((4,), (4,)),  # no row axis
+        ]:
+            with pytest.raises(ShapeError, match="attention"):
+                attention(Tensor(np.zeros(window_shape)), np.zeros(pe_shape),
+                          *[Tensor(np.eye(4))] * 4, 2)
         with pytest.raises(ShapeError, match="lstm_step"):
             lstm_step(z, Tensor(np.zeros((1, 6))), Tensor(np.zeros((6, 12))),
                       Tensor(np.zeros(12)))
@@ -693,20 +758,20 @@ class TestFusedGradientProperties:
         assert grad_check(f, [x, *layers] if tracked else layers) < 1e-5
 
     @settings(max_examples=30, deadline=None)
-    @given(lead=batch_lead, m=st.integers(1, 4), n_heads=st.integers(1, 2),
+    @given(lead=batch_lead, t=st.integers(2, 5), n_heads=st.integers(1, 2),
            d_k=st.integers(1, 2), tracked=st.booleans(), seed=st.integers(0, 2**16))
-    def test_attention(self, lead, m, n_heads, d_k, tracked, seed):
+    def test_attention(self, lead, t, n_heads, d_k, tracked, seed):
         rng = np.random.default_rng(seed)
         d = n_heads * d_k
-        query = Tensor(rng.normal(size=(*lead, 1, d)))
-        memory = Tensor(rng.normal(size=(*lead, m, d)))
+        window = Tensor(rng.normal(size=(*lead, t, d)))
+        pe = rng.normal(size=(t, d))
         weights = [Tensor(rng.normal(size=(d, d))) for _ in range(4)]
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
 
         def f(*_):
-            return (attention(query, memory, *weights, n_heads)[0] * cost).sum()
+            return (attention(window, pe, *weights, n_heads)[0] * cost).sum()
 
-        assert grad_check(f, [query, memory, *weights] if tracked else weights) < 1e-5
+        assert grad_check(f, [window, *weights] if tracked else weights) < 1e-5
 
     @settings(max_examples=30, deadline=None)
     @given(lead=batch_lead, t=st.integers(1, 4), d_in=st.integers(1, 3), d_h=st.integers(1, 2),
@@ -1142,16 +1207,16 @@ class TestTapeNodes:
     """Tensors built by one taped one-window anticipate at the default config.
 
     One node per fused layer call, and two tensors per rollout: the
-    features node and its logits child. ttm-ppm builds 8 others (input,
-    position rows and their sum, query and memory slices, attention,
-    residual, the last feature); lstm-lstm 7 (input, initial state, the
-    encoder's one `lstm_step` over the window, the summary's slice, the
-    last feature slice, the shortcut sum, the last feature).
+    features node and its logits child. ttm-ppm and ttm-lstm build 3 others
+    (input, the TTM layer's one `attention` node, the last feature);
+    lstm-lstm 7 (input, initial state, the encoder's one `lstm_step` over
+    the window, the summary's slice, the last feature slice, the shortcut
+    sum, the last feature).
     conv1d and SSP still run as chains of generic ops. conv1d-ppm builds 22
     others: the input, the zero pad rows, per layer (three at T = 8) the
     padded concat, its kernel rows, their reshape, the matmul and the bias
     sum, a ReLU before the second and third layers, then the last feature
-    slice, the shortcut sum and the last feature. ttm-ssp builds ttm's 8
+    slice, the shortcut sum and the last feature. ttm-ssp builds ttm's 3
     and 6 in SSP (the current feature's logits and their softmax, the
     shared row, its horizon copies, the one-hot tags, the block input);
     its rollout's features node is the block's one `mlp_norm`.
@@ -1160,7 +1225,8 @@ class TestTapeNodes:
     """
 
     @pytest.mark.parametrize("aggregator, predictor, nodes", [
-        ("ttm", "ppm", 10), ("lstm", "lstm", 9), ("conv1d", "ppm", 24), ("ttm", "ssp", 16),
+        ("ttm", "ppm", 5), ("ttm", "lstm", 5), ("lstm", "lstm", 9), ("conv1d", "ppm", 24),
+        ("ttm", "ssp", 11),
     ])
     def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
