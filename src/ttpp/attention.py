@@ -4,7 +4,8 @@ The current chunk feature queries the history of earlier chunk features
 through multi-head scaled dot-product attention, and the attended summary
 is added back onto the (position-encoded) query through a shortcut, giving
 a single aggregated vector per observed window. The whole layer, position
-rows and shortcut included, is one fused `tensor.attention` node.
+rows and shortcut included, is one fused `tensor.attention` node, and its
+parameter set holds the position table, so it runs on (window, params).
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from .tensor import Parameter, ParameterSet, Tensor, attention, glorot
 
 @dataclass
 class TTMParams(ParameterSet):
-    """Query/key/value projections of every head, plus the output projection.
+    """Projections of every head, the output projection and the position table.
 
     `wq`, `wk` and `wv` are each d_m x d_m: head h owns columns h*d_k to
     (h+1)*d_k, with d_k = d_m / n_heads. The concatenated head outputs are
-    mapped back to d_m by `wo`.
+    mapped back to d_m by `wo`. `pe` is the (seq_len, d_m) sinusoidal table
+    added to each window: not a Parameter, it neither trains nor is saved.
     """
 
     wq: Parameter
@@ -30,9 +32,10 @@ class TTMParams(ParameterSet):
     wv: Parameter
     wo: Parameter
     n_heads: int
+    pe: np.ndarray
 
 
-def init_ttm_params(d_m: int, n_heads: int, rng) -> TTMParams:
+def init_ttm_params(d_m: int, n_heads: int, seq_len: int, rng) -> TTMParams:
     """Glorot init with one draw per head, so each head has the d_m x d_k limit.
 
     Draws run q heads, then k heads, then v heads, then the output projection.
@@ -43,7 +46,7 @@ def init_ttm_params(d_m: int, n_heads: int, rng) -> TTMParams:
         for name in "qkv"
     )
     wo = Parameter("ttm.o", glorot(rng, d_m, d_m))
-    return TTMParams(wq, wk, wv, wo, n_heads)
+    return TTMParams(wq, wk, wv, wo, n_heads, positional_encoding(seq_len, d_m))
 
 
 def positional_encoding(length: int, d_m: int) -> np.ndarray:
@@ -63,20 +66,13 @@ def positional_encoding(length: int, d_m: int) -> np.ndarray:
     return table
 
 
-def aggregate(f_seq: Tensor, params: TTMParams, pe: np.ndarray):
+def aggregate(f_seq: Tensor, params: TTMParams):
     """Aggregate T observed chunk features into one vector.
 
-    Position rows are added to all T inputs; the last (position-encoded)
-    row queries the earlier T-1 rows as memory, each head scoring
-    softmax(q_h K_h^T / sqrt(d_m)), and the attended output is added back
-    onto the query. `f_seq` is one (T, d_m) window or a (B, T, d_m) stack.
+    `params.pe` is added to the T inputs; the last row queries the earlier
+    T-1 as memory, each head scoring softmax(q_h K_h^T / sqrt(d_m)), and the
+    attended output is added back onto it. `f_seq` is one (T, d_m) window
+    or a (B, T, d_m) stack, with T the table's length.
     Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights).
     """
-    t = f_seq.shape[-2]
-    if t < 2:
-        raise ValueError(f"aggregate: sequence too short, need T >= 2, got {t}")
-    if pe.shape[0] < t or pe.shape[1] != f_seq.shape[-1]:
-        raise ValueError(
-            f"aggregate: position table {pe.shape} cannot cover input {f_seq.shape}"
-        )
-    return attention(f_seq, pe[:t], *params.values(), params.n_heads)
+    return attention(f_seq, params.pe, *params.values(), params.n_heads)

@@ -48,6 +48,8 @@ class ModelConfig:
             raise ValueError(f"predictor must be one of {PREDICTORS}, got {self.predictor!r}")
         if self.ppm_variant not in PPM_VARIANTS:
             raise ValueError(f"ppm_variant must be one of {PPM_VARIANTS}, got {self.ppm_variant!r}")
+        if self.ppm_variant != "full" and self.predictor != "ppm":
+            raise ValueError(f"ppm_variant {self.ppm_variant!r} needs predictor ppm")
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_m < 2:
@@ -66,7 +68,7 @@ class ModelConfig:
     @property
     def name(self) -> str:
         tag = f"{self.aggregator}-{self.predictor}"
-        if self.predictor == "ppm" and self.ppm_variant == "no_feature":
+        if self.ppm_variant == "no_feature":
             tag += "-nofp"
         return tag
 
@@ -79,14 +81,11 @@ class AnticipationModel:
         self.config = config
         c = config
         if c.aggregator == "ttm":
-            self.agg_params = attention.init_ttm_params(c.d_m, c.n_heads, rng)
-            self.pe = attention.positional_encoding(c.seq_len, c.d_m)
+            self.agg_params = attention.init_ttm_params(c.d_m, c.n_heads, c.seq_len, rng)
         elif c.aggregator == "conv1d":
             self.agg_params = baselines.init_conv1d_params(c.d_m, c.seq_len, rng)
-            self.pe = None
         else:
             self.agg_params = baselines.init_lstm_params(c.d_m, c.d_m, rng, prefix="enc")
-            self.pe = None
         if c.predictor == "ppm":
             self.pred_params = prediction.init_ppm_params(c.d_m, c.n_classes, rng)
         elif c.predictor == "ssp":
@@ -131,7 +130,7 @@ class AnticipationModel:
             )
         weights = None
         if c.aggregator == "ttm":
-            s_t, weights = attention.aggregate(f_seq, self.agg_params, self.pe)
+            s_t, weights = attention.aggregate(f_seq, self.agg_params)
         elif c.aggregator == "conv1d":
             s_t = baselines.conv1d_aggregate(f_seq, self.agg_params)
         else:

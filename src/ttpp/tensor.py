@@ -12,16 +12,17 @@ batch axes: ``matmul`` multiplies a (..., k) operand by a shared 2-D
 runs as one graph over a (B, ...) stack instead of one graph per sample.
 
 The cost of a small graph is the tape and the numpy calls per node, not
-the flops. So each model layer is one fused op with one node and a
+the flops. So most model layers are one fused op with one node and a
 hand-written backward: ``mlp_norm`` (two dense layers, layer norm and
 dropout: the prediction block), ``attention`` (the whole TTM layer: position
 rows, multi-head attention of a window's last row over the rows before it,
-and the shortcut) and ``lstm_step`` (an LSTM over a whole window).
-Each predictor's whole rollout is one too: ``ppm_rollout`` and
-``lstm_rollout`` write every step's input into one preallocated buffer and
-run back through time by hand, building two tensors (the features and
-their logits). The tests hold each op to an oracle: the forward of a
-rollout, of an LSTM window or of the TTM layer equals the chain of
+and the shortcut) and ``lstm_step`` (an LSTM over a whole window). The PPM
+and LSTM rollouts are one too: ``ppm_rollout`` and ``lstm_rollout`` write
+every step's input into one preallocated buffer and run back through time
+by hand, building two tensors (the features and their logits). conv1d and
+the single-shot predictor are still chains of the generic ops, the latter
+around one ``mlp_norm``. The tests hold each op to an oracle: the forward
+of a rollout, of an LSTM window or of the TTM layer equals the chain of
 single-op nodes it replaces bit for bit, and every other value, gradients
 included, is within 1e-12. Arrays only a backward reads are kept only
 while taping. Dropout takes a keep mask drawn by `keep_mask`, so a caller
@@ -573,7 +574,8 @@ def attention(window, pe, wq, wk, wv, wo, n_heads: int):
     (..., 1, d) output and the (..., n_heads, T-1) weights as an ndarray.
     """
     shape = window.data.shape
-    if len(shape) < 2 or shape[-2] < 2 or np.shape(pe) != shape[-2:] or shape[-1] % n_heads:
+    if (len(shape) < 2 or shape[-2] < 2 or np.shape(pe) != shape[-2:] or n_heads < 1
+            or shape[-1] % n_heads):
         raise ShapeError(f"attention: window {shape}, position table {np.shape(pe)} and "
                          f"{n_heads} heads: needs T >= 2 rows, a (T, d) table, heads dividing d")
     lead, (t, d) = shape[:-2], shape[-2:]

@@ -1,9 +1,12 @@
 """Temporal transformer aggregation: positions, multi-head attention, shortcut."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ttpp.attention import TTMParams, aggregate, init_ttm_params, positional_encoding
+from ttpp.model import AnticipationModel, ModelConfig
 from ttpp.tensor import Parameter, ShapeError, Tensor, attention, glorot, grad_check
 
 
@@ -44,6 +47,7 @@ def identity_params(d_m: int) -> TTMParams:
         wv=Parameter("v", eye),
         wo=Parameter("o", eye),
         n_heads=1,
+        pe=np.zeros((2, d_m)),
     )
 
 
@@ -67,7 +71,7 @@ class TestAttention:
     def test_single_memory_row_passes_value_through(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            params = init_ttm_params(8, 2, rng)
+            params = init_ttm_params(8, 2, 8, rng)
             q = rng.normal(size=(1, 8))
             mem = rng.normal(size=(1, 8))
             out, w = attend(mem, q, params)
@@ -78,7 +82,7 @@ class TestAttention:
     def test_identical_keys_average_values(self):
         # a zero key projection gives every memory row the same score
         rng = np.random.default_rng(1)
-        params = init_ttm_params(6, 2, rng)
+        params = init_ttm_params(6, 2, 8, rng)
         params.wk.value.data[:] = 0.0
         mem = rng.normal(size=(5, 6))
         q = rng.normal(size=(1, 6))
@@ -92,7 +96,7 @@ class TestAttention:
         # 1/sqrt(8), the model width, not 1/sqrt(4)
         rng = np.random.default_rng(2)
         d_m, n, d_k = 8, 2, 4
-        params = init_ttm_params(d_m, n, rng)
+        params = init_ttm_params(d_m, n, 8, rng)
         query = rng.normal(size=(1, d_m))
         mem = rng.normal(size=(7, d_m))
         q = (query @ params.wq.value.data)[0]
@@ -117,14 +121,14 @@ class TestAttention:
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        params = init_ttm_params(8, 4, rng)
+        params = init_ttm_params(8, 4, 8, rng)
         _, w = attend(rng.normal(size=(6, 8)), rng.normal(size=(1, 8)), params)
         assert w.shape == (4, 6)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_output_linear_in_values_for_fixed_weights(self):
         rng = np.random.default_rng(4)
-        params = init_ttm_params(8, 2, rng)
+        params = init_ttm_params(8, 2, 8, rng)
         q = rng.normal(size=(1, 8))
         mem = rng.normal(size=(5, 8))
         out1, w1 = attend(mem, q, params)
@@ -147,7 +151,7 @@ class TestMultiHead:
     @pytest.mark.parametrize("n_heads", [1, 2, 4, 8])
     def test_output_shape(self, n_heads):
         rng = np.random.default_rng(6)
-        params = init_ttm_params(16, n_heads, rng)
+        params = init_ttm_params(16, n_heads, 8, rng)
         out, weights = attend(rng.normal(size=(5, 16)), rng.normal(size=(1, 16)), params)
         assert out.shape == (1, 16)
         assert weights.shape == (n_heads, 5)
@@ -156,7 +160,7 @@ class TestMultiHead:
         rng = np.random.default_rng(7)
         d_m, n = 8, 2
         d_k = d_m // n
-        params = init_ttm_params(d_m, n, rng)
+        params = init_ttm_params(d_m, n, 8, rng)
         q = rng.normal(size=(1, d_m))
         mem = rng.normal(size=(5, d_m))
         heads = []
@@ -179,7 +183,7 @@ class TestMultiHead:
         rng = np.random.default_rng(30)
         per_head = {name: [glorot(rng, d_m, d_k) for _ in range(n_heads)] for name in "qkv"}
         wo = glorot(rng, d_m, d_m)
-        params = init_ttm_params(d_m, n_heads, np.random.default_rng(30))
+        params = init_ttm_params(d_m, n_heads, 8, np.random.default_rng(30))
         for name, fused in zip("qkv", (params.wq, params.wk, params.wv)):
             np.testing.assert_array_equal(fused.value.data, np.hstack(per_head[name]))
         np.testing.assert_array_equal(params.wo.value.data, wo)
@@ -187,12 +191,12 @@ class TestMultiHead:
 
     def test_heads_must_divide_width(self):
         # ModelConfig refuses this pairing; the op refuses it from a direct caller
-        params = init_ttm_params(10, 3, np.random.default_rng(0))
+        params = init_ttm_params(10, 3, 8, np.random.default_rng(0))
         with pytest.raises(ShapeError, match="3 heads"):
             attend(np.zeros((4, 10)), np.zeros((1, 10)), params)
 
     def test_window_of_one_row_rejected(self):
-        params = init_ttm_params(8, 2, np.random.default_rng(8))
+        params = init_ttm_params(8, 2, 8, np.random.default_rng(8))
         with pytest.raises(ValueError, match="T >= 2 rows"):
             attend(np.zeros((0, 8)), np.zeros((1, 8)), params)
 
@@ -200,80 +204,84 @@ class TestMultiHead:
 class TestAggregate:
     def test_two_chunk_window_attends_fully_to_single_memory(self):
         rng = np.random.default_rng(9)
-        params = init_ttm_params(8, 2, rng)
-        pe = positional_encoding(2, 8)
-        _, weights = aggregate(Tensor(rng.normal(size=(2, 8))), params, pe)
+        params = init_ttm_params(8, 2, 2, rng)
+        _, weights = aggregate(Tensor(rng.normal(size=(2, 8))), params)
         np.testing.assert_allclose(weights, np.ones((2, 1)), atol=1e-12)
 
     def test_zero_output_projection_leaves_query(self):
         rng = np.random.default_rng(10)
-        params = init_ttm_params(8, 2, rng)
+        params = init_ttm_params(8, 2, 4, rng)
         params.wo.value.data[:] = 0.0
         pe = positional_encoding(4, 8)
         f = rng.normal(size=(4, 8))
-        out, _ = aggregate(Tensor(f), params, pe)
+        out, _ = aggregate(Tensor(f), params)
         np.testing.assert_allclose(out.data, (f + pe[:4])[3:4], atol=1e-12)
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
-        params = init_ttm_params(16, 4, rng)
-        pe = positional_encoding(8, 16)
-        _, weights = aggregate(Tensor(rng.normal(size=(8, 16))), params, pe)
+        params = init_ttm_params(16, 4, 8, rng)
+        _, weights = aggregate(Tensor(rng.normal(size=(8, 16))), params)
         assert weights.shape == (4, 7)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
     def test_too_short_sequence(self):
-        params = init_ttm_params(8, 2, np.random.default_rng(13))
-        pe = positional_encoding(8, 8)
-        with pytest.raises(ValueError, match="too short"):
-            aggregate(Tensor(np.zeros((1, 8))), params, pe)
+        params = init_ttm_params(8, 2, 8, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="T >= 2 rows"):
+            aggregate(Tensor(np.zeros((1, 8))), params)
+
+    def test_model_builds_the_table_of_its_window(self):
+        params = AnticipationModel(ModelConfig(seq_len=16)).agg_params
+        np.testing.assert_array_equal(params.pe, positional_encoding(16, 16))
+        rng = np.random.default_rng(19)
+        _, weights = aggregate(Tensor(rng.normal(size=(16, 16))), params)
+        assert weights.shape == (4, 15)
+        with pytest.raises(ShapeError, match="position table"):
+            aggregate(Tensor(rng.normal(size=(8, 16))), params)
 
     def test_memory_permutation_invariance_without_positions(self):
         rng = np.random.default_rng(14)
-        params = init_ttm_params(16, 4, rng)
-        zero_pe = np.zeros((8, 16))
+        params = replace(init_ttm_params(16, 4, 8, rng), pe=np.zeros((8, 16)))
         f = rng.normal(size=(8, 16))
-        base, _ = aggregate(Tensor(f), params, zero_pe)
+        base, _ = aggregate(Tensor(f), params)
         for _ in range(5):
             perm = rng.permutation(7)
             shuffled = np.concatenate([f[:7][perm], f[7:]], axis=0)
-            out, _ = aggregate(Tensor(shuffled), params, zero_pe)
+            out, _ = aggregate(Tensor(shuffled), params)
             np.testing.assert_allclose(out.data, base.data, rtol=0, atol=1e-12)
 
     def test_joint_permutation_invariance_with_positions(self):
         # permuting memory rows together with their position rows moves
         # labelled content around without changing the attended set
         rng = np.random.default_rng(15)
-        params = init_ttm_params(16, 4, rng)
+        params = init_ttm_params(16, 4, 8, rng)
         pe = positional_encoding(8, 16)
         f = rng.normal(size=(8, 16))
-        base, _ = aggregate(Tensor(f), params, pe)
+        base, _ = aggregate(Tensor(f), params)
+        unplaced = replace(params, pe=np.zeros((8, 16)))
         for _ in range(5):
             perm = rng.permutation(7)
             shuffled = np.concatenate([(f[:7] + pe[:7])[perm], f[7:] + pe[7:8]], axis=0)
-            out, _ = aggregate(Tensor(shuffled), params, np.zeros((8, 16)))
+            out, _ = aggregate(Tensor(shuffled), unplaced)
             np.testing.assert_allclose(out.data, base.data, rtol=0, atol=1e-9)
 
     def test_order_sensitivity_with_positions(self):
         # with positions attached, plain memory shuffles must change S_t
         rng = np.random.default_rng(16)
-        params = init_ttm_params(16, 4, rng)
-        pe = positional_encoding(8, 16)
+        params = init_ttm_params(16, 4, 8, rng)
         f = rng.normal(size=(8, 16))
-        base, _ = aggregate(Tensor(f), params, pe)
+        base, _ = aggregate(Tensor(f), params)
         shuffled = np.concatenate([f[:7][::-1], f[7:]], axis=0)
-        out, _ = aggregate(Tensor(shuffled), params, pe)
+        out, _ = aggregate(Tensor(shuffled), params)
         assert np.abs(out.data - base.data).max() > 1e-6
 
     def test_gradient(self):
         rng = np.random.default_rng(17)
-        params = init_ttm_params(8, 2, rng)
-        pe = positional_encoding(4, 8)
+        params = init_ttm_params(8, 2, 4, rng)
         f = rng.normal(size=(4, 8))
         cost = Tensor(rng.normal(size=(1, 8)))
 
         def loss(*tensors):
-            out, _ = aggregate(Tensor(f), params, pe)
+            out, _ = aggregate(Tensor(f), params)
             return (out * cost).sum()
 
         err = grad_check(loss, [p.value for p in params.parameters()])
@@ -281,12 +289,11 @@ class TestAggregate:
 
     def test_input_gradient(self):
         rng = np.random.default_rng(18)
-        params = init_ttm_params(8, 2, rng)
-        pe = positional_encoding(4, 8)
+        params = init_ttm_params(8, 2, 4, rng)
         cost = Tensor(rng.normal(size=(1, 8)))
 
         def loss(t):
-            out, _ = aggregate(t, params, pe)
+            out, _ = aggregate(t, params)
             return (out * cost).sum()
 
         assert grad_check(loss, [Tensor(rng.normal(size=(4, 8)))]) < 1e-4

@@ -520,7 +520,7 @@ class TestGridComposition:
         # the head count
         rng = np.random.default_rng(24)
         for n in (1, 2, 4):
-            params = init_ttm_params(16, n, rng)
+            params = init_ttm_params(16, n, 8, rng)
             assert sum(p.size for p in params.parameters()) == 4 * 16 * 16
 
     def test_ppm_count_closed_form(self):

@@ -77,6 +77,8 @@ class TestConfig:
         (["model.classes=1"], "n_classes"),
         (["model.classes=0"], "n_classes"),
         (["model.classes=-1"], "n_classes"),
+        (["model.predictor=ssp", "model.ppm_variant=no_feature"], "ppm_variant"),
+        (["model.predictor=lstm", "model.ppm_variant=no_feature"], "ppm_variant"),
     ])
     def test_every_refused_value_names_its_field(self, items, field, capsys):
         rc = resolve_config(None, items)

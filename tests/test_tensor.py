@@ -684,15 +684,17 @@ class TestFusedOpsMatchOracles:
         with pytest.raises(ShapeError, match="mlp_norm"):
             mlp_norm(z, Tensor(np.zeros((3, 2))), *(Tensor(np.zeros(s)) for s in
                                                      ((2,), (2, 4), (4,), (4,), (4,))))
-        for window_shape, pe_shape in [
-            ((3, 4), (2, 4)),  # a position table for another window length
-            ((2, 3, 4), (3, 3)),  # or another width
-            ((1, 4), (1, 4)),  # no memory
-            ((4,), (4,)),  # no row axis
+        for window_shape, pe_shape, n_heads in [
+            ((3, 4), (2, 4), 2),  # a position table for another window length
+            ((2, 3, 4), (3, 3), 2),  # or another width
+            ((1, 4), (1, 4), 2),  # no memory
+            ((4,), (4,), 2),  # no row axis
+            ((3, 4), (3, 4), 0),  # no head
+            ((3, 4), (3, 4), -2),  # a negative head count that divides d
         ]:
             with pytest.raises(ShapeError, match="attention"):
                 attention(Tensor(np.zeros(window_shape)), np.zeros(pe_shape),
-                          *[Tensor(np.eye(4))] * 4, 2)
+                          *[Tensor(np.eye(4))] * 4, n_heads)
         with pytest.raises(ShapeError, match="lstm_step"):
             lstm_step(z, Tensor(np.zeros((1, 6))), Tensor(np.zeros((6, 12))),
                       Tensor(np.zeros(12)))
