@@ -17,7 +17,7 @@ import numpy as np
 from .tensor import Parameter, ParameterSet, Tensor, attention, glorot
 
 
-@dataclass
+@dataclass(frozen=True)
 class TTMParams(ParameterSet):
     """Projections of every head, the output projection and the position table.
 
@@ -75,4 +75,4 @@ def aggregate(f_seq: Tensor, params: TTMParams):
     or a (B, T, d_m) stack, with T the table's length.
     Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights).
     """
-    return attention(f_seq, params.pe, *params.values(), params.n_heads)
+    return attention(f_seq, params.pe, *params.values, params.n_heads)

@@ -24,7 +24,7 @@ CONV_STRIDE = 2
 CONV_PAD = 1  # symmetric zero rows per layer
 
 
-@dataclass
+@dataclass(frozen=True)
 class Conv1DStack(ParameterSet):
     """Temporal conv layers, each kernel 3, stride 2, d_m -> d_m.
 
@@ -32,14 +32,14 @@ class Conv1DStack(ParameterSet):
     (T - 1).bit_length() layers: 3 at T = 8, 4 at T = 9 to 16.
     """
 
-    weights: list[Parameter]  # each (3*d_m, d_m)
-    biases: list[Parameter]  # each (d_m,)
+    weights: tuple[Parameter, ...]  # each (3*d_m, d_m)
+    biases: tuple[Parameter, ...]  # each (d_m,)
 
 
 def init_conv1d_params(d_m: int, seq_len: int, rng) -> Conv1DStack:
     layers = range((seq_len - 1).bit_length())
-    weights = [Parameter(f"conv1d.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m)) for i in layers]
-    biases = [Parameter(f"conv1d.b{i}", np.zeros(d_m)) for i in layers]
+    weights = tuple(Parameter(f"conv1d.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m)) for i in layers)
+    biases = tuple(Parameter(f"conv1d.b{i}", np.zeros(d_m)) for i in layers)
     return Conv1DStack(weights, biases)
 
 
@@ -71,7 +71,7 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
     return x + f_seq[..., t - 1 : t, :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LSTMParams(ParameterSet):
     """All four gates as one (d_in + d_h) x 4*d_h weight and one 4*d_h bias.
 
@@ -107,33 +107,33 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     return state[..., :d_m] + f_seq[..., t - 1 : t, :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderParams(ParameterSet):
-    """The LSTM decoder's cell and its classifier."""
+    """The LSTM decoder's cell, its classifier, and its untrained step count."""
 
     lstm: LSTMParams
     classifier: Parameter
+    horizon: int
 
 
-def init_lstm_decoder_params(d_m: int, n_classes: int, rng) -> DecoderParams:
+def init_lstm_decoder_params(d_m: int, n_classes: int, horizon: int, rng) -> DecoderParams:
     lstm = init_lstm_params(d_m + n_classes, d_m, rng, "dec")
-    return DecoderParams(lstm, Parameter("dec.classifier", glorot(rng, d_m, n_classes)))
+    return DecoderParams(lstm, Parameter("dec.classifier", glorot(rng, d_m, n_classes)), horizon)
 
 
-def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams, horizon: int) -> Rollout:
-    """Decode l steps from the state [s_t | 0]; each hidden state is a feature.
+def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
+    """Decode params.horizon steps from the state [s_t | 0]; each hidden state is a feature.
 
     Step inputs are previous predicted feature (+) previous probability;
     the first step consumes f_t (+) its classified probability. The shared
     classifier scores every hidden state.
     """
-    features, logits = lstm_rollout(
-        s_t, f_t, params.lstm.w.value, params.lstm.b.value, params.classifier.value, horizon
-    )
+    features, logits = lstm_rollout(s_t, f_t, params.lstm.w.value, params.lstm.b.value,
+                                    params.classifier.value, params.horizon)
     return Rollout(features, logits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SSPParams(ParameterSet):
     """One block predicting any single horizon, tagged by a one-hot slot."""
 
@@ -165,5 +165,5 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     shared = concat([s_t, f_t, softmax(matmul(f_t, classifier))], axis=-1)
     tags = np.eye(horizon) + np.zeros(lead + (1, 1))  # one set per window
     x = concat([shared[..., np.zeros(horizon, dtype=int), :], Tensor(tags)], axis=-1)
-    features = mlp_norm(x, *params.block.values(), keep)
+    features = mlp_norm(x, *params.block.values, keep)
     return Rollout(features, matmul(features, classifier))

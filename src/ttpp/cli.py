@@ -90,6 +90,9 @@ def resolve_config(config_path=None, overrides=()) -> dict[str, object]:
             ) from None
         if kind is float and not math.isfinite(resolved[key]):
             raise ValueError(f"config key {key!r} expects a finite float, got {value!r}")
+    if resolved["eval.metric"] not in metricsmod.METRICS:
+        raise ValueError(f"config key 'eval.metric' expects one of {metricsmod.METRICS}, "
+                         f"got {resolved['eval.metric']!r}")
     return resolved
 
 

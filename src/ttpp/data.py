@@ -347,7 +347,7 @@ def horizon_transition(cfg: SyntheticConfig, tau: int) -> np.ndarray:
 def reference_scorer(cfg: SyntheticConfig, horizon: int):
     """The label-only oracle: exact future-label distributions given the current
     true label alone. Under duration_law = fixed it is no upper bound, since a
-    window also shows the segment's age (ROADMAP.md, item 1). Plug-compatible
+    window also shows the segment's age (ROADMAP.md, item 2). Plug-compatible
     with evaluate_horizons."""
     tables = [horizon_transition(cfg, tau) for tau in range(1, horizon + 1)]
 

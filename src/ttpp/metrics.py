@@ -98,7 +98,8 @@ def evaluate_horizons(
     (background class 0 is excluded) and classes without positives are
     skipped; for acc the per-horizon value is plain argmax accuracy and
     the per-class slots hold accuracy conditioned on the true class.
-    Every sequence must have the class count of the first.
+    Every sequence must have the class count of the first, and a NaN or
+    infinite score is refused, naming its sequence and anchor.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -134,6 +135,14 @@ def evaluate_horizons(
         )
     scores = np.stack(tables)
     room, future = np.concatenate(room), np.concatenate(future)
+    if not np.isfinite(scores).all():
+        t = int(future[~np.isfinite(scores).all(axis=(1, 2))][0]) - 1  # over all chunks
+        for seq in sequences:
+            if t < len(seq):
+                break
+            t -= len(seq)
+        raise ValueError(f"scorer returned a non-finite score for sequence {seq.video_id!r} "
+                         f"at anchor t = {t}")
     labels = np.concatenate([seq.labels for seq in sequences])
     per_class = np.full((horizon, n_classes), np.nan)
     means = np.full(horizon, np.nan)

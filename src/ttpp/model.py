@@ -86,25 +86,17 @@ class AnticipationModel:
             self.agg_params = baselines.init_conv1d_params(c.d_m, c.seq_len, rng)
         else:
             self.agg_params = baselines.init_lstm_params(c.d_m, c.d_m, rng, prefix="enc")
+        shape = (c.d_m, c.n_classes, c.horizon)
         if c.predictor == "ppm":
-            self.pred_params = prediction.init_ppm_params(c.d_m, c.n_classes, rng)
+            self.pred_params = prediction.init_ppm_params(*shape, c.ppm_variant == "full", rng)
         elif c.predictor == "ssp":
-            self.pred_params = baselines.init_ssp_params(c.d_m, c.n_classes, c.horizon, rng)
+            self.pred_params = baselines.init_ssp_params(*shape, rng)
         else:
-            self.pred_params = baselines.init_lstm_decoder_params(c.d_m, c.n_classes, rng)
+            self.pred_params = baselines.init_lstm_decoder_params(*shape, rng)
 
     def parameters(self) -> list[Parameter]:
-        """The parameters the configured forward uses, which train and checkpoint.
-
-        A one-step PPM rollout never reaches the progressive block, so at
-        horizon 1 that block is left out: it would get no gradient.
-        """
-        pred = self.pred_params
-        if self.config.predictor == "ppm" and self.config.horizon == 1:
-            used = [*pred.initial.parameters(), pred.classifier]
-        else:
-            used = pred.parameters()
-        return [*self.agg_params.parameters(), *used]
+        """The parameters the configured forward uses, which train and checkpoint."""
+        return [*self.agg_params.parameters(), *self.pred_params.parameters()]
 
     def param_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -137,12 +129,11 @@ class AnticipationModel:
             s_t = baselines.lstm_encode(f_seq, self.agg_params)
         f_t = f_seq[..., t - 1 : t, :]
         if c.predictor == "lstm":
-            return baselines.lstm_decode(s_t, f_t, self.pred_params, c.horizon), weights
+            return baselines.lstm_decode(s_t, f_t, self.pred_params), weights
         keep = keep_mask(rng, c.dropout, s_t.shape[:-2] + (c.horizon, c.d_m))
         if c.predictor == "ssp":
             return baselines.ssp_rollout(s_t, f_t, self.pred_params, keep), weights
-        full = c.ppm_variant == "full"
-        return prediction.rollout(s_t, f_t, self.pred_params, c.horizon, keep, full), weights
+        return prediction.rollout(s_t, f_t, self.pred_params, keep), weights
 
     def scorer(self):
         """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores.
@@ -215,7 +206,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise r.error(f"invalid model config: {exc}", config_at) from None
     state: dict[str, np.ndarray] = {}
     for _ in range(count):
+        name_at = r.offset + 2  # past the name's u16 length
         name = r.text("H", "parameter name")
+        if name in state:
+            raise r.error(f"parameter {name!r} appears twice", name_at)
         (ndim,) = r.unpack("B", f"shape of parameter {name!r}")
         shape = r.unpack(f"{ndim}I", f"shape of parameter {name!r}")
         state[name] = r.array("<f8", shape, f"parameter {name!r}")

@@ -49,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 
@@ -748,30 +749,28 @@ class Parameter:
 
 
 class ParameterSet:
-    """Base of the parameter dataclasses: `parameters()` lists the Parameter
-    fields in declaration order, going down into lists and nested sets, so a
-    new field trains and checkpoints without being listed by hand."""
+    """Base of the parameter dataclasses, each `frozen=True` so no field is
+    swapped after a forward. `parameters()` lists the Parameter fields in
+    declaration order, going down into tuples and nested sets, so a new field
+    trains and checkpoints without being listed by hand."""
 
     def parameters(self) -> list[Parameter]:
         found = []
         for f in fields(self):
             value = getattr(self, f.name)
-            for item in value if isinstance(value, list) else (value,):
+            for item in value if isinstance(value, tuple) else (value,):
                 if isinstance(item, Parameter):
                     found.append(item)
                 elif isinstance(item, ParameterSet):
                     found += item.parameters()
         return found
 
+    @cached_property
     def values(self) -> tuple[Tensor, ...]:
-        """The tensors of `parameters()`, in order, listed on the first call
-        only, so a forward walks no fields. Training and `load_state` change
-        a tensor's data, never the tensor, so the tuple follows the weights."""
-        try:
-            return self._values
-        except AttributeError:
-            self._values = tuple(p.value for p in self.parameters())
-            return self._values
+        """The tensors of `parameters()`, in order, listed once, so a forward
+        walks no fields. Training and `load_state` change a tensor's data,
+        never the tensor, so the tuple follows the weights."""
+        return tuple(p.value for p in self.parameters())
 
 
 def glorot(rng, rows: int, cols: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from ttpp.baselines import (
 from ttpp.attention import init_ttm_params
 from ttpp.model import AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig
 from ttpp.prediction import init_ppm_params
-from ttpp.tensor import Parameter, Tensor, glorot, grad_check, keep_mask
+from ttpp.tensor import Parameter, ParameterSet, Tensor, glorot, grad_check, keep_mask
 
 
 def zeroed(params):
@@ -212,7 +212,7 @@ class TestLSTMDecode:
         classifier = Parameter("c", rng.normal(size=(4, 3)))
         roll = lstm_decode(
             Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))),
-            DecoderParams(params, classifier), 1,
+            DecoderParams(params, classifier, 1),
         )
         assert roll.features.shape == (1, 4)
         assert roll.probs.shape == (1, 3)
@@ -223,7 +223,7 @@ class TestLSTMDecode:
         classifier = Parameter("c", np.zeros((4, 3)))
         roll = lstm_decode(
             Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))),
-            DecoderParams(params, classifier), 4,
+            DecoderParams(params, classifier, 4),
         )
         for step in range(1, 4):
             np.testing.assert_array_equal(roll.features.data[step], roll.features.data[0])
@@ -259,27 +259,28 @@ class TestLSTMDecode:
             feats.append(h.copy())
             probs.append(p.copy())
             x = np.concatenate([h, p], axis=-1)
-        roll = lstm_decode(Tensor(s), Tensor(f), DecoderParams(params, classifier), 3)
+        roll = lstm_decode(Tensor(s), Tensor(f), DecoderParams(params, classifier, 3))
         np.testing.assert_allclose(roll.features.data, np.concatenate(feats), atol=1e-10)
         np.testing.assert_allclose(roll.probs.data, np.concatenate(probs), atol=1e-10)
 
     def test_one_node_per_rollout(self):
         # the features node runs the whole chain back; the logits hand it their gradient
         rng = np.random.default_rng(17)
-        params = init_lstm_decoder_params(4, 3, rng)
+        params = init_lstm_decoder_params(4, 3, 3, rng)
         s = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
-        roll = lstm_decode(s, Tensor(rng.normal(size=(2, 1, 4))), params, 3)
+        roll = lstm_decode(s, Tensor(rng.normal(size=(2, 1, 4))), params)
         assert roll.logits._parents == (roll.features,)
         assert s in roll.features._parents
 
     def test_decoder_init_draws_cell_then_classifier(self):
-        params = init_lstm_decoder_params(4, 3, np.random.default_rng(30))
+        params = init_lstm_decoder_params(4, 3, 5, np.random.default_rng(30))
         rng = np.random.default_rng(30)
         cell = init_lstm_params(4 + 3, 4, rng, prefix="dec")
         classifier = glorot(rng, 4, 3)
         assert [p.name for p in params.parameters()] == ["dec.w", "dec.b", "dec.classifier"]
         np.testing.assert_array_equal(params.lstm.w.value.data, cell.w.value.data)
         np.testing.assert_array_equal(params.classifier.value.data, classifier)
+        assert params.horizon == 5
 
     def test_gradient(self):
         rng = np.random.default_rng(16)
@@ -290,7 +291,7 @@ class TestLSTMDecode:
         cost = Tensor(rng.normal(size=(3, 3)))
 
         def loss(*tensors):
-            roll = lstm_decode(s, f, DecoderParams(params, classifier), 3)
+            roll = lstm_decode(s, f, DecoderParams(params, classifier, 3))
             return (roll.probs * cost).sum()
 
         tensors = [p.value for p in params.parameters()] + [classifier.value]
@@ -504,9 +505,21 @@ class TestGridComposition:
         loss = (roll.features * Tensor(rng.normal(size=roll.features.shape))).sum() + (
             roll.logits * Tensor(rng.normal(size=roll.logits.shape))).sum()
         loss.backward()
-        built = [*model.agg_params.parameters(), *model.pred_params.parameters()]
+        built = [*ParameterSet.parameters(model.agg_params),
+                 *ParameterSet.parameters(model.pred_params)]  # every field, unfiltered
         reached = [p.name for p in built if p.value.grad is not None]
         assert [p.name for p in model.parameters()] == reached
+
+    @pytest.mark.parametrize("horizon", [1, 3])
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_model_parameters_are_the_sets_own(self, aggregator, predictor, horizon):
+        # each set decides what it lists; the model adds no rule of its own
+        cfg = ModelConfig(aggregator=aggregator, predictor=predictor, d_m=8, n_heads=2,
+                          n_classes=3, horizon=horizon)
+        model = AnticipationModel(cfg, seed=0)
+        own = [*model.agg_params.parameters(), *model.pred_params.parameters()]
+        assert model.parameters() == own
 
     @pytest.mark.parametrize("d_m", [16, 64, 256])
     def test_transformer_stack_is_smaller_than_recurrent_stack(self, d_m):
@@ -528,5 +541,7 @@ class TestGridComposition:
         # plus the d_m x C classifier
         d, c, hidden = 16, 5, 8
         block = (2 * d + c) * hidden + hidden + hidden * d + d + 2 * d
-        params = init_ppm_params(d, c, np.random.default_rng(25))
+        params = init_ppm_params(d, c, 4, True, np.random.default_rng(25))
         assert sum(p.size for p in params.parameters()) == 2 * block + d * c
+        one_step = replace(params, horizon=1)
+        assert sum(p.size for p in one_step.parameters()) == block + d * c

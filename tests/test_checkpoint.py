@@ -134,13 +134,24 @@ def with_name_byte(blob: bytes, at: dict[str, int]) -> tuple[bytes, int]:
     return blob[:name_at] + b"\xff" + blob[name_at + 1 :], name_at
 
 
+def with_ttm_q_twice(blob: bytes, at: dict[str, int]) -> tuple[bytes, int]:
+    """ttm.q saved again as an extra last entry, each value +1.0; the refusal
+    is at the copy's name, past its u16 length."""
+    start, end = at["ttm.q"] - 16, at["ttm.k"] - 16  # u16 length, "ttm.q", ndim, two u32 dims
+    values = np.frombuffer(blob[at["ttm.q"] : end], "<f8") + 1.0
+    (count,) = struct.unpack_from("<I", blob, 10)
+    counted = blob[:10] + struct.pack("<I", count + 1) + blob[14:]
+    return counted + blob[start : at["ttm.q"]] + values.tobytes(), len(blob) + 2
+
+
 @pytest.mark.parametrize("cause, damage", [
     ("bad magic", lambda blob, at: (b"NOTACKPT" + blob[8:], 0)),
     ("truncated header", lambda blob, at: (blob[:12], 10)),
     ("invalid model config", lambda blob, at: (blob[:18] + b"[" + blob[19:], 18)),
     ("parameter name is not utf-8", with_name_byte),
     ("truncated parameter 'ttm.k'", lambda blob, at: (blob[: at["ttm.k"] + 8], at["ttm.k"])),
-], ids=["magic", "header", "json", "name", "values"])
+    ("parameter 'ttm.q' appears twice", with_ttm_q_twice),
+], ids=["magic", "header", "json", "name", "values", "duplicate"])
 def test_every_refusal_names_the_file_and_offset(tmp_path, cause, damage):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(AnticipationModel(ModelConfig(), seed=4), path)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ttpp import cli
 from ttpp.cli import DEFAULTS, main, model_config, resolve_config, train_config
 from ttpp.data import load_features
 from ttpp.metrics import read_report_csv
@@ -119,6 +120,21 @@ class TestConfig:
             "--out", str(tmp_path / "grid.csv")]
         assert main([command, *out, *FAST, "--set", "model.d_m=-2"]) == 1
         assert capsys.readouterr().err == "error: d_m must be >= 2, got -2\n"
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_an_unknown_metric_is_refused_before_any_training(self, command, tmp_path, capsys,
+                                                              monkeypatch):
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        out = ["--out-dir", str(tmp_path / "run")] if command == "train" else [
+            "--out", str(tmp_path / "grid.csv")]
+        assert main([command, *out, *FAST, "--set", "eval.metric=accuracy"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config key 'eval.metric' expects one of "
+                                "('cap', 'map', 'acc'), got 'accuracy'\n")
+        assert not (tmp_path / "run" / "history.csv").exists()
+        assert not (tmp_path / "grid.csv").exists() and not trained
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ttpp.data import FeatureSequence
+from ttpp.data import FeatureSequence, gen_synthetic, standard_synthetic_config
 from ttpp.metrics import (
     HorizonReport,
     NoPositivesError,
@@ -223,6 +223,31 @@ class TestEvaluateHorizons:
         seqs = {"one": [label_sequence([0, 1, 2] * 4, 3)], "none": []}[sequences]
         with pytest.raises(ValueError, match=message):
             evaluate_horizons(onehot_oracle_scorer(1), seqs, horizon=2, seq_len=4, metric=metric)
+
+    @pytest.mark.parametrize("metric", ["acc", "cap"])
+    def test_an_all_nan_scorer_is_refused_at_its_first_anchor(self, metric):
+        cfg = standard_synthetic_config(seed=1, duration_law="fixed")
+        seqs = gen_synthetic(cfg, 2, 30)
+
+        def nan_scorer(seq, t):
+            return np.full((4, seq.n_classes), np.nan)
+
+        first = f"sequence {seqs[0].video_id!r} at anchor t = 7"
+        with pytest.raises(ValueError, match=f"non-finite score for {first}$"):
+            evaluate_horizons(nan_scorer, seqs, horizon=4, seq_len=8, metric=metric)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_one_non_finite_score_is_named_by_sequence_and_anchor(self, bad):
+        seqs = [label_sequence([0, 1, 2] * 6, 3, video_id=v) for v in ("a", "b", "c")]
+
+        def scorer(seq, t):
+            table = onehot_oracle_scorer(2)(seq, t).astype(float)
+            if (seq.video_id, t) == ("b", 9):
+                table[1, 2] = bad
+            return table
+
+        with pytest.raises(ValueError, match="for sequence 'b' at anchor t = 9$"):
+            evaluate_horizons(scorer, seqs, horizon=2, seq_len=4, metric="map")
 
     def test_random_scores_match_analytic_expectation(self):
         # E[AP] under a random ranking with P positives of N:

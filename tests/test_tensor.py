@@ -1,7 +1,7 @@
 """Tensor engine: forward semantics, backward passes, fused layer ops, SGD."""
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import numpy as np
 import pytest
@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from ttpp import tensor
 from ttpp.attention import TTMParams, positional_encoding
-from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint, save_checkpoint
+from ttpp.model import (AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, load_checkpoint,
+                        save_checkpoint)
 from ttpp.tensor import (
     GradientError,
     Parameter,
@@ -369,7 +370,7 @@ class TestParameterSet:
     def test_a_new_field_is_trained_and_checkpointed(self, tmp_path):
         """A field a container gains is listed with no hand-kept list to update."""
 
-        @dataclass
+        @dataclass(frozen=True)
         class WithFeedForward(TTMParams):
             ffn: Parameter
 
@@ -383,26 +384,39 @@ class TestParameterSet:
         _, state = load_checkpoint(tmp_path / "checkpoint.bin")
         assert list(state) == names
 
-    def test_lists_and_nested_sets_in_declaration_order(self):
-        @dataclass
+    def test_tuples_and_nested_sets_in_declaration_order(self):
+        @dataclass(frozen=True)
         class Inner(ParameterSet):
             a: Parameter
             width: int  # not a Parameter: skipped
 
-        @dataclass
+        @dataclass(frozen=True)
         class Outer(ParameterSet):
-            layers: list
+            layers: tuple
             inner: Inner
             last: Parameter
 
-        outer = Outer([named("l0"), Inner(named("l1"), 3)], Inner(named("i"), 1), named("z"))
+        outer = Outer((named("l0"), Inner(named("l1"), 3)), Inner(named("i"), 1), named("z"))
         params = outer.parameters()
         assert [p.name for p in params] == ["l0", "l1", "i", "z"]
-        assert all(v is p.value for v, p in zip(outer.values(), params, strict=True))
+        assert all(v is p.value for v, p in zip(outer.values, params, strict=True))
+        assert outer.values is outer.values  # listed once
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_reassigning_a_field_raises(self, aggregator, predictor):
+        """A swapped Parameter would train and checkpoint while a forward that
+        already listed the set's tensors kept reading the old one."""
+        model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
+        model.anticipate(np.zeros((8, 16)))
+        for params in (model.agg_params, model.pred_params):
+            for f in fields(params):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(params, f.name, named(f"{f.name}.new"))
 
     @pytest.mark.parametrize("predictor", ["ppm", "ssp"])
     def test_listed_tensors_follow_the_weights(self, predictor):
-        """`values()` lists a set's tensors once; a model that ran a forward
+        """`values` lists a set's tensors once; a model that ran a forward
         before `load_state` or `sgd_step` scores as a fresh model given the
         same weights, whose first forward lists them anew."""
         config = ModelConfig(predictor=predictor)
