@@ -139,23 +139,32 @@ def split_sequences(rc, split: str, data_dir=None) -> list[datamod.FeatureSequen
     return datamod.gen_synthetic(cfg, rc[count_key], rc["data.length"])
 
 
+def _windowed_split(rc, split: str, seq_len: int, horizon: int, data_dir):
+    """The `split` sequences, refused when none has the seq_len + horizon chunks
+    one window needs, naming the data directory or the keys that size them."""
+    sequences = split_sequences(rc, split, data_dir)
+    chunks, longest = seq_len + horizon, max(map(len, sequences), default=0)
+    if longest < chunks:
+        need = "seq_len + horizon" if horizon else "seq_len"
+        count_key = SPLITS[split][0]
+        where = (f"under {data_dir}" if data_dir else
+                 f"at {count_key} = {rc[count_key]} and data.length = {rc['data.length']}")
+        found = f"the longest has {longest}" if sequences else "there are none"
+        raise ValueError(f"no {split} sequence {where} has {need} = {chunks} chunks ({found})")
+    return sequences
+
+
 def heldout_sequences(rc, seq_len: int, horizon: int, data_dir=None):
     """The heldout split, refused when none of its sequences has seq_len + horizon
     chunks: the report would average only the horizons (at horizon 0, windows)
     it could score."""
-    sequences = split_sequences(rc, "heldout", data_dir)
-    chunks, longest = seq_len + horizon, max(map(len, sequences), default=0)
-    if longest < chunks:
-        need = "seq_len + horizon" if horizon else "seq_len"
-        where = f"under {data_dir}" if data_dir else f"at data.length = {rc['data.length']}"
-        raise ValueError(f"no heldout sequence {where} has {need} = {chunks} chunks "
-                         f"(the longest has {longest})")
-    return sequences
+    return _windowed_split(rc, "heldout", seq_len, horizon, data_dir)
 
 
 def training_samples(rc, seq_len: int, horizon: int, data_dir=None):
-    """Every window of the train split with seq_len observed and horizon future chunks."""
-    return [sample for seq in split_sequences(rc, "train", data_dir)
+    """Every window of the train split with seq_len observed and horizon future
+    chunks, refused by cause when there is none."""
+    return [sample for seq in _windowed_split(rc, "train", seq_len, horizon, data_dir)
             for sample in datamod.make_samples(seq, seq_len, horizon)]
 
 
@@ -195,11 +204,11 @@ def cmd_gen(args, rc) -> int:
 
 
 def cmd_train(args, rc) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     mc = model_config(rc)
     tc = train_config(rc)
     samples = training_samples(rc, mc.seq_len, mc.horizon, args.data)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     model = AnticipationModel(mc, seed=tc.seed)
     history = train(model, samples, tc)
     save_checkpoint(model, out / "checkpoint.bin")

@@ -21,7 +21,8 @@ and LSTM rollouts are one too: ``ppm_rollout`` and ``lstm_rollout`` write
 every step's input into one preallocated buffer and run back through time
 by hand, building two tensors (the features and their logits). conv1d and
 the single-shot predictor are still chains of the generic ops, the latter
-around one ``mlp_norm``. The tests hold each op to an oracle: the forward
+around one ``mlp_norm``. Each loss term is one node as well: ``cross_entropy``
+and ``squared_error``. The tests hold each op to an oracle: the forward
 of a rollout, of an LSTM window or of the TTM layer equals the chain of
 single-op nodes it replaces bit for bit, and every other value, gradients
 included, is within 1e-12. Arrays only a backward reads are kept only
@@ -31,8 +32,8 @@ would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
-fused ops keep to three rules (costs per call on one-row operands, timed
-with `timeit` on 2 CPUs under numpy 2.4.6):
+fused ops keep to four rules (costs per call, on one-row operands unless
+said, timed with `timeit` on 2 CPUs under numpy 2.4.6 and OpenBLAS 0.3.31):
 - A 2-D product is `_dot(a, b)`: ``ndarray.dot`` (0.6-1.0 us) instead of
   the matmul gufunc `@` (1.55-1.85 us), on C- or F-contiguous operands
   only; a strided view goes to `@`, as `.dot` may sum it in another order.
@@ -42,6 +43,14 @@ with `timeit` on 2 CPUs under numpy 2.4.6):
   broadcasting one (1.85 us).
 - No Python scalar is a left operand: ``np.reciprocal(x)`` for ``1.0 / x``
   (0.46 us against 0.98) and ``np.subtract(1.0, x)`` for ``1.0 - x``.
+- A parameter's gradient is one stacked product per call, summed in the
+  tape's step order. The taped forward and the backward through time write
+  each step's factors into (steps, rows, .) buffers; after the loop a weight
+  gets ``np.add.reduce(np.matmul(X.transpose(0, 2, 1), G)[::-1], axis=0)``
+  and a bias the same sum over its row sums, the bytes of one ``.dot`` per
+  step added last step first. An (8, 16) weight and its bias over the
+  7 progressive steps of a horizon-8 rollout take 8 us at one row and 13 us
+  at 32 (`_weight_grad`, `_bias_grad`), against 34 and 39 us step by step.
 """
 
 from __future__ import annotations
@@ -339,15 +348,43 @@ def softmax(a: Tensor) -> Tensor:
     return _make(y, (a,), backward)
 
 
+def _log_softmax_data(a: np.ndarray) -> np.ndarray:
+    shifted = a - a.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def log_softmax(a: Tensor) -> Tensor:
     """Log of the softmax along the last axis, computed from the logits."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    y = _log_softmax_data(a.data)
 
     def backward(g):
         a._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
 
     return _make(y, (a,), backward)
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """-sum(labels * log_softmax(logits)) over every entry, as one node whose
+    value and gradient equal the chain of those single ops bit for bit."""
+    y = _log_softmax_data(logits.data)
+
+    def backward(g):
+        g_y = (g * -1.0) * labels
+        logits._accumulate(g_y - np.exp(y) * g_y.sum(axis=-1, keepdims=True))
+
+    return _make((y * labels).sum() * -1.0, (logits,), backward)
+
+
+def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
+    """sum((pred - target)^2) over every entry, as one node whose value and
+    gradient equal the chain of single ops bit for bit; `target` takes none."""
+    diff = pred.data - target
+
+    def backward(g):
+        half = g * diff
+        pred._accumulate(half + half)
+
+    return _make((diff * diff).sum(), (pred,), backward)
 
 
 def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
@@ -382,47 +419,90 @@ def _block_data(block) -> tuple[np.ndarray, ...]:
     return w1.data, _row(b1), w2.data, _row(b2), _row(gain), _row(bias)
 
 
-def _block_forward(x, data, keep, out, tape: bool):
+def _stacks(steps: int, rows: int, widths) -> list[np.ndarray]:
+    """One (steps, rows, width) buffer per width, for a fused op's per-step arrays."""
+    return [np.empty((steps, rows, w)) for w in widths]
+
+
+def _by_step(stacks) -> list[tuple[np.ndarray, ...]]:
+    """Each step's rows of the stacked buffers, one tuple per step."""
+    return list(zip(*stacks))
+
+
+def _over_steps(a: np.ndarray) -> np.ndarray:
+    """The sum over the leading steps axis, last step first: the order in which
+    a backward through time, sending each step's term, would add them."""
+    return np.add.reduce(a[::-1], axis=0)
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The sum over steps s of x[s].T g[s], as one stacked product."""
+    return _over_steps(np.matmul(x.transpose(0, 2, 1), g))
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """The sum over steps and rows of g, a stack of per-step rows."""
+    return _over_steps(np.add.reduce(g, axis=1))
+
+
+def _block_forward(x, data, keep, out, saved=None):
     """`mlp_norm` on 2-D rows into `out` (new if None), with `data` from
-    `_block_data`; returns it and, if taping, the backward's inputs.
+    `_block_data`. While taping, `saved` is a step's rows of the stacked
+    (hidden, xhat, inv_std), which the forward fills for the backward.
     np.maximum, the ReLU, propagates a NaN."""
     w1, b1, w2, b2, gain, bias = data
-    pre = _dot(x, w1)
+    hidden, xhat, inv_std = saved or (None, None, None)
+    pre = _dot(x, w1, hidden)
     pre += b1
     hidden = np.maximum(pre, 0.0, out=pre)
     y = _dot(hidden, w2)
     y += b2
     n = y.shape[1]
     y -= np.add.reduce(y, axis=-1, keepdims=True) / n
-    inv_std = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5))
-    xhat = np.multiply(y, inv_std, out=None if tape else y)
+    inv_std = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5),
+                            out=inv_std)
+    xhat = np.multiply(y, inv_std, out=y if xhat is None else xhat)
     out = np.multiply(xhat, gain, out=out)
     out += bias
     if keep is not None:
         out *= keep
-    return out, ((x, hidden, xhat, inv_std, keep) if tape else None)
+    return out
 
 
-def _block_backward(g, cache, block, data):
-    """Sends the block's weights their gradients; returns the input's, all on 2-D rows."""
-    w1, b1, w2, b2, gain, bias = block
-    w1_data, _, w2_data, _, gain_row, _ = data
-    x, hidden, xhat, inv_std, keep = cache
+def _block_backward(g, saved, keep, data, grads):
+    """The gradient of a block's input rows from its output's, `g`, all on 2-D
+    rows. `saved` is the step's rows `_block_forward` filled; the backward
+    fills the step's rows of `grads`: g after dropout, gy and gpre, from which
+    `_send_block` sums the weights' gradients, and the input's, which it
+    returns."""
+    w1, _, w2, _, gain_row, _ = data
+    hidden, xhat, inv_std = saved
+    g_kept, gy, gpre, gx = grads
     n = xhat.shape[1]
-    if keep is not None:
-        g = g * keep
-    _send(gain, _unbroadcast(g * xhat, gain.data.shape))
-    _send(bias, _unbroadcast(g, bias.data.shape))
-    gh = g * gain_row
+    if keep is None:
+        g_kept[...] = g
+    else:
+        np.multiply(g, keep, out=g_kept)
+    gh = g_kept * gain_row
     m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
     m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
-    gy = inv_std * (gh - m1 - xhat * m2)
-    _send(b2, _unbroadcast(gy, b2.data.shape))
-    _send(w2, _dot(hidden.T, gy))
-    gpre = _dot(gy, w2_data.T) * (hidden > 0)
-    _send(b1, _unbroadcast(gpre, b1.data.shape))
-    _send(w1, _dot(x.T, gpre))
-    return _dot(gpre, w1_data.T)
+    np.multiply(inv_std, gh - m1 - xhat * m2, out=gy)
+    np.multiply(_dot(gy, w2.T), hidden > 0, out=gpre)
+    return _dot(gpre, w1.T, gx)
+
+
+def _send_block(block, x, saved, grads) -> None:
+    """Sends a block's tensors their gradients over a stack of steps, from the
+    steps' inputs `x` and the stacks the forward and backward filled."""
+    w1, b1, w2, b2, gain, bias = block
+    hidden, xhat, _ = saved
+    g, gy, gpre = grads[:3]
+    _send(gain, _bias_grad(g * xhat))
+    _send(bias, _bias_grad(g))
+    _send(b2, _bias_grad(gy))
+    _send(w2, _weight_grad(hidden, gy))
+    _send(b1, _bias_grad(gpre))
+    _send(w1, _weight_grad(x, gpre))
 
 
 def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
@@ -436,17 +516,23 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     None means no dropout.
     """
     block = (w1, b1, w2, b2, gain, bias)
-    k = x.data.shape[-1]
-    n = _check_block("mlp_norm", k, *block)
+    n = _check_block("mlp_norm", x.data.shape[-1], *block)
+    k, m = w1.data.shape
     shape = x.data.shape[:-1] + (n,)
     if keep is not None and np.shape(keep) != shape:
         raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
     keep = None if keep is None else np.reshape(keep, (-1, n))
     data = _block_data(block)
-    out, cache = _block_forward(x.data.reshape(-1, k), data, keep, None, _tapes((x, *block)))
+    rows = x.data.reshape(-1, k)
+    saved = _stacks(1, len(rows), (m, n, 1)) if _tapes((x, *block)) else None
+    out = _block_forward(rows, data, keep, None, saved and _by_step(saved)[0])
 
-    def backward(g):
-        _send(x, _block_backward(g.reshape(-1, n), cache, block, data).reshape(x.data.shape))
+    def backward(g):  # the one-step case of a rollout's backward
+        grads = _stacks(1, len(rows), (n, n, m, k))
+        gx = _block_backward(g.reshape(-1, n), _by_step(saved)[0], keep, data,
+                             _by_step(grads)[0])
+        _send_block(block, rows[None], saved, grads)
+        _send(x, gx.reshape(x.data.shape))
 
     return _make(out.reshape(shape), (x, *block), backward)
 
@@ -462,16 +548,23 @@ def _check_rollout(op: str, s_t, f_t, classifier, horizon: int) -> tuple[int, in
     return classifier.data.shape
 
 
+def _steps_first(g: np.ndarray, n: int) -> np.ndarray:
+    """A (..., horizon, width) output gradient as a (horizon, n, width) view."""
+    return g.reshape(n, g.shape[-2], -1).swapaxes(0, 1)
+
+
 def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bool, step,
-             step_back):
+             step_back, widths, send):
     """What the fused rollouts share. Step s reads input row x[s]: a feature in
     columns `fs` and a probability in the C after them, [f_t | softmax(f_t
     classifier)] in row 0 and in row s+1 step s's feature (zeros unless
     `feed`) and softmax(logits). `step(s, out)` writes step s's feature
-    into `out` and returns it with its cache; `step_back(s, g, gx, cache)`
-    maps the gradients of that feature and of row s+1 (None at the end) to
-    that of row s. The logits are a child of the features node, handing it
-    their gradient."""
+    into `out` and returns it. The backward allocates one (horizon, rows,
+    width) stack per entry of `widths`: `step_back(s, g, gx, grads)` maps
+    the gradients of step s's feature and of row s+1 (None at the end) to
+    that of row s, filling step s's rows of the stacks, and after the loop
+    `send(grads)` hands the op's parameters their gradients. The logits are
+    a child of the features node, handing it their gradient."""
     wc = classifier.data
     d, n_classes = wc.shape
     ps = slice(fs.stop, fs.stop + n_classes)
@@ -482,37 +575,44 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     x[1:, :, fs] = 0.0  # stays zero unless each step writes its feature there
     feats = x[1:, :, fs] if feed else np.empty((horizon, n, d))
     logits = np.empty((horizon, n, n_classes))
-    caches = []
     for s in range(horizon):
-        f, cache = step(s, feats[s])
-        _dot(f, wc, out=logits[s])
-        caches.append(cache)
+        _dot(step(s, feats[s]), wc, out=logits[s])
         if s + 1 < horizon:
             _softmax_data(logits[s], out=x[s + 1, :, ps])
 
     # Back through time. A gradient with several terms adds them in the order
     # the chain of single ops' tape did: a feature's from the features
     # output, then from the next step's input, then from the classifier.
+    # `gz` stacks the logits' gradients; the steps below `top` have one.
     def backward(g_feats, g_logits):
-        g_feats, g_logits = (
-            None if g is None else np.ascontiguousarray(g.reshape(n, horizon, -1).swapaxes(0, 1))
-            for g in (g_feats, g_logits)
-        )
+        g_feats = None if g_feats is None else np.ascontiguousarray(_steps_first(g_feats, n))
+        if g_logits is None:
+            gz, top = np.empty((horizon, n, n_classes)), horizon - 1
+        else:
+            gz, top = np.array(_steps_first(g_logits, n), order="C"), horizon
+        grads = _stacks(horizon, n, widths)
+        grads_at = _by_step(grads)
         gx = None
         for s in reversed(range(horizon)):
             g = None if g_feats is None else g_feats[s]
-            gz = None if g_logits is None else g_logits[s]
             if gx is not None:
                 g = _plus(g, gx[:, fs]) if feed else g
-                gz = _plus(gz, _softmax_grad(gx[:, ps], x[s + 1, :, ps]))
-            if gz is not None:
-                g = _plus(g, _dot(gz, wc.T))
-                _send(classifier, _dot(feats[s].T, gz))
-            gx = step_back(s, g, gx, caches[s])
+                term = _softmax_grad(gx[:, ps], x[s + 1, :, ps])
+                if g_logits is None:
+                    gz[s] = term
+                else:
+                    gz[s] += term
+            if s < top:
+                g = _plus(g, _dot(gz[s], wc.T))
+            gx = step_back(s, g, gx, grads_at[s])
+        send(grads)
         _send(f_t, gx[:, fs].reshape(f_t.data.shape))
-        gz = _softmax_grad(gx[:, ps], x[0, :, ps])
-        _send(classifier, _dot(f_rows.T, gz))
-        _send(f_t, _dot(gz, wc.T).reshape(f_t.data.shape))
+        gz_t = _softmax_grad(gx[:, ps], x[0, :, ps])
+        g_wc = _dot(f_rows.T, gz_t)  # the current feature's term, added last
+        if top:
+            g_wc = _weight_grad(feats[:top], gz[:top]) + g_wc
+        _send(classifier, g_wc)
+        _send(f_t, _dot(gz_t, wc.T).reshape(f_t.data.shape))
 
     lead = s_t.data.shape[:-2]
     out_f, out_z = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(lead + a.shape[::2])
@@ -532,34 +632,42 @@ def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=N
 
     Step 1 runs the `initial` block (as `mlp_norm` takes it) on [s_t | f_t
     | softmax(f_t classifier)], step s > 1 the `progressive` one on [s_t |
-    feature s-1 (zeros unless `feed_features`) | softmax(logits s-1)].
-    `keep` is a (..., horizon, d) dropout mask, slice s for step s, or None.
+    feature s-1 (zeros unless `feed_features`) | softmax(logits s-1)]; the
+    two blocks have the same hidden width. `keep` is a (..., horizon, d)
+    dropout mask, slice s for step s, or None.
     """
     d, n_classes = _check_rollout("ppm_rollout", s_t, f_t, classifier, horizon)
-    if {_check_block("ppm_rollout", 2 * d + n_classes, *b) for b in (initial, progressive)} != {d}:
-        raise ShapeError(f"ppm_rollout: a block's output width is not d = {d}")
+    width, m = 2 * d + n_classes, initial[0].data.shape[1]
+    if {(b[0].data.shape[1], _check_block("ppm_rollout", width, *b))
+            for b in (initial, progressive)} != {(m, d)}:
+        raise ShapeError(f"ppm_rollout: the blocks' hidden and output widths are not both "
+                         f"(m, d) = ({m}, {d})")
     lead = s_t.data.shape[:-2]
     if keep is not None and np.shape(keep) != lead + (horizon, d):
         raise ShapeError(f"ppm_rollout: keep mask {np.shape(keep)} for {lead + (horizon, d)}")
     rows = s_t.data.reshape(-1, d)
     masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
-    blocks = [initial] + [progressive] * (horizon - 1)
     data = [_block_data(initial)] + [_block_data(progressive)] * (horizon - 1)
     parents = (s_t, f_t, classifier, *initial, *(progressive if horizon > 1 else ()))
-    tape = _tapes(parents)
-    x = np.empty((horizon + 1, len(rows), 2 * d + n_classes))
+    x = np.empty((horizon + 1, len(rows), width))
     x[:, :, :d] = rows
+    saved = _stacks(horizon, len(rows), (m, d, 1)) if _tapes(parents) else None
+    saved_at = saved and _by_step(saved)
 
     def step(s, out):
-        return _block_forward(x[s], data[s], masks[s], out, tape)
+        return _block_forward(x[s], data[s], masks[s], out, saved_at and saved_at[s])
 
-    def step_back(s, g, gx, cache):
-        gx = _block_backward(g, cache, blocks[s], data[s])
-        _send(s_t, gx[:, :d].reshape(s_t.data.shape))
-        return gx
+    def step_back(s, g, gx, grads):
+        return _block_backward(g, saved_at[s], masks[s], data[s], grads)
+
+    def send(grads):  # the progressive block first, so one block in both adds in step order
+        for block, steps in ((progressive, slice(1, horizon)), (initial, slice(0, 1))):
+            if steps.stop > steps.start:
+                _send_block(block, x[steps], [a[steps] for a in saved], [a[steps] for a in grads])
+        _send(s_t, _over_steps(grads[3][:, :, :d]).reshape(s_t.data.shape))
 
     return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(d, 2 * d), feed_features,
-                    step, step_back)
+                    step, step_back, (d, d, m, width), send)
 
 
 def attention(window, pe, wq, wk, wv, wo, n_heads: int):
@@ -630,22 +738,21 @@ def _cell_forward(xh, c, w, b, tape: bool, h_out):
     c_new += gates[:, :d_h] * cand
     tc = np.tanh(c_new)
     h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
-    return h, c_new, ((xh, c, gates, cand, tc) if tape else None)
+    return h, c_new, ((c, gates, cand, tc) if tape else None)
 
 
-def _cell_backward(gh, gc, cache, w, b):
-    """Sends the tensors w and b their gradients from those of h' and c' (None
-    is zero); returns the gradients of the rows [x | h] and of c."""
-    xh, c, gates, cand, tc = cache
+def _cell_backward(gh, gc, cache, w, dpre):
+    """The gradients of the rows [x | h] and of c from those of h' and c' (None
+    is zero), with the array `w`. Fills `dpre`, the step's rows of the stack
+    of gate pre-activation gradients from which the caller sums w's and b's."""
+    c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
     gc = _plus(gc, gh * o * np.subtract(1.0, tc * tc))
     dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
-    dpre = dgate * gates * np.subtract(1.0, gates)
+    np.multiply(dgate * gates, np.subtract(1.0, gates), out=dpre)
     dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * np.subtract(1.0, cand * cand)
-    _send(b, _unbroadcast(dpre, b.data.shape))
-    _send(w, _dot(xh.T, dpre))
-    return _dot(dpre, w.data.T), gc * f
+    return _dot(dpre, w.T), gc * f
 
 
 def lstm_step(x, state, w, b) -> Tensor:
@@ -679,9 +786,12 @@ def lstm_step(x, state, w, b) -> Tensor:
     def backward(g):
         gh, gc = np.split(g.reshape(-1, 2 * d_h), 2, axis=1)
         gx = np.empty((len(rows), t, d_in))
+        dpre = np.empty((t, len(rows), 4 * d_h))
         for s in reversed(range(t)):
-            gxh, gc = _cell_backward(gh, gc, caches[s], w, b)
+            gxh, gc = _cell_backward(gh, gc, caches[s], w.data, dpre[s])
             gx[:, s], gh = gxh[:, :d_in], gxh[:, d_in:]
+        _send(w, _weight_grad(xh[:t], dpre))
+        _send(b, _bias_grad(dpre))
         _send(x, gx.reshape(x.data.shape))
         _send(state, np.concatenate([gh, gc], axis=-1).reshape(state.data.shape))
 
@@ -707,23 +817,28 @@ def lstm_rollout(s_t, f_t, w, b, classifier, horizon: int):
     x = np.empty((horizon + 1, len(rows), d_in + d))  # [x | h] in w's row order
     x[0, :, d_in:] = rows
     c = [np.zeros(rows.shape), None]  # the cell state after the last step run, its gradient
+    caches = [None] * horizon
     b_row = _row(b)
 
     def step(s, out):
-        h, c[0], cache = _cell_forward(x[s], c[0], w.data, b_row, tape, out)
+        h, c[0], caches[s] = _cell_forward(x[s], c[0], w.data, b_row, tape, out)
         x[s + 1, :, d_in:] = h
-        return h, cache
+        return h
 
-    def step_back(s, g, gx, cache):  # the state's h gets the next cell's h rows, then g
+    def step_back(s, g, gx, grads):  # the state's h gets the next cell's h rows, then g
         gx, c[1] = _cell_backward(g if gx is None else gx[:, d_in:] + g,
-                                  None if gx is None else c[1], cache, w, b)
+                                  None if gx is None else c[1], caches[s], w.data, grads[0])
         if s == 0:
             _send(s_t, gx[:, d_in:].reshape(s_t.data.shape))
         return gx
 
+    def send(grads):
+        _send(w, _weight_grad(x[:horizon], grads[0]))
+        _send(b, _bias_grad(grads[0]))
+
     with np.errstate(over="ignore"):
         return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(0, d), True, step,
-                        step_back)
+                        step_back, (4 * d,), send)
 
 
 class Parameter:

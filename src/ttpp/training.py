@@ -3,7 +3,9 @@
 Per sample, the feature reconstruction loss sums squared errors over all
 predicted steps and the classification loss sums cross-entropy over all
 predicted steps; the batch averages sample losses. Both losses sum over
-every leading axis, so one call covers a whole (B, horizon, ·) batch.
+every leading axis, so one call covers a whole (B, horizon, ·) batch, and
+each is one tape node (`tensor.cross_entropy`, `tensor.squared_error`)
+whose value and gradient equal those of the chain of single ops bit for bit.
 Runs are bit-for-bit reproducible from (config, dataset, seed).
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AnticipationModel
-from .tensor import Tensor, log_softmax, mul, sgd_step, tensor_sum
+from .tensor import Tensor, cross_entropy, mul, sgd_step, squared_error
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,18 +56,17 @@ class EpochStats:
 
 
 def feature_loss(pred: Tensor, target) -> Tensor:
-    """Sum over steps of squared feature error (no per-step averaging)."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
+    """Sum over steps of squared feature error (no per-step averaging), as one
+    node; the target, an array or Tensor, takes no gradient."""
+    target = (target if isinstance(target, Tensor) else Tensor(target)).data
     if pred.shape != target.shape:
         raise ValueError(f"feature_loss: shapes differ, {pred.shape} vs {target.shape}")
-    diff = pred - target
-    return tensor_sum(mul(diff, diff))
+    return squared_error(pred, target)
 
 
 def class_loss(logits: Tensor, labels_onehot) -> Tensor:
-    """Cross-entropy summed over steps, taken from the logits by log-softmax."""
-    labels = np.asarray(labels_onehot, dtype=np.float64)
-    return -tensor_sum(mul(log_softmax(logits), labels))
+    """Cross-entropy summed over steps, taken from the logits by log-softmax, as one node."""
+    return cross_entropy(logits, np.asarray(labels_onehot, dtype=np.float64))
 
 
 def total_loss(l_c: Tensor, l_r: Tensor, lam: float) -> Tensor:

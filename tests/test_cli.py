@@ -248,6 +248,25 @@ class TestTrainEval:
         _, rows = read_report_csv(report)
         assert not np.isnan(rows["ttm-ppm"]).any()
 
+    def test_an_empty_training_split_is_refused_by_cause(self, tmp_path, capsys):
+        # a window needs seq_len 8 + horizon 2 = 10 chunks
+        train = ["train", "--out-dir", str(tmp_path / "run"), *FAST]
+        grid = ["grid", "--out", str(tmp_path / "g.csv"), *FAST]
+        short = tmp_path / "short"
+        assert main(["gen", "--out-dir", str(short), *FAST, "--set", "data.length=9"]) == 0
+        capsys.readouterr()
+        for argv, cause in (
+            ([*train, "--set", "data.n_train=0"], "data.n_train = 0"),
+            ([*train, "--set", "data.length=9"], "data.length = 9"),
+            ([*train, "--data", str(short / "train")], str(short / "train")),
+            ([*grid, "--set", "data.n_train=0"], "data.n_train = 0"),
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "no train sequence" in err and cause in err, argv
+            assert "seq_len + horizon = 10 chunks" in err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "g.csv").exists()
+
     def test_eval_without_checkpoint_names_path(self, tmp_path, capsys):
         rc = main([
             "eval", "--checkpoint", str(tmp_path / "missing.bin"),

@@ -978,6 +978,9 @@ class TestRolloutOpsMatchChains:
             ppm_rollout(t[0], t[1][0], t[2:8], t[8:14], t[14], 3)
         with pytest.raises(ShapeError, match="extent"):
             ppm_rollout(t[0], t[1], t[2:8], [t[2][:-1], *t[9:14]], t[14], 3)
+        wider = [Tensor(np.ones(s)) for s in [(11, 3), (3,), (3, 4), (4,), (4,), (4,)]]
+        with pytest.raises(ShapeError, match="hidden and output widths"):
+            ppm_rollout(t[0], t[1], t[2:8], wider, t[14], 3)  # the steps share one stack
         with pytest.raises(ValueError, match="horizon"):
             ppm_rollout(*ppm_args(t, 0))
         c = [Tensor(a) for a in lstm_arrays(np.random.default_rng(92), (2,))]
@@ -1064,8 +1067,9 @@ class TestRolloutGradientProperties:
 # ---- the fused ops against the arithmetic of their plain numpy forms ------
 
 
-def plain_block_forward(x, data, keep, out, tape: bool):
-    """`tensor._block_forward` as `@`, 1-D bias broadcasting and 1.0 / np.sqrt."""
+def plain_block_forward(x, data, keep, out, saved=None):
+    """`tensor._block_forward` as `@`, 1-D bias broadcasting and 1.0 / np.sqrt,
+    copying into the stacked buffers `saved` what it computed apart."""
     w1, b1, w2, b2, gain, bias = data
     pre = x @ w1
     pre += b1
@@ -1075,12 +1079,14 @@ def plain_block_forward(x, data, keep, out, tape: bool):
     n = y.shape[1]
     y -= np.add.reduce(y, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5)
-    xhat = np.multiply(y, inv_std, out=None if tape else y)
+    xhat = y * inv_std
+    for buffer, a in zip(saved or (), (hidden, xhat, inv_std)):
+        buffer[...] = a
     out = np.multiply(xhat, gain, out=out)
     out += bias
     if keep is not None:
         out *= keep
-    return out, ((x, hidden, xhat, inv_std, keep) if tape else None)
+    return out
 
 
 def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
@@ -1094,23 +1100,35 @@ def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
     c_new += gates[:, :d_h] * cand
     tc = np.tanh(c_new)
     h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
-    return h, c_new, ((xh, c, gates, cand, tc) if tape else None)
+    return h, c_new, ((c, gates, cand, tc) if tape else None)
 
 
-def plain_cell_backward(gh, gc, cache, w, b):
+def plain_cell_backward(gh, gc, cache, w, dpre):
     """`tensor._cell_backward` with `@` and Python-scalar left operands."""
-    xh, c, gates, cand, tc = cache
+    c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
     gc = gh * o * (1.0 - tc * tc) if gc is None else gc + gh * o * (1.0 - tc * tc)
     dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
-    dpre = dgate * gates * (1.0 - gates)
+    dpre[...] = dgate * gates * (1.0 - gates)
     dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
-    if b._tracked:
-        b._accumulate(dpre.sum(axis=0))
-    if w._tracked:
-        w._accumulate(xh.T @ dpre)
-    return dpre @ w.data.T, gc * f
+    return dpre @ w.T, gc * f
+
+
+def plain_weight_grad(x, g):
+    """`tensor._weight_grad` as one `@` per step, added last step first."""
+    total = x[-1].T @ g[-1]
+    for s in reversed(range(len(x) - 1)):
+        total += x[s].T @ g[s]
+    return total
+
+
+def plain_bias_grad(g):
+    """`tensor._bias_grad` as one row sum per step, added last step first."""
+    total = g[-1].sum(axis=0)
+    for s in reversed(range(len(g) - 1)):
+        total += g[s].sum(axis=0)
+    return total
 
 
 def outputs_and_grads(op, arrays, args_of, costs):
@@ -1157,9 +1175,11 @@ class TestFastPathsKeepTheBits:
     """Each fused op, forward and every gradient, equals by bytes the same op
     run with the plain numpy arithmetic its fast paths replace: `@` for
     `_dot`, 1-D biases broadcast over the rows, 1.0 / np.sqrt(...) in the
-    layer norm and 1.0 / (1.0 + exp(-pre)) for the gates. The PPM rollout
-    feeds its features forward, so the classifier's gradient multiplies a
-    strided column slice of the step buffer, which `_dot` must hand to `@`.
+    layer norm, 1.0 / (1.0 + exp(-pre)) for the gates, and a parameter's
+    gradient added step by step instead of one stacked product or sum. The
+    PPM rollout feeds its features forward, so the classifier's gradient
+    multiplies a strided column slice of the step buffer, which `_dot` must
+    hand to `@`.
     """
 
     @pytest.mark.parametrize("case", [block_case, ppm_case, lstm_step_case, lstm_rollout_case])
@@ -1172,10 +1192,80 @@ class TestFastPathsKeepTheBits:
         monkeypatch.setattr(tensor, "_block_forward", plain_block_forward)
         monkeypatch.setattr(tensor, "_cell_forward", plain_cell_forward)
         monkeypatch.setattr(tensor, "_cell_backward", plain_cell_backward)
+        monkeypatch.setattr(tensor, "_weight_grad", plain_weight_grad)
+        monkeypatch.setattr(tensor, "_bias_grad", plain_bias_grad)
         plain = outputs_and_grads(op, arrays, args_of, costs)
         assert len(fast) == len(plain)
         for i, (got, want) in enumerate(zip(fast, plain)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"array {i}"
+
+
+class TestStackedParameterGradients:
+    """A parameter's gradient over a fused op's steps is one stacked product
+    (`_weight_grad`) or sum (`_bias_grad`), which must equal by bytes what
+    the per-step sends gave: one `_dot` or row sum per step, accumulated
+    into the gradient last step first. Widths are the model's: the PPM
+    blocks' two layers, the LSTM cells' gates and the classifier."""
+
+    @pytest.mark.parametrize("rows", [1, 16, 32])
+    def test_equal_per_step_sends(self, rows):
+        rng = np.random.default_rng(rows)
+        for steps in (1, 7, 8):
+            for k, n in ((36, 8), (8, 16), (32, 64), (36, 64), (16, 4)):
+                x, g = rng.normal(size=(steps, rows, k)), rng.normal(size=(steps, rows, n))
+                w, b = Tensor(np.zeros((k, n))), Tensor(np.zeros(n))
+                for s in reversed(range(steps)):
+                    w._accumulate(tensor._dot(x[s].T, g[s]))
+                    b._accumulate(tensor._unbroadcast(g[s], (n,)))
+                assert tensor._weight_grad(x, g).tobytes() == w.grad.tobytes(), (steps, k, n)
+                assert tensor._bias_grad(g).tobytes() == b.grad.tobytes(), (steps, k, n)
+
+    @pytest.mark.parametrize("rows", [1, 16, 32])
+    def test_strided_feature_columns_equal_per_step_sends(self, rows):
+        # a PPM rollout that feeds its features forward keeps them in columns
+        # d to 2d of its step buffer, so the classifier's factor is strided
+        rng = np.random.default_rng(rows)
+        buffer = rng.normal(size=(9, rows, 36))
+        feats, gz = buffer[1:, :, 16:32], rng.normal(size=(8, rows, 4))
+        assert rows == 1 or not feats[0].T.flags.forc  # `_dot` hands these to `@`
+        wc = Tensor(np.zeros((16, 4)))
+        for s in reversed(range(8)):
+            wc._accumulate(tensor._dot(feats[s].T, gz[s]))
+        assert tensor._weight_grad(feats, gz).tobytes() == wc.grad.tobytes()
+
+
+class TestOneGradientPerParameter:
+    """In one taped training batch (32 windows, horizon 8, dropout on) every
+    parameter of the fused ops takes one `_accumulate`: one stacked product
+    or sum per op call, not one per step. conv1d and SSP are still chains of
+    generic ops and are left out."""
+
+    @pytest.mark.parametrize("aggregator, predictor, variant", [
+        ("ttm", "ppm", "full"), ("ttm", "ppm", "no_feature"), ("ttm", "lstm", "full"),
+        ("lstm", "ppm", "full"), ("lstm", "lstm", "full"),
+    ])
+    def test_one_accumulate_per_parameter(self, aggregator, predictor, variant, monkeypatch):
+        from ttpp.training import class_loss, feature_loss, total_loss
+
+        model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor,
+                                              ppm_variant=variant, horizon=8))
+        rng = np.random.default_rng(0)
+        observed, future = rng.normal(size=(32, 8, 16)), rng.normal(size=(32, 8, 16))
+        labels = np.eye(4)[rng.integers(4, size=(32, 8))]
+        roll, _ = model.anticipate(observed, rng=rng)
+        loss = mul(total_loss(class_loss(roll.logits, labels),
+                              feature_loss(roll.features, future), 1.0), 1.0 / 32)
+        sends = {}
+        accumulate = Tensor._accumulate
+
+        def counting(self, g):
+            sends[id(self)] = sends.get(id(self), 0) + 1
+            accumulate(self, g)
+
+        monkeypatch.setattr(Tensor, "_accumulate", counting)
+        loss.backward()
+        assert {p.name: sends.get(id(p.value), 0) for p in model.parameters()} == {
+            p.name: 1 for p in model.parameters()}
 
 
 class TestReluAndGates:

@@ -8,7 +8,7 @@ import pytest
 
 from ttpp.data import gen_synthetic, make_samples, standard_synthetic_config
 from ttpp.model import AnticipationModel, ModelConfig, grid_configs
-from ttpp.tensor import Tensor, mul, no_grad, sgd_step
+from ttpp.tensor import Tensor, log_softmax, mul, no_grad, sgd_step, tensor_sum
 from ttpp.training import (
     EpochStats,
     TrainConfig,
@@ -78,6 +78,47 @@ class TestClassLoss:
         assert loss.item() == 1000.0
         loss.backward()
         np.testing.assert_array_equal(logits.grad, [[-1.0, 1.0]])
+
+
+def chain_class_loss(logits, labels_onehot):
+    """class_loss as the chain of single ops it was before it became one node."""
+    return -tensor_sum(mul(log_softmax(logits), np.asarray(labels_onehot, dtype=np.float64)))
+
+
+def chain_feature_loss(pred, target):
+    """feature_loss as the chain of single ops it was before it became one node."""
+    diff = pred - Tensor(target)
+    return tensor_sum(mul(diff, diff))
+
+
+class TestOneNodeLosses:
+    """Each loss term is one node whose value and gradient equal by bytes those
+    of the chain it replaces, inside the batch loss that training builds."""
+
+    @staticmethod
+    def batch_loss(losses, logits, labels, pred, target):
+        class_term, feature_term = losses
+        logits, pred = Tensor(logits, requires_grad=True), Tensor(pred, requires_grad=True)
+        l_c, l_r = class_term(logits, labels), feature_term(pred, target)
+        mul(total_loss(l_c, l_r, 1.0), 1.0 / len(labels)).backward()
+        return l_c, l_r, logits.grad, pred.grad
+
+    @pytest.mark.parametrize("miss", [False, True], ids=["drawn", "confident misses"])
+    def test_bytes_equal_the_chain(self, miss):
+        rng = np.random.default_rng(5)
+        logits = rng.normal(size=(32, 8, 4)) * 3.0
+        labels = np.eye(4)[rng.integers(4, size=(32, 8))]
+        if miss:  # every true class far below another: its probability underflows to 0
+            logits = np.where(labels == 1.0, -1000.0, logits)
+        pred, target = rng.normal(size=(32, 8, 16)), rng.normal(size=(32, 8, 16))
+        fused = self.batch_loss((class_loss, feature_loss), logits, labels, pred, target)
+        chain = self.batch_loss((chain_class_loss, chain_feature_loss), logits, labels, pred,
+                                target)
+        assert all(len(t._parents) == 1 and t._parents[0].requires_grad for t in fused[:2])
+        for got, want in zip(fused, chain):
+            got, want = (a.data if isinstance(a, Tensor) else a for a in (got, want))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.isfinite(fused[0].data) and np.isfinite(fused[2]).all()
 
 
 class TestTotalLoss:
