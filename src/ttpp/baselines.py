@@ -2,11 +2,12 @@
 
 Aggregation: a strided temporal convolution stack whose depth follows
 the window length, or a single-layer LSTM encoder. Prediction: an LSTM
-decoder seeded with the aggregated vector (one fused
-`tensor.lstm_rollout` node), or a single-shot block that predicts any
-one horizon directly from a one-hot horizon tag. All share the
-interfaces of the transformer aggregator and progressive predictor so
-every pairing composes without special cases.
+decoder seeded with the aggregated vector, or a single-shot block that
+predicts any one horizon directly from a one-hot horizon tag. Each layer
+is one fused node of `tensor` (`conv1d`, `lstm_step`, `lstm_rollout`,
+`ssp_rollout`), and all share the interfaces of the transformer
+aggregator and progressive predictor, so every pairing composes without
+special cases.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tensor
 from .prediction import PredictionBlockParams, Rollout, init_block_params
-from .tensor import (Parameter, ParameterSet, Tensor, concat, glorot, lstm_rollout, lstm_step,
-                     matmul, mlp_norm, relu, reshape, softmax)
-
-CONV_KERNEL = 3
-CONV_STRIDE = 2
-CONV_PAD = 1  # symmetric zero rows per layer
+from .tensor import Parameter, ParameterSet, Tensor, conv1d, glorot, lstm_rollout, lstm_step
 
 
 @dataclass(frozen=True)
@@ -38,37 +35,20 @@ class Conv1DStack(ParameterSet):
 
 def init_conv1d_params(d_m: int, seq_len: int, rng) -> Conv1DStack:
     layers = range((seq_len - 1).bit_length())
-    weights = tuple(Parameter(f"conv1d.w{i}", glorot(rng, CONV_KERNEL * d_m, d_m)) for i in layers)
+    weights = tuple(Parameter(f"conv1d.w{i}", glorot(rng, 3 * d_m, d_m)) for i in layers)
     biases = tuple(Parameter(f"conv1d.b{i}", np.zeros(d_m)) for i in layers)
     return Conv1DStack(weights, biases)
 
 
 def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
-    """Reduce the (..., T, d_m) window(s) to (..., 1, d_m) through the stack's strided convs.
-
-    Each layer zero-pads one row top and bottom; ReLU sits between layers,
-    and the last observed feature is added onto the result (shortcut).
-    At T=8 the three layers run 8 -> 4 -> 2 -> 1. A window longer than
-    2 ** layers, which would not reach one row, is rejected.
-    """
-    t = f_seq.shape[-2]
-    if t > 2 ** len(params.weights):
-        raise ValueError(
-            f"conv1d_aggregate: {len(params.weights)} layers do not reduce T={t} to length 1"
-        )
-    lead = f_seq.shape[:-2]
-    d_m = f_seq.shape[-1]
-    pad = Tensor(np.zeros(lead + (CONV_PAD, d_m)))
-    x = f_seq
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if layer:
-            x = relu(x)
-        out_len = (x.shape[-2] + 2 * CONV_PAD - CONV_KERNEL) // CONV_STRIDE + 1
-        padded = concat([pad, x, pad], axis=-2)
-        rows = (CONV_STRIDE * np.arange(out_len)[:, None] + np.arange(CONV_KERNEL)).ravel()
-        windows = reshape(padded[..., rows, :], lead + (out_len, CONV_KERNEL * d_m))
-        x = matmul(windows, w.value) + b.value
-    return x + f_seq[..., t - 1 : t, :]
+    """Reduce the (..., T, d_m) window(s) to (..., 1, d_m) through the stack's
+    strided convs and the last-feature shortcut, one `tensor.conv1d` node:
+    at T=8 the three layers run 8 -> 4 -> 2 -> 1. A window longer than
+    2 ** layers, which would not reach one row, is rejected."""
+    t, depth = f_seq.shape[-2], len(params.weights)
+    if t > 2 ** depth:
+        raise ValueError(f"conv1d_aggregate: {depth} layers do not reduce T={t} to length 1")
+    return conv1d(f_seq, params.values[:depth], params.values[depth:])
 
 
 @dataclass(frozen=True)
@@ -94,17 +74,11 @@ def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMPara
 
 
 def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
-    """Run the window through one `lstm_step` node from a zero state; the
-    summary is the final hidden state.
-
-    The last observed feature is added onto the summary (shortcut), so the
-    hidden width must equal the feature width; `lstm_step` refuses any
-    other. A (B, T, d_m) stack is one node too and gives (B, 1, d_m).
-    """
-    t, d_m = f_seq.shape[-2:]
-    state = Tensor(np.zeros(f_seq.shape[:-2] + (1, 2 * d_m)))
-    state = lstm_step(f_seq, state, params.w.value, params.b.value)
-    return state[..., :d_m] + f_seq[..., t - 1 : t, :]
+    """Run the window through one `lstm_step` node from a zero state: the
+    summary is the final hidden state plus the last observed feature
+    (shortcut), so `lstm_step` refuses a hidden width other than the
+    feature width. A (B, T, d_m) stack is one node too and gives (B, 1, d_m)."""
+    return lstm_step(f_seq, params.w.value, params.b.value)
 
 
 @dataclass(frozen=True)
@@ -155,15 +129,11 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     """Predict horizons 1..l (l = params.horizon) at once, with no chaining.
 
     Row tau - 1 of the block input is s_t (+) f_t (+) p_t (+) onehot(tau),
-    so every horizon is independent of the others. s_t and f_t are
-    (..., 1, d_m) rows, and the rollout is (..., l, ·). `keep` is a
-    (..., l, d_m) dropout mask from `keep_mask`; None means no dropout.
+    so every horizon is independent of the others; the whole rollout is one
+    `tensor.ssp_rollout` node. s_t and f_t are (..., 1, d_m) rows, and the
+    rollout is (..., l, ·). `keep` is a (..., l, d_m) dropout mask from
+    `keep_mask`; None means no dropout.
     """
-    horizon = params.horizon
-    lead = s_t.shape[:-2]
-    classifier = params.classifier.value
-    shared = concat([s_t, f_t, softmax(matmul(f_t, classifier))], axis=-1)
-    tags = np.eye(horizon) + np.zeros(lead + (1, 1))  # one set per window
-    x = concat([shared[..., np.zeros(horizon, dtype=int), :], Tensor(tags)], axis=-1)
-    features = mlp_norm(x, *params.block.values, keep)
-    return Rollout(features, matmul(features, classifier))
+    features, logits = tensor.ssp_rollout(s_t, f_t, params.block.values, params.classifier.value,
+                                          params.horizon, keep)
+    return Rollout(features, logits)

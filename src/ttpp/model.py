@@ -127,7 +127,7 @@ class AnticipationModel:
             s_t = baselines.conv1d_aggregate(f_seq, self.agg_params)
         else:
             s_t = baselines.lstm_encode(f_seq, self.agg_params)
-        f_t = f_seq[..., t - 1 : t, :]
+        f_t = Tensor(f_seq.data[..., t - 1 : t, :])
         if c.predictor == "lstm":
             return baselines.lstm_decode(s_t, f_t, self.pred_params), weights
         keep = keep_mask(rng, c.dropout, s_t.shape[:-2] + (c.horizon, c.d_m))

@@ -18,7 +18,7 @@ from .tensor import Parameter, ParameterSet, Tensor, glorot, ppm_rollout, softma
 
 @dataclass(frozen=True)
 class PredictionBlockParams(ParameterSet):
-    """Two FC layers (in -> d_m // 2 -> d_m) plus layer-norm gain/bias, in `mlp_norm`'s order."""
+    """Two FC layers (in -> d_m // 2 -> d_m) plus layer-norm gain/bias, in `_block_data`'s order."""
 
     fc1_w: Parameter
     fc1_b: Parameter

@@ -7,28 +7,23 @@ rebuilt on every forward pass, so rollouts of varying length need no
 special casing. Inside ``no_grad()`` no tape is built at all.
 
 Operations act on the last axis or two and treat any axes before them as
-batch axes: ``matmul`` multiplies a (..., k) operand by a shared 2-D
-(k, n) weight, and the elementwise ops broadcast. A mini-batch therefore
-runs as one graph over a (B, ...) stack instead of one graph per sample.
+batch axes, folded into the rows of one 2-D product per weight. A
+mini-batch therefore runs as one graph over a (B, ...) stack instead of
+one graph per sample.
 
 The cost of a small graph is the tape and the numpy calls per node, not
-the flops. So most model layers are one fused op with one node and a
-hand-written backward: ``mlp_norm`` (two dense layers, layer norm and
-dropout: the prediction block), ``attention`` (the whole TTM layer: position
-rows, multi-head attention of a window's last row over the rows before it,
-and the shortcut) and ``lstm_step`` (an LSTM over a whole window). The PPM
-and LSTM rollouts are one too: ``ppm_rollout`` and ``lstm_rollout`` write
-every step's input into one preallocated buffer and run back through time
-by hand, building two tensors (the features and their logits). conv1d and
-the single-shot predictor are still chains of the generic ops, the latter
-around one ``mlp_norm``. Each loss term is one node as well: ``cross_entropy``
-and ``squared_error``. The tests hold each op to an oracle: the forward
-of a rollout, of an LSTM window or of the TTM layer equals the chain of
-single-op nodes it replaces bit for bit, and every other value, gradients
-included, is within 1e-12. Arrays only a backward reads are kept only
-while taping. Dropout takes a keep mask drawn by `keep_mask`, so a caller
-can draw the masks of a whole batch at once in the order per-sample draws
-would read them.
+the flops. So every model layer is one fused op with a hand-written
+backward: ``attention`` (the TTM layer), ``conv1d`` and ``lstm_step`` (the
+other two aggregators, each with its shortcut), the rollouts
+``ppm_rollout``, ``lstm_rollout`` and ``ssp_rollout`` (each a features
+node with a logits child) and ``batch_loss``. A taped training batch
+builds six tensors whatever the cell: the input, the aggregator's node,
+the last feature, the predictor's two and the loss. The tests hold each
+op to the chain of generic single-op nodes it replaced, kept in
+``tests/chains.py``: values equal by bytes, gradients by bytes or to
+1e-12. Arrays only a backward reads are kept only while taping. Dropout
+takes a keep mask drawn by `keep_mask`, so a caller can draw the masks of
+a whole batch at once in the order per-sample draws would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
@@ -147,42 +142,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, mul(_ensure(other), -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __getitem__(self, key):
-        return take(self, key)
-
-    def sum(self):
-        return tensor_sum(self)
-
-
-def _ensure(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
@@ -224,109 +183,6 @@ def _row(t: Tensor) -> np.ndarray:
     return t.data[None]
 
 
-def add(a: Tensor, b) -> Tensor:
-    b = _ensure(b)
-    data = a.data + b.data
-
-    def backward(g):
-        if a._tracked:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b._tracked:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    """Elementwise product; a scalar `b` is a 0-d operand."""
-    b = _ensure(b)
-    data = a.data * b.data
-
-    def backward(g):
-        if a._tracked:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b._tracked:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(data, (a, b), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(..., k) times a 2-D (k, n) weight; the leading axes of `a` are batch axes.
-
-    Batch axes are folded into the rows of one 2-D product, which is
-    faster than numpy's product per matrix of the stack; the weight
-    gradient sums over them the same way. A 2-D operand folds to itself.
-    """
-    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {b.data.shape}")
-    k, n = b.data.shape
-    data = _dot(a.data.reshape(-1, k), b.data).reshape(a.data.shape[:-1] + (n,))
-
-    def backward(g):
-        rows = g.reshape(-1, n)
-        if a._tracked:
-            a._accumulate(_dot(rows, b.data.T).reshape(a.data.shape))
-        if b._tracked:
-            b._accumulate(_dot(a.data.reshape(-1, k).T, rows))
-
-    return _make(data, (a, b), backward)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-
-    def backward(g):
-        a._accumulate(g.reshape(orig))
-
-    return _make(a.data.reshape(shape), (a,), backward)
-
-
-def take(a: Tensor, key) -> Tensor:
-    def backward(g):
-        gx = np.zeros_like(a.data)
-        np.add.at(gx, key, g)
-        a._accumulate(gx)
-
-    return _make(a.data[key], (a,), backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = [_ensure(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward(g):
-        index = [slice(None)] * g.ndim
-        start = 0
-        for t, size in zip(tensors, sizes):
-            if t._tracked:
-                index[axis] = slice(start, start + size)
-                t._accumulate(g[tuple(index)])
-            start += size
-
-    return _make(data, tuple(tensors), backward)
-
-
-def tensor_sum(a: Tensor) -> Tensor:
-    """The sum of every entry, as a 0-d tensor."""
-    data = a.data.sum()
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(data, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g):
-        a._accumulate(g * mask)
-
-    return _make(np.where(mask, a.data, 0.0), (a,), backward)
-
-
 def _softmax_data(a: np.ndarray, out=None) -> np.ndarray:
     e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
     np.exp(e, out=e)
@@ -353,38 +209,36 @@ def _log_softmax_data(a: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def log_softmax(a: Tensor) -> Tensor:
-    """Log of the softmax along the last axis, computed from the logits."""
-    y = _log_softmax_data(a.data)
+def batch_loss(logits, labels, features, target, lam: float):
+    """The training loss of a batch as one node: (CE + lam SE) / B, where
+    CE = -sum(labels * log_softmax(logits)) and SE = sum((features -
+    target)^2), each summed over every entry, and B is the leading axis.
 
-    def backward(g):
-        a._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
-
-    return _make(y, (a,), backward)
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """-sum(labels * log_softmax(logits)) over every entry, as one node whose
-    value and gradient equal the chain of those single ops bit for bit."""
+    Returns the node and the two sums, CE and SE, as floats. `labels` and
+    `target` take no gradient, and at lam 0 neither do the features.
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if (logits.data.ndim < 2 or labels.shape != logits.data.shape
+            or target.shape != features.data.shape):
+        raise ShapeError(f"batch_loss: labels {labels.shape} for logits {logits.data.shape}, "
+                         f"target {target.shape} for features {features.data.shape}")
     y = _log_softmax_data(logits.data)
+    diff = features.data - target
+    class_sum, feature_sum = (y * labels).sum() * -1.0, (diff * diff).sum()
+    scale = 1.0 / len(labels)
+    total = (class_sum + feature_sum * lam if lam else class_sum) * scale
 
     def backward(g):
-        g_y = (g * -1.0) * labels
-        logits._accumulate(g_y - np.exp(y) * g_y.sum(axis=-1, keepdims=True))
+        g_class = g * scale
+        g_y = (g_class * -1.0) * labels
+        _send(logits, g_y - np.exp(y) * g_y.sum(axis=-1, keepdims=True))
+        if lam:
+            half = (g_class * lam) * diff
+            _send(features, half + half)
 
-    return _make((y * labels).sum() * -1.0, (logits,), backward)
-
-
-def squared_error(pred: Tensor, target: np.ndarray) -> Tensor:
-    """sum((pred - target)^2) over every entry, as one node whose value and
-    gradient equal the chain of single ops bit for bit; `target` takes none."""
-    diff = pred.data - target
-
-    def backward(g):
-        half = g * diff
-        pred._accumulate(half + half)
-
-    return _make((diff * diff).sum(), (pred,), backward)
+    node = _make(total, (logits, features) if lam else (logits,), backward)
+    return node, float(class_sum), float(feature_sum)
 
 
 def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
@@ -446,10 +300,13 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 
 
 def _block_forward(x, data, keep, out, saved=None):
-    """`mlp_norm` on 2-D rows into `out` (new if None), with `data` from
-    `_block_data`. While taping, `saved` is a step's rows of the stacked
-    (hidden, xhat, inv_std), which the forward fills for the backward.
-    np.maximum, the ReLU, propagates a NaN."""
+    """A prediction block, layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias
+    times the dropout mask `keep` (None: no dropout), on 2-D rows into `out`
+    (new if None), with `data` from `_block_data`. Layer norm standardizes
+    each row by the population mean and variance, with eps 1e-5. While
+    taping, `saved` is a step's rows of the stacked (hidden, xhat, inv_std),
+    which the forward fills for the backward. np.maximum, the ReLU,
+    propagates a NaN."""
     w1, b1, w2, b2, gain, bias = data
     hidden, xhat, inv_std = saved or (None, None, None)
     pre = _dot(x, w1, hidden)
@@ -503,38 +360,6 @@ def _send_block(block, x, saved, grads) -> None:
     _send(w2, _weight_grad(hidden, gy))
     _send(b1, _bias_grad(gpre))
     _send(w1, _weight_grad(x, gpre))
-
-
-def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
-    """layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias, times `keep`, as one node.
-
-    `x` is (..., k), with (k, m) `w1`, (m, n) `w2` and (n,) biases, gain
-    and bias. Layer norm standardizes along the last axis by the
-    population mean and variance (summed by ``np.add.reduce`` as
-    ``np.mean`` and ``np.var`` sum), with eps 1e-5. `keep`, a dropout
-    mask from `keep_mask` with the output's shape, multiplies the output;
-    None means no dropout.
-    """
-    block = (w1, b1, w2, b2, gain, bias)
-    n = _check_block("mlp_norm", x.data.shape[-1], *block)
-    k, m = w1.data.shape
-    shape = x.data.shape[:-1] + (n,)
-    if keep is not None and np.shape(keep) != shape:
-        raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
-    keep = None if keep is None else np.reshape(keep, (-1, n))
-    data = _block_data(block)
-    rows = x.data.reshape(-1, k)
-    saved = _stacks(1, len(rows), (m, n, 1)) if _tapes((x, *block)) else None
-    out = _block_forward(rows, data, keep, None, saved and _by_step(saved)[0])
-
-    def backward(g):  # the one-step case of a rollout's backward
-        grads = _stacks(1, len(rows), (n, n, m, k))
-        gx = _block_backward(g.reshape(-1, n), _by_step(saved)[0], keep, data,
-                             _by_step(grads)[0])
-        _send_block(block, rows[None], saved, grads)
-        _send(x, gx.reshape(x.data.shape))
-
-    return _make(out.reshape(shape), (x, *block), backward)
 
 
 def _check_rollout(op: str, s_t, f_t, classifier, horizon: int) -> tuple[int, int]:
@@ -617,12 +442,20 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     lead = s_t.data.shape[:-2]
     out_f, out_z = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(lead + a.shape[::2])
                     for a in (feats, logits))
+    return _features_and_logits(out_f, out_z, parents, backward)
+
+
+def _features_and_logits(features, logits, parents, backward):
+    """A predictor's two outputs from one node: the features node over
+    `parents` and a logits child that hands it their gradient, so
+    `backward(g_features, g_logits)` runs once, with None for an output
+    that nothing reached."""
     handed = []
-    features = _make(out_f, parents, lambda g: backward(g, handed.pop() if handed else None))
-    out = Tensor(out_z)
-    if features._backward is not None:
-        out._parents, out._backward = (features,), handed.append
-    return features, out
+    node = _make(features, parents, lambda g: backward(g, handed.pop() if handed else None))
+    child = Tensor(logits)
+    if node._backward is not None:
+        child._parents, child._backward = (node,), handed.append
+    return node, child
 
 
 def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=None,
@@ -630,7 +463,7 @@ def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=N
     """The progressive prediction chain as one node: (..., horizon, d) features
     and their (..., horizon, C) logits from (..., 1, d) rows s_t and f_t.
 
-    Step 1 runs the `initial` block (as `mlp_norm` takes it) on [s_t | f_t
+    Step 1 runs the `initial` block (as `_block_data` takes it) on [s_t | f_t
     | softmax(f_t classifier)], step s > 1 the `progressive` one on [s_t |
     feature s-1 (zeros unless `feed_features`) | softmax(logits s-1)]; the
     two blocks have the same hidden width. `keep` is a (..., horizon, d)
@@ -668,6 +501,126 @@ def ppm_rollout(s_t, f_t, initial, progressive, classifier, horizon: int, keep=N
 
     return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(d, 2 * d), feed_features,
                     step, step_back, (d, d, m, width), send)
+
+
+def ssp_rollout(s_t, f_t, block, classifier, horizon: int, keep=None):
+    """The single-shot predictor as one node: (..., horizon, d) features and
+    their (..., horizon, C) logits from (..., 1, d) rows s_t and f_t.
+
+    Row tau - 1 of the block input is [s_t | f_t | softmax(f_t classifier) |
+    onehot(tau)], so no horizon sees another. One `block` (as `_block_data`
+    takes it) runs over every row at once, and `classifier` scores each
+    feature. `keep` is a (..., horizon, d) dropout mask or None.
+    """
+    d, n_classes = _check_rollout("ssp_rollout", s_t, f_t, classifier, horizon)
+    shared, m = 2 * d + n_classes, block[0].data.shape[1]
+    k = shared + horizon
+    if _check_block("ssp_rollout", k, *block) != d:
+        raise ShapeError(f"ssp_rollout: block output width {block[2].data.shape[1]} is not {d}")
+    lead = s_t.data.shape[:-2]
+    if keep is not None and np.shape(keep) != lead + (horizon, d):
+        raise ShapeError(f"ssp_rollout: keep mask {np.shape(keep)} for {lead + (horizon, d)}")
+    wc, f_rows = classifier.data, f_t.data.reshape(-1, d)
+    n = len(f_rows)
+    p_t = _softmax_data(_dot(f_rows, wc))
+    x = np.empty((n, horizon, k))
+    x[:, :, :d] = s_t.data.reshape(n, 1, d)
+    x[:, :, d : 2 * d] = f_rows[:, None]
+    x[:, :, 2 * d : shared] = p_t[:, None]
+    x[:, :, shared:] = np.eye(horizon)
+    rows = x.reshape(-1, k)
+    masks = None if keep is None else np.reshape(keep, (-1, d))
+    data = _block_data(block)
+    parents = (s_t, f_t, classifier, *block)
+    saved = _stacks(1, len(rows), (m, d, 1)) if _tapes(parents) else None
+    feats = _block_forward(rows, data, masks, None, saved and _by_step(saved)[0])
+    logits = _dot(feats, wc)
+
+    # A gradient with two terms adds them in the order the chain of single
+    # ops' tape did: a feature's own, then the classifier's; the
+    # classifier's from the logits, then from p_t. s_t, f_t and p_t get the
+    # sum over their horizon rows, added row by row onto zeros as the tape's
+    # scatter did (so a -0.0 sum reads +0.0).
+    def backward(g_feats, g_logits):
+        g, g_wc = None if g_feats is None else g_feats.reshape(-1, d), None
+        if g_logits is not None:
+            gz = g_logits.reshape(-1, n_classes)
+            g, g_wc = _plus(g, _dot(gz, wc.T)), _dot(feats.T, gz)
+        grads = _stacks(1, len(rows), (d, d, m, k))
+        gx = _block_backward(g, _by_step(saved)[0], masks, data, _by_step(grads)[0])
+        _send_block(block, rows[None], saved, grads)
+        g_shared = np.add.reduce(gx.reshape(n, horizon, k)[:, :, :shared], axis=1,
+                                 keepdims=True, initial=0.0)
+        _send(s_t, g_shared[:, :, :d].reshape(s_t.data.shape))
+        _send(f_t, g_shared[:, :, d : 2 * d].reshape(f_t.data.shape))
+        gz_t = _softmax_grad(g_shared[:, 0, 2 * d :], p_t)
+        _send(classifier, _plus(g_wc, _dot(f_rows.T, gz_t)))
+        _send(f_t, _dot(gz_t, wc.T).reshape(f_t.data.shape))
+
+    return _features_and_logits(feats.reshape(lead + (horizon, d)),
+                                logits.reshape(lead + (horizon, n_classes)), parents, backward)
+
+
+def _kernel_rows(out_len: int) -> np.ndarray:
+    """The padded input rows under each output row of a conv1d layer, in order."""
+    return (2 * np.arange(out_len)[:, None] + np.arange(3)).ravel()
+
+
+def conv1d(window, weights, biases) -> Tensor:
+    """The conv1d aggregator as one node: strided convolutions that reduce a
+    window to one row, and the shortcut.
+
+    `window` is (..., T, d); layer i has a (3 d, d) weight and a (d,) bias.
+    Each layer zero-pads one row top and bottom and multiplies every run of
+    three rows, side by side, at stride 2 by its weight, so L rows become
+    ceil(L / 2); a ReLU sits between layers. The window's last row is added
+    onto the (..., 1, d) result, so the layers must reach one row: T <=
+    2 ** layers.
+    """
+    shape = window.data.shape
+    if (len(shape) < 2 or not weights or len(biases) != len(weights)
+            or not 1 <= shape[-2] <= 2 ** len(weights)
+            or any(w.data.shape != (3 * shape[-1], shape[-1]) for w in weights)
+            or any(b.data.shape != shape[-1:] for b in biases)):
+        raise ShapeError(f"conv1d: window {shape}, weights {[w.data.shape for w in weights]} "
+                         f"and biases {[b.data.shape for b in biases]}: needs (3 d, d) weights, "
+                         f"(d,) biases and T <= 2 ** layers")
+    lead, (t, d) = shape[:-2], shape[-2:]
+    x = window.data.reshape(-1, t, d)
+    n = len(x)
+    inputs, wins = [], []  # each layer's input rows, after the ReLU, and kernel-row windows
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        if layer:
+            x = np.maximum(y, 0.0).reshape(n, -1, d)
+        inputs.append(x)
+        padded = np.zeros((n, x.shape[1] + 2, d))
+        padded[:, 1:-1] = x
+        wins.append(padded[:, _kernel_rows((x.shape[1] + 1) // 2)].reshape(-1, 3 * d))
+        y = _dot(wins[-1], w.data)
+        y += _row(b)
+    data = y.reshape(lead + (1, d))
+    data += window.data[..., t - 1 :, :]
+
+    def backward(g):  # layer by layer, the top one first
+        rows = g.reshape(-1, d)
+        for layer in reversed(range(len(weights))):
+            win, w = wins[layer], weights[layer]
+            out_len = len(win) // n
+            _send(biases[layer],
+                  rows.reshape(lead + (out_len, d)).sum(axis=tuple(range(len(lead) + 1))))
+            _send(w, _dot(win.T, rows))
+            if layer == 0 and not window._tracked:
+                return
+            g_pad = np.zeros((n, inputs[layer].shape[1] + 2, d))
+            np.add.at(g_pad, (slice(None), _kernel_rows(out_len)),
+                      _dot(rows, w.data.T).reshape(n, -1, d))
+            g_in = g_pad[:, 1:-1]
+            if layer:
+                rows = (g_in * (inputs[layer] > 0)).reshape(-1, d)
+        g_in[:, t - 1] += g.reshape(n, d)
+        window._accumulate(g_in.reshape(shape))
+
+    return _make(data, (window, *weights, *biases), backward)
 
 
 def attention(window, pe, wq, wk, wv, wo, n_heads: int):
@@ -755,47 +708,48 @@ def _cell_backward(gh, gc, cache, w, dpre):
     return _dot(dpre, w.T), gc * f
 
 
-def lstm_step(x, state, w, b) -> Tensor:
-    """An LSTM over a window as one node: the state [h | c] side by side after
-    the last row, run back through time by hand.
+def lstm_step(x, w, b) -> Tensor:
+    """The LSTM encoder as one node: an LSTM over a window from the zero
+    state, whose last h plus the window's last row (the shortcut) is the
+    output, run back through time by hand.
 
-    `x` is (..., T, d_in) with rows in time order, `state` the (..., 1,
-    2 d_h) state before the first row, `w` is (d_in + d_h, 4 d_h) with the
-    x rows first, and `b` is (4 d_h,). The gates i, f, g, o own column
-    blocks 0 to 3: c' = f c + i g and h' = o tanh(c') per row, with
-    sigmoid i, f, o and tanh g.
+    `x` is (..., T, d) with rows in time order, `w` is (2 d, 4 d) with the
+    x rows first, and `b` is (4 d,), so the hidden width is the input's.
+    The gates i, f, g, o own column blocks 0 to 3: c' = f c + i g and h' = o
+    tanh(c') per row, with sigmoid i, f, o and tanh g. Returns (..., 1, d).
     """
-    d_h = b.data.shape[0] // 4
     shape = x.data.shape
-    if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (shape[-1] + d_h, 4 * d_h)
-            or state.data.shape != shape[:-2] + (1, 2 * d_h)):
-        raise ShapeError(f"lstm_step: x {x.data.shape}, state {state.data.shape} "
-                         f"for weight {w.data.shape} and bias {b.data.shape}")
-    t, d_in = shape[-2:]
-    rows = state.data.reshape(-1, 2 * d_h)
-    xh = np.empty((t + 1, len(rows), d_in + d_h))  # [x_s | h_s] in w's row order; h_T
-    xh[:t, :, :d_in] = x.data.reshape(-1, t, d_in).swapaxes(0, 1)
-    xh[0, :, d_in:] = rows[:, :d_h]
-    c, caches, tape = rows[:, d_h:], [None] * t, _tapes((x, state, w, b))
+    if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (2 * shape[-1], 4 * shape[-1])
+            or b.data.shape != (4 * shape[-1],)):
+        raise ShapeError(f"lstm_step: x {shape} for weight {w.data.shape} and bias "
+                         f"{b.data.shape}: needs a (2 d, 4 d) weight and a (4 d,) bias")
+    t, d = shape[-2:]
+    windows = x.data.reshape(-1, t, d)
+    n = len(windows)
+    xh = np.empty((t + 1, n, 2 * d))  # [x_s | h_s] in w's row order; h_T
+    xh[:t, :, :d] = windows.swapaxes(0, 1)
+    xh[0, :, d:] = 0.0
+    c, caches, tape = np.zeros((n, d)), [None] * t, _tapes((x, w, b))
     b_row = _row(b)
     with np.errstate(over="ignore"):
         for s in range(t):
-            _, c, caches[s] = _cell_forward(xh[s], c, w.data, b_row, tape, xh[s + 1, :, d_in:])
-    data = np.concatenate([xh[t, :, d_in:], c], axis=-1)
+            _, c, caches[s] = _cell_forward(xh[s], c, w.data, b_row, tape, xh[s + 1, :, d:])
+    data = xh[t, :, d:] + xh[t - 1, :, :d]
 
     def backward(g):
-        gh, gc = np.split(g.reshape(-1, 2 * d_h), 2, axis=1)
-        gx = np.empty((len(rows), t, d_in))
-        dpre = np.empty((t, len(rows), 4 * d_h))
+        gh, gc = g.reshape(-1, d), None
+        gx = np.empty((n, t, d))
+        dpre = np.empty((t, n, 4 * d))
         for s in reversed(range(t)):
             gxh, gc = _cell_backward(gh, gc, caches[s], w.data, dpre[s])
-            gx[:, s], gh = gxh[:, :d_in], gxh[:, d_in:]
+            gx[:, s], gh = gxh[:, :d], gxh[:, d:]
         _send(w, _weight_grad(xh[:t], dpre))
         _send(b, _bias_grad(dpre))
-        _send(x, gx.reshape(x.data.shape))
-        _send(state, np.concatenate([gh, gc], axis=-1).reshape(state.data.shape))
+        if x._tracked:
+            gx[:, t - 1] += g.reshape(-1, d)
+            x._accumulate(gx.reshape(shape))
 
-    return _make(data.reshape(state.data.shape), (x, state, w, b), backward)
+    return _make(data.reshape(shape[:-2] + (1, d)), (x, w, b), backward)
 
 
 def lstm_rollout(s_t, f_t, w, b, classifier, horizon: int):

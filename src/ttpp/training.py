@@ -1,22 +1,23 @@
-"""Losses and the end-to-end SGD training loop.
+"""The batch loss and the end-to-end SGD training loop.
 
 Per sample, the feature reconstruction loss sums squared errors over all
 predicted steps and the classification loss sums cross-entropy over all
-predicted steps; the batch averages sample losses. Both losses sum over
-every leading axis, so one call covers a whole (B, horizon, ·) batch, and
-each is one tape node (`tensor.cross_entropy`, `tensor.squared_error`)
-whose value and gradient equal those of the chain of single ops bit for bit.
+predicted steps; the batch averages sample losses. `total_loss` builds
+the whole batch loss as one tape node (`tensor.batch_loss`), whose value
+and gradient equal those of the chain of single ops bit for bit.
 Runs are bit-for-bit reproducible from (config, dataset, seed).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import AnticipationModel
-from .tensor import Tensor, cross_entropy, mul, sgd_step, squared_error
+from .prediction import Rollout
+from .tensor import batch_loss, sgd_step
 
 
 class TrainingDiverged(RuntimeError):
@@ -34,16 +35,16 @@ class TrainConfig:
 
     def __post_init__(self):
         # lr = 0 is allowed as an explicit null update (useful in tests)
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 @dataclass
@@ -55,22 +56,13 @@ class EpochStats:
     train_acc_h1: float
 
 
-def feature_loss(pred: Tensor, target) -> Tensor:
-    """Sum over steps of squared feature error (no per-step averaging), as one
-    node; the target, an array or Tensor, takes no gradient."""
-    target = (target if isinstance(target, Tensor) else Tensor(target)).data
-    if pred.shape != target.shape:
-        raise ValueError(f"feature_loss: shapes differ, {pred.shape} vs {target.shape}")
-    return squared_error(pred, target)
-
-
-def class_loss(logits: Tensor, labels_onehot) -> Tensor:
-    """Cross-entropy summed over steps, taken from the logits by log-softmax, as one node."""
-    return cross_entropy(logits, np.asarray(labels_onehot, dtype=np.float64))
-
-
-def total_loss(l_c: Tensor, l_r: Tensor, lam: float) -> Tensor:
-    return l_c + mul(l_r, lam) if lam != 0.0 else l_c
+def total_loss(roll: Rollout, labels_onehot, target, lam: float):
+    """The loss of a (B, horizon, ·) rollout as one node: (class loss + lam *
+    feature loss) / B, the class loss the cross-entropy of the logits and
+    the feature loss the squared error of the features, each summed over
+    steps (no per-step averaging). Returns (node, class loss, feature loss),
+    the latter two summed over the batch, as floats for the history."""
+    return batch_loss(roll.logits, labels_onehot, roll.features, target, lam)
 
 
 def check_samples(model: AnticipationModel, samples) -> None:
@@ -116,17 +108,15 @@ def train(model: AnticipationModel, samples, config: TrainConfig) -> list[EpochS
             batch = order[start : start + config.batch_size]
             labels = future_labels[batch]
             roll, _ = model.anticipate(observed[batch], rng=rng)
-            l_c = class_loss(roll.logits, labels)
-            l_r = feature_loss(roll.features, future_features[batch])
-            batch_loss = mul(total_loss(l_c, l_r, config.lam), 1.0 / len(batch))
-            if not np.isfinite(batch_loss.data):
+            loss, l_c, l_r = total_loss(roll, labels, future_features[batch], config.lam)
+            if not np.isfinite(loss.data):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch {batch_idx}"
                 )
-            sum_lc += l_c.item()
-            sum_lr += l_r.item()
+            sum_lc += l_c
+            sum_lr += l_r
             hits += int((roll.logits.data[:, 0].argmax(-1) == labels[:, 0].argmax(-1)).sum())
-            batch_loss.backward()
+            loss.backward()
             sgd_step(params, config.lr, config.momentum)
         history.append(
             EpochStats(

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chains import weighted_sum
 from ttpp.attention import TTMParams, aggregate, init_ttm_params, positional_encoding
 from ttpp.model import AnticipationModel, ModelConfig
 from ttpp.tensor import Parameter, ShapeError, Tensor, attention, glorot, grad_check
@@ -282,7 +283,7 @@ class TestAggregate:
 
         def loss(*tensors):
             out, _ = aggregate(Tensor(f), params)
-            return (out * cost).sum()
+            return weighted_sum(out, cost)
 
         err = grad_check(loss, [p.value for p in params.parameters()])
         assert err < 1e-4
@@ -294,6 +295,6 @@ class TestAggregate:
 
         def loss(t):
             out, _ = aggregate(t, params)
-            return (out * cost).sum()
+            return weighted_sum(out, cost)
 
         assert grad_check(loss, [Tensor(rng.normal(size=(4, 8)))]) < 1e-4

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chains import total, weighted_sum
 from ttpp.baselines import (
     DecoderParams,
     conv1d_aggregate,
@@ -105,7 +106,7 @@ class TestConv1D:
         cost = Tensor(rng.normal(size=(1, 4)))
 
         def loss(*tensors):
-            return (conv1d_aggregate(Tensor(x), params) * cost).sum()
+            return weighted_sum(conv1d_aggregate(Tensor(x), params), cost)
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
 
@@ -200,7 +201,7 @@ class TestLSTMEncode:
         cost = Tensor(rng.normal(size=(1, 4)))
 
         def loss(*tensors):
-            return (lstm_encode(Tensor(x), params) * cost).sum()
+            return weighted_sum(lstm_encode(Tensor(x), params), cost)
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
 
@@ -292,7 +293,7 @@ class TestLSTMDecode:
 
         def loss(*tensors):
             roll = lstm_decode(s, f, DecoderParams(params, classifier, 3))
-            return (roll.probs * cost).sum()
+            return weighted_sum(roll.probs, cost)
 
         tensors = [p.value for p in params.parameters()] + [classifier.value]
         assert grad_check(loss, tensors) < 1e-4
@@ -389,6 +390,18 @@ class TestSSP:
         np.testing.assert_allclose(roll.features.data, feats, rtol=0, atol=1e-12)
         np.testing.assert_allclose(roll.logits.data, logits, rtol=0, atol=1e-12)
 
+    def test_bad_rows_refused_by_name(self):
+        params = init_ssp_params(4, 3, 3, np.random.default_rng(21))
+        s, f = Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"ssp_rollout: s_t \(2, 1, 4\), f_t \(1, 4\)"):
+            ssp_rollout(s, f, params)
+
+    def test_bad_keep_mask_refused_by_name(self):
+        params = init_ssp_params(4, 3, 5, np.random.default_rng(21))
+        s = Tensor(np.zeros((1, 4)))
+        with pytest.raises(ValueError, match=r"ssp_rollout: keep mask \(4, 4\) for \(5, 4\)"):
+            ssp_rollout(s, s, params, np.ones((4, 4)))
+
     def test_gradient(self):
         rng = np.random.default_rng(22)
         params = init_ssp_params(4, 3, 3, rng)
@@ -398,7 +411,7 @@ class TestSSP:
 
         def loss(*tensors):
             roll = ssp_rollout(s, f, params)
-            return (roll.probs * cost).sum()
+            return weighted_sum(roll.probs, cost)
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
 
@@ -502,8 +515,8 @@ class TestGridComposition:
         model = AnticipationModel(cfg, seed=0)
         rng = np.random.default_rng(26)
         roll, _ = model.anticipate(rng.normal(size=(8, 8)))
-        loss = (roll.features * Tensor(rng.normal(size=roll.features.shape))).sum() + (
-            roll.logits * Tensor(rng.normal(size=roll.logits.shape))).sum()
+        loss = total(weighted_sum(roll.features, rng.normal(size=roll.features.shape)),
+                     weighted_sum(roll.logits, rng.normal(size=roll.logits.shape)))
         loss.backward()
         built = [*ParameterSet.parameters(model.agg_params),
                  *ParameterSet.parameters(model.pred_params)]  # every field, unfiltered

@@ -1,7 +1,8 @@
 """Progressive prediction: classifier, block, chained rollout.
 
 The classifier is softmax(matmul(f, w)) and a prediction block is one
-`mlp_norm` call on the block's parameters, both as the layers call them.
+`mlp_norm` call on the block's parameters, both from the tests' chains of
+single-op nodes, which the fused rollouts are held to.
 """
 
 from dataclasses import replace
@@ -9,8 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chains import matmul, mlp_norm, tensor_sum, total, weighted_sum
 from ttpp.prediction import init_block_params, init_ppm_params, rollout
-from ttpp.tensor import Tensor, grad_check, keep_mask, matmul, mlp_norm, softmax
+from ttpp.tensor import Tensor, grad_check, keep_mask, softmax
 
 
 def zero_block(in_dim, d_m):
@@ -123,7 +125,7 @@ class TestRollout:
         rng = np.random.default_rng(20)
         params = random_ppm(seed=20, horizon=1)
         roll = rollout(Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(1, 8))), params)
-        (roll.features.sum() + roll.logits.sum()).backward()
+        total(tensor_sum(roll.features), tensor_sum(roll.logits)).backward()
         assert all(p.value.grad is None for p in params.progressive.parameters())
         assert all(p.value.grad is not None for p in [*params.initial.parameters(),
                                                       params.classifier])
@@ -240,7 +242,8 @@ class TestRollout:
 
         def loss(*tensors):
             roll = rollout(s, f, params)
-            return (roll.features * feat_cost).sum() + (roll.probs * prob_cost).sum()
+            return total(weighted_sum(roll.features, feat_cost),
+                         weighted_sum(roll.probs, prob_cost))
 
         err = grad_check(loss, [p.value for p in params.parameters()])
         assert err < 1e-4

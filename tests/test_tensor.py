@@ -9,6 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
+import chains
+from chains import (add, concat, log_softmax, lstm_window, matmul, mlp_norm, mul, relu, reshape,
+                    take, tensor_sum, total, weighted_sum)
 from ttpp import tensor
 from ttpp.attention import TTMParams, positional_encoding
 from ttpp.model import (AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, load_checkpoint,
@@ -19,24 +22,17 @@ from ttpp.tensor import (
     ParameterSet,
     ShapeError,
     Tensor,
-    add,
     attention,
-    concat,
+    conv1d,
     grad_check,
     keep_mask,
-    log_softmax,
     lstm_rollout,
     lstm_step,
-    matmul,
-    mlp_norm,
-    mul,
     no_grad,
     ppm_rollout,
-    relu,
-    reshape,
     sgd_step,
     softmax,
-    tensor_sum,
+    ssp_rollout,
 )
 
 
@@ -82,7 +78,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        matmul(a, b).sum().backward()
+        tensor_sum(matmul(a, b)).backward()
         assert a.grad.shape == (3, 4) and b.grad.shape == (4, 2)
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 2)))
@@ -236,13 +232,13 @@ class TestGradCheck:
         rng = np.random.default_rng(9)
         a = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.normal(size=(4, 2)))
-        assert grad_check(lambda x, y: matmul(x, y).sum(), [a, b]) < 1e-6
+        assert grad_check(lambda x, y: tensor_sum(matmul(x, y)), [a, b]) < 1e-6
 
     def test_softmax_sum_has_zero_gradient(self):
         # the row sums are constant 1, so the analytic gradient must be
         # the zero vector; finite differences only see rounding noise here
         x = Tensor(np.random.default_rng(10).normal(size=6), requires_grad=True)
-        softmax(x).sum().backward()
+        tensor_sum(softmax(x)).backward()
         assert np.abs(x.grad).max() < 1e-6
 
     def test_rejects_non_scalar(self):
@@ -266,32 +262,35 @@ class TestGradCheck:
         proj = [Tensor(rng.normal(size=(5, 5))) for _ in range(4)]
         pe = positional_encoding(4, 5)
         cost_a = Tensor(rng.normal(size=(1, 5)))
-        h, c = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
-        cell = [Tensor(np.concatenate([h, c], axis=-1))] + [
-            Tensor(rng.normal(size=shape)) for shape in ((7, 8), (8,))
-        ]
-        cost_l = Tensor(rng.normal(size=(1, 4)))
+        cell = [Tensor(rng.normal(size=shape)) for shape in ((10, 20), (20,))]
+        conv = [[Tensor(rng.normal(size=(15, 5))) for _ in range(2)],
+                [Tensor(rng.normal(size=5)) for _ in range(2)]]
 
         cases = {
-            "matmul": lambda t: matmul(t, Tensor(w)).sum(),
-            "softmax": lambda t: (softmax(t) * cost).sum(),
-            "mlp_norm": lambda t: (mlp_norm(t, *dense, gain, bias) * cost).sum(),
-            "relu": lambda t: (relu(t) * cost).sum(),
-            "attention": lambda t: (attention(t, pe, *proj, 1)[0] * cost_a).sum(),  # 4-row window
-            "lstm_step": lambda t: (lstm_step(t, *cell) * cost_l).sum(),  # a 4-row window
-            "log_softmax": lambda t: (log_softmax(t) * cost).sum(),
-            "slice_concat": lambda t: matmul(t[1:3], Tensor(w)).sum()
-            + (concat([t[3:4], t[0:1] * 2.0, t[2:3]], axis=0) * cost[:3]).sum()
-            + (concat([t[:, 3:], t[:, :3]], axis=-1) * cost).sum(),
+            "matmul": lambda t: tensor_sum(matmul(t, Tensor(w))),
+            "softmax": lambda t: weighted_sum(softmax(t), cost),
+            "mlp_norm": lambda t: weighted_sum(mlp_norm(t, *dense, gain, bias), cost),
+            "relu": lambda t: weighted_sum(relu(t), cost),
+            # each a 4-row window
+            "attention": lambda t: weighted_sum(attention(t, pe, *proj, 1)[0], cost_a),
+            "lstm_step": lambda t: weighted_sum(lstm_step(t, *cell), cost_a),
+            "conv1d": lambda t: weighted_sum(conv1d(t, *conv), cost_a),
+            "log_softmax": lambda t: weighted_sum(log_softmax(t), cost),
+            "slice_concat": lambda t: total(
+                tensor_sum(matmul(take(t, slice(1, 3)), Tensor(w))),
+                weighted_sum(concat([take(t, slice(3, 4)), mul(take(t, slice(0, 1)), 2.0),
+                                     take(t, slice(2, 3))], axis=0), cost.data[:3]),
+                weighted_sum(concat([take(t, (slice(None), slice(3, None))),
+                                     take(t, (slice(None), slice(None, 3)))], axis=-1), cost)),
             # split rows into groups, broadcast against a weight
-            "reshape_3d_mul": lambda t: tensor_sum(mul(reshape(t, (4, 1, 5)), w3) * cost3),
+            "reshape_3d_mul": lambda t: tensor_sum(mul(mul(reshape(t, (4, 1, 5)), w3), cost3)),
         }
         for name, f in cases.items():
             err = grad_check(f, [Tensor(rng.normal(size=(4, 5)))])
             assert err < 1e-4, f"{name}: {err}"
         # a batched (2, 4, 5) operand times a shared (5, 3) weight, both gradients
         err = grad_check(
-            lambda a, b: (matmul(a, b) * cost_m).sum(),
+            lambda a, b: weighted_sum(matmul(a, b), cost_m),
             [Tensor(rng.normal(size=(2, 4, 5))), Tensor(w)],
         )
         assert err < 1e-4, f"matmul_3d: {err}"
@@ -305,7 +304,7 @@ class TestGradCheck:
         gain, bias = Tensor(rng.normal(size=6)), Tensor(rng.normal(size=6))
 
         def f(t):
-            return (mlp_norm(t, *layers, gain, bias, keep) * Tensor(weights)).sum()
+            return weighted_sum(mlp_norm(t, *layers, gain, bias, keep), weights)
 
         assert grad_check(f, [x]) < 1e-6
 
@@ -332,7 +331,7 @@ class TestSGD:
         losses = []
         for _ in range(100):
             w = p.value
-            loss = (w * w).sum()
+            loss = tensor_sum(mul(w, w))
             losses.append(loss.item())
             loss.backward()
             sgd_step([p], lr=0.001, momentum=0.9)
@@ -438,7 +437,7 @@ class TestParameterSet:
         model.load_state({p.name: p.value.data for p in donor.parameters()})
         assert scores(model) == scores(donor) != before
         roll, _ = model.anticipate(window)
-        roll.logits.sum().backward()
+        tensor_sum(roll.logits).backward()
         sgd_step(model.parameters(), lr=0.1)
         assert scores(model) == scores(fresh(model)) != scores(donor)
 
@@ -460,7 +459,7 @@ class TestBatchedGradientProperties:
         cost = Tensor(rng.normal(size=(*lead, rows, n)))
         a = Tensor(rng.normal(size=shape))
         b = Tensor(rng.normal(size=(k, n)))
-        assert grad_check(lambda x, y: (matmul(x, y) * cost).sum(), [a, b]) < 1e-6
+        assert grad_check(lambda x, y: weighted_sum(matmul(x, y), cost), [a, b]) < 1e-6
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -474,7 +473,7 @@ class TestBatchedGradientProperties:
         for op in (add, mul):
             a = Tensor(rng.normal(size=sa))
             b = Tensor(rng.normal(size=sb))
-            err = grad_check(lambda x, y: (op(x, y) * cost).sum(), [a, b])
+            err = grad_check(lambda x, y: weighted_sum(op(x, y), cost), [a, b])
             assert err < 1e-6, f"{op.__name__} {sa} with {sb}: {err}"
 
 
@@ -587,10 +586,11 @@ def ttm_chain(window, pe, wq, wk, wv, wo, n_heads):
     """The TTM layer as generic add and slice nodes around `query_attention`:
     the tape the fused `attention` replaces."""
     t = window.shape[-2]
-    x = window + Tensor(pe)
-    query = x[..., t - 1 : t, :]
-    attended, weights = query_attention(query, x[..., : t - 1, :], wq, wk, wv, wo, n_heads)
-    return attended + query, weights
+    x = add(window, pe)
+    query = take(x, (Ellipsis, slice(t - 1, t), slice(None)))
+    memory = take(x, (Ellipsis, slice(None, t - 1), slice(None)))
+    attended, weights = query_attention(query, memory, wq, wk, wv, wo, n_heads)
+    return add(attended, query), weights
 
 
 def lstm_oracle(x, state, w, b, cost):
@@ -622,7 +622,7 @@ def taped(op, arrays, cost, *extra):
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     result = op(*tensors, *extra)
     out = result[0] if isinstance(result, tuple) else result
-    (out * Tensor(cost)).sum().backward()
+    weighted_sum(out, cost).backward()
     return result, [t.grad for t in tensors]
 
 
@@ -681,16 +681,30 @@ class TestFusedOpsMatchOracles:
             assert_close(got, oracle, name)
 
     @pytest.mark.parametrize("lead", LEADS)
-    def test_lstm_step(self, lead):
+    def test_lstm_window(self, lead):
         rng = np.random.default_rng(60 + len(lead))
         d_in, d_h = 5, 3
         shapes = [(*lead, 1, d_in), (*lead, 1, 2 * d_h), (d_in + d_h, 4 * d_h), (4 * d_h,)]
         arrays = [rng.normal(size=s) for s in shapes]
         cost = rng.normal(size=(*lead, 1, 2 * d_h))
-        out, grads = taped(lstm_step, arrays, cost)
+        out, grads = taped(lstm_window, arrays, cost)
         expected, expected_grads = lstm_oracle(*arrays, cost)
         assert_close(out.data, expected, "forward")
         for name, got, want in zip(["x", "state", "w", "b"], grads, expected_grads):
+            assert_close(got, want, name)
+
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_lstm_step(self, lead):
+        # one row from the zero state: the cell's h plus the row (the shortcut)
+        rng = np.random.default_rng(65 + len(lead))
+        d = 4
+        arrays = [rng.normal(size=s) for s in [(*lead, 1, d), (2 * d, 4 * d), (4 * d,)]]
+        cost = rng.normal(size=(*lead, 1, d))
+        out, grads = taped(lstm_step, arrays, cost)
+        state, cost_hc = np.zeros((*lead, 1, 2 * d)), np.concatenate([cost, 0 * cost], axis=-1)
+        expected, (g_x, _, g_w, g_b) = lstm_oracle(arrays[0], state, *arrays[1:], cost_hc)
+        assert_close(out.data, expected[..., :d] + arrays[0], "forward")
+        for name, got, want in zip(["x", "w", "b"], grads, [g_x + cost, g_w, g_b]):
             assert_close(got, want, name)
 
     def test_shape_errors_name_the_operands(self):
@@ -709,18 +723,31 @@ class TestFusedOpsMatchOracles:
             with pytest.raises(ShapeError, match="attention"):
                 attention(Tensor(np.zeros(window_shape)), np.zeros(pe_shape),
                           *[Tensor(np.eye(4))] * 4, n_heads)
-        with pytest.raises(ShapeError, match="lstm_step"):
-            lstm_step(z, Tensor(np.zeros((1, 6))), Tensor(np.zeros((6, 12))),
-                      Tensor(np.zeros(12)))
-        w, b = Tensor(np.zeros((7, 12))), Tensor(np.zeros(12))
-        for x_shape, state_shape in [
-            ((2, 4, 4), (2, 6)),  # the state has no row axis
-            ((2, 4, 4), (2, 2, 6)),  # two state rows
-            ((2, 0, 4), (2, 1, 6)),  # an empty window
-            ((4,), (1, 6)),  # x has no row axis
+        for x_shape, w_shape, b_shape in [
+            ((2, 4, 4), (10, 24), (24,)),  # a hidden width other than the input's
+            ((2, 4, 4), (7, 16), (16,)),  # a weight for other input rows
+            ((2, 4, 4), (8, 16), (4, 4)),  # a 2-D bias
+            ((2, 0, 4), (8, 16), (16,)),  # an empty window
+            ((4,), (8, 16), (16,)),  # x has no row axis
         ]:
             with pytest.raises(ShapeError, match="lstm_step"):
-                lstm_step(Tensor(np.zeros(x_shape)), Tensor(np.zeros(state_shape)), w, b)
+                lstm_step(*(Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
+        with pytest.raises(ShapeError, match="lstm_window"):
+            lstm_window(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 6))),
+                        Tensor(np.zeros((7, 12))), Tensor(np.zeros(12)))
+        weights, biases = [Tensor(np.zeros((12, 4)))] * 2, [Tensor(np.zeros(4))] * 2
+        for window_shape, n_biases, w_shape in [
+            ((5, 4), 2, (12, 4)),  # two layers do not reach one row from five
+            ((0, 4), 2, (12, 4)),  # an empty window
+            ((4,), 2, (12, 4)),  # no row axis
+            ((4, 4), 1, (12, 4)),  # a bias short
+            ((4, 3), 2, (12, 4)),  # a weight for another width
+        ]:
+            with pytest.raises(ShapeError, match="conv1d"):
+                conv1d(Tensor(np.zeros(window_shape)), [Tensor(np.zeros(w_shape))] * 2,
+                       biases[:n_biases])
+        with pytest.raises(ShapeError, match="conv1d"):
+            conv1d(Tensor(np.zeros((4, 4))), weights, [Tensor(np.zeros(3))] * 2)
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [1, 2, 5])
@@ -734,10 +761,10 @@ class TestFusedOpsMatchOracles:
 
         def chained(x, state, w, b):
             for s in range(t):
-                state = lstm_step(x[..., s : s + 1, :], state, w, b)
+                state = lstm_window(take(x, (Ellipsis, slice(s, s + 1), slice(None))), state, w, b)
             return state
 
-        out, grads = taped(lstm_step, arrays, cost)
+        out, grads = taped(lstm_window, arrays, cost)
         want, want_grads = taped(chained, arrays, cost)
         np.testing.assert_array_equal(out.data, want.data)
         for name, got, expected in zip(["x", "state", "w", "b"], grads, want_grads):
@@ -745,6 +772,21 @@ class TestFusedOpsMatchOracles:
 
 
 batch_lead = st.lists(st.integers(1, 3), max_size=2)
+
+
+def conv1d_kink(window, weights, biases):
+    """The smallest |input| of any ReLU between conv1d's layers (inf under one layer)."""
+    x, smallest = window.reshape(-1, *window.shape[-2:]), np.inf
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        if layer:
+            smallest = min(smallest, np.abs(x).min())
+            x = np.maximum(x, 0.0)
+        pad = np.zeros((len(x), 1, x.shape[-1]))
+        padded = np.concatenate([pad, x, pad], axis=1)
+        out_len = (x.shape[1] + 1) // 2
+        runs = padded[:, (2 * np.arange(out_len)[:, None] + np.arange(3)).ravel()]
+        x = runs.reshape(len(x), out_len, -1) @ w.data + b.data
+    return smallest
 
 
 class TestFusedGradientProperties:
@@ -769,7 +811,7 @@ class TestFusedGradientProperties:
         cost = Tensor(rng.normal(size=(*lead, rows, n)))
 
         def f(*_):
-            return (mlp_norm(x, *layers, keep) * cost).sum()
+            return weighted_sum(mlp_norm(x, *layers, keep), cost)
 
         assert grad_check(f, [x, *layers] if tracked else layers) < 1e-5
 
@@ -785,25 +827,42 @@ class TestFusedGradientProperties:
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
 
         def f(*_):
-            return (attention(window, pe, *weights, n_heads)[0] * cost).sum()
+            return weighted_sum(attention(window, pe, *weights, n_heads)[0], cost)
 
         assert grad_check(f, [window, *weights] if tracked else weights) < 1e-5
 
     @settings(max_examples=30, deadline=None)
-    @given(lead=batch_lead, t=st.integers(1, 4), d_in=st.integers(1, 3), d_h=st.integers(1, 2),
-           tracked=st.booleans(), seed=st.integers(0, 2**16))
-    def test_lstm_step(self, lead, t, d_in, d_h, tracked, seed):
+    @given(lead=batch_lead, t=st.integers(1, 4), d=st.integers(1, 3), tracked=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_lstm_step(self, lead, t, d, tracked, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(*lead, t, d_in)))
-        state = Tensor(rng.normal(size=(*lead, 1, 2 * d_h)))
-        w = Tensor(rng.normal(size=(d_in + d_h, 4 * d_h)))
-        b = Tensor(rng.normal(size=4 * d_h))
-        cost = Tensor(rng.normal(size=(*lead, 1, 2 * d_h)))
+        x = Tensor(rng.normal(size=(*lead, t, d)))
+        w = Tensor(rng.normal(size=(2 * d, 4 * d)))
+        b = Tensor(rng.normal(size=4 * d))
+        cost = Tensor(rng.normal(size=(*lead, 1, d)))
 
         def f(*_):
-            return (lstm_step(x, state, w, b) * cost).sum()
+            return weighted_sum(lstm_step(x, w, b), cost)
 
-        assert grad_check(f, [x, state, w, b] if tracked else [x, w, b]) < 1e-5
+        assert grad_check(f, [x, w, b] if tracked else [w, b]) < 1e-5
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=batch_lead, t=st.integers(1, 9), d=st.integers(1, 3), tracked=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_conv1d(self, lead, t, d, tracked, seed):
+        rng = np.random.default_rng(seed)
+        layers = max(1, (t - 1).bit_length())
+        window = Tensor(rng.normal(size=(*lead, t, d)))
+        weights = [Tensor(rng.normal(size=(3 * d, d))) for _ in range(layers)]
+        biases = [Tensor(rng.normal(size=d)) for _ in range(layers)]
+        cost = Tensor(rng.normal(size=(*lead, 1, d)))
+
+        def f(*_):
+            return weighted_sum(conv1d(window, weights, biases), cost)
+
+        # a central difference is no derivative within a step of a ReLU kink
+        assume(conv1d_kink(window.data, weights, biases) > 1e-3)
+        assert grad_check(f, [window, *weights, *biases] if tracked else weights + biases) < 1e-5
 
 
 # ---- fused rollouts against chains of single-op nodes ---------------------
@@ -831,15 +890,15 @@ def ppm_chain(s_t, f_t, initial, progressive, classifier, horizon, keep=None,
 
 
 def lstm_chain(s_t, f_t, w, b, classifier, horizon):
-    """The LSTM decoder as a chain of lstm_step, slice, matmul, softmax and
+    """The LSTM decoder as a chain of lstm_window, take, matmul, softmax and
     concat nodes: the oracle of `lstm_rollout`."""
     d = s_t.shape[-1]
     state = concat([s_t, Tensor(np.zeros(s_t.shape))], axis=-1)
     x = concat([f_t, softmax(matmul(f_t, classifier))], axis=-1)
     features, logits = [], []
     for _ in range(horizon):
-        state = lstm_step(x, state, w, b)
-        h = state[..., :d]
+        state = lstm_window(x, state, w, b)
+        h = take(state, (Ellipsis, slice(None, d)))
         z = matmul(h, classifier)
         features.append(h)
         logits.append(z)
@@ -871,7 +930,7 @@ def ppm_rollout_case(lead, horizon, d, n_classes, feed_features, dropout, tracke
 
     def f(*_):
         features, logits = ppm_rollout(*ppm_args(t, horizon, keep, feed_features))
-        return (features * costs[0]).sum() + (logits * costs[1]).sum()
+        return total(weighted_sum(features, costs[0]), weighted_sum(logits, costs[1]))
 
     used = t if horizon > 1 else t[:8] + t[14:]
     return f, used if tracked else used[2:], min(np.abs(p).min() for p in pre), spread
@@ -881,6 +940,17 @@ def lstm_arrays(rng, lead, d=4, n_classes=3):
     """s_t, f_t, the cell weight and bias, the classifier."""
     shapes = [(*lead, 1, d)] * 2 + [(2 * d + n_classes, 4 * d), (4 * d,), (d, n_classes)]
     return [rng.normal(size=s) for s in shapes]
+
+
+def ssp_arrays(rng, lead, d=4, n_classes=3, horizon=3):
+    """s_t, f_t, the block (six arrays), the classifier."""
+    width, m = 2 * d + n_classes + horizon, d // 2
+    shapes = [(*lead, 1, d)] * 2 + [(width, m), (m,), (m, d), (d,), (d,), (d,), (d, n_classes)]
+    return [rng.normal(size=s) for s in shapes]
+
+
+def ssp_args(t, horizon, keep=None):
+    return (t[0], t[1], t[2:8], t[8], horizon, keep)
 
 
 def ppm_args(t, horizon, keep=None, feed_features=True):
@@ -896,9 +966,8 @@ def rollout_grads(op, args_of, arrays, costs):
     + sum(logits * cost_z); a cost of None leaves that output out of the loss."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     features, logits = op(*args_of(tensors))
-    terms = [(out * Tensor(c)).sum() for out, c in zip((features, logits), costs)
-             if c is not None]
-    sum(terms[1:], terms[0]).backward()
+    total(*(weighted_sum(out, c) for out, c in zip((features, logits), costs)
+            if c is not None)).backward()
     return features.data, logits.data, [t.grad for t in tensors]
 
 
@@ -975,9 +1044,9 @@ class TestRolloutOpsMatchChains:
         with pytest.raises(ShapeError, match="keep mask"):
             ppm_rollout(*ppm_args(t, 3, np.ones((3, 4))))
         with pytest.raises(ShapeError, match="ppm_rollout"):
-            ppm_rollout(t[0], t[1][0], t[2:8], t[8:14], t[14], 3)
+            ppm_rollout(t[0], Tensor(t[1].data[0]), t[2:8], t[8:14], t[14], 3)
         with pytest.raises(ShapeError, match="extent"):
-            ppm_rollout(t[0], t[1], t[2:8], [t[2][:-1], *t[9:14]], t[14], 3)
+            ppm_rollout(t[0], t[1], t[2:8], [Tensor(t[2].data[:-1]), *t[9:14]], t[14], 3)
         wider = [Tensor(np.ones(s)) for s in [(11, 3), (3,), (3, 4), (4,), (4,), (4,)]]
         with pytest.raises(ShapeError, match="hidden and output widths"):
             ppm_rollout(t[0], t[1], t[2:8], wider, t[14], 3)  # the steps share one stack
@@ -985,11 +1054,101 @@ class TestRolloutOpsMatchChains:
             ppm_rollout(*ppm_args(t, 0))
         c = [Tensor(a) for a in lstm_arrays(np.random.default_rng(92), (2,))]
         with pytest.raises(ShapeError, match="lstm_rollout"):
-            lstm_rollout(c[0], c[1], c[2][1:], c[3], c[4], 3)
+            lstm_rollout(c[0], c[1], Tensor(c[2].data[1:]), c[3], c[4], 3)
         with pytest.raises(ShapeError, match="lstm_rollout"):
             lstm_rollout(c[0], c[1], c[2], c[3], Tensor(np.zeros((5, 3))), 3)
         with pytest.raises(ValueError, match="horizon"):
             lstm_rollout(*c, 0)
+        s = [Tensor(a) for a in ssp_arrays(np.random.default_rng(93), (2,))]
+        with pytest.raises(ShapeError, match="ssp_rollout: keep mask"):
+            ssp_rollout(*ssp_args(s, 3, np.ones((2, 2, 4))))
+        with pytest.raises(ShapeError, match="ssp_rollout"):
+            ssp_rollout(s[0], Tensor(s[1].data[0]), s[2:8], s[8], 3)
+        with pytest.raises(ShapeError, match="ssp_rollout.*extent"):
+            ssp_rollout(*ssp_args(s, 2))  # the block was built for three tags
+        narrow = [Tensor(np.ones(sh)) for sh in [(14, 2), (2,), (2, 3), (3,), (3,), (3,)]]
+        with pytest.raises(ShapeError, match="ssp_rollout: block output width 3"):
+            ssp_rollout(s[0], s[1], narrow, s[8], 3)
+        with pytest.raises(ValueError, match="horizon"):
+            ssp_rollout(*ssp_args(s, 0))
+
+
+def bytes_of(op, arrays, args_of, costs, tracked):
+    """The op's outputs and the gradient of every input (None where none
+    came) from sum(output_i * cost_i), skipping a cost of None; input i is
+    tracked where `tracked[i]` is."""
+    tensors = [Tensor(a, requires_grad=r) for a, r in zip(arrays, tracked, strict=True)]
+    result = op(*args_of(tensors))
+    outs = result if isinstance(result, tuple) else (result,)
+    total(*(weighted_sum(out, c) for out, c in zip(outs, costs) if c is not None)).backward()
+    return [out.data for out in outs] + [t.grad for t in tensors]
+
+
+def assert_same_bytes(fused, chain):
+    assert len(fused) == len(chain)
+    for i, (got, want) in enumerate(zip(fused, chain)):
+        if want is None:
+            assert got is None, f"array {i} got a gradient the chain never sent"
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"array {i}"
+
+
+TRACKED = {"input untracked": False, "input tracked": True}
+
+
+class TestLayerNodesMatchChains:
+    """conv1d, the LSTM encoder and the single-shot predictor, each one node,
+    against the chain of generic nodes it replaced: the outputs and every
+    gradient equal by bytes. An untracked input, as the model's observed
+    window and last feature are, gets no gradient from either."""
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("t", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("tracked", TRACKED)
+    def test_conv1d(self, lead, t, tracked):
+        rng = np.random.default_rng(110 + t)
+        d, layers = 4, (t - 1).bit_length()  # 1 to 4 layers
+        shapes = [(*lead, t, d)] + [(3 * d, d)] * layers + [(d,)] * layers
+        arrays = [rng.normal(size=s) for s in shapes]
+        costs = [rng.normal(size=(*lead, 1, d))]
+        flags = [TRACKED[tracked]] + [True] * 2 * layers
+
+        def args_of(ts):
+            return ts[0], ts[1 : 1 + layers], ts[1 + layers :]
+
+        assert_same_bytes(bytes_of(conv1d, arrays, args_of, costs, flags),
+                          bytes_of(chains.conv1d_chain, arrays, args_of, costs, flags))
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("t", [1, 2, 5, 8])
+    @pytest.mark.parametrize("tracked", TRACKED)
+    def test_lstm_step(self, lead, t, tracked):
+        rng = np.random.default_rng(120 + t)
+        d = 4
+        arrays = [rng.normal(size=s) for s in [(*lead, t, d), (2 * d, 4 * d), (4 * d,)]]
+        costs = [rng.normal(size=(*lead, 1, d))]
+        flags = [TRACKED[tracked], True, True]
+        assert_same_bytes(bytes_of(lstm_step, arrays, lambda ts: ts, costs, flags),
+                          bytes_of(chains.encoder_chain, arrays, lambda ts: ts, costs, flags))
+
+    @pytest.mark.parametrize("lead", LEADS)
+    @pytest.mark.parametrize("horizon", [1, 5])
+    @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("tracked", TRACKED)
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_ssp_rollout(self, lead, horizon, dropout, tracked, loss):
+        rng = np.random.default_rng(130 + horizon + len(lead))
+        arrays = ssp_arrays(rng, lead, horizon=horizon)
+        keep = (rng.random((*lead, horizon, 4)) >= 0.3) / 0.7 if dropout else None
+        costs = [rng.normal(size=(*lead, horizon, n)) if used else None
+                 for n, used in zip((4, 3), LOSSES[loss])]
+        flags = [TRACKED[tracked]] * 2 + [True] * 7
+
+        def args_of(ts):
+            return ssp_args(ts, horizon, keep)
+
+        assert_same_bytes(bytes_of(ssp_rollout, arrays, args_of, costs, flags),
+                          bytes_of(chains.ssp_chain, arrays, args_of, costs, flags))
 
 
 class TestRolloutGradientProperties:
@@ -1035,7 +1194,7 @@ class TestRolloutGradientProperties:
 
         def f(*_):
             features, logits = lstm_rollout(*lstm_args(t, horizon))
-            return (features * costs[0]).sum() + (logits * costs[1]).sum()
+            return total(weighted_sum(features, costs[0]), weighted_sum(logits, costs[1]))
 
         assert grad_check(f, t if tracked else t[2:]) < 1e-5
 
@@ -1136,19 +1295,23 @@ def outputs_and_grads(op, arrays, args_of, costs):
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
     result = op(*args_of(tensors))
     outs = result if isinstance(result, tuple) else (result,)
-    loss = (outs[0] * Tensor(costs[0])).sum()
-    for out, cost in zip(outs[1:], costs[1:]):
-        loss = loss + (out * Tensor(cost)).sum()
-    loss.backward()
+    total(*(weighted_sum(out, cost) for out, cost in zip(outs, costs))).backward()
     return [out.data for out in outs] + [t.grad for t in tensors]
 
 
-def block_case(rng, lead):
-    k, m, n = 36, 8, 16  # the model's PPM block at d_m 16 and 4 classes
-    shapes = [(*lead, 1, k), (k, m), (m,), (m, n), (n,), (n,), (n,)]
-    keep = (rng.random((*lead, 1, n)) >= 0.1) / 0.9
-    return (mlp_norm, [rng.normal(size=s) for s in shapes], lambda t: (*t, keep),
-            [rng.normal(size=(*lead, 1, n))])
+def ssp_case(rng, lead):
+    horizon = 4
+    keep = (rng.random((*lead, horizon, 16)) >= 0.1) / 0.9
+    return (ssp_rollout, ssp_arrays(rng, lead, 16, 4, horizon),
+            lambda t: ssp_args(t, horizon, keep),
+            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)])
+
+
+def conv1d_case(rng, lead):
+    t, d = 8, 16
+    shapes = [(*lead, t, d)] + [(3 * d, d)] * 3 + [(d,)] * 3
+    return (conv1d, [rng.normal(size=s) for s in shapes], lambda ts: (ts[0], ts[1:4], ts[4:]),
+            [rng.normal(size=(*lead, 1, d))])
 
 
 def ppm_case(rng, lead):
@@ -1160,9 +1323,9 @@ def ppm_case(rng, lead):
 
 def lstm_step_case(rng, lead):
     t, d = 8, 16
-    shapes = [(*lead, t, d), (*lead, 1, 2 * d), (2 * d, 4 * d), (4 * d,)]
+    shapes = [(*lead, t, d), (2 * d, 4 * d), (4 * d,)]
     return (lstm_step, [rng.normal(size=s) for s in shapes], lambda ts: ts,
-            [rng.normal(size=(*lead, 1, 2 * d))])
+            [rng.normal(size=(*lead, 1, d))])
 
 
 def lstm_rollout_case(rng, lead):
@@ -1182,7 +1345,8 @@ class TestFastPathsKeepTheBits:
     hand to `@`.
     """
 
-    @pytest.mark.parametrize("case", [block_case, ppm_case, lstm_step_case, lstm_rollout_case])
+    @pytest.mark.parametrize("case", [ssp_case, ppm_case, lstm_step_case, lstm_rollout_case,
+                                      conv1d_case])
     @pytest.mark.parametrize("lead", [(), (16,)], ids=["one row", "B rows"])
     def test_bytes_equal_plain_arithmetic(self, case, lead, monkeypatch):
         op, arrays, args_of, costs = case(np.random.default_rng(100 + len(lead)), lead)
@@ -1216,7 +1380,7 @@ class TestStackedParameterGradients:
                 w, b = Tensor(np.zeros((k, n))), Tensor(np.zeros(n))
                 for s in reversed(range(steps)):
                     w._accumulate(tensor._dot(x[s].T, g[s]))
-                    b._accumulate(tensor._unbroadcast(g[s], (n,)))
+                    b._accumulate(chains._unbroadcast(g[s], (n,)))
                 assert tensor._weight_grad(x, g).tobytes() == w.grad.tobytes(), (steps, k, n)
                 assert tensor._bias_grad(g).tobytes() == b.grad.tobytes(), (steps, k, n)
 
@@ -1237,15 +1401,15 @@ class TestStackedParameterGradients:
 class TestOneGradientPerParameter:
     """In one taped training batch (32 windows, horizon 8, dropout on) every
     parameter of the fused ops takes one `_accumulate`: one stacked product
-    or sum per op call, not one per step. conv1d and SSP are still chains of
-    generic ops and are left out."""
+    or sum per op call, not one per step or per term."""
 
     @pytest.mark.parametrize("aggregator, predictor, variant", [
         ("ttm", "ppm", "full"), ("ttm", "ppm", "no_feature"), ("ttm", "lstm", "full"),
-        ("lstm", "ppm", "full"), ("lstm", "lstm", "full"),
+        ("lstm", "ppm", "full"), ("lstm", "lstm", "full"), ("conv1d", "ppm", "full"),
+        ("conv1d", "ssp", "full"), ("ttm", "ssp", "full"),
     ])
     def test_one_accumulate_per_parameter(self, aggregator, predictor, variant, monkeypatch):
-        from ttpp.training import class_loss, feature_loss, total_loss
+        from ttpp.training import total_loss
 
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor,
                                               ppm_variant=variant, horizon=8))
@@ -1253,8 +1417,7 @@ class TestOneGradientPerParameter:
         observed, future = rng.normal(size=(32, 8, 16)), rng.normal(size=(32, 8, 16))
         labels = np.eye(4)[rng.integers(4, size=(32, 8))]
         roll, _ = model.anticipate(observed, rng=rng)
-        loss = mul(total_loss(class_loss(roll.logits, labels),
-                              feature_loss(roll.features, future), 1.0), 1.0 / 32)
+        loss, _, _ = total_loss(roll, labels, future, 1.0)
         sends = {}
         accumulate = Tensor._accumulate
 
@@ -1295,16 +1458,22 @@ class TestReluAndGates:
         cost = Tensor(np.random.default_rng(93).normal(size=(1, 2 * d)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = lstm_step(Tensor(np.zeros((2, d))), state, w, bias)  # a 2-row window
-            (out * cost).sum().backward()
+            out = lstm_window(Tensor(np.zeros((2, d))), state, w, bias)  # a 2-row window
+            weighted_sum(out, cost).backward()
             # each row keeps c' = f c + i g = 1 exactly and gives h' = o tanh(c') = 0 exactly
             np.testing.assert_array_equal(out.data, [[0.0] * d + [1.0] * d])
             assert all(np.isfinite(t.grad).all() for t in (w, bias, state))
+            w.grad = bias.grad = None
+            window = Tensor(np.ones((2, d)), requires_grad=True)
+            out = lstm_step(window, w, bias)  # from the zero state, c' = 0 and h' = 0
+            weighted_sum(out, cost.data[:, :d]).backward()
+            np.testing.assert_array_equal(out.data, np.ones((1, d)))
+            assert all(np.isfinite(t.grad).all() for t in (w, bias, window))
             bias.grad = None
             features, logits = lstm_rollout(
                 Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))),
                 Tensor(np.zeros((2 * d + 2, 4 * d))), bias, Tensor(np.ones((d, 2))), 3)
-            (features.sum() + logits.sum()).backward()
+            total(tensor_sum(features), tensor_sum(logits)).backward()
             np.testing.assert_array_equal(features.data, 0.0)
             assert np.isfinite(bias.grad).all()
 
@@ -1312,28 +1481,13 @@ class TestReluAndGates:
 class TestTapeNodes:
     """Tensors built by one taped one-window anticipate at the default config.
 
-    One node per fused layer call, and two tensors per rollout: the
-    features node and its logits child. ttm-ppm and ttm-lstm build 3 others
-    (input, the TTM layer's one `attention` node, the last feature);
-    lstm-lstm 7 (input, initial state, the encoder's one `lstm_step` over
-    the window, the summary's slice, the last feature slice, the shortcut
-    sum, the last feature).
-    conv1d and SSP still run as chains of generic ops. conv1d-ppm builds 22
-    others: the input, the zero pad rows, per layer (three at T = 8) the
-    padded concat, its kernel rows, their reshape, the matmul and the bias
-    sum, a ReLU before the second and third layers, then the last feature
-    slice, the shortcut sum and the last feature. ttm-ssp builds ttm's 3
-    and 6 in SSP (the current feature's logits and their softmax, the
-    shared row, its horizon copies, the one-hot tags, the block input);
-    its rollout's features node is the block's one `mlp_norm`.
-    Splitting a fused layer or rollout back into single ops raises these
-    counts.
+    Every cell builds the same 5: the input, the aggregator's one node, the
+    last feature, and the predictor's features node and its logits child.
+    Splitting a fused layer or rollout back into single ops raises the count.
     """
 
-    @pytest.mark.parametrize("aggregator, predictor, nodes", [
-        ("ttm", "ppm", 5), ("ttm", "lstm", 5), ("lstm", "lstm", 9), ("conv1d", "ppm", 24),
-        ("ttm", "ssp", 11),
-    ])
+    @pytest.mark.parametrize("aggregator, predictor, nodes",
+                             [(a, p, 5) for a in AGGREGATORS for p in PREDICTORS])
     def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         window = np.random.default_rng(0).normal(size=(8, 16))

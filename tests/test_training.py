@@ -6,15 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import chains
 from ttpp.data import gen_synthetic, make_samples, standard_synthetic_config
 from ttpp.model import AnticipationModel, ModelConfig, grid_configs
-from ttpp.tensor import Tensor, log_softmax, mul, no_grad, sgd_step, tensor_sum
+from ttpp.prediction import Rollout
+from ttpp.tensor import ShapeError, Tensor, no_grad, sgd_step
 from ttpp.training import (
     EpochStats,
     TrainConfig,
     TrainingDiverged,
-    class_loss,
-    feature_loss,
     read_history_csv,
     total_loss,
     train,
@@ -22,15 +22,32 @@ from ttpp.training import (
 )
 
 
+def losses(logits, labels, features=None, target=None, lam=1.0):
+    """`total_loss` of one batch: (node, class loss, feature loss); the
+    features and target default to a zero row per logits row."""
+    if features is None:
+        features = target = np.zeros(np.shape(logits)[:-1] + (1,))
+    return total_loss(Rollout(Tensor(features), Tensor(logits)), labels, target, lam)
+
+
+def feature_loss(pred, target):
+    return losses(np.zeros(np.shape(pred)[:-1] + (2,)), np.zeros(np.shape(pred)[:-1] + (2,)),
+                  pred, target)[2]
+
+
+def class_loss(logits, labels):
+    return losses(logits, labels)[1]
+
+
 class TestFeatureLoss:
     def test_zero_on_identical(self):
         x = np.random.default_rng(0).normal(size=(4, 8))
-        assert feature_loss(Tensor(x), x).item() == 0.0
+        assert feature_loss(x, x) == 0.0
 
     def test_hand_case(self):
-        pred = Tensor([[1.0, 1.0]])
+        pred = np.array([[1.0, 1.0]])
         target = np.array([[0.0, 0.0]])
-        assert feature_loss(pred, target).item() == pytest.approx(2.0)
+        assert feature_loss(pred, target) == pytest.approx(2.0)
 
     def test_against_elementwise_oracle(self):
         rng = np.random.default_rng(1)
@@ -40,23 +57,23 @@ class TestFeatureLoss:
         for i in range(3):
             for j in range(6):
                 expected += (a[i, j] - b[i, j]) ** 2
-        assert feature_loss(Tensor(a), b).item() == pytest.approx(expected, abs=1e-12)
+        assert feature_loss(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shapes"):
-            feature_loss(Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"target \(3, 2\) for features \(2, 3\)"):
+            feature_loss(np.zeros((2, 3)), np.zeros((3, 2)))
 
 
 class TestClassLoss:
     def test_zero_when_correct_with_certainty(self):
-        logits = Tensor(np.array([[1000.0, 0.0], [0.0, 1000.0]]))
+        logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
         labels = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert class_loss(logits, labels).item() == 0.0
+        assert class_loss(logits, labels) == 0.0
 
     def test_uniform_hand_case(self):
-        logits = Tensor(np.zeros((2, 4)))
+        logits = np.zeros((2, 4))
         labels = np.eye(4)[[0, 3]]
-        assert class_loss(logits, labels).item() == pytest.approx(2 * np.log(4), abs=1e-12)
+        assert class_loss(logits, labels) == pytest.approx(2 * np.log(4), abs=1e-12)
 
     def test_against_summation_oracle(self):
         rng = np.random.default_rng(2)
@@ -67,41 +84,52 @@ class TestClassLoss:
         for i in range(5):
             for j in range(4):
                 expected -= labels[i, j] * np.log(probs[i, j])
-        assert class_loss(Tensor(logits), labels).item() == pytest.approx(expected, abs=1e-10)
+        assert class_loss(logits, labels) == pytest.approx(expected, abs=1e-10)
 
     def test_confident_miss_is_finite_and_keeps_its_gradient(self):
         # the true class's probability underflows to 0; the loss is the
         # logit margin and the gradient still pushes the true logit up
-        logits = Tensor(np.array([[0.0, 1000.0]]), requires_grad=True)
-        labels = np.array([[1.0, 0.0]])
-        loss = class_loss(logits, labels)
-        assert loss.item() == 1000.0
+        logits = Tensor(np.array([[[0.0, 1000.0]]]), requires_grad=True)
+        labels = np.array([[[1.0, 0.0]]])
+        loss, l_c, _ = total_loss(Rollout(Tensor(np.zeros((1, 1, 1))), logits), labels,
+                                  np.zeros((1, 1, 1)), 1.0)
+        assert l_c == loss.item() == 1000.0
         loss.backward()
-        np.testing.assert_array_equal(logits.grad, [[-1.0, 1.0]])
+        np.testing.assert_array_equal(logits.grad, [[[-1.0, 1.0]]])
 
-
-def chain_class_loss(logits, labels_onehot):
-    """class_loss as the chain of single ops it was before it became one node."""
-    return -tensor_sum(mul(log_softmax(logits), np.asarray(labels_onehot, dtype=np.float64)))
-
-
-def chain_feature_loss(pred, target):
-    """feature_loss as the chain of single ops it was before it became one node."""
-    diff = pred - Tensor(target)
-    return tensor_sum(mul(diff, diff))
+    def test_labels_of_another_shape_refused(self):
+        # (4, 3) labels would broadcast over (2, 4, 3) logits
+        with pytest.raises(ShapeError, match=r"labels \(4, 3\) for logits \(2, 4, 3\)"):
+            losses(np.zeros((2, 4, 3)), np.eye(3)[[0, 1, 2, 0]])
 
 
 class TestOneNodeLosses:
-    """Each loss term is one node whose value and gradient equal by bytes those
-    of the chain it replaces, inside the batch loss that training builds."""
+    """The batch loss is one node whose value, terms and gradients equal by
+    bytes those of the chain it replaces: the two loss terms, their lam sum
+    and the 1/B scale."""
 
     @staticmethod
-    def batch_loss(losses, logits, labels, pred, target):
-        class_term, feature_term = losses
+    def batch_loss(loss_of, logits, labels, pred, target, lam=1.0):
         logits, pred = Tensor(logits, requires_grad=True), Tensor(pred, requires_grad=True)
-        l_c, l_r = class_term(logits, labels), feature_term(pred, target)
-        mul(total_loss(l_c, l_r, 1.0), 1.0 / len(labels)).backward()
-        return l_c, l_r, logits.grad, pred.grad
+        loss, l_c, l_r = loss_of(logits, labels, pred, target, lam)
+        loss.backward()
+        return [np.float64(t if isinstance(t, float) else t.item()) for t in (l_c, l_r)] + [
+            loss.data, logits.grad, pred.grad]
+
+    @staticmethod
+    def fused(logits, labels, pred, target, lam):
+        assert pred._parents == logits._parents == ()
+        return total_loss(Rollout(pred, logits), labels, target, lam)
+
+    def assert_bytes_equal(self, logits, labels, pred, target, lam=1.0):
+        fused = self.batch_loss(self.fused, logits, labels, pred, target, lam)
+        chain = self.batch_loss(chains.loss_chain, logits, labels, pred, target, lam)
+        for got, want in zip(fused, chain):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return fused
 
     @pytest.mark.parametrize("miss", [False, True], ids=["drawn", "confident misses"])
     def test_bytes_equal_the_chain(self, miss):
@@ -111,31 +139,44 @@ class TestOneNodeLosses:
         if miss:  # every true class far below another: its probability underflows to 0
             logits = np.where(labels == 1.0, -1000.0, logits)
         pred, target = rng.normal(size=(32, 8, 16)), rng.normal(size=(32, 8, 16))
-        fused = self.batch_loss((class_loss, feature_loss), logits, labels, pred, target)
-        chain = self.batch_loss((chain_class_loss, chain_feature_loss), logits, labels, pred,
-                                target)
-        assert all(len(t._parents) == 1 and t._parents[0].requires_grad for t in fused[:2])
-        for got, want in zip(fused, chain):
-            got, want = (a.data if isinstance(a, Tensor) else a for a in (got, want))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        assert np.isfinite(fused[0].data) and np.isfinite(fused[2]).all()
+        fused = self.assert_bytes_equal(logits, labels, pred, target)
+        assert np.isfinite(fused[2]) and np.isfinite(fused[3]).all()
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("batch", [1, 32])
+    def test_bytes_equal_the_chain_at_each_lam_and_batch(self, lam, batch):
+        rng = np.random.default_rng(6 + batch)
+        logits = rng.normal(size=(batch, 8, 4)) * 3.0
+        labels = np.eye(4)[rng.integers(4, size=(batch, 8))]
+        pred, target = rng.normal(size=(batch, 8, 16)), rng.normal(size=(batch, 8, 16))
+        fused = self.assert_bytes_equal(logits, labels, pred, target, lam)
+        assert (fused[4] is None) == (lam == 0.0)  # at lam 0 the features get nothing
 
 
 class TestTotalLoss:
     def test_lambda_zero_drops_reconstruction(self):
-        lc = Tensor(np.array(1.5))
-        lr = Tensor(np.array(99.0))
-        assert total_loss(lc, lr, 0.0).item() == 1.5
+        assert losses(np.zeros((1, 1, 2)), [[[1.0, 0.0]]], np.ones((1, 1, 1)),
+                      np.zeros((1, 1, 1)), 0.0)[0].item() == np.log(2)
 
     def test_lambda_one_plain_sum(self):
-        lc = Tensor(np.array(1.0))
-        lr = Tensor(np.array(0.25))
-        assert total_loss(lc, lr, 1.0).item() == 1.25
+        loss, l_c, l_r = losses(np.zeros((1, 1, 2)), [[[1.0, 0.0]]], np.full((1, 1, 1), 0.5),
+                                np.zeros((1, 1, 1)), 1.0)
+        assert loss.item() == l_c + l_r == np.log(2) + 0.25
 
     def test_hand_case(self):
-        lc = Tensor(np.array(1.0))
-        lr = Tensor(np.array(0.5))
-        assert total_loss(lc, lr, 2.0).item() == 2.0
+        # two windows: the sum of their losses over two
+        loss, l_c, l_r = losses(np.zeros((2, 1, 2)), [[[1.0, 0.0]]] * 2, np.ones((2, 1, 1)),
+                                np.zeros((2, 1, 1)), 2.0)
+        assert (l_c, l_r) == (2 * np.log(2), 2.0)
+        assert loss.item() == (l_c + 2.0 * l_r) * 0.5
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["lr", "lam"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_setting_refused_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value}"):
+            TrainConfig(**{name: value})
 
 
 def tiny_setup(seed=0, epochs=2, lam=1.0, lr=0.001):
@@ -228,16 +269,13 @@ def per_sample_train(model, samples, config):
             losses = []
             for sample in batch:
                 roll, _ = model.anticipate(sample.observed, rng=rng)
-                l_c = class_loss(roll.logits, sample.future_labels)
-                l_r = feature_loss(roll.features, sample.future_features)
-                losses.append(total_loss(l_c, l_r, config.lam))
+                l_c = chains.class_loss(roll.logits, sample.future_labels)
+                l_r = chains.feature_loss(roll.features, sample.future_features)
+                losses.append(chains.total_loss(l_c, l_r, config.lam))
                 sum_lc += l_c.item()
                 sum_lr += l_r.item()
                 hits += roll.logits.data[0].argmax() == sample.future_labels[0].argmax()
-            batch_total = losses[0]
-            for extra in losses[1:]:
-                batch_total = batch_total + extra
-            mul(batch_total, 1.0 / len(batch)).backward()
+            chains.mul(chains.total(*losses), 1.0 / len(batch)).backward()
             sgd_step(params, config.lr, config.momentum)
         history.append(
             EpochStats(epoch, sum_lc / n, sum_lr / n, (sum_lc + config.lam * sum_lr) / n, hits / n)
@@ -320,12 +358,9 @@ class TestLambdaLinearity:
         def grads_at(lam):
             for p in model.parameters():
                 p.value.grad = None
-            roll, _ = model.anticipate(sample.observed)
-            loss = total_loss(
-                class_loss(roll.logits, sample.future_labels),
-                feature_loss(roll.features, sample.future_features),
-                lam,
-            )
+            roll, _ = model.anticipate(sample.observed[None])
+            loss, _, _ = total_loss(roll, sample.future_labels[None],
+                                    sample.future_features[None], lam)
             loss.backward()
             return np.concatenate([
                 np.zeros(p.size) if p.value.grad is None else p.value.grad.reshape(-1)
