@@ -4,17 +4,19 @@ The current chunk feature queries the history of earlier chunk features
 through multi-head scaled dot-product attention, and the attended summary
 is added back onto the (position-encoded) query through a shortcut, giving
 a single aggregated vector per observed window. The whole layer, position
-rows and shortcut included, is one fused `tensor.attention` node, and its
-parameter set holds the position table, so it runs on (window, params).
+rows and shortcut included, is one node, `aggregate`, and its parameter
+set holds the position table, so it runs on (window, params).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, ParameterSet, Tensor, attention, glorot
+from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _dot, _make, _send,
+                     _softmax_data, _softmax_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -67,12 +69,55 @@ def positional_encoding(length: int, d_m: int) -> np.ndarray:
 
 
 def aggregate(f_seq: Tensor, params: TTMParams):
-    """Aggregate T observed chunk features into one vector.
+    """Aggregate T observed chunk features into one vector, as one node.
 
-    `params.pe` is added to the T inputs; the last row queries the earlier
-    T-1 as memory, each head scoring softmax(q_h K_h^T / sqrt(d_m)), and the
-    attended output is added back onto it. `f_seq` is one (T, d_m) window
-    or a (B, T, d_m) stack, with T the table's length.
-    Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights).
+    `f_seq` is one (T, d_m) window or a (B, T, d_m) stack, with T >= 2 the
+    length of `params.pe`, which is added to each window. The last row
+    queries the earlier T-1 as memory, each head scoring softmax(q_h K_h^T
+    / sqrt(d_m)), the full width as temperature; the head outputs, side by
+    side, are projected by `wo` and added back onto the last row.
+    Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights as
+    an ndarray).
     """
-    return attention(f_seq, params.pe, *params.values, params.n_heads)
+    wq, wk, wv, wo = params.values
+    pe, n_heads = params.pe, params.n_heads
+    shape = f_seq.data.shape
+    if (len(shape) < 2 or shape[-2] < 2 or np.shape(pe) != shape[-2:] or n_heads < 1
+            or shape[-1] % n_heads):
+        raise ShapeError(f"aggregate: window {shape}, position table {np.shape(pe)} and "
+                         f"{n_heads} heads: needs T >= 2 rows, a (T, d) table, heads dividing d")
+    lead, (t, d) = shape[:-2], shape[-2:]
+    m, d_k = t - 1, d // n_heads
+    swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes; self-inverse
+    x = f_seq.data + pe
+    query = x[..., m:, :]
+    q_rows, mem_rows = query.reshape(-1, d), x[..., :m, :].reshape(-1, d)
+    q = _dot(q_rows, wq.data).reshape(lead + (1, n_heads, d_k))
+    k = _dot(mem_rows, wk.data).reshape(lead + (m, n_heads, d_k))
+    v = _dot(mem_rows, wv.data).reshape(lead + (m, n_heads, d_k))
+    scale = 1.0 / math.sqrt(d)
+    weights = _softmax_data(np.add.reduce(k * q, axis=-1).transpose(swap) * scale)
+    spread = weights.transpose(swap).reshape(lead + (m, n_heads, 1))
+    heads = np.add.reduce(spread * v, axis=-3).reshape(lead + (1, d))
+    data = _dot(heads.reshape(-1, d), wo.data).reshape(lead + (1, d))
+    data += query
+
+    def backward(g):  # the window's gradient only when it is tracked
+        rows = g.reshape(-1, d)
+        _send(wo, _dot(heads.reshape(-1, d).T, rows))
+        g_heads = _dot(rows, wo.data.T).reshape(lead + (1, n_heads, d_k))
+        g_v = (spread * g_heads).reshape(-1, d)
+        g_w = np.add.reduce(v * g_heads, axis=-1).transpose(swap)
+        g_scores = np.expand_dims((_softmax_grad(g_w, weights) * scale).transpose(swap), -1)
+        g_k = (g_scores * q).reshape(-1, d)
+        g_q = np.add.reduce(g_scores * k, axis=-3).reshape(-1, d)
+        _send(wv, _dot(mem_rows.T, g_v))
+        _send(wk, _dot(mem_rows.T, g_k))
+        _send(wq, _dot(q_rows.T, g_q))
+        if f_seq._tracked:
+            g_x = np.empty(shape)
+            g_x[..., :m, :] = (_dot(g_v, wv.data.T) + _dot(g_k, wk.data.T)).reshape(lead + (m, d))
+            g_x[..., m:, :] = g + _dot(g_q, wq.data.T).reshape(g.shape)
+            f_seq._accumulate(g_x)
+
+    return _make(data, (f_seq, wq, wk, wv, wo), backward), weights

@@ -177,9 +177,7 @@ def grid_configs(base: ModelConfig) -> list[ModelConfig]:
     return cells
 
 
-# Byte layout: next to `data.Reader`. Fused layouts: ttm.q, ttm.k and ttm.v
-# hold head h in columns h*d_k to (h+1)*d_k; enc.w and dec.w hold the x rows,
-# then the h rows, and the gate column blocks in i, f, g, o order.
+# Byte layout: next to `data.Reader`.
 
 
 def save_checkpoint(model: AnticipationModel, path) -> None:

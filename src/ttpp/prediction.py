@@ -4,7 +4,9 @@ From the aggregated history vector and the current feature, an initial
 block predicts the next chunk feature; a single shared block then chains
 forward, each step consuming the aggregated history again (skip
 connection) plus its own previous feature and probability predictions.
-`rollout` runs the whole chain as one fused `tensor.ppm_rollout` node.
+`rollout` runs the whole chain as one node. The prediction block
+(`_block_*`), which the single-shot predictor shares, and the rollout
+driver `_rollout`, which the LSTM decoder shares, live here too.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Parameter, ParameterSet, Tensor, glorot, ppm_rollout, softmax
+from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _by_step, _dot,
+                     _features_and_logits, _over_steps, _plus, _row, _send, _softmax_data,
+                     _softmax_grad, _stacks, _tapes, _weight_grad, glorot, softmax)
 
 
 @dataclass(frozen=True)
@@ -88,22 +92,216 @@ def init_ppm_params(d_m: int, n_classes: int, horizon: int, feed_features: bool,
     )
 
 
+def _check_block(op: str, k: int, w1, b1, w2, b2, gain, bias) -> int:
+    """The output width of a prediction block over inputs of extent k."""
+    m, n = w1.data.shape[1], w2.data.shape[1]
+    if w1.data.shape[0] != k or w2.data.shape[0] != m:
+        raise ShapeError(
+            f"{op}: input extent {k} does not fit weights {w1.data.shape}, {w2.data.shape}"
+        )
+    if (b1.data.shape, b2.data.shape, gain.data.shape, bias.data.shape) != ((m,), (n,), (n,), (n,)):
+        raise ShapeError(
+            f"{op}: biases {b1.data.shape}, {b2.data.shape} and gain/bias "
+            f"{gain.data.shape}/{bias.data.shape} do not fit widths {m}, {n}"
+        )
+    return n
+
+
+def _block_data(block) -> tuple[np.ndarray, ...]:
+    """A block's arrays as `_block_forward` takes them: biases, gain and bias as rows."""
+    w1, b1, w2, b2, gain, bias = block
+    return w1.data, _row(b1), w2.data, _row(b2), _row(gain), _row(bias)
+
+
+def _block_forward(x, data, keep, out, saved=None):
+    """A prediction block, layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias
+    times the dropout mask `keep` (None: no dropout), on 2-D rows into `out`
+    (new if None), with `data` from `_block_data`. Layer norm standardizes
+    each row by the population mean and variance, with eps 1e-5. While
+    taping, `saved` is a step's rows of the stacked (hidden, xhat, inv_std),
+    which the forward fills for the backward. np.maximum, the ReLU,
+    propagates a NaN."""
+    w1, b1, w2, b2, gain, bias = data
+    hidden, xhat, inv_std = saved or (None, None, None)
+    pre = _dot(x, w1, hidden)
+    pre += b1
+    hidden = np.maximum(pre, 0.0, out=pre)
+    y = _dot(hidden, w2)
+    y += b2
+    n = y.shape[1]
+    y -= np.add.reduce(y, axis=-1, keepdims=True) / n
+    inv_std = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5),
+                            out=inv_std)
+    xhat = np.multiply(y, inv_std, out=y if xhat is None else xhat)
+    out = np.multiply(xhat, gain, out=out)
+    out += bias
+    if keep is not None:
+        out *= keep
+    return out
+
+
+def _block_backward(g, saved, keep, data, grads):
+    """The gradient of a block's input rows from its output's, `g`, all on 2-D
+    rows. `saved` is the step's rows `_block_forward` filled; the backward
+    fills the step's rows of `grads`: g after dropout, gy and gpre, from which
+    `_send_block` sums the weights' gradients, and the input's, which it
+    returns."""
+    w1, _, w2, _, gain_row, _ = data
+    hidden, xhat, inv_std = saved
+    g_kept, gy, gpre, gx = grads
+    n = xhat.shape[1]
+    if keep is None:
+        g_kept[...] = g
+    else:
+        np.multiply(g, keep, out=g_kept)
+    gh = g_kept * gain_row
+    m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
+    m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
+    np.multiply(inv_std, gh - m1 - xhat * m2, out=gy)
+    np.multiply(_dot(gy, w2.T), hidden > 0, out=gpre)
+    return _dot(gpre, w1.T, gx)
+
+
+def _send_block(block, x, saved, grads) -> None:
+    """Sends a block's tensors their gradients over a stack of steps, from the
+    steps' inputs `x` and the stacks the forward and backward filled."""
+    w1, b1, w2, b2, gain, bias = block
+    hidden, xhat, _ = saved
+    g, gy, gpre = grads[:3]
+    _send(gain, _bias_grad(g * xhat))
+    _send(bias, _bias_grad(g))
+    _send(b2, _bias_grad(gy))
+    _send(w2, _weight_grad(hidden, gy))
+    _send(b1, _bias_grad(gpre))
+    _send(w1, _weight_grad(x, gpre))
+
+
+def _check_rollout(op: str, s_t, f_t, classifier, horizon: int, keep=None) -> tuple[int, int]:
+    if horizon < 1:
+        raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
+    shape = s_t.data.shape
+    if (len(shape) < 2 or shape[-2] != 1 or f_t.data.shape != shape
+            or classifier.data.ndim != 2 or classifier.data.shape[0] != shape[-1]):
+        raise ShapeError(f"{op}: s_t {shape}, f_t {f_t.data.shape}, "
+                         f"classifier {classifier.data.shape}")
+    masked = shape[:-2] + (horizon, shape[-1])
+    if keep is not None and np.shape(keep) != masked:
+        raise ShapeError(f"{op}: keep mask {np.shape(keep)} for {masked}")
+    return classifier.data.shape
+
+
+def _steps_first(g: np.ndarray, n: int) -> np.ndarray:
+    """A (..., horizon, width) output gradient as a (horizon, n, width) view."""
+    return g.reshape(n, g.shape[-2], -1).swapaxes(0, 1)
+
+
+def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bool, step,
+             step_back, widths, send):
+    """What the chained rollouts share. Step s reads input row x[s]: a feature in
+    columns `fs` and a probability in the C after them, [f_t | softmax(f_t
+    classifier)] in row 0 and in row s+1 step s's feature (zeros unless
+    `feed`) and softmax(logits). `step(s, out)` writes step s's feature
+    into `out` and returns it. The backward allocates one (horizon, rows,
+    width) stack per entry of `widths`: `step_back(s, g, gx, grads)` maps
+    the gradients of step s's feature and of row s+1 (None at the end) to
+    that of row s, filling step s's rows of the stacks, and after the loop
+    `send(grads)` hands the op's parameters their gradients. Returns the
+    `Rollout`, whose logits are a child of the features node."""
+    wc = classifier.data
+    d, n_classes = wc.shape
+    ps = slice(fs.stop, fs.stop + n_classes)
+    f_rows = f_t.data.reshape(-1, d)
+    n = f_rows.shape[0]
+    x[0, :, fs] = f_rows
+    _softmax_data(_dot(f_rows, wc), out=x[0, :, ps])
+    x[1:, :, fs] = 0.0  # stays zero unless each step writes its feature there
+    feats = x[1:, :, fs] if feed else np.empty((horizon, n, d))
+    logits = np.empty((horizon, n, n_classes))
+    for s in range(horizon):
+        _dot(step(s, feats[s]), wc, out=logits[s])
+        if s + 1 < horizon:
+            _softmax_data(logits[s], out=x[s + 1, :, ps])
+
+    # Back through time. A gradient with several terms adds them in the order
+    # the chain of single ops' tape did: a feature's from the features
+    # output, then from the next step's input, then from the classifier.
+    # `gz` stacks the logits' gradients; the steps below `top` have one.
+    def backward(g_feats, g_logits):
+        g_feats = None if g_feats is None else np.ascontiguousarray(_steps_first(g_feats, n))
+        if g_logits is None:
+            gz, top = np.empty((horizon, n, n_classes)), horizon - 1
+        else:
+            gz, top = np.array(_steps_first(g_logits, n), order="C"), horizon
+        grads = _stacks(horizon, n, widths)
+        grads_at = _by_step(grads)
+        gx = None
+        for s in reversed(range(horizon)):
+            g = None if g_feats is None else g_feats[s]
+            if gx is not None:
+                g = _plus(g, gx[:, fs]) if feed else g
+                term = _softmax_grad(gx[:, ps], x[s + 1, :, ps])
+                if g_logits is None:
+                    gz[s] = term
+                else:
+                    gz[s] += term
+            if s < top:
+                g = _plus(g, _dot(gz[s], wc.T))
+            gx = step_back(s, g, gx, grads_at[s])
+        send(grads)
+        _send(f_t, gx[:, fs].reshape(f_t.data.shape))
+        gz_t = _softmax_grad(gx[:, ps], x[0, :, ps])
+        g_wc = _dot(f_rows.T, gz_t)  # the current feature's term, added last
+        if top:
+            g_wc = _weight_grad(feats[:top], gz[:top]) + g_wc
+        _send(classifier, g_wc)
+        _send(f_t, _dot(gz_t, wc.T).reshape(f_t.data.shape))
+
+    lead = s_t.data.shape[:-2]
+    out_f, out_z = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(lead + a.shape[::2])
+                    for a in (feats, logits))
+    return Rollout(*_features_and_logits(out_f, out_z, parents, backward))
+
+
 def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
-    """Chain l = params.horizon future (feature, logits) predictions from (s_t, f_t).
+    """Chain l = params.horizon future (feature, logits) predictions from
+    (s_t, f_t) as one node.
 
-    Step 1 uses the initial block on s_t (+) f_t (+) p_t; every later step
-    reuses the shared progressive block on s_t (+) previous predicted
-    feature (+) previous predicted probability. Concatenation order is
-    (history, feature, probability) throughout. With params.feed_features
-    False (the no-feature ablation) later steps put zeros in the feature
-    slot, so only the probability and the history carry information forward.
-
-    s_t and f_t are (..., 1, d_m) rows with the same leading batch axes.
-    `keep` is a (..., l, d_m) dropout mask from `keep_mask`, and step s
-    uses slice s of it; None means no dropout.
+    Step 1 runs the initial block on s_t (+) f_t (+) p_t; every later step
+    reuses the shared progressive block, of the same hidden width, on s_t
+    (+) previous predicted feature (+) previous predicted probability. With
+    params.feed_features False (the no-feature ablation) later steps put
+    zeros in the feature slot. s_t and f_t are (..., 1, d_m) rows with the
+    same leading batch axes. `keep` is a (..., l, d_m) dropout mask from
+    `keep_mask`, slice s for step s; None means no dropout.
     """
-    features, logits = ppm_rollout(
-        s_t, f_t, params.initial.values, params.progressive.values,
-        params.classifier.value, params.horizon, keep, params.feed_features,
-    )
-    return Rollout(features, logits)
+    initial, progressive = params.initial.values, params.progressive.values
+    classifier, horizon = params.classifier.value, params.horizon
+    d, n_classes = _check_rollout("rollout", s_t, f_t, classifier, horizon, keep)
+    width, m = 2 * d + n_classes, initial[0].data.shape[1]
+    if {(b[0].data.shape[1], _check_block("rollout", width, *b))
+            for b in (initial, progressive)} != {(m, d)}:
+        raise ShapeError(f"rollout: the blocks' hidden and output widths are not both "
+                         f"(m, d) = ({m}, {d})")
+    rows = s_t.data.reshape(-1, d)
+    masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
+    data = [_block_data(initial)] + [_block_data(progressive)] * (horizon - 1)
+    parents = (s_t, f_t, classifier, *initial, *(progressive if horizon > 1 else ()))
+    x = np.empty((horizon + 1, len(rows), width))
+    x[:, :, :d] = rows
+    saved = _stacks(horizon, len(rows), (m, d, 1)) if _tapes(parents) else None
+    saved_at = saved and _by_step(saved)
+
+    def step(s, out):
+        return _block_forward(x[s], data[s], masks[s], out, saved_at and saved_at[s])
+
+    def step_back(s, g, gx, grads):
+        return _block_backward(g, saved_at[s], masks[s], data[s], grads)
+
+    def send(grads):  # the progressive block first, so one block in both adds in step order
+        for block, steps in ((progressive, slice(1, horizon)), (initial, slice(0, 1))):
+            if steps.stop > steps.start:
+                _send_block(block, x[steps], [a[steps] for a in saved], [a[steps] for a in grads])
+        _send(s_t, _over_steps(grads[3][:, :, :d]).reshape(s_t.data.shape))
+
+    return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(d, 2 * d),
+                    params.feed_features, step, step_back, (d, d, m, width), send)

@@ -3,8 +3,8 @@
 Per sample, the feature reconstruction loss sums squared errors over all
 predicted steps and the classification loss sums cross-entropy over all
 predicted steps; the batch averages sample losses. `total_loss` builds
-the whole batch loss as one tape node (`tensor.batch_loss`), whose value
-and gradient equal those of the chain of single ops bit for bit.
+the whole batch loss as one tape node, whose value and gradient equal
+those of the chain of single ops bit for bit.
 Runs are bit-for-bit reproducible from (config, dataset, seed).
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import AnticipationModel
 from .prediction import Rollout
-from .tensor import batch_loss, sgd_step
+from .tensor import ShapeError, _make, _send, sgd_step
 
 
 class TrainingDiverged(RuntimeError):
@@ -56,13 +56,41 @@ class EpochStats:
     train_acc_h1: float
 
 
+def _log_softmax_data(a: np.ndarray) -> np.ndarray:
+    shifted = a - a.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def total_loss(roll: Rollout, labels_onehot, target, lam: float):
-    """The loss of a (B, horizon, ·) rollout as one node: (class loss + lam *
-    feature loss) / B, the class loss the cross-entropy of the logits and
-    the feature loss the squared error of the features, each summed over
-    steps (no per-step averaging). Returns (node, class loss, feature loss),
-    the latter two summed over the batch, as floats for the history."""
-    return batch_loss(roll.logits, labels_onehot, roll.features, target, lam)
+    """The loss of a (B, horizon, ·) rollout as one node: (CE + lam SE) / B,
+    where CE = -sum(labels * log_softmax(logits)) is the class loss and SE =
+    sum((features - target)^2) the feature loss, each summed over every
+    entry (no per-step averaging). Returns (node, CE, SE), the latter two
+    as floats for the history. The labels and target take no gradient, and
+    at lam 0 neither do the features."""
+    logits, features = roll.logits, roll.features
+    labels = np.asarray(labels_onehot, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if (logits.data.ndim < 2 or labels.shape != logits.data.shape
+            or target.shape != features.data.shape):
+        raise ShapeError(f"total_loss: labels {labels.shape} for logits {logits.data.shape}, "
+                         f"target {target.shape} for features {features.data.shape}")
+    y = _log_softmax_data(logits.data)
+    diff = features.data - target
+    class_sum, feature_sum = (y * labels).sum() * -1.0, (diff * diff).sum()
+    scale = 1.0 / len(labels)
+    total = (class_sum + feature_sum * lam if lam else class_sum) * scale
+
+    def backward(g):
+        g_class = g * scale
+        g_y = (g_class * -1.0) * labels
+        _send(logits, g_y - np.exp(y) * g_y.sum(axis=-1, keepdims=True))
+        if lam:
+            half = (g_class * lam) * diff
+            _send(features, half + half)
+
+    node = _make(total, (logits, features) if lam else (logits,), backward)
+    return node, float(class_sum), float(feature_sum)
 
 
 def check_samples(model: AnticipationModel, samples) -> None:

@@ -1,22 +1,107 @@
-"""The generic single-op nodes and the layer chains built from them.
+"""The generic single-op nodes, the layer chains built from them, and the
+test-side tools: `grad_check`, `param_set` and `rebind`.
 
-Every model layer runs as one fused node of `ttpp.tensor`. Each node
-replaced a chain of generic nodes (add, mul, matmul, reshape, take,
-concat, sum, relu, log_softmax and a one-node prediction block), and the
-tests hold it to that chain: values and gradients equal by bytes. The
-ops act on the last axis or two and treat any axes before them as batch
-axes: `matmul` multiplies a (..., k) operand by a shared 2-D (k, n)
-weight, and the elementwise ops broadcast. The private helpers of
-`tensor` are reached through the module, so a test that patches one
-patches the chains too.
+Every model layer runs as one fused node, defined next to its parameter
+set. Each node replaced a chain of generic nodes (add, mul, matmul,
+reshape, take, concat, sum, relu, log_softmax and a one-node prediction
+block), and the tests hold it to that chain: values and gradients equal
+by bytes. The ops act on the last axis or two and treat any axes before
+them as batch axes: `matmul` multiplies a (..., k) operand by a shared
+2-D (k, n) weight, and the elementwise ops broadcast. A chain takes the
+arguments of the layer it stands for, a parameter set included, so
+`param_set` builds one set around a test's tensors for both. The private
+helpers are reached through the module that defines them (`tensor`,
+`prediction`, `baselines`, `training`), so a test that patches one with
+`rebind` patches the chains too.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from ttpp import tensor
-from ttpp.tensor import ShapeError, Tensor, softmax
+from ttpp import baselines, prediction, tensor, training
+from ttpp.prediction import Rollout
+from ttpp.tensor import Parameter, ShapeError, Tensor, softmax
+
+
+def grad_check(f, inputs, step: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` must return a scalar Tensor and be deterministic across calls
+    (fix any rng inside `f` per invocation). Inputs are flipped to
+    requires_grad. Returns max|a - n| / max(|a|, |n|, 1e-8), where the
+    denominator magnitudes are taken over the whole gradient: central
+    differences at double precision carry absolute noise around
+    ulp(loss)/(2*step), so elementwise quotients would report that noise,
+    not gradient bugs, on elements whose true gradient is tiny.
+    """
+    inputs = list(inputs)
+    for t in inputs:
+        t.requires_grad = True
+        t.grad = None
+    out = f(*inputs)
+    if out.data.size != 1:
+        raise ValueError(f"grad_check: f must be scalar-valued, got shape {out.shape}")
+    out.backward()
+    analytic = [
+        np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in inputs
+    ]
+    worst_diff = 0.0
+    a_scale = max((np.abs(a).max() for a in analytic if a.size), default=0.0)
+    n_scale = 0.0
+    for t, a in zip(inputs, analytic):
+        flat = t.data.reshape(-1)
+        aflat = a.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = f(*inputs).item()
+            flat[i] = orig - step
+            lo = f(*inputs).item()
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * step)
+            n_scale = max(n_scale, abs(numeric))
+            worst_diff = max(worst_diff, abs(aflat[i] - numeric))
+    return worst_diff / max(a_scale, n_scale, 1e-8)
+
+
+def param_set(cls, *fields):
+    """A `cls` parameter set around the given tensors: each Tensor field, or
+    Tensor in a tuple or list field, becomes a Parameter whose value slot is
+    that very tensor, so the layer that reads the set sends its gradients
+    to the caller's tensors. Other fields pass through as given."""
+
+    def held(x):
+        if isinstance(x, (tuple, list)):
+            return tuple(held(item) for item in x)
+        if not isinstance(x, Tensor):
+            return x
+        p = Parameter("held", x.data)
+        p.value = x
+        return p
+
+    return cls(*(held(x) for x in fields))
+
+
+def rebind(monkeypatch, module, name: str, replacement) -> list[int]:
+    """Patch `module.name` with `replacement` in every ttpp module that binds
+    the same object, so a call site that imported it (`from .tensor import
+    _dot`) sees the patch too. Returns a one-entry list that counts the
+    replacement's calls."""
+    original, calls = getattr(module, name), [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return replacement(*args, **kwargs)
+
+    for module_name, mod in list(sys.modules.items()):
+        if module_name == "ttpp" or module_name.startswith("ttpp."):
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
 def _ensure(x) -> Tensor:
@@ -145,7 +230,7 @@ def relu(a: Tensor) -> Tensor:
 
 def log_softmax(a: Tensor) -> Tensor:
     """Log of the softmax along the last axis, computed from the logits."""
-    y = tensor._log_softmax_data(a.data)
+    y = training._log_softmax_data(a.data)
 
     def backward(g):
         a._accumulate(g - np.exp(y) * g.sum(axis=-1, keepdims=True))
@@ -170,22 +255,22 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     """A prediction block as one node: layer_norm(relu(x w1 + b1) w2 + b2) *
     gain + bias, times `keep` (None: no dropout), on (..., k) rows."""
     block = (w1, b1, w2, b2, gain, bias)
-    n = tensor._check_block("mlp_norm", x.data.shape[-1], *block)
+    n = prediction._check_block("mlp_norm", x.data.shape[-1], *block)
     k, m = w1.data.shape
     shape = x.data.shape[:-1] + (n,)
     if keep is not None and np.shape(keep) != shape:
         raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
     keep = None if keep is None else np.reshape(keep, (-1, n))
-    data = tensor._block_data(block)
+    data = prediction._block_data(block)
     rows = x.data.reshape(-1, k)
     saved = tensor._stacks(1, len(rows), (m, n, 1)) if tensor._tapes((x, *block)) else None
-    out = tensor._block_forward(rows, data, keep, None, saved and tensor._by_step(saved)[0])
+    out = prediction._block_forward(rows, data, keep, None, saved and tensor._by_step(saved)[0])
 
     def backward(g):
         grads = tensor._stacks(1, len(rows), (n, n, m, k))
-        gx = tensor._block_backward(g.reshape(-1, n), tensor._by_step(saved)[0], keep, data,
-                                    tensor._by_step(grads)[0])
-        tensor._send_block(block, rows[None], saved, grads)
+        gx = prediction._block_backward(g.reshape(-1, n), tensor._by_step(saved)[0], keep, data,
+                                        tensor._by_step(grads)[0])
+        prediction._send_block(block, rows[None], saved, grads)
         tensor._send(x, gx.reshape(x.data.shape))
 
     return tensor._make(out.reshape(shape), (x, *block), backward)
@@ -210,8 +295,8 @@ def lstm_window(x, state, w, b) -> Tensor:
     b_row = tensor._row(b)
     with np.errstate(over="ignore"):
         for s in range(t):
-            _, c, caches[s] = tensor._cell_forward(xh[s], c, w.data, b_row, tape,
-                                                   xh[s + 1, :, d_in:])
+            _, c, caches[s] = baselines._cell_forward(xh[s], c, w.data, b_row, tape,
+                                                      xh[s + 1, :, d_in:])
     data = np.concatenate([xh[t, :, d_in:], c], axis=-1)
 
     def backward(g):
@@ -219,7 +304,7 @@ def lstm_window(x, state, w, b) -> Tensor:
         gx = np.empty((len(rows), t, d_in))
         dpre = np.empty((t, len(rows), 4 * d_h))
         for s in reversed(range(t)):
-            gxh, gc = tensor._cell_backward(gh, gc, caches[s], w.data, dpre[s])
+            gxh, gc = baselines._cell_backward(gh, gc, caches[s], w.data, dpre[s])
             gx[:, s], gh = gxh[:, :d_in], gxh[:, d_in:]
         tensor._send(w, tensor._weight_grad(xh[:t], dpre))
         tensor._send(b, tensor._bias_grad(dpre))
@@ -232,9 +317,11 @@ def lstm_window(x, state, w, b) -> Tensor:
 # ---- the chains the fused layers replaced ----------------------------------
 
 
-def conv1d_chain(window, weights, biases) -> Tensor:
-    """`tensor.conv1d` as zero-pad concats, kernel-row takes, reshapes,
-    matmuls, bias adds and ReLUs, then the shortcut."""
+def conv1d_chain(window, params) -> Tensor:
+    """`baselines.conv1d_aggregate` as zero-pad concats, kernel-row takes,
+    reshapes, matmuls, bias adds and ReLUs, then the shortcut."""
+    depth = len(params.weights)
+    weights, biases = params.values[:depth], params.values[depth:]
     t, d = window.shape[-2:]
     lead = window.shape[:-2]
     pad = Tensor(np.zeros(lead + (1, d)))
@@ -250,25 +337,27 @@ def conv1d_chain(window, weights, biases) -> Tensor:
     return add(x, take(window, (Ellipsis, slice(t - 1, t), slice(None))))
 
 
-def encoder_chain(x, w, b) -> Tensor:
-    """`tensor.lstm_step`: an LSTM window from a zero state, the h half of
-    its state taken out, and the window's last row added."""
+def encoder_chain(x, params) -> Tensor:
+    """`baselines.lstm_encode`: an LSTM window from a zero state, the h half
+    of its state taken out, and the window's last row added."""
+    w, b = params.values
     t, d = x.shape[-2:]
     state = lstm_window(x, Tensor(np.zeros(x.shape[:-2] + (1, 2 * d))), w, b)
     return add(take(state, (Ellipsis, slice(None, d))),
                take(x, (Ellipsis, slice(t - 1, t), slice(None))))
 
 
-def ssp_chain(s_t, f_t, block, classifier, horizon, keep=None):
-    """`tensor.ssp_rollout` as concat, take, matmul and softmax nodes around
-    one `mlp_norm` over every horizon's row."""
+def ssp_chain(s_t, f_t, params, keep=None) -> Rollout:
+    """`baselines.ssp_rollout` as concat, take, matmul and softmax nodes
+    around one `mlp_norm` over every horizon's row."""
+    block, classifier, horizon = params.block.values, params.classifier.value, params.horizon
     lead = s_t.shape[:-2]
     shared = concat([s_t, f_t, softmax(matmul(f_t, classifier))], axis=-1)
     tags = np.eye(horizon) + np.zeros(lead + (1, 1))
     x = concat([take(shared, (Ellipsis, np.zeros(horizon, dtype=int), slice(None))),
                 Tensor(tags)], axis=-1)
     features = mlp_norm(x, *block, keep)
-    return features, matmul(features, classifier)
+    return Rollout(features, matmul(features, classifier))
 
 
 def class_loss(logits, labels) -> Tensor:
@@ -286,8 +375,8 @@ def total_loss(l_c, l_r, lam: float) -> Tensor:
     return add(l_c, mul(l_r, lam)) if lam != 0.0 else l_c
 
 
-def loss_chain(logits, labels, features, target, lam: float):
-    """`tensor.batch_loss` as the chain of the two loss terms, their lam sum
-    and the 1/B scale; returns the loss and the two terms."""
-    l_c, l_r = class_loss(logits, labels), feature_loss(features, target)
+def loss_chain(roll, labels, target, lam: float):
+    """`training.total_loss` as the chain of the two loss terms, their lam
+    sum and the 1/B scale; returns the loss and the two terms."""
+    l_c, l_r = class_loss(roll.logits, labels), feature_loss(roll.features, target)
     return mul(total_loss(l_c, l_r, lam), 1.0 / len(labels)), l_c, l_r

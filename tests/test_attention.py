@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chains import weighted_sum
+from chains import grad_check, weighted_sum
 from ttpp.attention import TTMParams, aggregate, init_ttm_params, positional_encoding
 from ttpp.model import AnticipationModel, ModelConfig
-from ttpp.tensor import Parameter, ShapeError, Tensor, attention, glorot, grad_check
+from ttpp.tensor import Parameter, ShapeError, Tensor, glorot
 
 
 class TestPositionalEncoding:
@@ -53,12 +53,10 @@ def identity_params(d_m: int) -> TTMParams:
 
 
 def attend(memory: np.ndarray, query: np.ndarray, params: TTMParams):
-    """The fused TTM layer, as `aggregate` calls it, on the window [memory | query]
-    with zero position rows: the attended memory plus the query row."""
+    """The TTM layer, `aggregate`, on the window [memory | query] with zero
+    position rows: the attended memory plus the query row."""
     window = np.concatenate([memory, query], axis=-2)
-    p = params
-    return attention(Tensor(window), np.zeros(window.shape[-2:]), p.wq.value, p.wk.value,
-                     p.wv.value, p.wo.value, p.n_heads)
+    return aggregate(Tensor(window), replace(params, pe=np.zeros(window.shape[-2:])))
 
 
 def np_softmax(scores: np.ndarray) -> np.ndarray:
@@ -67,7 +65,7 @@ def np_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 class TestAttention:
-    # scaled dot-product behaviour of the fused `tensor.attention` op
+    # scaled dot-product behaviour of the TTM layer, `aggregate`
 
     def test_single_memory_row_passes_value_through(self):
         rng = np.random.default_rng(0)

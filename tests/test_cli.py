@@ -98,6 +98,17 @@ class TestConfig:
         assert main(["param-count", "--set", f"{key}={value}"]) == 1
         assert f"error: config key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize("key", ["data.n_train", "data.n_eval", "data.length"])
+    def test_a_negative_data_size_names_its_key(self, key, command, tmp_path, capsys):
+        # numpy said "negative dimensions are not allowed", and gen wrote 0 sequences
+        with pytest.raises(ValueError, match=f"^config key '{key}' expects a count >= 0, got '-2'"):
+            resolve_config(None, [f"{key}=-2"])
+        out = tmp_path / "out"
+        assert main([command, "--out-dir", str(out), *FAST, "--set", f"{key}=-2"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+        assert not out.exists()
+
     def test_conv1d_past_eight_rows_builds_four_layers(self, tmp_path, capsys):
         # T = 9 needs a fourth halving: 9 -> 5 -> 3 -> 2 -> 1
         out = tmp_path / "grid.csv"

@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chains import matmul, mlp_norm, tensor_sum, total, weighted_sum
+from chains import grad_check, matmul, mlp_norm, tensor_sum, total, weighted_sum
 from ttpp.prediction import init_block_params, init_ppm_params, rollout
-from ttpp.tensor import Tensor, grad_check, keep_mask, softmax
+from ttpp.tensor import Tensor, keep_mask, softmax
 
 
 def zero_block(in_dim, d_m):

@@ -1,4 +1,4 @@
-"""Tensor engine: forward semantics, backward passes, fused layer ops, SGD."""
+"""Tensor engine and fused layers: forward semantics, backward passes, SGD."""
 
 import warnings
 from dataclasses import FrozenInstanceError, dataclass, fields
@@ -10,29 +10,25 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 import chains
-from chains import (add, concat, log_softmax, lstm_window, matmul, mlp_norm, mul, relu, reshape,
-                    take, tensor_sum, total, weighted_sum)
-from ttpp import tensor
-from ttpp.attention import TTMParams, positional_encoding
+from chains import (add, concat, grad_check, log_softmax, lstm_window, matmul, mlp_norm, mul,
+                    param_set, rebind, relu, reshape, take, tensor_sum, total, weighted_sum)
+from ttpp import baselines, prediction, tensor
+from ttpp.attention import TTMParams, aggregate, positional_encoding
+from ttpp.baselines import (Conv1DStack, DecoderParams, LSTMParams, SSPParams, conv1d_aggregate,
+                            lstm_decode, lstm_encode, ssp_rollout)
 from ttpp.model import (AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, load_checkpoint,
                         save_checkpoint)
+from ttpp.prediction import PPMParams, PredictionBlockParams, Rollout, rollout
 from ttpp.tensor import (
     GradientError,
     Parameter,
     ParameterSet,
     ShapeError,
     Tensor,
-    attention,
-    conv1d,
-    grad_check,
     keep_mask,
-    lstm_rollout,
-    lstm_step,
     no_grad,
-    ppm_rollout,
     sgd_step,
     softmax,
-    ssp_rollout,
 )
 
 
@@ -260,11 +256,11 @@ class TestGradCheck:
         bias = Tensor(rng.normal(size=5))
         dense = [Tensor(rng.normal(size=shape)) for shape in ((5, 3), (3,), (3, 5), (5,))]
         proj = [Tensor(rng.normal(size=(5, 5))) for _ in range(4)]
-        pe = positional_encoding(4, 5)
+        ttm = param_set(TTMParams, *proj, 1, positional_encoding(4, 5))
         cost_a = Tensor(rng.normal(size=(1, 5)))
-        cell = [Tensor(rng.normal(size=shape)) for shape in ((10, 20), (20,))]
-        conv = [[Tensor(rng.normal(size=(15, 5))) for _ in range(2)],
-                [Tensor(rng.normal(size=5)) for _ in range(2)]]
+        cell = param_set(LSTMParams, *(Tensor(rng.normal(size=s)) for s in ((10, 20), (20,))))
+        conv = param_set(Conv1DStack, [Tensor(rng.normal(size=(15, 5))) for _ in range(2)],
+                         [Tensor(rng.normal(size=5)) for _ in range(2)])
 
         cases = {
             "matmul": lambda t: tensor_sum(matmul(t, Tensor(w))),
@@ -272,9 +268,9 @@ class TestGradCheck:
             "mlp_norm": lambda t: weighted_sum(mlp_norm(t, *dense, gain, bias), cost),
             "relu": lambda t: weighted_sum(relu(t), cost),
             # each a 4-row window
-            "attention": lambda t: weighted_sum(attention(t, pe, *proj, 1)[0], cost_a),
-            "lstm_step": lambda t: weighted_sum(lstm_step(t, *cell), cost_a),
-            "conv1d": lambda t: weighted_sum(conv1d(t, *conv), cost_a),
+            "aggregate": lambda t: weighted_sum(aggregate(t, ttm)[0], cost_a),
+            "lstm_encode": lambda t: weighted_sum(lstm_encode(t, cell), cost_a),
+            "conv1d_aggregate": lambda t: weighted_sum(conv1d_aggregate(t, conv), cost_a),
             "log_softmax": lambda t: weighted_sum(log_softmax(t), cost),
             "slice_concat": lambda t: total(
                 tensor_sum(matmul(take(t, slice(1, 3)), Tensor(w))),
@@ -547,8 +543,8 @@ def attention_oracle(window, pe, wq, wk, wv, wo, n_heads, cost):
 
 def query_attention(query, memory, wq, wk, wv, wo, n_heads):
     """Attention of a (..., 1, d) query row over a (..., M, d) memory as one
-    node, in the arithmetic of `tensor.attention` before it took the whole
-    TTM layer: the node `ttm_chain` wraps."""
+    node, in the arithmetic of `aggregate` before it took the whole TTM
+    layer: the node `ttm_chain` wraps."""
     lead, (m, d) = memory.shape[:-2], memory.shape[-2:]
     d_k = d // n_heads
     swap = (*range(len(lead)), len(lead) + 1, len(lead))
@@ -582,14 +578,14 @@ def query_attention(query, memory, wq, wk, wv, wo, n_heads):
     return tensor._make(data, (query, memory, wq, wk, wv, wo), backward), weights
 
 
-def ttm_chain(window, pe, wq, wk, wv, wo, n_heads):
+def ttm_chain(window, params):
     """The TTM layer as generic add and slice nodes around `query_attention`:
-    the tape the fused `attention` replaces."""
+    the tape the fused `aggregate` replaces."""
     t = window.shape[-2]
-    x = add(window, pe)
+    x = add(window, params.pe)
     query = take(x, (Ellipsis, slice(t - 1, t), slice(None)))
     memory = take(x, (Ellipsis, slice(None, t - 1), slice(None)))
-    attended, weights = query_attention(query, memory, wq, wk, wv, wo, n_heads)
+    attended, weights = query_attention(query, memory, *params.values, params.n_heads)
     return add(attended, query), weights
 
 
@@ -666,9 +662,11 @@ class TestFusedOpsMatchOracles:
         pe = rng.normal(size=(t, d))
         cost = rng.normal(size=(*lead, 1, d))
         (out, weights), grads = taped(
-            lambda window, *w: attention(window, pe, *w, n_heads), arrays, cost)
+            lambda window, *w: aggregate(window, param_set(TTMParams, *w, n_heads, pe)), arrays,
+            cost)
         (chain_out, chain_weights), chain_grads = taped(
-            lambda window, *w: ttm_chain(window, pe, *w, n_heads), arrays, cost)
+            lambda window, *w: ttm_chain(window, param_set(TTMParams, *w, n_heads, pe)), arrays,
+            cost)
         np.testing.assert_array_equal(out.data, chain_out.data)
         np.testing.assert_array_equal(weights, chain_weights)
         expected, expected_weights, expected_grads = attention_oracle(arrays[0], pe, *arrays[1:],
@@ -700,7 +698,8 @@ class TestFusedOpsMatchOracles:
         d = 4
         arrays = [rng.normal(size=s) for s in [(*lead, 1, d), (2 * d, 4 * d), (4 * d,)]]
         cost = rng.normal(size=(*lead, 1, d))
-        out, grads = taped(lstm_step, arrays, cost)
+        out, grads = taped(lambda x, *cell: lstm_encode(x, param_set(LSTMParams, *cell)), arrays,
+                           cost)
         state, cost_hc = np.zeros((*lead, 1, 2 * d)), np.concatenate([cost, 0 * cost], axis=-1)
         expected, (g_x, _, g_w, g_b) = lstm_oracle(arrays[0], state, *arrays[1:], cost_hc)
         assert_close(out.data, expected[..., :d] + arrays[0], "forward")
@@ -720,9 +719,10 @@ class TestFusedOpsMatchOracles:
             ((3, 4), (3, 4), 0),  # no head
             ((3, 4), (3, 4), -2),  # a negative head count that divides d
         ]:
-            with pytest.raises(ShapeError, match="attention"):
-                attention(Tensor(np.zeros(window_shape)), np.zeros(pe_shape),
-                          *[Tensor(np.eye(4))] * 4, n_heads)
+            with pytest.raises(ShapeError, match="aggregate"):
+                aggregate(Tensor(np.zeros(window_shape)),
+                          param_set(TTMParams, *[Tensor(np.eye(4))] * 4, n_heads,
+                                    np.zeros(pe_shape)))
         for x_shape, w_shape, b_shape in [
             ((2, 4, 4), (10, 24), (24,)),  # a hidden width other than the input's
             ((2, 4, 4), (7, 16), (16,)),  # a weight for other input rows
@@ -730,8 +730,10 @@ class TestFusedOpsMatchOracles:
             ((2, 0, 4), (8, 16), (16,)),  # an empty window
             ((4,), (8, 16), (16,)),  # x has no row axis
         ]:
-            with pytest.raises(ShapeError, match="lstm_step"):
-                lstm_step(*(Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)))
+            with pytest.raises(ShapeError, match="lstm_encode"):
+                lstm_encode(Tensor(np.zeros(x_shape)),
+                            param_set(LSTMParams, Tensor(np.zeros(w_shape)),
+                                      Tensor(np.zeros(b_shape))))
         with pytest.raises(ShapeError, match="lstm_window"):
             lstm_window(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((2, 6))),
                         Tensor(np.zeros((7, 12))), Tensor(np.zeros(12)))
@@ -743,11 +745,13 @@ class TestFusedOpsMatchOracles:
             ((4, 4), 1, (12, 4)),  # a bias short
             ((4, 3), 2, (12, 4)),  # a weight for another width
         ]:
-            with pytest.raises(ShapeError, match="conv1d"):
-                conv1d(Tensor(np.zeros(window_shape)), [Tensor(np.zeros(w_shape))] * 2,
-                       biases[:n_biases])
-        with pytest.raises(ShapeError, match="conv1d"):
-            conv1d(Tensor(np.zeros((4, 4))), weights, [Tensor(np.zeros(3))] * 2)
+            with pytest.raises(ShapeError, match="conv1d_aggregate"):
+                conv1d_aggregate(Tensor(np.zeros(window_shape)),
+                                 param_set(Conv1DStack, [Tensor(np.zeros(w_shape))] * 2,
+                                           biases[:n_biases]))
+        with pytest.raises(ShapeError, match="conv1d_aggregate"):
+            conv1d_aggregate(Tensor(np.zeros((4, 4))),
+                             param_set(Conv1DStack, weights, [Tensor(np.zeros(3))] * 2))
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [1, 2, 5])
@@ -824,10 +828,11 @@ class TestFusedGradientProperties:
         window = Tensor(rng.normal(size=(*lead, t, d)))
         pe = rng.normal(size=(t, d))
         weights = [Tensor(rng.normal(size=(d, d))) for _ in range(4)]
+        params = param_set(TTMParams, *weights, n_heads, pe)
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
 
         def f(*_):
-            return weighted_sum(attention(window, pe, *weights, n_heads)[0], cost)
+            return weighted_sum(aggregate(window, params)[0], cost)
 
         assert grad_check(f, [window, *weights] if tracked else weights) < 1e-5
 
@@ -842,7 +847,7 @@ class TestFusedGradientProperties:
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
 
         def f(*_):
-            return weighted_sum(lstm_step(x, w, b), cost)
+            return weighted_sum(lstm_encode(x, param_set(LSTMParams, w, b)), cost)
 
         assert grad_check(f, [x, w, b] if tracked else [w, b]) < 1e-5
 
@@ -858,7 +863,8 @@ class TestFusedGradientProperties:
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
 
         def f(*_):
-            return weighted_sum(conv1d(window, weights, biases), cost)
+            return weighted_sum(conv1d_aggregate(window, param_set(Conv1DStack, weights, biases)),
+                                cost)
 
         # a central difference is no derivative within a step of a ReLU kink
         assume(conv1d_kink(window.data, weights, biases) > 1e-3)
@@ -868,14 +874,15 @@ class TestFusedGradientProperties:
 # ---- fused rollouts against chains of single-op nodes ---------------------
 
 
-def ppm_chain(s_t, f_t, initial, progressive, classifier, horizon, keep=None,
-              feed_features=True, inputs=None):
+def ppm_chain(s_t, f_t, params, keep=None, inputs=None):
     """The PPM rollout as a chain of concat, mlp_norm, matmul and softmax nodes:
-    the oracle of `ppm_rollout`. `inputs`, a list, receives each block input."""
+    the oracle of `rollout`. `inputs`, a list, receives each block input."""
+    initial, progressive = params.initial.values, params.progressive.values
+    classifier = params.classifier.value
     zero_slot = Tensor(np.zeros(s_t.shape))
     feat_in, p = f_t, softmax(matmul(f_t, classifier))
     features, logits = [], []
-    for step in range(horizon):
+    for step in range(params.horizon):
         x = concat([s_t, feat_in, p], axis=-1)
         if inputs is not None:
             inputs.append(x.data)
@@ -885,25 +892,26 @@ def ppm_chain(s_t, f_t, initial, progressive, classifier, horizon, keep=None,
         p = softmax(z)
         features.append(f)
         logits.append(z)
-        feat_in = f if feed_features else zero_slot
-    return concat(features, axis=-2), concat(logits, axis=-2)
+        feat_in = f if params.feed_features else zero_slot
+    return Rollout(concat(features, axis=-2), concat(logits, axis=-2))
 
 
-def lstm_chain(s_t, f_t, w, b, classifier, horizon):
+def lstm_chain(s_t, f_t, params):
     """The LSTM decoder as a chain of lstm_window, take, matmul, softmax and
-    concat nodes: the oracle of `lstm_rollout`."""
+    concat nodes: the oracle of `lstm_decode`."""
+    w, b, classifier = params.values
     d = s_t.shape[-1]
     state = concat([s_t, Tensor(np.zeros(s_t.shape))], axis=-1)
     x = concat([f_t, softmax(matmul(f_t, classifier))], axis=-1)
     features, logits = [], []
-    for _ in range(horizon):
+    for _ in range(params.horizon):
         state = lstm_window(x, state, w, b)
         h = take(state, (Ellipsis, slice(None, d)))
         z = matmul(h, classifier)
         features.append(h)
         logits.append(z)
         x = concat([h, softmax(z)], axis=-1)
-    return concat(features, axis=-2), concat(logits, axis=-2)
+    return Rollout(concat(features, axis=-2), concat(logits, axis=-2))
 
 
 def ppm_arrays(rng, lead, d=4, n_classes=3):
@@ -929,8 +937,8 @@ def ppm_rollout_case(lead, horizon, d, n_classes, feed_features, dropout, tracke
     costs = [Tensor(rng.normal(size=(*lead, horizon, n))) for n in (d, n_classes)]
 
     def f(*_):
-        features, logits = ppm_rollout(*ppm_args(t, horizon, keep, feed_features))
-        return total(weighted_sum(features, costs[0]), weighted_sum(logits, costs[1]))
+        roll = rollout(*ppm_args(t, horizon, keep, feed_features))
+        return total(weighted_sum(roll.features, costs[0]), weighted_sum(roll.logits, costs[1]))
 
     used = t if horizon > 1 else t[:8] + t[14:]
     return f, used if tracked else used[2:], min(np.abs(p).min() for p in pre), spread
@@ -949,23 +957,38 @@ def ssp_arrays(rng, lead, d=4, n_classes=3, horizon=3):
     return [rng.normal(size=s) for s in shapes]
 
 
+# Each *_args turns the list of tensors *_arrays drew into the arguments of
+# the layer, and of its chain: s_t, f_t and a parameter set around the rest.
+
+
 def ssp_args(t, horizon, keep=None):
-    return (t[0], t[1], t[2:8], t[8], horizon, keep)
+    block = param_set(PredictionBlockParams, *t[2:8])
+    return (t[0], t[1], param_set(SSPParams, block, t[8], horizon), keep)
 
 
 def ppm_args(t, horizon, keep=None, feed_features=True):
-    return (t[0], t[1], t[2:8], t[8:14], t[14], horizon, keep, feed_features)
+    initial, progressive = (param_set(PredictionBlockParams, *b) for b in (t[2:8], t[8:14]))
+    return (t[0], t[1], param_set(PPMParams, initial, progressive, t[14], horizon, feed_features),
+            keep)
 
 
 def lstm_args(t, horizon):
-    return (*t, horizon)
+    cell = param_set(LSTMParams, t[2], t[3])
+    return (t[0], t[1], param_set(DecoderParams, cell, t[4], horizon))
+
+
+def outputs(result) -> tuple:
+    """A layer's output tensors: a rollout's features and logits, or its one node."""
+    if isinstance(result, Rollout):
+        return result.features, result.logits
+    return result if isinstance(result, tuple) else (result,)
 
 
 def rollout_grads(op, args_of, arrays, costs):
     """Features, logits and every input gradient of sum(features * cost_f)
     + sum(logits * cost_z); a cost of None leaves that output out of the loss."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    features, logits = op(*args_of(tensors))
+    features, logits = outputs(op(*args_of(tensors)))
     total(*(weighted_sum(out, c) for out, c in zip((features, logits), costs)
             if c is not None)).backward()
     return features.data, logits.data, [t.grad for t in tensors]
@@ -1004,7 +1027,7 @@ class TestRolloutOpsMatchChains:
         def args_of(t):
             return ppm_args(t, horizon, keep, feed_features)
 
-        fused = rollout_grads(ppm_rollout, args_of, arrays, costs)
+        fused = rollout_grads(rollout, args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(ppm_chain, args_of, arrays, costs))
         if horizon == 1:  # the progressive block is never touched
             assert all(g is None for g in fused[2][8:14])
@@ -1021,17 +1044,18 @@ class TestRolloutOpsMatchChains:
         def args_of(t):
             return lstm_args(t, horizon)
 
-        fused = rollout_grads(lstm_rollout, args_of, arrays, costs)
+        fused = rollout_grads(lstm_decode, args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(lstm_chain, args_of, arrays, costs))
 
     @pytest.mark.parametrize("op, arrays_of, args_of", [
-        (ppm_rollout, ppm_arrays, ppm_args), (lstm_rollout, lstm_arrays, lstm_args),
+        (rollout, ppm_arrays, ppm_args), (lstm_decode, lstm_arrays, lstm_args),
     ])
     def test_untaped_forward_equals_taped(self, op, arrays_of, args_of):
         arrays = arrays_of(np.random.default_rng(90), (2,))
-        features, logits = op(*args_of([Tensor(a, requires_grad=True) for a in arrays], 4))
+        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        features, logits = outputs(op(*args_of(tensors, 4)))
         with no_grad():
-            plain = op(*args_of([Tensor(a, requires_grad=True) for a in arrays], 4))
+            plain = outputs(op(*args_of([Tensor(a, requires_grad=True) for a in arrays], 4)))
         assert features._parents and logits._parents == (features,)
         assert not plain[0]._parents and not plain[1]._parents
         np.testing.assert_array_equal(plain[0].data, features.data)
@@ -1040,35 +1064,35 @@ class TestRolloutOpsMatchChains:
     def test_shape_errors(self):
         t = [Tensor(a) for a in ppm_arrays(np.random.default_rng(91), (2,))]
         with pytest.raises(ShapeError, match="keep mask"):
-            ppm_rollout(*ppm_args(t, 3, np.ones((2, 2, 4))))
+            rollout(*ppm_args(t, 3, np.ones((2, 2, 4))))
         with pytest.raises(ShapeError, match="keep mask"):
-            ppm_rollout(*ppm_args(t, 3, np.ones((3, 4))))
-        with pytest.raises(ShapeError, match="ppm_rollout"):
-            ppm_rollout(t[0], Tensor(t[1].data[0]), t[2:8], t[8:14], t[14], 3)
+            rollout(*ppm_args(t, 3, np.ones((3, 4))))
+        with pytest.raises(ShapeError, match="^rollout: s_t"):
+            rollout(*ppm_args([t[0], Tensor(t[1].data[0]), *t[2:]], 3))
         with pytest.raises(ShapeError, match="extent"):
-            ppm_rollout(t[0], t[1], t[2:8], [Tensor(t[2].data[:-1]), *t[9:14]], t[14], 3)
+            rollout(*ppm_args([*t[:8], Tensor(t[2].data[:-1]), *t[9:]], 3))
         wider = [Tensor(np.ones(s)) for s in [(11, 3), (3,), (3, 4), (4,), (4,), (4,)]]
         with pytest.raises(ShapeError, match="hidden and output widths"):
-            ppm_rollout(t[0], t[1], t[2:8], wider, t[14], 3)  # the steps share one stack
+            rollout(*ppm_args([*t[:8], *wider, t[14]], 3))  # the steps share one stack
         with pytest.raises(ValueError, match="horizon"):
-            ppm_rollout(*ppm_args(t, 0))
+            rollout(*ppm_args(t, 0))
         c = [Tensor(a) for a in lstm_arrays(np.random.default_rng(92), (2,))]
-        with pytest.raises(ShapeError, match="lstm_rollout"):
-            lstm_rollout(c[0], c[1], Tensor(c[2].data[1:]), c[3], c[4], 3)
-        with pytest.raises(ShapeError, match="lstm_rollout"):
-            lstm_rollout(c[0], c[1], c[2], c[3], Tensor(np.zeros((5, 3))), 3)
+        with pytest.raises(ShapeError, match="lstm_decode"):
+            lstm_decode(*lstm_args([c[0], c[1], Tensor(c[2].data[1:]), c[3], c[4]], 3))
+        with pytest.raises(ShapeError, match="lstm_decode"):
+            lstm_decode(*lstm_args([*c[:4], Tensor(np.zeros((5, 3)))], 3))
         with pytest.raises(ValueError, match="horizon"):
-            lstm_rollout(*c, 0)
+            lstm_decode(*lstm_args(c, 0))
         s = [Tensor(a) for a in ssp_arrays(np.random.default_rng(93), (2,))]
         with pytest.raises(ShapeError, match="ssp_rollout: keep mask"):
             ssp_rollout(*ssp_args(s, 3, np.ones((2, 2, 4))))
         with pytest.raises(ShapeError, match="ssp_rollout"):
-            ssp_rollout(s[0], Tensor(s[1].data[0]), s[2:8], s[8], 3)
+            ssp_rollout(*ssp_args([s[0], Tensor(s[1].data[0]), *s[2:]], 3))
         with pytest.raises(ShapeError, match="ssp_rollout.*extent"):
             ssp_rollout(*ssp_args(s, 2))  # the block was built for three tags
         narrow = [Tensor(np.ones(sh)) for sh in [(14, 2), (2,), (2, 3), (3,), (3,), (3,)]]
         with pytest.raises(ShapeError, match="ssp_rollout: block output width 3"):
-            ssp_rollout(s[0], s[1], narrow, s[8], 3)
+            ssp_rollout(*ssp_args([*s[:2], *narrow, s[8]], 3))
         with pytest.raises(ValueError, match="horizon"):
             ssp_rollout(*ssp_args(s, 0))
 
@@ -1078,8 +1102,7 @@ def bytes_of(op, arrays, args_of, costs, tracked):
     came) from sum(output_i * cost_i), skipping a cost of None; input i is
     tracked where `tracked[i]` is."""
     tensors = [Tensor(a, requires_grad=r) for a, r in zip(arrays, tracked, strict=True)]
-    result = op(*args_of(tensors))
-    outs = result if isinstance(result, tuple) else (result,)
+    outs = outputs(op(*args_of(tensors)))
     total(*(weighted_sum(out, c) for out, c in zip(outs, costs) if c is not None)).backward()
     return [out.data for out in outs] + [t.grad for t in tensors]
 
@@ -1114,9 +1137,9 @@ class TestLayerNodesMatchChains:
         flags = [TRACKED[tracked]] + [True] * 2 * layers
 
         def args_of(ts):
-            return ts[0], ts[1 : 1 + layers], ts[1 + layers :]
+            return ts[0], param_set(Conv1DStack, ts[1 : 1 + layers], ts[1 + layers :])
 
-        assert_same_bytes(bytes_of(conv1d, arrays, args_of, costs, flags),
+        assert_same_bytes(bytes_of(conv1d_aggregate, arrays, args_of, costs, flags),
                           bytes_of(chains.conv1d_chain, arrays, args_of, costs, flags))
 
     @pytest.mark.parametrize("lead", LEADS)
@@ -1128,8 +1151,12 @@ class TestLayerNodesMatchChains:
         arrays = [rng.normal(size=s) for s in [(*lead, t, d), (2 * d, 4 * d), (4 * d,)]]
         costs = [rng.normal(size=(*lead, 1, d))]
         flags = [TRACKED[tracked], True, True]
-        assert_same_bytes(bytes_of(lstm_step, arrays, lambda ts: ts, costs, flags),
-                          bytes_of(chains.encoder_chain, arrays, lambda ts: ts, costs, flags))
+
+        def args_of(ts):
+            return ts[0], param_set(LSTMParams, *ts[1:])
+
+        assert_same_bytes(bytes_of(lstm_encode, arrays, args_of, costs, flags),
+                          bytes_of(chains.encoder_chain, arrays, args_of, costs, flags))
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("horizon", [1, 5])
@@ -1193,8 +1220,9 @@ class TestRolloutGradientProperties:
         costs = [Tensor(rng.normal(size=(*lead, horizon, n))) for n in (d, n_classes)]
 
         def f(*_):
-            features, logits = lstm_rollout(*lstm_args(t, horizon))
-            return total(weighted_sum(features, costs[0]), weighted_sum(logits, costs[1]))
+            roll = lstm_decode(*lstm_args(t, horizon))
+            return total(weighted_sum(roll.features, costs[0]),
+                         weighted_sum(roll.logits, costs[1]))
 
         assert grad_check(f, t if tracked else t[2:]) < 1e-5
 
@@ -1209,9 +1237,8 @@ class TestRolloutGradientProperties:
 
         def run(arrays, keep, costs):
             if ppm:
-                return rollout_grads(ppm_rollout, lambda t: ppm_args(t, horizon, keep),
-                                     arrays, costs)
-            return rollout_grads(lstm_rollout, lambda t: lstm_args(t, horizon), arrays, costs)
+                return rollout_grads(rollout, lambda t: ppm_args(t, horizon, keep), arrays, costs)
+            return rollout_grads(lstm_decode, lambda t: lstm_args(t, horizon), arrays, costs)
 
         batched = run(arrays, keep, costs)
         for b in range(rows):
@@ -1227,7 +1254,7 @@ class TestRolloutGradientProperties:
 
 
 def plain_block_forward(x, data, keep, out, saved=None):
-    """`tensor._block_forward` as `@`, 1-D bias broadcasting and 1.0 / np.sqrt,
+    """`prediction._block_forward` as `@`, 1-D bias broadcasting and 1.0 / np.sqrt,
     copying into the stacked buffers `saved` what it computed apart."""
     w1, b1, w2, b2, gain, bias = data
     pre = x @ w1
@@ -1249,7 +1276,7 @@ def plain_block_forward(x, data, keep, out, saved=None):
 
 
 def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
-    """`tensor._cell_forward` with `@`, a 1-D bias and the sigmoid 1.0 / (1.0 + exp(-pre))."""
+    """`baselines._cell_forward` with `@`, a 1-D bias and the sigmoid 1.0 / (1.0 + exp(-pre))."""
     d_h = c.shape[1]
     pre = xh @ w
     pre += b
@@ -1263,7 +1290,7 @@ def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
 
 
 def plain_cell_backward(gh, gc, cache, w, dpre):
-    """`tensor._cell_backward` with `@` and Python-scalar left operands."""
+    """`baselines._cell_backward` with `@` and Python-scalar left operands."""
     c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
@@ -1293,10 +1320,22 @@ def plain_bias_grad(g):
 def outputs_and_grads(op, arrays, args_of, costs):
     """The op's output arrays and every input gradient of sum(output_i * cost_i)."""
     tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    result = op(*args_of(tensors))
-    outs = result if isinstance(result, tuple) else (result,)
+    outs = outputs(op(*args_of(tensors)))
     total(*(weighted_sum(out, cost) for out, cost in zip(outs, costs))).backward()
     return [out.data for out in outs] + [t.grad for t in tensors]
+
+
+# the fast paths, each with its defining module and its plain form
+PLAIN = {
+    "_dot": (tensor, lambda a, b, out=None: np.matmul(a, b, out=out)),
+    "_row": (tensor, lambda t: t.data),
+    "_block_forward": (prediction, plain_block_forward),
+    "_cell_forward": (baselines, plain_cell_forward),
+    "_cell_backward": (baselines, plain_cell_backward),
+    "_weight_grad": (tensor, plain_weight_grad),
+    "_bias_grad": (tensor, plain_bias_grad),
+}
+STACKED = {"_row", "_weight_grad", "_bias_grad"}  # what every layer below but conv1d runs
 
 
 def ssp_case(rng, lead):
@@ -1304,34 +1343,39 @@ def ssp_case(rng, lead):
     keep = (rng.random((*lead, horizon, 16)) >= 0.1) / 0.9
     return (ssp_rollout, ssp_arrays(rng, lead, 16, 4, horizon),
             lambda t: ssp_args(t, horizon, keep),
-            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)])
+            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)],
+            STACKED | {"_dot", "_block_forward"})
 
 
 def conv1d_case(rng, lead):
     t, d = 8, 16
     shapes = [(*lead, t, d)] + [(3 * d, d)] * 3 + [(d,)] * 3
-    return (conv1d, [rng.normal(size=s) for s in shapes], lambda ts: (ts[0], ts[1:4], ts[4:]),
-            [rng.normal(size=(*lead, 1, d))])
+    return (conv1d_aggregate, [rng.normal(size=s) for s in shapes],
+            lambda ts: (ts[0], param_set(Conv1DStack, ts[1:4], ts[4:])),
+            [rng.normal(size=(*lead, 1, d))], {"_dot", "_row"})
 
 
 def ppm_case(rng, lead):
     horizon = 4
     keep = (rng.random((*lead, horizon, 16)) >= 0.1) / 0.9
-    return (ppm_rollout, ppm_arrays(rng, lead, 16, 4), lambda t: ppm_args(t, horizon, keep),
-            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)])
+    return (rollout, ppm_arrays(rng, lead, 16, 4), lambda t: ppm_args(t, horizon, keep),
+            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)],
+            STACKED | {"_dot", "_block_forward"})
 
 
-def lstm_step_case(rng, lead):
+def lstm_encode_case(rng, lead):
     t, d = 8, 16
     shapes = [(*lead, t, d), (2 * d, 4 * d), (4 * d,)]
-    return (lstm_step, [rng.normal(size=s) for s in shapes], lambda ts: ts,
-            [rng.normal(size=(*lead, 1, d))])
+    return (lstm_encode, [rng.normal(size=s) for s in shapes],
+            lambda ts: (ts[0], param_set(LSTMParams, *ts[1:])), [rng.normal(size=(*lead, 1, d))],
+            STACKED | {"_cell_forward", "_cell_backward"})  # its only products are the cell's
 
 
-def lstm_rollout_case(rng, lead):
+def lstm_decode_case(rng, lead):
     horizon = 4
-    return (lstm_rollout, lstm_arrays(rng, lead, 16, 4), lambda t: lstm_args(t, horizon),
-            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)])
+    return (lstm_decode, lstm_arrays(rng, lead, 16, 4), lambda t: lstm_args(t, horizon),
+            [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)],
+            STACKED | {"_dot", "_cell_forward", "_cell_backward"})
 
 
 class TestFastPathsKeepTheBits:
@@ -1339,26 +1383,22 @@ class TestFastPathsKeepTheBits:
     run with the plain numpy arithmetic its fast paths replace: `@` for
     `_dot`, 1-D biases broadcast over the rows, 1.0 / np.sqrt(...) in the
     layer norm, 1.0 / (1.0 + exp(-pre)) for the gates, and a parameter's
-    gradient added step by step instead of one stacked product or sum. The
-    PPM rollout feeds its features forward, so the classifier's gradient
-    multiplies a strided column slice of the step buffer, which `_dot` must
-    hand to `@`.
+    gradient added step by step instead of one stacked product or sum.
+    Each plain form is bound wherever a layer module imported the fast one,
+    and each case names the fast paths its layer runs: those and only those
+    plain forms must run, so no patch misses its call site.
     """
 
-    @pytest.mark.parametrize("case", [ssp_case, ppm_case, lstm_step_case, lstm_rollout_case,
+    @pytest.mark.parametrize("case", [ssp_case, ppm_case, lstm_encode_case, lstm_decode_case,
                                       conv1d_case])
     @pytest.mark.parametrize("lead", [(), (16,)], ids=["one row", "B rows"])
     def test_bytes_equal_plain_arithmetic(self, case, lead, monkeypatch):
-        op, arrays, args_of, costs = case(np.random.default_rng(100 + len(lead)), lead)
+        op, arrays, args_of, costs, uses = case(np.random.default_rng(100 + len(lead)), lead)
         fast = outputs_and_grads(op, arrays, args_of, costs)
-        monkeypatch.setattr(tensor, "_dot", lambda a, b, out=None: np.matmul(a, b, out=out))
-        monkeypatch.setattr(tensor, "_row", lambda t: t.data)
-        monkeypatch.setattr(tensor, "_block_forward", plain_block_forward)
-        monkeypatch.setattr(tensor, "_cell_forward", plain_cell_forward)
-        monkeypatch.setattr(tensor, "_cell_backward", plain_cell_backward)
-        monkeypatch.setattr(tensor, "_weight_grad", plain_weight_grad)
-        monkeypatch.setattr(tensor, "_bias_grad", plain_bias_grad)
+        calls = {name: rebind(monkeypatch, module, name, plain)
+                 for name, (module, plain) in PLAIN.items()}
         plain = outputs_and_grads(op, arrays, args_of, costs)
+        assert {name for name, count in calls.items() if count[0]} == uses
         assert len(fast) == len(plain)
         for i, (got, want) in enumerate(zip(fast, plain)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"array {i}"
@@ -1465,16 +1505,16 @@ class TestReluAndGates:
             assert all(np.isfinite(t.grad).all() for t in (w, bias, state))
             w.grad = bias.grad = None
             window = Tensor(np.ones((2, d)), requires_grad=True)
-            out = lstm_step(window, w, bias)  # from the zero state, c' = 0 and h' = 0
+            out = lstm_encode(window, param_set(LSTMParams, w, bias))  # c' = 0 and h' = 0
             weighted_sum(out, cost.data[:, :d]).backward()
             np.testing.assert_array_equal(out.data, np.ones((1, d)))
             assert all(np.isfinite(t.grad).all() for t in (w, bias, window))
             bias.grad = None
-            features, logits = lstm_rollout(
-                Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))),
-                Tensor(np.zeros((2 * d + 2, 4 * d))), bias, Tensor(np.ones((d, 2))), 3)
-            total(tensor_sum(features), tensor_sum(logits)).backward()
-            np.testing.assert_array_equal(features.data, 0.0)
+            cell = param_set(LSTMParams, Tensor(np.zeros((2 * d + 2, 4 * d))), bias)
+            roll = lstm_decode(Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))),
+                               param_set(DecoderParams, cell, Tensor(np.ones((d, 2))), 3))
+            total(tensor_sum(roll.features), tensor_sum(roll.logits)).backward()
+            np.testing.assert_array_equal(roll.features.data, 0.0)
             assert np.isfinite(bias.grad).all()
 
 

@@ -111,15 +111,15 @@ class TestOneNodeLosses:
     @staticmethod
     def batch_loss(loss_of, logits, labels, pred, target, lam=1.0):
         logits, pred = Tensor(logits, requires_grad=True), Tensor(pred, requires_grad=True)
-        loss, l_c, l_r = loss_of(logits, labels, pred, target, lam)
+        loss, l_c, l_r = loss_of(Rollout(pred, logits), labels, target, lam)
         loss.backward()
         return [np.float64(t if isinstance(t, float) else t.item()) for t in (l_c, l_r)] + [
             loss.data, logits.grad, pred.grad]
 
     @staticmethod
-    def fused(logits, labels, pred, target, lam):
-        assert pred._parents == logits._parents == ()
-        return total_loss(Rollout(pred, logits), labels, target, lam)
+    def fused(roll, labels, target, lam):
+        assert roll.features._parents == roll.logits._parents == ()
+        return total_loss(roll, labels, target, lam)
 
     def assert_bytes_equal(self, logits, labels, pred, target, lam=1.0):
         fused = self.batch_loss(self.fused, logits, labels, pred, target, lam)
