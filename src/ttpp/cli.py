@@ -157,13 +157,6 @@ def _windowed_split(rc, split: str, seq_len: int, horizon: int, data_dir):
     return sequences
 
 
-def heldout_sequences(rc, seq_len: int, horizon: int, data_dir=None):
-    """The heldout split, refused when none of its sequences has seq_len + horizon
-    chunks: the report would average only the horizons (at horizon 0, windows)
-    it could score."""
-    return _windowed_split(rc, "heldout", seq_len, horizon, data_dir)
-
-
 def training_samples(rc, seq_len: int, horizon: int, data_dir=None):
     """Every window of the train split with seq_len observed and horizon future
     chunks, refused by cause when there is none."""
@@ -251,7 +244,8 @@ def _load_model(rc, checkpoint) -> AnticipationModel:
 def cmd_eval(args, rc) -> int:
     model = _load_model(rc, args.checkpoint)
     c = model.config
-    report = heldout_report(model, heldout_sequences(rc, c.seq_len, c.horizon, args.data), rc)
+    sequences = _windowed_split(rc, "heldout", c.seq_len, c.horizon, args.data)
+    report = heldout_report(model, sequences, rc)
     metricsmod.write_report_csv({model.config.name: report}, args.out)
     print(
         f"{model.config.name}: {rc['eval.metric']} per horizon "
@@ -266,7 +260,7 @@ def cmd_grid(args, rc) -> int:
             "grid on feature files needs --heldout-data; it would score on the training files"
         )
     mc = model_config(rc)
-    held_seqs = heldout_sequences(rc, mc.seq_len, mc.horizon, args.heldout_data)
+    held_seqs = _windowed_split(rc, "heldout", mc.seq_len, mc.horizon, args.heldout_data)
     tc = train_config(rc)
     samples = training_samples(rc, mc.seq_len, mc.horizon, args.data)
     reports = {}
@@ -288,15 +282,14 @@ def cmd_dump_attention(args, rc) -> int:
     if model.config.aggregator != "ttm":
         raise ValueError("attention dumps need a transformer aggregator (model.aggregator=ttm)")
     seq_len = model.config.seq_len
-    sequences = heldout_sequences(rc, seq_len, 0, args.data)
+    sequences = _windowed_split(rc, "heldout", seq_len, 0, args.data)
     written = [seq for seq in sequences if len(seq) >= seq_len]
 
     with open(args.out, "w", encoding="utf-8") as fh, no_grad():
         fh.write("video_id,t,head,memory_pos,weight\n")
         for seq in written:
             anchors = range(seq_len - 1, len(seq))
-            feats = seq.features.astype(np.float64)
-            stack = np.stack([feats[t - seq_len + 1 : t + 1] for t in anchors])
+            stack = np.stack([seq.features[t - seq_len + 1 : t + 1] for t in anchors])
             _, weights = model.anticipate(stack)  # (anchors, heads, seq_len - 1)
             for t, per_head in zip(anchors, weights):
                 for head, row in enumerate(per_head):
@@ -388,7 +381,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,15 +24,16 @@ DURATION_LAWS = ("geometric", "fixed")
 
 @dataclass
 class FeatureSequence:
-    """One stream: float32 feature rows plus one label per chunk."""
+    """One stream: feature rows rounded to float32 and held as float64 (so
+    windows are views), plus one label per chunk."""
 
     video_id: str
-    features: np.ndarray  # (T_total, d_m) float32
+    features: np.ndarray  # (T_total, d_m) float64 of float32 values
     labels: np.ndarray  # (T_total,) int
     n_classes: int
 
     def __post_init__(self):
-        self.features = np.ascontiguousarray(self.features, dtype=np.float32)
+        self.features = np.ascontiguousarray(np.asarray(self.features, np.float32), np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
@@ -64,7 +65,8 @@ class TrainingSample:
 
 
 # Both binary layouts are little-endian: an 8-byte magic, a u16 version, then
-#   .feat v1 (TTPPFEAT): u32 T, u32 d_m, u32 C, T x d_m float32 rows, T u16 labels;
+#   .feat v1 (TTPPFEAT): u32 T, u32 d_m, u32 C, T x d_m float32 rows (float64 in
+#     memory, exactly), T u16 labels;
 #   checkpoint v2 (TTPPCKPT): u32 parameter count, u32 length + utf-8 ModelConfig JSON,
 #     then per parameter u16 length + utf-8 name, u8 ndim, ndim u32 dims, float64 values.
 
@@ -284,12 +286,7 @@ def gen_synthetic(cfg: SyntheticConfig, n_sequences: int, length: int) -> list[F
             0.0, cfg.noise_sigma, size=(length, cfg.d_m)
         )
         sequences.append(
-            FeatureSequence(
-                f"syn-{cfg.seed:04d}-{idx:03d}",
-                features.astype(np.float32),
-                labels,
-                cfg.n_classes,
-            )
+            FeatureSequence(f"syn-{cfg.seed:04d}-{idx:03d}", features, labels, cfg.n_classes)
         )
     return sequences
 
@@ -298,14 +295,13 @@ def make_samples(seq: FeatureSequence, seq_len: int, horizon: int) -> list[Train
     """All stride-1 windows with a full future; short sequences give []."""
     total = len(seq)
     samples = []
-    feats = seq.features.astype(np.float64)
     eye = np.eye(seq.n_classes)
     for start in range(total - seq_len - horizon + 1):
         mid = start + seq_len
         samples.append(
             TrainingSample(
-                observed=feats[start:mid].copy(),
-                future_features=feats[mid : mid + horizon].copy(),
+                observed=seq.features[start:mid].copy(),
+                future_features=seq.features[mid : mid + horizon].copy(),
                 future_labels=eye[seq.labels[mid : mid + horizon]].copy(),
             )
         )

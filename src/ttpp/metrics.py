@@ -93,13 +93,15 @@ def evaluate_horizons(
     """Score every future chunk at every horizon and reduce per metric.
 
     `scores_fn(sequence, t)` returns (horizon, n_classes) scores for the
-    rollout anchored at chunk t; anchors without seq_len observed chunks
-    are skipped. For cap/map the mean runs over action classes only
-    (background class 0 is excluded) and classes without positives are
-    skipped; for acc the per-horizon value is plain argmax accuracy and
-    the per-class slots hold accuracy conditioned on the true class.
-    Every sequence must have the class count of the first, and a NaN or
-    infinite score is refused, naming its sequence and anchor.
+    rollout anchored at chunk t. It is called once per anchor, sequence by
+    sequence; anchors without seq_len observed chunks or a next chunk are
+    skipped, and horizon tau scores only the anchors with a chunk tau
+    ahead. For cap/map the mean runs over action classes only (background
+    class 0 is excluded) and classes without positives are skipped; for acc
+    the per-horizon value is plain argmax accuracy and the per-class slots
+    hold accuracy conditioned on the true class. Every sequence must have
+    the class count of the first (checked before any anchor is scored), and
+    a NaN or infinite score is refused, naming its sequence and anchor.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -113,45 +115,39 @@ def evaluate_horizons(
                 f"sequence {seq.video_id!r} has {seq.n_classes} classes, "
                 f"but {sequences[0].video_id!r} has {n_classes}"
             )
-    # per anchor, sequence by sequence: its table, the chunks after it, and
-    # the index of the next chunk in all sequences' labels end to end
-    tables, room, future, offset = [], [], [], 0
+    # per anchor, sequence by sequence: its table, its (video_id, t), and the
+    # labels 1..horizon chunks after it (-1 past the sequence's end)
+    tables, anchors, ahead = [], [], []
     for seq in sequences:
-        total = len(seq)
-        anchors = np.arange(seq_len - 1, total - 1)
-        for t in anchors.tolist():
+        for t in range(seq_len - 1, len(seq) - 1):
             table = np.asarray(scores_fn(seq, t))
             if table.shape != (horizon, n_classes):
                 raise ValueError(
                     f"scorer returned {table.shape}, expected ({horizon}, {n_classes})"
                 )
             tables.append(table)
-        room.append(total - 1 - anchors)
-        future.append(offset + anchors + 1)
-        offset += total
+            anchors.append((seq.video_id, t))
+        padded = np.concatenate([seq.labels, np.full(horizon, -1)])
+        ahead.append(padded[np.arange(seq_len, len(seq))[:, None] + np.arange(horizon)])
     if not tables:
         raise ValueError(
             f"empty report: no position has {seq_len} observed chunks plus a future"
         )
-    scores = np.stack(tables)
-    room, future = np.concatenate(room), np.concatenate(future)
-    if not np.isfinite(scores).all():
-        t = int(future[~np.isfinite(scores).all(axis=(1, 2))][0]) - 1  # over all chunks
-        for seq in sequences:
-            if t < len(seq):
-                break
-            t -= len(seq)
-        raise ValueError(f"scorer returned a non-finite score for sequence {seq.video_id!r} "
+    scores, ahead = np.stack(tables), np.concatenate(ahead)
+    finite = np.isfinite(scores).all(axis=(1, 2))
+    if not finite.all():
+        video_id, t = anchors[int(finite.argmin())]
+        raise ValueError(f"scorer returned a non-finite score for sequence {video_id!r} "
                          f"at anchor t = {t}")
-    labels = np.concatenate([seq.labels for seq in sequences])
     per_class = np.full((horizon, n_classes), np.nan)
     means = np.full(horizon, np.nan)
     n_scored = 0
     for tau in range(horizon):
-        scored = room > tau  # anchors with a chunk tau + 1 steps ahead
+        truth = ahead[:, tau]
+        scored = truth >= 0  # anchors with a chunk tau + 1 steps ahead
         if not scored.any():
             continue
-        table, truth = scores[scored, tau], labels[future[scored] + tau]
+        table, truth = scores[scored, tau], truth[scored]
         n_scored += len(truth)
         if metric == "acc":
             pred = table.argmax(axis=1)

@@ -143,9 +143,8 @@ class AnticipationModel:
         seq_len = self.config.seq_len
 
         def score(sequence, t: int) -> np.ndarray:
-            window = np.asarray(sequence.features[t - seq_len + 1 : t + 1], dtype=np.float64)
             with no_grad():
-                roll, _ = self.anticipate(window)
+                roll, _ = self.anticipate(sequence.features[t - seq_len + 1 : t + 1])
                 return roll.probs.data
 
         return score

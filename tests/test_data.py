@@ -1,5 +1,6 @@
 """The .feat format, synthetic process, reference scorer."""
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -49,6 +50,23 @@ class TestBinaryFormat:
         np.testing.assert_array_equal(loaded.labels, seq.labels)
         assert loaded.video_id == "vid"
         assert loaded.n_classes == seq.n_classes
+
+    def test_float64_data_is_held_as_its_float32_rounding(self):
+        values = np.random.default_rng(3).normal(size=(5, 3))
+        seq = FeatureSequence("vid", values, np.zeros(5, dtype=np.int64), 2)
+        assert seq.features.dtype == np.float64
+        assert seq.features.tobytes() == values.astype(np.float32).astype(np.float64).tobytes()
+
+    def test_file_holds_float32_rows_then_u16_labels(self, tmp_path):
+        values, labels = np.random.default_rng(4).normal(size=(5, 3)), [0, 1, 2, 1, 0]
+        path = tmp_path / "vid.feat"
+        save_features(FeatureSequence("vid", values, labels, 3), path)
+        assert path.read_bytes() == (b"TTPPFEAT" + struct.pack("<HIII", 1, 5, 3, 3)
+                                     + values.astype("<f4").tobytes()
+                                     + np.array(labels, "<u2").tobytes())
+        loaded = load_features(path)
+        assert loaded.features.dtype == np.float64
+        np.testing.assert_array_equal(loaded.features, values.astype(np.float32))
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         seq = random_sequence(seed=1)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttpp.data import FeatureSequence, gen_synthetic, standard_synthetic_config
 from ttpp.metrics import (
@@ -279,6 +281,101 @@ class TestEvaluateHorizons:
         analytic = np.array(analytic)
         sem = observed.std(ddof=1) / np.sqrt(seeds)
         assert abs(observed.mean() - analytic.mean()) < 3 * sem
+
+
+def tabulated_report(tables, sequences, horizon, seq_len, metric):
+    """The report by brute force: every (anchor, tau) pair listed one at a time,
+    then each horizon's pairs reduced by the module's own metric functions."""
+    n_classes = sequences[0].n_classes
+    per_class = np.full((horizon, n_classes), np.nan)
+    means = np.full(horizon, np.nan)
+    n_scored = 0
+    for tau in range(1, horizon + 1):
+        rows, truth = [], []
+        for seq in sequences:
+            for t in range(seq_len - 1, len(seq)):
+                if t + tau < len(seq):
+                    rows.append(tables[seq.video_id, t][tau - 1])
+                    truth.append(seq.labels[t + tau])
+        if not rows:
+            continue
+        rows, truth = np.array(rows), np.array(truth)
+        n_scored += len(truth)
+        if metric == "acc":
+            means[tau - 1] = accuracy(rows.argmax(axis=1), truth)
+            for c in range(n_classes):
+                if (truth == c).any():
+                    per_class[tau - 1, c] = accuracy(rows[truth == c].argmax(axis=1),
+                                                     truth[truth == c])
+            continue
+        fn = calibrated_ap if metric == "cap" else average_precision
+        for c in range(1, n_classes):
+            if (truth == c).any():
+                per_class[tau - 1, c] = fn(rows[:, c], truth == c)
+        actions = per_class[tau - 1, 1:]
+        if not np.isnan(actions).all():
+            means[tau - 1] = float(np.mean(actions[~np.isnan(actions)]))
+    return per_class, means, n_scored
+
+
+@st.composite
+def scored_sequences(draw):
+    """1-4 sequences whose lengths straddle seq_len, seq_len + 1 and seq_len +
+    horizon, with tied scores for every anchor."""
+    horizon, seq_len = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    n_classes = draw(st.integers(2, 4))
+    lengths = draw(st.lists(st.integers(max(0, seq_len - 1), seq_len + horizon + 2),
+                            min_size=1, max_size=4))
+    sequences, tables = [], {}
+    for i, length in enumerate(lengths):
+        labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=length, max_size=length))
+        seq = label_sequence(labels, n_classes, video_id=f"v{i}")
+        sequences.append(seq)
+        for t in range(seq_len - 1, length - 1):
+            cells = draw(st.lists(st.integers(0, 3), min_size=horizon * n_classes,
+                                  max_size=horizon * n_classes))
+            tables[seq.video_id, t] = np.reshape(cells, (horizon, n_classes)) / 4
+    return sequences, tables, horizon, seq_len
+
+
+class TestEvaluateHorizonsProperties:
+    """`evaluate_horizons` against the brute-force tabulation, byte for byte."""
+
+    @pytest.mark.parametrize("metric", ["acc", "cap", "map"])
+    @settings(max_examples=60, deadline=None)
+    @given(case=scored_sequences())
+    def test_report_equals_the_tabulation(self, metric, case):
+        sequences, tables, horizon, seq_len = case
+        per_class, means, n_scored = tabulated_report(tables, sequences, horizon, seq_len, metric)
+
+        def scorer(seq, t):
+            return tables[seq.video_id, t]
+
+        if np.isnan(means).all():
+            with pytest.raises(ValueError, match="empty report"):
+                evaluate_horizons(scorer, sequences, horizon, seq_len, metric)
+            return
+        report = evaluate_horizons(scorer, sequences, horizon, seq_len, metric)
+        assert report.per_class.tobytes() == per_class.tobytes()
+        assert report.means.tobytes() == means.tobytes()
+        assert np.float64(report.average).tobytes() == np.mean(means[~np.isnan(means)]).tobytes()
+        assert report.n_scored == n_scored
+
+    def test_a_bad_score_after_short_sequences_is_named(self):
+        # seq_len 4, horizon 3: "none" (3 chunks) has no anchor, "short" (6)
+        # has anchors 3 and 4 whose futures stop before the horizon, and the
+        # bad score sits at anchor 5 of "late", the third sequence
+        seqs = [label_sequence(labels, 3, video_id=v) for v, labels in
+                (("none", [0, 1, 2]), ("short", [0, 1, 2] * 2), ("late", [2, 1, 0] * 4))]
+
+        def scorer(seq, t):
+            table = onehot_oracle_scorer(3)(seq, t).astype(float)
+            if (seq.video_id, t) == ("late", 5):
+                table[2, 0] = np.nan
+            return table
+
+        with pytest.raises(ValueError, match="for sequence 'late' at anchor t = 5$"):
+            evaluate_horizons(scorer, seqs, horizon=3, seq_len=4, metric="cap")
 
 
 class TestReportCSV:

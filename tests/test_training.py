@@ -350,6 +350,20 @@ class TestBatchedEqualsPerSample:
         assert model.anticipate(stack[0])[0].logits._parents
 
 
+class TestScorer:
+    @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
+    def test_scores_the_window_and_leaves_the_features_as_they_were(self, cell):
+        # the scorer hands `anticipate` a view of the sequence's features
+        model = AnticipationModel(cell, seed=3)
+        seq = gen_synthetic(standard_synthetic_config(n_classes=3, d_m=8, seed=9), 1, 12)[0]
+        before = seq.features.copy()
+        score = model.scorer()
+        for t in range(7, 11):
+            want = model.anticipate(before[t - 7 : t + 1])[0].probs.data
+            np.testing.assert_array_equal(score(seq, t), want)
+        assert seq.features.tobytes() == before.tobytes()
+
+
 class TestLambdaLinearity:
     def test_gradient_linear_in_lambda(self):
         model, samples, _ = tiny_setup(seed=7)
