@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _dot, _make, _send,
-                     _softmax_data, _softmax_grad, glorot)
+from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _dot, _make,
+                     _refuse_tracked, _send, _softmax_data, _softmax_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def aggregate(f_seq: Tensor, params: TTMParams):
     / sqrt(d_m)), the full width as temperature; the head outputs, side by
     side, are projected by `wo` and added back onto the last row.
     Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights as
-    an ndarray).
+    an ndarray). The window takes no gradient: a tracked one is refused.
     """
     wq, wk, wv, wo = params.values
     pe, n_heads = params.pe, params.n_heads
@@ -86,6 +86,7 @@ def aggregate(f_seq: Tensor, params: TTMParams):
             or shape[-1] % n_heads):
         raise ShapeError(f"aggregate: window {shape}, position table {np.shape(pe)} and "
                          f"{n_heads} heads: needs T >= 2 rows, a (T, d) table, heads dividing d")
+    _refuse_tracked("aggregate", f_seq, "window")
     lead, (t, d) = shape[:-2], shape[-2:]
     m, d_k = t - 1, d // n_heads
     swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes; self-inverse
@@ -102,7 +103,7 @@ def aggregate(f_seq: Tensor, params: TTMParams):
     data = _dot(heads.reshape(-1, d), wo.data).reshape(lead + (1, d))
     data += query
 
-    def backward(g):  # the window's gradient only when it is tracked
+    def backward(g):
         rows = g.reshape(-1, d)
         _send(wo, _dot(heads.reshape(-1, d).T, rows))
         g_heads = _dot(rows, wo.data.T).reshape(lead + (1, n_heads, d_k))
@@ -114,10 +115,5 @@ def aggregate(f_seq: Tensor, params: TTMParams):
         _send(wv, _dot(mem_rows.T, g_v))
         _send(wk, _dot(mem_rows.T, g_k))
         _send(wq, _dot(q_rows.T, g_q))
-        if f_seq._tracked:
-            g_x = np.empty(shape)
-            g_x[..., :m, :] = (_dot(g_v, wv.data.T) + _dot(g_k, wk.data.T)).reshape(lead + (m, d))
-            g_x[..., m:, :] = g + _dot(g_q, wq.data.T).reshape(g.shape)
-            f_seq._accumulate(g_x)
 
-    return _make(data, (f_seq, wq, wk, wv, wo), backward), weights
+    return _make(data, (wq, wk, wv, wo), backward), weights

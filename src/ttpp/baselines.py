@@ -21,8 +21,8 @@ from .prediction import (PredictionBlockParams, Rollout, _block_backward, _block
                          _block_forward, _check_block, _check_rollout, _rollout, _send_block,
                          init_block_params)
 from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _by_step, _dot,
-                     _features_and_logits, _make, _plus, _row, _send, _softmax_data,
-                     _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
+                     _features_and_logits, _make, _plus, _refuse_tracked, _row, _send,
+                     _softmax_data, _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,8 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
     three rows, side by side, at stride 2 by its (3 d_m, d_m) weight, then
     adds its bias; a ReLU sits between layers. The window's last row is
     added onto the result, so the layers must reach one row: a window longer
-    than 2 ** layers is refused.
+    than 2 ** layers is refused. The window takes no gradient: a tracked one
+    is refused.
     """
     depth = len(params.weights)
     weights, biases = params.values[:depth], params.values[depth:]
@@ -71,6 +72,7 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
                          f"{[w.data.shape for w in weights]} and biases "
                          f"{[b.data.shape for b in biases]}: needs (3 d, d) weights, (d,) "
                          f"biases and T <= 2 ** layers, the most the layers reduce to one row")
+    _refuse_tracked("conv1d_aggregate", f_seq, "window")
     lead, (t, d) = shape[:-2], shape[-2:]
     x = f_seq.data.reshape(-1, t, d)
     n = len(x)
@@ -95,21 +97,16 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
             _send(biases[layer],
                   rows.reshape(lead + (out_len, d)).sum(axis=tuple(range(len(lead) + 1))))
             _send(w, _dot(win.T, rows))
-            if layer == 0 and not f_seq._tracked:
-                return
-            # each padded row is under at most two kernel rows, so three
-            # strided adds give the bytes of a scatter in kernel-row order
-            g_win = _dot(rows, w.data.T).reshape(n, out_len, 3, d)
-            g_pad = np.zeros((n, inputs[layer].shape[1] + 2, d))
-            for j in range(3):
-                g_pad[:, j : j + 2 * out_len : 2] += g_win[:, :, j]
-            g_in = g_pad[:, 1:-1]
             if layer:
-                rows = (g_in * (inputs[layer] > 0)).reshape(-1, d)
-        g_in[:, t - 1] += g.reshape(n, d)
-        f_seq._accumulate(g_in.reshape(shape))
+                # each padded row is under at most two kernel rows, so three
+                # strided adds give the bytes of a scatter in kernel-row order
+                g_win = _dot(rows, w.data.T).reshape(n, out_len, 3, d)
+                g_pad = np.zeros((n, inputs[layer].shape[1] + 2, d))
+                for j in range(3):
+                    g_pad[:, j : j + 2 * out_len : 2] += g_win[:, :, j]
+                rows = (g_pad[:, 1:-1] * (inputs[layer] > 0)).reshape(-1, d)
 
-    return _make(data, (f_seq, *weights, *biases), backward)
+    return _make(data, (*weights, *biases), backward)
 
 
 @dataclass(frozen=True)
@@ -170,20 +167,22 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     """Run the (..., T, d_m) window(s) through the LSTM from the zero state,
     as one node run back through time by hand: the summary is the final
     hidden state plus the last observed feature (shortcut), so the hidden
-    width must be the feature width. A (B, T, d_m) stack gives (B, 1, d_m)."""
+    width must be the feature width. A (B, T, d_m) stack gives (B, 1, d_m).
+    The window takes no gradient: a tracked one is refused."""
     w, b = params.values
     shape = f_seq.data.shape
     if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (2 * shape[-1], 4 * shape[-1])
             or b.data.shape != (4 * shape[-1],)):
         raise ShapeError(f"lstm_encode: x {shape} for weight {w.data.shape} and bias "
                          f"{b.data.shape}: needs a (2 d, 4 d) weight and a (4 d,) bias")
+    _refuse_tracked("lstm_encode", f_seq, "window")
     t, d = shape[-2:]
     windows = f_seq.data.reshape(-1, t, d)
     n = len(windows)
     xh = np.empty((t + 1, n, 2 * d))  # [x_s | h_s] in w's row order; h_T
     xh[:t, :, :d] = windows.swapaxes(0, 1)
     xh[0, :, d:] = 0.0
-    c, caches, tape = np.zeros((n, d)), [None] * t, _tapes((f_seq, w, b))
+    c, caches, tape = np.zeros((n, d)), [None] * t, _tapes((w, b))
     b_row = _row(b)
     with np.errstate(over="ignore"):
         for s in range(t):
@@ -192,18 +191,14 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
 
     def backward(g):
         gh, gc = g.reshape(-1, d), None
-        gx = np.empty((n, t, d))
         dpre = np.empty((t, n, 4 * d))
         for s in reversed(range(t)):
             gxh, gc = _cell_backward(gh, gc, caches[s], w.data, dpre[s])
-            gx[:, s], gh = gxh[:, :d], gxh[:, d:]
+            gh = gxh[:, d:]
         _send(w, _weight_grad(xh[:t], dpre))
         _send(b, _bias_grad(dpre))
-        if f_seq._tracked:
-            gx[:, t - 1] += g.reshape(-1, d)
-            f_seq._accumulate(gx.reshape(shape))
 
-    return _make(data.reshape(shape[:-2] + (1, d)), (f_seq, w, b), backward)
+    return _make(data.reshape(shape[:-2] + (1, d)), (w, b), backward)
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,8 @@ def init_lstm_decoder_params(d_m: int, n_classes: int, horizon: int, rng) -> Dec
 
 def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
     """Decode params.horizon steps from the state [s_t | 0], as one node; each
-    hidden state is a feature, from (..., 1, d_m) rows s_t and f_t.
+    hidden state is a feature, from (..., 1, d_m) rows s_t and f_t, of which
+    f_t takes no gradient.
 
     The first step consumes f_t (+) its classified probability, each later
     one the previous predicted feature (+) previous probability. The shared
@@ -236,7 +232,7 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
         raise ShapeError(f"lstm_decode: weight {w.data.shape} and bias {b.data.shape} "
                          f"for inputs of width {d_in} and hidden width {d}")
     rows = s_t.data.reshape(-1, d)
-    parents = (s_t, f_t, w, b, classifier)
+    parents = (s_t, w, b, classifier)
     tape = _tapes(parents)
     x = np.empty((horizon + 1, len(rows), d_in + d))  # [x | h] in w's row order
     x[0, :, d_in:] = rows
@@ -290,9 +286,9 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     Row tau - 1 of the block input is s_t (+) f_t (+) softmax(f_t
     classifier) (+) onehot(tau), so every horizon is independent of the
     others; the block runs over every row at once and the classifier scores
-    each feature. s_t and f_t are (..., 1, d_m) rows, and the rollout is
-    (..., l, ·). `keep` is a (..., l, d_m) dropout mask from `keep_mask`;
-    None means no dropout.
+    each feature. s_t and f_t are (..., 1, d_m) rows, of which f_t takes no
+    gradient, and the rollout is (..., l, ·). `keep` is a (..., l, d_m)
+    dropout mask from `keep_mask`; None means no dropout.
     """
     block, classifier, horizon = params.block.values, params.classifier.value, params.horizon
     d, n_classes = _check_rollout("ssp_rollout", s_t, f_t, classifier, horizon, keep)
@@ -312,31 +308,27 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     rows = x.reshape(-1, k)
     masks = None if keep is None else np.reshape(keep, (-1, d))
     data = _block_data(block)
-    parents = (s_t, f_t, classifier, *block)
+    parents = (s_t, classifier, *block)
     saved = _stacks(1, len(rows), (m, d, 1)) if _tapes(parents) else None
     feats = _block_forward(rows, data, masks, None, saved and _by_step(saved)[0])
     logits = _dot(feats, wc)
 
     # A gradient with two terms adds them in the order the chain of single
     # ops' tape did: a feature's own, then the classifier's; the
-    # classifier's from the logits, then from p_t. s_t, f_t and p_t get the
-    # sum over their horizon rows, added row by row onto zeros as the tape's
+    # classifier's from the logits, then from p_t. s_t and p_t get the sum
+    # over their horizon rows, added row by row onto zeros as the tape's
     # scatter did (so a -0.0 sum reads +0.0).
     def backward(g_feats, g_logits):
-        g, g_wc = None if g_feats is None else g_feats.reshape(-1, d), None
-        if g_logits is not None:
-            gz = g_logits.reshape(-1, n_classes)
-            g, g_wc = _plus(g, _dot(gz, wc.T)), _dot(feats.T, gz)
+        gz = g_logits.reshape(-1, n_classes)
+        g = _plus(None if g_feats is None else g_feats.reshape(-1, d), _dot(gz, wc.T))
         grads = _stacks(1, len(rows), (d, d, m, k))
         gx = _block_backward(g, _by_step(saved)[0], masks, data, _by_step(grads)[0])
         _send_block(block, rows[None], saved, grads)
         g_shared = np.add.reduce(gx.reshape(n, horizon, k)[:, :, :shared], axis=1,
                                  keepdims=True, initial=0.0)
         _send(s_t, g_shared[:, :, :d].reshape(s_t.data.shape))
-        _send(f_t, g_shared[:, :, d : 2 * d].reshape(f_t.data.shape))
         gz_t = _softmax_grad(g_shared[:, 0, 2 * d :], p_t)
-        _send(classifier, _plus(g_wc, _dot(f_rows.T, gz_t)))
-        _send(f_t, _dot(gz_t, wc.T).reshape(f_t.data.shape))
+        _send(classifier, _dot(feats.T, gz) + _dot(f_rows.T, gz_t))
 
     return Rollout(*_features_and_logits(feats.reshape(lead + (horizon, d)),
                                          logits.reshape(lead + (horizon, n_classes)), parents,

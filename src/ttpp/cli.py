@@ -52,7 +52,7 @@ DEFAULTS: dict[str, object] = {
 
 HELDOUT_SEED_OFFSET = 7919
 SPLITS = {"train": ("data.n_train", 0), "heldout": ("data.n_eval", HELDOUT_SEED_OFFSET)}
-SIZES = ("data.n_train", "data.n_eval", "data.length")  # sequence counts and length
+NON_NEGATIVE = ("data.n_train", "data.n_eval", "data.length", "data.seed", "train.seed")
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -91,8 +91,8 @@ def resolve_config(config_path=None, overrides=()) -> dict[str, object]:
             ) from None
         if kind is float and not math.isfinite(resolved[key]):
             raise ValueError(f"config key {key!r} expects a finite float, got {value!r}")
-        if key in SIZES and resolved[key] < 0:
-            raise ValueError(f"config key {key!r} expects a count >= 0, got {value!r}")
+        if key in NON_NEGATIVE and resolved[key] < 0:
+            raise ValueError(f"config key {key!r} expects an integer >= 0, got {value!r}")
     if resolved["eval.metric"] not in metricsmod.METRICS:
         raise ValueError(f"config key 'eval.metric' expects one of {metricsmod.METRICS}, "
                          f"got {resolved['eval.metric']!r}")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _by_step, _dot,
-                     _features_and_logits, _over_steps, _plus, _row, _send, _softmax_data,
-                     _softmax_grad, _stacks, _tapes, _weight_grad, glorot, softmax)
+                     _features_and_logits, _over_steps, _plus, _refuse_tracked, _row, _send,
+                     _softmax_data, _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,8 @@ class Rollout:
 
     @property
     def probs(self) -> Tensor:
-        return softmax(self.logits)
+        """softmax(logits), untaped: scoring reads it, and no loss does."""
+        return Tensor(_softmax_data(self.logits.data))
 
 
 def init_block_params(in_dim: int, d_m: int, rng, prefix: str) -> PredictionBlockParams:
@@ -177,6 +178,8 @@ def _send_block(block, x, saved, grads) -> None:
 
 
 def _check_rollout(op: str, s_t, f_t, classifier, horizon: int, keep=None) -> tuple[int, int]:
+    """(d, n_classes) of a predictor's operands. f_t takes no gradient: a
+    tracked one is refused."""
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
     shape = s_t.data.shape
@@ -187,6 +190,7 @@ def _check_rollout(op: str, s_t, f_t, classifier, horizon: int, keep=None) -> tu
     masked = shape[:-2] + (horizon, shape[-1])
     if keep is not None and np.shape(keep) != masked:
         raise ShapeError(f"{op}: keep mask {np.shape(keep)} for {masked}")
+    _refuse_tracked(op, f_t, "f_t")
     return classifier.data.shape
 
 
@@ -225,13 +229,10 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     # Back through time. A gradient with several terms adds them in the order
     # the chain of single ops' tape did: a feature's from the features
     # output, then from the next step's input, then from the classifier.
-    # `gz` stacks the logits' gradients; the steps below `top` have one.
+    # `gz` stacks the logits' gradients.
     def backward(g_feats, g_logits):
         g_feats = None if g_feats is None else np.ascontiguousarray(_steps_first(g_feats, n))
-        if g_logits is None:
-            gz, top = np.empty((horizon, n, n_classes)), horizon - 1
-        else:
-            gz, top = np.array(_steps_first(g_logits, n), order="C"), horizon
+        gz = np.array(_steps_first(g_logits, n), order="C")
         grads = _stacks(horizon, n, widths)
         grads_at = _by_step(grads)
         gx = None
@@ -239,22 +240,11 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
             g = None if g_feats is None else g_feats[s]
             if gx is not None:
                 g = _plus(g, gx[:, fs]) if feed else g
-                term = _softmax_grad(gx[:, ps], x[s + 1, :, ps])
-                if g_logits is None:
-                    gz[s] = term
-                else:
-                    gz[s] += term
-            if s < top:
-                g = _plus(g, _dot(gz[s], wc.T))
-            gx = step_back(s, g, gx, grads_at[s])
+                gz[s] += _softmax_grad(gx[:, ps], x[s + 1, :, ps])
+            gx = step_back(s, _plus(g, _dot(gz[s], wc.T)), gx, grads_at[s])
         send(grads)
-        _send(f_t, gx[:, fs].reshape(f_t.data.shape))
-        gz_t = _softmax_grad(gx[:, ps], x[0, :, ps])
-        g_wc = _dot(f_rows.T, gz_t)  # the current feature's term, added last
-        if top:
-            g_wc = _weight_grad(feats[:top], gz[:top]) + g_wc
-        _send(classifier, g_wc)
-        _send(f_t, _dot(gz_t, wc.T).reshape(f_t.data.shape))
+        gz_t = _softmax_grad(gx[:, ps], x[0, :, ps])  # the current feature's term, added last
+        _send(classifier, _weight_grad(feats, gz) + _dot(f_rows.T, gz_t))
 
     lead = s_t.data.shape[:-2]
     out_f, out_z = (np.ascontiguousarray(a.swapaxes(0, 1)).reshape(lead + a.shape[::2])
@@ -271,8 +261,9 @@ def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
     (+) previous predicted feature (+) previous predicted probability. With
     params.feed_features False (the no-feature ablation) later steps put
     zeros in the feature slot. s_t and f_t are (..., 1, d_m) rows with the
-    same leading batch axes. `keep` is a (..., l, d_m) dropout mask from
-    `keep_mask`, slice s for step s; None means no dropout.
+    same leading batch axes; f_t takes no gradient. `keep` is a (..., l,
+    d_m) dropout mask from `keep_mask`, slice s for step s; None means no
+    dropout.
     """
     initial, progressive = params.initial.values, params.progressive.values
     classifier, horizon = params.classifier.value, params.horizon
@@ -285,7 +276,7 @@ def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
     rows = s_t.data.reshape(-1, d)
     masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
     data = [_block_data(initial)] + [_block_data(progressive)] * (horizon - 1)
-    parents = (s_t, f_t, classifier, *initial, *(progressive if horizon > 1 else ()))
+    parents = (s_t, classifier, *initial, *(progressive if horizon > 1 else ()))
     x = np.empty((horizon + 1, len(rows), width))
     x[:, :, :d] = rows
     saved = _stacks(horizon, len(rows), (m, d, 1)) if _tapes(parents) else None

@@ -20,6 +20,10 @@ with a logits child, from `_features_and_logits`) and
 `training.total_loss`. This module keeps what they share. A taped
 training batch builds six tensors whatever the cell: the input, the
 aggregator's node, the last feature, the predictor's two and the loss.
+No layer sends a gradient to a window or to the last feature `f_t`: no
+run tracks either, so a layer refuses a tracked one by name
+(`_refuse_tracked`). Every loss reads the logits, so a backward that
+reaches a rollout's features alone is refused too.
 The tests hold each layer to the chain of generic single-op nodes it
 replaced, kept in ``tests/chains.py``: values equal by bytes, gradients
 by bytes or to 1e-12. Arrays only a backward reads are kept only while
@@ -65,7 +69,8 @@ class ShapeError(ValueError):
 
 
 class GradientError(RuntimeError):
-    """A gradient is missing or non-finite where the optimizer requires one."""
+    """A gradient is missing or non-finite where the optimizer requires one,
+    or a layer is asked for one that no run needs."""
 
 
 _taping = True  # False inside no_grad()
@@ -114,11 +119,6 @@ class Tensor:
             self.grad = g.copy()
         else:
             self.grad += g
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar."""
@@ -171,6 +171,13 @@ def _send(t: Tensor, g: np.ndarray) -> None:
         t._accumulate(g)
 
 
+def _refuse_tracked(op: str, t: Tensor, what: str) -> None:
+    """Refuses a tracked input `what` of `op`, which sends it no gradient."""
+    if t._tracked:
+        raise GradientError(f"{op}: a tracked {what} is refused; no run tracks one, and the "
+                            f"layer sends it no gradient")
+
+
 def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a @ b of 2-D operands, through ``ndarray.dot`` when both are C- or
     F-contiguous. On a strided view `.dot` may sum in another order than
@@ -194,16 +201,6 @@ def _softmax_data(a: np.ndarray, out=None) -> np.ndarray:
 def _softmax_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The gradient of softmax's input from its output `y` and output gradient `g`."""
     return y * (g - np.add.reduce(g * y, axis=-1, keepdims=True))
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    y = _softmax_data(a.data)
-
-    def backward(g):
-        a._accumulate(_softmax_grad(g, y))
-
-    return _make(y, (a,), backward)
 
 
 def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
@@ -246,10 +243,18 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 def _features_and_logits(features, logits, parents, backward):
     """A predictor's two outputs from one node: the features node over
     `parents` and a logits child that hands it their gradient, so
-    `backward(g_features, g_logits)` runs once, with None for an output
-    that nothing reached."""
+    `backward(g_features, g_logits)` runs once, with None for features that
+    no loss term reached. Every loss reads the logits, so a backward that
+    reaches the features alone is refused."""
     handed = []
-    node = _make(features, parents, lambda g: backward(g, handed.pop() if handed else None))
+
+    def run(g):
+        if not handed:
+            raise GradientError("a backward reached a rollout's features but not its logits; "
+                                "the rollout's backward starts from the logits' gradient")
+        backward(g, handed.pop())
+
+    node = _make(features, parents, run)
     child = Tensor(logits)
     if node._backward is not None:
         child._parents, child._backward = (node,), handed.append

@@ -166,15 +166,3 @@ def write_history_csv(history, path) -> None:
                 f"{row.epoch},{row.class_loss!r},{row.feature_loss!r},"
                 f"{row.total_loss!r},{row.train_acc_h1!r}\n"
             )
-
-
-def read_history_csv(path) -> list[EpochStats]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "epoch,class_loss,feature_loss,total_loss,train_acc_h1":
-        raise ValueError(f"not a history csv: {path}")
-    out = []
-    for line in lines[1:]:
-        epoch, lc, lr, total, acc = line.split(",")
-        out.append(EpochStats(int(epoch), float(lc), float(lr), float(total), float(acc)))
-    return out

@@ -3,9 +3,9 @@ test-side tools: `grad_check`, `param_set` and `rebind`.
 
 Every model layer runs as one fused node, defined next to its parameter
 set. Each node replaced a chain of generic nodes (add, mul, matmul,
-reshape, take, concat, sum, relu, log_softmax and a one-node prediction
-block), and the tests hold it to that chain: values and gradients equal
-by bytes. The ops act on the last axis or two and treat any axes before
+reshape, take, concat, sum, relu, softmax, log_softmax and a one-node
+prediction block), and the tests hold it to that chain: values and
+gradients equal by bytes. The ops act on the last axis or two and treat any axes before
 them as batch axes: `matmul` multiplies a (..., k) operand by a shared
 2-D (k, n) weight, and the elementwise ops broadcast. A chain takes the
 arguments of the layer it stands for, a parameter set included, so
@@ -23,7 +23,7 @@ import numpy as np
 
 from ttpp import baselines, prediction, tensor, training
 from ttpp.prediction import Rollout
-from ttpp.tensor import Parameter, ShapeError, Tensor, softmax
+from ttpp.tensor import Parameter, ShapeError, Tensor
 
 
 def grad_check(f, inputs, step: float = 1e-5) -> float:
@@ -57,9 +57,9 @@ def grad_check(f, inputs, step: float = 1e-5) -> float:
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = f(*inputs).item()
+            hi = float(f(*inputs).data)
             flat[i] = orig - step
-            lo = f(*inputs).item()
+            lo = float(f(*inputs).data)
             flat[i] = orig
             numeric = (hi - lo) / (2.0 * step)
             n_scale = max(n_scale, abs(numeric))
@@ -226,6 +226,16 @@ def relu(a: Tensor) -> Tensor:
         a._accumulate(g * mask)
 
     return tensor._make(np.where(mask, a.data, 0.0), (a,), backward)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Softmax along the last axis, stabilized by max subtraction."""
+    y = tensor._softmax_data(a.data)
+
+    def backward(g):
+        a._accumulate(tensor._softmax_grad(g, y))
+
+    return tensor._make(y, (a,), backward)
 
 
 def log_softmax(a: Tensor) -> Tensor:

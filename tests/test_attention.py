@@ -285,14 +285,3 @@ class TestAggregate:
 
         err = grad_check(loss, [p.value for p in params.parameters()])
         assert err < 1e-4
-
-    def test_input_gradient(self):
-        rng = np.random.default_rng(18)
-        params = init_ttm_params(8, 2, 4, rng)
-        cost = Tensor(rng.normal(size=(1, 8)))
-
-        def loss(t):
-            out, _ = aggregate(t, params)
-            return weighted_sum(out, cost)
-
-        assert grad_check(loss, [Tensor(rng.normal(size=(4, 8)))]) < 1e-4

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chains import grad_check, total, weighted_sum
+from chains import grad_check, softmax, total, weighted_sum
 from ttpp.baselines import (
     DecoderParams,
     conv1d_aggregate,
@@ -292,7 +292,7 @@ class TestLSTMDecode:
 
         def loss(*tensors):
             roll = lstm_decode(s, f, DecoderParams(params, classifier, 3))
-            return weighted_sum(roll.probs, cost)
+            return weighted_sum(softmax(roll.logits), cost)
 
         tensors = [p.value for p in params.parameters()] + [classifier.value]
         assert grad_check(loss, tensors) < 1e-4
@@ -410,7 +410,7 @@ class TestSSP:
 
         def loss(*tensors):
             roll = ssp_rollout(s, f, params)
-            return weighted_sum(roll.probs, cost)
+            return weighted_sum(softmax(roll.logits), cost)
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
 

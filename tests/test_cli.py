@@ -11,7 +11,7 @@ from ttpp.data import load_features
 from ttpp.metrics import read_report_csv
 from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint
 from ttpp.tensor import no_grad
-from ttpp.training import TrainConfig, read_history_csv
+from ttpp.training import TrainConfig
 
 FAST = [
     "--set", "model.d_m=8",
@@ -25,6 +25,13 @@ FAST = [
     "--set", "data.n_eval=2",
     "--set", "data.length=16",
 ]
+
+
+def history_rows(path) -> list[str]:
+    """The epoch rows of a history CSV, after its header."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "epoch,class_loss,feature_loss,total_loss,train_acc_h1"
+    return rows
 
 
 class TestConfig:
@@ -102,10 +109,23 @@ class TestConfig:
     @pytest.mark.parametrize("key", ["data.n_train", "data.n_eval", "data.length"])
     def test_a_negative_data_size_names_its_key(self, key, command, tmp_path, capsys):
         # numpy said "negative dimensions are not allowed", and gen wrote 0 sequences
-        with pytest.raises(ValueError, match=f"^config key '{key}' expects a count >= 0, got '-2'"):
+        with pytest.raises(ValueError, match=f"^config key '{key}' expects an integer >= 0, "
+                                             f"got '-2'"):
             resolve_config(None, [f"{key}=-2"])
         out = tmp_path / "out"
         assert main([command, "--out-dir", str(out), *FAST, "--set", f"{key}=-2"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    @pytest.mark.parametrize("key", ["data.seed", "train.seed"])
+    def test_a_negative_seed_names_its_key(self, key, command, tmp_path, capsys):
+        # numpy said "expected non-negative integer", and gen left an empty train/
+        with pytest.raises(ValueError, match=f"^config key '{key}' expects an integer >= 0, "
+                                             f"got '-1'"):
+            resolve_config(None, [f"{key}=-1"])
+        out = tmp_path / "out"
+        assert main([command, "--out-dir", str(out), *FAST, "--set", f"{key}=-1"]) == 1
         assert capsys.readouterr().err.startswith(f"error: config key '{key}'")
         assert not out.exists()
 
@@ -210,8 +230,7 @@ class TestTrainEval:
         assert manifest == json.loads((out2 / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"checkpoint.bin", "history.csv"}
 
-        history = read_history_csv(out1 / "history.csv")
-        assert len(history) == 2
+        assert len(history_rows(out1 / "history.csv")) == 2
 
         report = tmp_path / "report.csv"
         rc = main([
@@ -230,7 +249,7 @@ class TestTrainEval:
         one_step = [*FAST, "--set", "model.horizon=1"]
         run = tmp_path / "run"
         assert main(["train", "--out-dir", str(run), *one_step]) == 0
-        assert len(read_history_csv(run / "history.csv")) == 2
+        assert len(history_rows(run / "history.csv")) == 2
         config, state = load_checkpoint(run / "checkpoint.bin")
         assert config.horizon == 1
         assert state and not any(name.startswith("ppm.progressive.") for name in state)

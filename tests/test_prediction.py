@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chains import grad_check, matmul, mlp_norm, tensor_sum, total, weighted_sum
+from chains import grad_check, matmul, mlp_norm, softmax, tensor_sum, total, weighted_sum
 from ttpp.prediction import init_block_params, init_ppm_params, rollout
-from ttpp.tensor import Tensor, keep_mask, softmax
+from ttpp.tensor import Tensor, keep_mask
 
 
 def zero_block(in_dim, d_m):
@@ -243,7 +243,7 @@ class TestRollout:
         def loss(*tensors):
             roll = rollout(s, f, params)
             return total(weighted_sum(roll.features, feat_cost),
-                         weighted_sum(roll.probs, prob_cost))
+                         weighted_sum(softmax(roll.logits), prob_cost))
 
         err = grad_check(loss, [p.value for p in params.parameters()])
         assert err < 1e-4

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 import chains
 from chains import (add, concat, grad_check, log_softmax, lstm_window, matmul, mlp_norm, mul,
-                    param_set, rebind, relu, reshape, take, tensor_sum, total, weighted_sum)
+                    param_set, rebind, relu, reshape, softmax, take, tensor_sum, total,
+                    weighted_sum)
 from ttpp import baselines, prediction, tensor
 from ttpp.attention import TTMParams, aggregate, positional_encoding
 from ttpp.baselines import (Conv1DStack, DecoderParams, LSTMParams, SSPParams, conv1d_aggregate,
@@ -28,7 +29,6 @@ from ttpp.tensor import (
     keep_mask,
     no_grad,
     sgd_step,
-    softmax,
 )
 
 
@@ -267,10 +267,6 @@ class TestGradCheck:
             "softmax": lambda t: weighted_sum(softmax(t), cost),
             "mlp_norm": lambda t: weighted_sum(mlp_norm(t, *dense, gain, bias), cost),
             "relu": lambda t: weighted_sum(relu(t), cost),
-            # each a 4-row window
-            "aggregate": lambda t: weighted_sum(aggregate(t, ttm)[0], cost_a),
-            "lstm_encode": lambda t: weighted_sum(lstm_encode(t, cell), cost_a),
-            "conv1d_aggregate": lambda t: weighted_sum(conv1d_aggregate(t, conv), cost_a),
             "log_softmax": lambda t: weighted_sum(log_softmax(t), cost),
             "slice_concat": lambda t: total(
                 tensor_sum(matmul(take(t, slice(1, 3)), Tensor(w))),
@@ -283,6 +279,17 @@ class TestGradCheck:
         }
         for name, f in cases.items():
             err = grad_check(f, [Tensor(rng.normal(size=(4, 5)))])
+            assert err < 1e-4, f"{name}: {err}"
+        # the aggregators send a window no gradient, so their parameters are
+        # checked at a fixed 4-row window
+        window = Tensor(rng.normal(size=(4, 5)))
+        aggregators = {
+            "aggregate": (lambda: aggregate(window, ttm)[0], ttm),
+            "lstm_encode": (lambda: lstm_encode(window, cell), cell),
+            "conv1d_aggregate": (lambda: conv1d_aggregate(window, conv), conv),
+        }
+        for name, (layer, params) in aggregators.items():
+            err = grad_check(lambda *_: weighted_sum(layer(), cost_a), params.values)
             assert err < 1e-4, f"{name}: {err}"
         # a batched (2, 4, 5) operand times a shared (5, 3) weight, both gradients
         err = grad_check(
@@ -328,7 +335,7 @@ class TestSGD:
         for _ in range(100):
             w = p.value
             loss = tensor_sum(mul(w, w))
-            losses.append(loss.item())
+            losses.append(float(loss.data))
             loss.backward()
             sgd_step([p], lr=0.001, momentum=0.9)
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -613,9 +620,10 @@ def lstm_oracle(x, state, w, b, cost):
     return np.concatenate([o * tc, c2], axis=-1), grads
 
 
-def taped(op, arrays, cost, *extra):
-    """Run `op` on fresh tracked tensors; returns its output and every input gradient."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+def taped(op, arrays, cost, *extra, track_window=True):
+    """Run `op` on fresh tensors, each tracked but the first, a window, only
+    with `track_window`; returns its output and every input gradient."""
+    tensors = [Tensor(a, requires_grad=track_window or i > 0) for i, a in enumerate(arrays)]
     result = op(*tensors, *extra)
     out = result[0] if isinstance(result, tuple) else result
     weighted_sum(out, cost).backward()
@@ -654,7 +662,7 @@ class TestFusedOpsMatchOracles:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_attention(self, lead, n_heads):
         # against the chain it replaces, forward and weights bit for bit, and
-        # against the per-head oracle; the window is tracked, so it gets its gradient
+        # against the per-head oracle; the window is untracked, as in a run
         rng = np.random.default_rng(50 + n_heads)
         d, t = 8, 6
         shapes = [(*lead, t, d)] + [(d, d)] * 4
@@ -663,18 +671,19 @@ class TestFusedOpsMatchOracles:
         cost = rng.normal(size=(*lead, 1, d))
         (out, weights), grads = taped(
             lambda window, *w: aggregate(window, param_set(TTMParams, *w, n_heads, pe)), arrays,
-            cost)
+            cost, track_window=False)
         (chain_out, chain_weights), chain_grads = taped(
             lambda window, *w: ttm_chain(window, param_set(TTMParams, *w, n_heads, pe)), arrays,
-            cost)
+            cost, track_window=False)
         np.testing.assert_array_equal(out.data, chain_out.data)
         np.testing.assert_array_equal(weights, chain_weights)
         expected, expected_weights, expected_grads = attention_oracle(arrays[0], pe, *arrays[1:],
                                                                       n_heads, cost)
         assert_close(out.data, expected, "forward")
         assert_close(weights, expected_weights, "weights")
-        for name, got, want, oracle in zip(["window", "wq", "wk", "wv", "wo"], grads,
-                                           chain_grads, expected_grads):
+        assert grads[0] is chain_grads[0] is None
+        for name, got, want, oracle in zip(["wq", "wk", "wv", "wo"], grads[1:], chain_grads[1:],
+                                           expected_grads[1:]):
             assert_close(got, want, name)
             assert_close(got, oracle, name)
 
@@ -699,11 +708,12 @@ class TestFusedOpsMatchOracles:
         arrays = [rng.normal(size=s) for s in [(*lead, 1, d), (2 * d, 4 * d), (4 * d,)]]
         cost = rng.normal(size=(*lead, 1, d))
         out, grads = taped(lambda x, *cell: lstm_encode(x, param_set(LSTMParams, *cell)), arrays,
-                           cost)
+                           cost, track_window=False)
         state, cost_hc = np.zeros((*lead, 1, 2 * d)), np.concatenate([cost, 0 * cost], axis=-1)
-        expected, (g_x, _, g_w, g_b) = lstm_oracle(arrays[0], state, *arrays[1:], cost_hc)
+        expected, (_, _, g_w, g_b) = lstm_oracle(arrays[0], state, *arrays[1:], cost_hc)
         assert_close(out.data, expected[..., :d] + arrays[0], "forward")
-        for name, got, want in zip(["x", "w", "b"], grads, [g_x + cost, g_w, g_b]):
+        assert grads[0] is None
+        for name, got, want in zip(["w", "b"], grads[1:], [g_w, g_b]):
             assert_close(got, want, name)
 
     def test_shape_errors_name_the_operands(self):
@@ -796,9 +806,9 @@ def conv1d_kink(window, weights, biases):
 class TestFusedGradientProperties:
     """grad_check through each fused op at random leading batch shapes.
 
-    `tracked` False leaves the data input untracked, as the model's
-    observed windows and initial states are: the node must then skip it
-    and still give the weights their gradients.
+    The aggregators' windows stay untracked, as the model's observed
+    windows are. `tracked` False leaves `mlp_norm`'s input untracked: the
+    node must then skip it and still give the weights their gradients.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -821,8 +831,8 @@ class TestFusedGradientProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(lead=batch_lead, t=st.integers(2, 5), n_heads=st.integers(1, 2),
-           d_k=st.integers(1, 2), tracked=st.booleans(), seed=st.integers(0, 2**16))
-    def test_attention(self, lead, t, n_heads, d_k, tracked, seed):
+           d_k=st.integers(1, 2), seed=st.integers(0, 2**16))
+    def test_attention(self, lead, t, n_heads, d_k, seed):
         rng = np.random.default_rng(seed)
         d = n_heads * d_k
         window = Tensor(rng.normal(size=(*lead, t, d)))
@@ -834,12 +844,11 @@ class TestFusedGradientProperties:
         def f(*_):
             return weighted_sum(aggregate(window, params)[0], cost)
 
-        assert grad_check(f, [window, *weights] if tracked else weights) < 1e-5
+        assert grad_check(f, weights) < 1e-5
 
     @settings(max_examples=30, deadline=None)
-    @given(lead=batch_lead, t=st.integers(1, 4), d=st.integers(1, 3), tracked=st.booleans(),
-           seed=st.integers(0, 2**16))
-    def test_lstm_step(self, lead, t, d, tracked, seed):
+    @given(lead=batch_lead, t=st.integers(1, 4), d=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_lstm_step(self, lead, t, d, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.normal(size=(*lead, t, d)))
         w = Tensor(rng.normal(size=(2 * d, 4 * d)))
@@ -849,12 +858,11 @@ class TestFusedGradientProperties:
         def f(*_):
             return weighted_sum(lstm_encode(x, param_set(LSTMParams, w, b)), cost)
 
-        assert grad_check(f, [x, w, b] if tracked else [w, b]) < 1e-5
+        assert grad_check(f, [w, b]) < 1e-5
 
     @settings(max_examples=30, deadline=None)
-    @given(lead=batch_lead, t=st.integers(1, 9), d=st.integers(1, 3), tracked=st.booleans(),
-           seed=st.integers(0, 2**16))
-    def test_conv1d(self, lead, t, d, tracked, seed):
+    @given(lead=batch_lead, t=st.integers(1, 9), d=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_conv1d(self, lead, t, d, seed):
         rng = np.random.default_rng(seed)
         layers = max(1, (t - 1).bit_length())
         window = Tensor(rng.normal(size=(*lead, t, d)))
@@ -868,7 +876,7 @@ class TestFusedGradientProperties:
 
         # a central difference is no derivative within a step of a ReLU kink
         assume(conv1d_kink(window.data, weights, biases) > 1e-3)
-        assert grad_check(f, [window, *weights, *biases] if tracked else weights + biases) < 1e-5
+        assert grad_check(f, weights + biases) < 1e-5
 
 
 # ---- fused rollouts against chains of single-op nodes ---------------------
@@ -941,7 +949,8 @@ def ppm_rollout_case(lead, horizon, d, n_classes, feed_features, dropout, tracke
         return total(weighted_sum(roll.features, costs[0]), weighted_sum(roll.logits, costs[1]))
 
     used = t if horizon > 1 else t[:8] + t[14:]
-    return f, used if tracked else used[2:], min(np.abs(p).min() for p in pre), spread
+    checked = [used[0], *used[2:]] if tracked else used[2:]  # f_t is never tracked
+    return f, checked, min(np.abs(p).min() for p in pre), spread
 
 
 def lstm_arrays(rng, lead, d=4, n_classes=3):
@@ -986,8 +995,9 @@ def outputs(result) -> tuple:
 
 def rollout_grads(op, args_of, arrays, costs):
     """Features, logits and every input gradient of sum(features * cost_f)
-    + sum(logits * cost_z); a cost of None leaves that output out of the loss."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    + sum(logits * cost_z); a cost of None leaves that output out of the loss.
+    Every input but f_t, which no run tracks, is tracked."""
+    tensors = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
     features, logits = outputs(op(*args_of(tensors)))
     total(*(weighted_sum(out, c) for out, c in zip((features, logits), costs)
             if c is not None)).backward()
@@ -1005,8 +1015,10 @@ def assert_rollouts_agree(fused, chain):
             assert_close(got, want, f"input {i}")
 
 
-# which outputs the loss reads; "lam 0" leaves the features node without a gradient
+# which outputs the loss reads; "lam 0" leaves the features node without a
+# gradient, and a fused rollout refuses "features only", which no loss is
 LOSSES = {"both": (True, True), "lam 0": (False, True), "features only": (True, False)}
+FEATURES_ONLY = "rollout's features but not its logits"
 
 
 class TestRolloutOpsMatchChains:
@@ -1027,6 +1039,10 @@ class TestRolloutOpsMatchChains:
         def args_of(t):
             return ppm_args(t, horizon, keep, feed_features)
 
+        if loss == "features only":
+            with pytest.raises(GradientError, match=FEATURES_ONLY):
+                rollout_grads(rollout, args_of, arrays, costs)
+            return
         fused = rollout_grads(rollout, args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(ppm_chain, args_of, arrays, costs))
         if horizon == 1:  # the progressive block is never touched
@@ -1044,6 +1060,10 @@ class TestRolloutOpsMatchChains:
         def args_of(t):
             return lstm_args(t, horizon)
 
+        if loss == "features only":
+            with pytest.raises(GradientError, match=FEATURES_ONLY):
+                rollout_grads(lstm_decode, args_of, arrays, costs)
+            return
         fused = rollout_grads(lstm_decode, args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(lstm_chain, args_of, arrays, costs))
 
@@ -1052,10 +1072,10 @@ class TestRolloutOpsMatchChains:
     ])
     def test_untaped_forward_equals_taped(self, op, arrays_of, args_of):
         arrays = arrays_of(np.random.default_rng(90), (2,))
-        tensors = [Tensor(a, requires_grad=True) for a in arrays]
+        tensors = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
         features, logits = outputs(op(*args_of(tensors, 4)))
         with no_grad():
-            plain = outputs(op(*args_of([Tensor(a, requires_grad=True) for a in arrays], 4)))
+            plain = outputs(op(*args_of(tensors, 4)))
         assert features._parents and logits._parents == (features,)
         assert not plain[0]._parents and not plain[1]._parents
         np.testing.assert_array_equal(plain[0].data, features.data)
@@ -1116,14 +1136,26 @@ def assert_same_bytes(fused, chain):
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"array {i}"
 
 
+def assert_node_matches_chain(op, chain, arrays, args_of, costs, tracked, refusal=None):
+    """The node and its chain give the same bytes; or, given a `refusal`,
+    the node refuses the misuse with that message, where the chain ran on."""
+    if refusal:
+        with pytest.raises(GradientError, match=refusal):
+            bytes_of(op, arrays, args_of, costs, tracked)
+    else:
+        assert_same_bytes(bytes_of(op, arrays, args_of, costs, tracked),
+                          bytes_of(chain, arrays, args_of, costs, tracked))
+
+
 TRACKED = {"input untracked": False, "input tracked": True}
 
 
 class TestLayerNodesMatchChains:
     """conv1d, the LSTM encoder and the single-shot predictor, each one node,
     against the chain of generic nodes it replaced: the outputs and every
-    gradient equal by bytes. An untracked input, as the model's observed
-    window and last feature are, gets no gradient from either."""
+    gradient equal by bytes. The observed window and the last feature are
+    untracked in a run and get no gradient from either; tracked, which no
+    run does, each node refuses them by name."""
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [2, 3, 5, 8, 16])
@@ -1139,8 +1171,9 @@ class TestLayerNodesMatchChains:
         def args_of(ts):
             return ts[0], param_set(Conv1DStack, ts[1 : 1 + layers], ts[1 + layers :])
 
-        assert_same_bytes(bytes_of(conv1d_aggregate, arrays, args_of, costs, flags),
-                          bytes_of(chains.conv1d_chain, arrays, args_of, costs, flags))
+        refusal = "^conv1d_aggregate: a tracked window" if TRACKED[tracked] else None
+        assert_node_matches_chain(conv1d_aggregate, chains.conv1d_chain, arrays, args_of, costs,
+                                  flags, refusal)
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [1, 2, 5, 8])
@@ -1155,8 +1188,9 @@ class TestLayerNodesMatchChains:
         def args_of(ts):
             return ts[0], param_set(LSTMParams, *ts[1:])
 
-        assert_same_bytes(bytes_of(lstm_encode, arrays, args_of, costs, flags),
-                          bytes_of(chains.encoder_chain, arrays, args_of, costs, flags))
+        refusal = "^lstm_encode: a tracked window" if TRACKED[tracked] else None
+        assert_node_matches_chain(lstm_encode, chains.encoder_chain, arrays, args_of, costs, flags,
+                                  refusal)
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("horizon", [1, 5])
@@ -1169,21 +1203,23 @@ class TestLayerNodesMatchChains:
         keep = (rng.random((*lead, horizon, 4)) >= 0.3) / 0.7 if dropout else None
         costs = [rng.normal(size=(*lead, horizon, n)) if used else None
                  for n, used in zip((4, 3), LOSSES[loss])]
-        flags = [TRACKED[tracked]] * 2 + [True] * 7
+        flags = [True, TRACKED[tracked]] + [True] * 7  # s_t and f_t, then the parameters
+        refusal = ("^ssp_rollout: a tracked f_t" if TRACKED[tracked] else
+                   FEATURES_ONLY if loss == "features only" else None)
 
         def args_of(ts):
             return ssp_args(ts, horizon, keep)
 
-        assert_same_bytes(bytes_of(ssp_rollout, arrays, args_of, costs, flags),
-                          bytes_of(chains.ssp_chain, arrays, args_of, costs, flags))
+        assert_node_matches_chain(ssp_rollout, chains.ssp_chain, arrays, args_of, costs, flags,
+                                  refusal)
 
 
 class TestRolloutGradientProperties:
     """grad_check through the fused rollouts, and batched rows against one-window calls.
 
-    `tracked` False leaves s_t and f_t untracked, as the model's last
-    observed feature is: the node must then skip them and still give the
-    weights their gradients.
+    f_t stays untracked, as the model's last observed feature is. `tracked`
+    False leaves s_t untracked too: the node must then skip it and still
+    give the weights their gradients.
     """
 
     @settings(max_examples=25, deadline=None)
@@ -1224,7 +1260,7 @@ class TestRolloutGradientProperties:
             return total(weighted_sum(roll.features, costs[0]),
                          weighted_sum(roll.logits, costs[1]))
 
-        assert grad_check(f, t if tracked else t[2:]) < 1e-5
+        assert grad_check(f, [t[0], *t[2:]] if tracked else t[2:]) < 1e-5
 
     @settings(max_examples=25, deadline=None)
     @given(rows=st.integers(1, 4), horizon=st.integers(1, 3), ppm=st.booleans(),
@@ -1246,8 +1282,71 @@ class TestRolloutGradientProperties:
                       None if keep is None else keep[b], [c[b] for c in costs])
             for got, want in zip(batched[:2], one[:2]):
                 assert_close(got[b], want, f"row {b}")
-            for got, want in zip(batched[2][:2], one[2][:2]):  # s_t and f_t
-                assert_close(got[b], want, f"row {b} input gradient")
+            assert_close(batched[2][0][b], one[2][0], f"row {b} s_t gradient")
+
+
+def aggregator_case(name, rng):
+    """An aggregator by name and its parameter set for a (2, 4, 4) window."""
+    if name == "aggregate":
+        weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
+        return (lambda w, p: aggregate(w, p)[0]), param_set(TTMParams, *weights, 2,
+                                                             rng.normal(size=(4, 4)))
+    if name == "conv1d_aggregate":
+        return conv1d_aggregate, param_set(Conv1DStack,
+                                           [Tensor(rng.normal(size=(12, 4))) for _ in range(2)],
+                                           [Tensor(rng.normal(size=4)) for _ in range(2)])
+    return lstm_encode, param_set(LSTMParams, Tensor(rng.normal(size=(8, 16))),
+                                  Tensor(rng.normal(size=16)))
+
+
+PREDICTORS_BY_OP = {"rollout": (rollout, ppm_arrays, ppm_args),
+                    "ssp_rollout": (ssp_rollout, ssp_arrays, ssp_args),
+                    "lstm_decode": (lstm_decode, lstm_arrays, lstm_args)}
+
+
+class TestRefusedGradients:
+    """No run tracks a window or the last feature f_t, and every loss reads
+    the logits, so the layers compute no gradient for a window or f_t and
+    no backward for features whose logits no loss reached. Each of those
+    misuses fails by name instead of training on a gradient nobody sent."""
+
+    @pytest.mark.parametrize("op", ["aggregate", "conv1d_aggregate", "lstm_encode"])
+    def test_a_tracked_window_is_refused(self, op):
+        rng = np.random.default_rng(140)
+        layer, params = aggregator_case(op, rng)
+        window = Tensor(rng.normal(size=(2, 4, 4)))
+        layer(window, params)  # untracked, as `anticipate` builds it
+        window.requires_grad = True
+        with pytest.raises(GradientError, match=f"^{op}: a tracked window"):
+            layer(window, params)
+
+    @pytest.mark.parametrize("op", PREDICTORS_BY_OP)
+    def test_a_tracked_last_feature_is_refused(self, op):
+        layer, arrays_of, args_of = PREDICTORS_BY_OP[op]
+        t = [Tensor(a, requires_grad=True) for a in arrays_of(np.random.default_rng(141), (2,))]
+        t[1].requires_grad = False
+        layer(*args_of(t, 3))
+        t[1].requires_grad = True
+        with pytest.raises(GradientError, match=f"^{op}: a tracked f_t"):
+            layer(*args_of(t, 3))
+
+    @pytest.mark.parametrize("op", PREDICTORS_BY_OP)
+    def test_a_loss_on_the_features_alone_is_refused(self, op):
+        layer, arrays_of, args_of = PREDICTORS_BY_OP[op]
+        t = [Tensor(a, requires_grad=i != 1)
+             for i, a in enumerate(arrays_of(np.random.default_rng(142), (2,)))]
+        roll = layer(*args_of(t, 3))
+        with pytest.raises(GradientError, match="rollout's features but not its logits"):
+            tensor_sum(roll.features).backward()
+
+    @pytest.mark.parametrize("op", PREDICTORS_BY_OP)
+    def test_probs_are_untaped_and_equal_the_chains_softmax(self, op):
+        layer, arrays_of, args_of = PREDICTORS_BY_OP[op]
+        t = [Tensor(a, requires_grad=i != 1)
+             for i, a in enumerate(arrays_of(np.random.default_rng(143), (2,)))]
+        roll = layer(*args_of(t, 3))
+        assert roll.logits._parents and roll.probs._parents == ()
+        assert roll.probs.data.tobytes() == softmax(roll.logits).data.tobytes()
 
 
 # ---- the fused ops against the arithmetic of their plain numpy forms ------
@@ -1318,8 +1417,10 @@ def plain_bias_grad(g):
 
 
 def outputs_and_grads(op, arrays, args_of, costs):
-    """The op's output arrays and every input gradient of sum(output_i * cost_i)."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    """The op's output arrays and every input gradient of sum(output_i * cost_i),
+    with every input tracked but an aggregator's window and a predictor's f_t."""
+    untracked = 0 if op in (conv1d_aggregate, lstm_encode) else 1
+    tensors = [Tensor(a, requires_grad=i != untracked) for i, a in enumerate(arrays)]
     outs = outputs(op(*args_of(tensors)))
     total(*(weighted_sum(out, cost) for out, cost in zip(outs, costs))).backward()
     return [out.data for out in outs] + [t.grad for t in tensors]
@@ -1399,9 +1500,7 @@ class TestFastPathsKeepTheBits:
                  for name, (module, plain) in PLAIN.items()}
         plain = outputs_and_grads(op, arrays, args_of, costs)
         assert {name for name, count in calls.items() if count[0]} == uses
-        assert len(fast) == len(plain)
-        for i, (got, want) in enumerate(zip(fast, plain)):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), f"array {i}"
+        assert_same_bytes(fast, plain)
 
 
 class TestStackedParameterGradients:
@@ -1504,11 +1603,11 @@ class TestReluAndGates:
             np.testing.assert_array_equal(out.data, [[0.0] * d + [1.0] * d])
             assert all(np.isfinite(t.grad).all() for t in (w, bias, state))
             w.grad = bias.grad = None
-            window = Tensor(np.ones((2, d)), requires_grad=True)
+            window = Tensor(np.ones((2, d)))
             out = lstm_encode(window, param_set(LSTMParams, w, bias))  # c' = 0 and h' = 0
             weighted_sum(out, cost.data[:, :d]).backward()
             np.testing.assert_array_equal(out.data, np.ones((1, d)))
-            assert all(np.isfinite(t.grad).all() for t in (w, bias, window))
+            assert all(np.isfinite(t.grad).all() for t in (w, bias))
             bias.grad = None
             cell = param_set(LSTMParams, Tensor(np.zeros((2 * d + 2, 4 * d))), bias)
             roll = lstm_decode(Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))),
