@@ -8,8 +8,13 @@ Each directory holds the run records that `perfbench/run.py` writes
 and end-to-end metric, each side's median and quartiles over its runs, the
 ratio of the medians (change over parent) and, over the seeds both sides
 ran, how many pairs the change won in the metric's better direction (ties
-count for neither). Traced records give each side's per-layer metrics. The
-directions and bounds are read from BENCHMARK.json.
+count for neither). Each such metric also states two verdicts:
+`gain_shown`, the change won at least 9 of 10 pairs and its median is
+better than the parent's by more than the parent's q3 - q1; and
+`beyond_bound`, its median is worse than the parent's by more than the
+metric's bound, taken as a share of the parent's median. Traced records
+give each side's per-layer metrics. The directions and bounds are read
+from BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -72,11 +77,15 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
                      for side in sides}
             summary = {side: spread(list(v.values())) for side, v in value.items()}
             base = summary["parent"]["median"]
+            gain = sign * (summary["change"]["median"] - base)
             wins = sum(sign * (value["change"][s] - value["parent"][s]) > 0 for s in paired)
             metrics[name] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"], **summary,
                 "ratio": summary["change"]["median"] / base if base else None,
                 "pairs": len(paired), "pairs_won_by_change": wins,
+                "gain_shown": bool(paired) and 10 * wins >= 9 * len(paired)
+                and gain > summary["parent"]["q3"] - summary["parent"]["q1"],
+                "beyond_bound": -gain > m["bound"] * abs(base),
             }
         row["metrics"] = metrics
         out[workload] = row

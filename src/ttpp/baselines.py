@@ -150,9 +150,11 @@ def _cell_forward(xh, c, w, b, tape: bool, h_out):
 
 
 def _cell_backward(gh, gc, cache, w, dpre):
-    """The gradients of the rows [x | h] and of c from those of h' and c' (None
-    is zero), with the array `w`. Fills `dpre`, the step's rows of the stack
-    of gate pre-activation gradients from which the caller sums w's and b's."""
+    """The gradients of the input rows and of c from those of h' and c' (None
+    is zero), with `w` the weight's rows of the inputs that take one: the
+    whole weight gives [x | h]'s, its h rows h's alone. Fills `dpre`, the
+    step's rows of the stack of gate pre-activation gradients from which the
+    caller sums w's and b's."""
     c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
@@ -190,11 +192,10 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     data = xh[t, :, d:] + xh[t - 1, :, :d]
 
     def backward(g):
-        gh, gc = g.reshape(-1, d), None
+        gh, gc, w_h = g.reshape(-1, d), None, w.data[d:]
         dpre = np.empty((t, n, 4 * d))
         for s in reversed(range(t)):
-            gxh, gc = _cell_backward(gh, gc, caches[s], w.data, dpre[s])
-            gh = gxh[:, d:]
+            gh, gc = _cell_backward(gh, gc, caches[s], w_h, dpre[s])
         _send(w, _weight_grad(xh[:t], dpre))
         _send(b, _bias_grad(dpre))
 

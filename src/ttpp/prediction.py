@@ -11,6 +11,7 @@ driver `_rollout`, which the LSTM decoder shares, live here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,10 +119,12 @@ def _block_forward(x, data, keep, out, saved=None):
     """A prediction block, layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias
     times the dropout mask `keep` (None: no dropout), on 2-D rows into `out`
     (new if None), with `data` from `_block_data`. Layer norm standardizes
-    each row by the population mean and variance, with eps 1e-5. While
-    taping, `saved` is a step's rows of the stacked (hidden, xhat, inv_std),
-    which the forward fills for the backward. np.maximum, the ReLU,
-    propagates a NaN."""
+    each row by the population mean and variance, with eps 1e-5; one row
+    reduces the whole array and takes its mean and 1 / std as floats (the
+    fifth rule at the head of `tensor.py`), with the bits of the keepdims
+    form. While taping, `saved` is a step's rows of the stacked (hidden,
+    xhat, inv_std), which the forward fills for the backward, at one row
+    too. np.maximum, the ReLU, propagates a NaN."""
     w1, b1, w2, b2, gain, bias = data
     hidden, xhat, inv_std = saved or (None, None, None)
     pre = _dot(x, w1, hidden)
@@ -130,10 +133,16 @@ def _block_forward(x, data, keep, out, saved=None):
     y = _dot(hidden, w2)
     y += b2
     n = y.shape[1]
-    y -= np.add.reduce(y, axis=-1, keepdims=True) / n
-    inv_std = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5),
-                            out=inv_std)
-    xhat = np.multiply(y, inv_std, out=y if xhat is None else xhat)
+    if len(y) == 1:
+        y -= float(np.add.reduce(y, None)) / n
+        scale = 1.0 / math.sqrt(float(np.add.reduce(y * y, None)) / n + 1e-5)
+        if inv_std is not None:
+            inv_std.fill(scale)
+    else:
+        y -= np.add.reduce(y, axis=-1, keepdims=True) / n
+        scale = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5),
+                              out=inv_std)
+    xhat = np.multiply(y, scale, out=y if xhat is None else xhat)
     out = np.multiply(xhat, gain, out=out)
     out += bias
     if keep is not None:

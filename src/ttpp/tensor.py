@@ -33,7 +33,7 @@ would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
-fused ops keep to four rules (costs per call, on one-row operands unless
+fused ops keep to five rules (costs per call, on one-row operands unless
 said, timed with `timeit` on 2 CPUs under numpy 2.4.6 and OpenBLAS 0.3.31):
 - A 2-D product is `_dot(a, b)`: ``ndarray.dot`` (0.6-1.0 us) instead of
   the matmul gufunc `@` (1.55-1.85 us), on C- or F-contiguous operands
@@ -52,6 +52,15 @@ said, timed with `timeit` on 2 CPUs under numpy 2.4.6 and OpenBLAS 0.3.31):
   step added last step first. An (8, 16) weight and its bias over the
   7 progressive steps of a horizon-8 rollout take 8 us at one row and 13 us
   at 32 (`_weight_grad`, `_bias_grad`), against 34 and 39 us step by step.
+- A row statistic of a one-row operand reduces the whole array
+  (``axis=None``), and a scalar tail after it runs on Python floats: on a
+  (1, 16) row ``np.add.reduce(y, None) / n`` takes 1.0 us against 1.8 for
+  the keepdims reduce and its ``/ n``, the layer norm's ``1.0 /
+  math.sqrt(... / n + 1e-5)`` 1.4 us against 3.4 for the (1, 1) array's
+  sqrt and reciprocal, and scaling the row by a float 0.55 us against 1.75
+  by a (1, 1) array. `_softmax_data` and `prediction._block_forward` choose
+  the branch by the operand's row count, so a batch keeps its keepdims
+  reductions; a one-row softmax takes 3.5 us against 4.1.
 """
 
 from __future__ import annotations
@@ -115,10 +124,9 @@ class Tensor:
         return self.requires_grad or bool(self._parents)
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
+        """Takes the first gradient as sent, and adds a later one out of place,
+        so no sender's buffer is written through `grad`."""
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar."""
@@ -193,6 +201,13 @@ def _row(t: Tensor) -> np.ndarray:
 
 
 def _softmax_data(a: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis, each row less its max before exp. One row
+    (a 1-D array or a (1, C) row) takes its max and sum over the whole array
+    (the fifth rule), with the bits of the keepdims reductions."""
+    if a.size == a.shape[-1]:
+        e = a - np.maximum.reduce(a, None)
+        np.exp(e, out=e)
+        return np.divide(e, np.add.reduce(e, None), out=out)
     e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
     np.exp(e, out=e)
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)

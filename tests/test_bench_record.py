@@ -78,6 +78,46 @@ def test_pairs_follow_each_metrics_direction_and_ties_count_for_neither(tmp_path
         assert row["pairs_won_by_change"] == (2 if m["better"] == "higher" else 1), m["name"]
 
 
+def moved_runs(tmp_path, workload: str, parent: dict, by) -> dict:
+    """Per seed, every metric at the parent's value, and on the change's side
+    moved by(m, seed) in the metric's better direction; the workload's summary."""
+    for seed, value in parent.items():
+        write_run(tmp_path / "parent", workload, seed, uniform(value))
+        write_run(tmp_path / "change", workload, seed, {
+            m["name"]: value + by(m, seed) * (1.0 if m["better"] == "higher" else -1.0)
+            for m in SPEC["end_to_end"]})
+    return summarize(tmp_path / "parent", tmp_path / "change")[workload]["metrics"]
+
+
+@pytest.mark.parametrize("lost, shift, shown", [
+    (1, 0.5, True),  # 9 of 10 pairs, far beyond the parent's spread
+    (2, 0.5, False),  # 8 of 10 pairs
+    (0, 0.01, False),  # 10 of 10, but within the parent's q3 - q1 of 0.045
+])
+def test_gain_shown_needs_nine_of_ten_pairs_and_a_shift_beyond_the_parents_spread(
+        tmp_path, lost, shift, shown):
+    parent = {seed: 1.0 + 0.01 * (seed - 4.5) for seed in range(10)}
+    metrics = moved_runs(tmp_path, "train-ttpp", parent,
+                         lambda m, seed: -shift if seed < lost else shift)
+    for name, row in metrics.items():
+        assert row["pairs_won_by_change"] == 10 - lost, name
+        assert row["gain_shown"] is shown, name
+
+
+def test_gain_shown_needs_pairs(tmp_path):
+    write_run(tmp_path / "parent", "train-ttpp", 1, uniform(1.0))
+    write_run(tmp_path / "change", "train-ttpp", 2, uniform(2.0))
+    metrics = summarize(tmp_path / "parent", tmp_path / "change")["train-ttpp"]["metrics"]
+    assert not any(row["gain_shown"] for row in metrics.values())
+
+
+@pytest.mark.parametrize("bounds, beyond", [(-1.5, True), (-0.5, False), (1.5, False)])
+def test_beyond_bound_is_a_median_worse_by_more_than_the_bound(tmp_path, bounds, beyond):
+    metrics = moved_runs(tmp_path, "grid-smoke", {1: 1.0}, lambda m, seed: bounds * m["bound"])
+    for name, row in metrics.items():
+        assert row["beyond_bound"] is beyond, name
+
+
 def test_tiny_runs_other_lengths_and_span_files_are_skipped(tmp_path):
     out = tmp_path / "out"
     write_run(out, "grid-smoke", 1, uniform(1.0))

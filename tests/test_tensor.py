@@ -80,6 +80,26 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 2)))
 
 
+class TestAccumulate:
+    def test_first_gradient_is_taken_as_sent_and_a_later_one_added_out_of_place(self):
+        t = Tensor(np.zeros(3), requires_grad=True)
+        first, second = np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25, 0.125])
+        t._accumulate(first)
+        assert t.grad is first
+        t._accumulate(second)
+        assert t.grad.tolist() == [1.5, 2.25, 3.125]
+        assert first.tolist() == [1.0, 2.0, 3.0]  # the sender's buffer is not written
+
+    def test_a_gradient_sent_to_two_tensors_is_not_written_through_either(self):
+        # add sends its one gradient array to both sides; a's second term must
+        # not reach b through the shared buffer
+        a, b = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        c = np.array([2.0, 3.0, 4.0])
+        total(tensor_sum(add(a, b)), tensor_sum(mul(a, c))).backward()
+        assert b.grad.tolist() == [1.0, 1.0, 1.0]
+        assert a.grad.tolist() == [3.0, 4.0, 5.0]
+
+
 class TestSoftmax:
     def test_uniform_on_constant(self):
         out = softmax(Tensor([0.0, 0.0, 0.0, 0.0]))
@@ -1374,6 +1394,13 @@ def plain_block_forward(x, data, keep, out, saved=None):
     return out
 
 
+def plain_softmax_data(a, out=None):
+    """`tensor._softmax_data` with keepdims max and sum over the last axis, at any row count."""
+    e = a - np.maximum.reduce(a, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
+
+
 def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
     """`baselines._cell_forward` with `@`, a 1-D bias and the sigmoid 1.0 / (1.0 + exp(-pre))."""
     d_h = c.shape[1]
@@ -1430,6 +1457,7 @@ def outputs_and_grads(op, arrays, args_of, costs):
 PLAIN = {
     "_dot": (tensor, lambda a, b, out=None: np.matmul(a, b, out=out)),
     "_row": (tensor, lambda t: t.data),
+    "_softmax_data": (tensor, plain_softmax_data),
     "_block_forward": (prediction, plain_block_forward),
     "_cell_forward": (baselines, plain_cell_forward),
     "_cell_backward": (baselines, plain_cell_backward),
@@ -1445,7 +1473,7 @@ def ssp_case(rng, lead):
     return (ssp_rollout, ssp_arrays(rng, lead, 16, 4, horizon),
             lambda t: ssp_args(t, horizon, keep),
             [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)],
-            STACKED | {"_dot", "_block_forward"})
+            STACKED | {"_dot", "_softmax_data", "_block_forward"})
 
 
 def conv1d_case(rng, lead):
@@ -1461,7 +1489,7 @@ def ppm_case(rng, lead):
     keep = (rng.random((*lead, horizon, 16)) >= 0.1) / 0.9
     return (rollout, ppm_arrays(rng, lead, 16, 4), lambda t: ppm_args(t, horizon, keep),
             [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)],
-            STACKED | {"_dot", "_block_forward"})
+            STACKED | {"_dot", "_softmax_data", "_block_forward"})
 
 
 def lstm_encode_case(rng, lead):
@@ -1476,14 +1504,15 @@ def lstm_decode_case(rng, lead):
     horizon = 4
     return (lstm_decode, lstm_arrays(rng, lead, 16, 4), lambda t: lstm_args(t, horizon),
             [rng.normal(size=(*lead, horizon, n)) for n in (16, 4)],
-            STACKED | {"_dot", "_cell_forward", "_cell_backward"})
+            STACKED | {"_dot", "_softmax_data", "_cell_forward", "_cell_backward"})
 
 
 class TestFastPathsKeepTheBits:
     """Each fused op, forward and every gradient, equals by bytes the same op
     run with the plain numpy arithmetic its fast paths replace: `@` for
-    `_dot`, 1-D biases broadcast over the rows, 1.0 / np.sqrt(...) in the
-    layer norm, 1.0 / (1.0 + exp(-pre)) for the gates, and a parameter's
+    `_dot`, 1-D biases broadcast over the rows, keepdims row statistics and
+    1.0 / np.sqrt(...) in the layer norm, keepdims max and sum in the
+    softmax, 1.0 / (1.0 + exp(-pre)) for the gates, and a parameter's
     gradient added step by step instead of one stacked product or sum.
     Each plain form is bound wherever a layer module imported the fast one,
     and each case names the fast paths its layer runs: those and only those
@@ -1501,6 +1530,71 @@ class TestFastPathsKeepTheBits:
         plain = outputs_and_grads(op, arrays, args_of, costs)
         assert {name for name, count in calls.items() if count[0]} == uses
         assert_same_bytes(fast, plain)
+
+
+# rows at the edges of the one-row statistics: ties, signed zeros, +-700
+# (exp's edge), values near overflow, infinities and NaN
+edge_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 700.0, -700.0, 709.0, -745.0, 1.7e308, -1.7e308,
+                     np.inf, -np.inf, np.nan]),
+    st.floats(-1e3, 1e3),
+)
+
+
+def edge_row(width: int):
+    return st.lists(edge_values, min_size=width, max_size=width).map(np.array)
+
+
+def run_recording(fn, *args, **kwargs):
+    """fn's result and the RuntimeWarnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn(*args, **kwargs)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+class TestOneRowStatistics:
+    """At one row, `_softmax_data` and the layer norm of `_block_forward`
+    reduce the whole array and carry the layer norm's scalar tail on Python
+    floats. Each must equal by bytes its keepdims form, on rows at the
+    edges, and raise the same RuntimeWarnings."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row=st.integers(1, 6).flatmap(edge_row), two_d=st.booleans(), into=st.booleans())
+    def test_softmax_equals_keepdims_form(self, row, two_d, into):
+        a = row[None] if two_d else row
+        # with `into`, each writes into a strided view, as a rollout's step row is
+        outs = [np.full((3, a.shape[-1] + 2), 7.0)[1:2, 1:-1].reshape(a.shape) if into else None
+                for _ in "ab"]
+        got, got_warned = run_recording(tensor._softmax_data, a, out=outs[0])
+        want, want_warned = run_recording(plain_softmax_data, a, out=outs[1])
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_warned == want_warned
+        if into:
+            assert got is outs[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(b2=edge_row(8), seed=st.integers(0, 2**16), scale=st.sampled_from([0.0, 1.0, 1e150]),
+           tape=st.booleans(), dropout=st.booleans(), into=st.booleans())
+    def test_block_forward_equals_keepdims_form(self, b2, seed, scale, tape, dropout, into):
+        # the edge row enters as the second layer's bias, so the products stay
+        # finite (`.dot` and `@` name an overflow apart) and, at scale 0, the
+        # layer norm's input is that row exactly
+        rng = np.random.default_rng(seed)
+        x, w1, w2 = rng.normal(size=(1, 6)), rng.normal(size=(6, 4)), rng.normal(size=(4, 8))
+        data = (w1, rng.normal(size=(1, 4)), w2 * scale, b2[None],
+                rng.normal(size=(1, 8)), rng.normal(size=(1, 8)))
+        keep = (rng.random((1, 8)) >= 0.5) / 0.5 if dropout else None
+        results = []
+        for forward in (prediction._block_forward, plain_block_forward):
+            saved = tensor._by_step(tensor._stacks(1, 1, (4, 8, 1)))[0] if tape else None
+            out = np.full((1, 12), 7.0)[:, 2:10] if into else None
+            got, warned = run_recording(forward, x, data, keep, out, saved)
+            results.append((got, warned, saved or ()))
+        (got, got_warned, got_saved), (want, want_warned, want_saved) = results
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert got_warned == want_warned
+        assert [a.tobytes() for a in got_saved] == [a.tobytes() for a in want_saved]
 
 
 class TestStackedParameterGradients:
