@@ -8,11 +8,14 @@ Each directory holds the run records that `perfbench/run.py` writes
 and end-to-end metric, each side's median and quartiles over its runs, the
 ratio of the medians (change over parent) and, over the seeds both sides
 ran, how many pairs the change won in the metric's better direction (ties
-count for neither). Each such metric also states two verdicts:
+count for neither). Each such metric also states three verdicts:
 `gain_shown`, the change won at least 9 of 10 pairs and its median is
-better than the parent's by more than the parent's q3 - q1; and
+better than the parent's by more than the parent's q3 - q1;
 `beyond_bound`, its median is worse than the parent's by more than the
-metric's bound, taken as a share of the parent's median. Traced records
+metric's bound, taken as a share of the parent's median; and
+`unresolved`, either side's q3 - q1 is wider than that bound, so the runs
+cannot tell a change within the bound from none, unless every run of the
+change is better than every run of the parent. Traced records
 give each side's per-layer metrics. The directions and bounds are read
 from BENCHMARK.json.
 """
@@ -78,6 +81,7 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
             summary = {side: spread(list(v.values())) for side, v in value.items()}
             base = summary["parent"]["median"]
             gain = sign * (summary["change"]["median"] - base)
+            allowed = m["bound"] * abs(base)
             wins = sum(sign * (value["change"][s] - value["parent"][s]) > 0 for s in paired)
             metrics[name] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"], **summary,
@@ -85,7 +89,10 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
                 "pairs": len(paired), "pairs_won_by_change": wins,
                 "gain_shown": bool(paired) and 10 * wins >= 9 * len(paired)
                 and gain > summary["parent"]["q3"] - summary["parent"]["q1"],
-                "beyond_bound": -gain > m["bound"] * abs(base),
+                "beyond_bound": -gain > allowed,
+                "unresolved": any(q["q3"] - q["q1"] > allowed for q in summary.values())
+                and min(sign * v for v in value["change"].values())
+                <= max(sign * v for v in value["parent"].values()),
             }
         row["metrics"] = metrics
         out[workload] = row

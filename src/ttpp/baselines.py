@@ -14,13 +14,14 @@ predictor, so every pairing composes without special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .prediction import (PredictionBlockParams, Rollout, _block_backward, _block_data,
                          _block_forward, _check_block, _check_rollout, _rollout, _send_block,
                          init_block_params)
-from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _by_step, _dot,
+from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _dot, _dot_contig,
                      _features_and_logits, _make, _plus, _refuse_tracked, _row, _send,
                      _softmax_data, _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
 
@@ -122,6 +123,11 @@ class LSTMParams(ParameterSet):
     w: Parameter
     b: Parameter
 
+    @cached_property
+    def cell(self) -> tuple[np.ndarray, np.ndarray]:
+        """The weight and bias as `_cell_forward` takes them, the bias a (1, 4 d_h) row."""
+        return self.w.value.data, _row(self.b.value)
+
 
 def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMParams:
     """Glorot init with one draw per gate and input, so each keeps its own limit.
@@ -133,12 +139,12 @@ def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMPara
 
 
 def _cell_forward(xh, c, w, b, tape: bool, h_out):
-    """One LSTM cell step on 2-D rows [x | h] and c, with the arrays `w` and
-    `b` (a (1, 4 d_h) row), writing h' into `h_out`; returns h', c' and, if
-    taping, the backward's inputs. Callers run it under
+    """One LSTM cell step on contiguous 2-D rows [x | h] and c, with the
+    arrays `w` and `b` (a (1, 4 d_h) row), writing h' into `h_out`; returns
+    h', c' and, if taping, the backward's inputs. Callers run it under
     np.errstate(over="ignore"): a gate below -709 overflows exp to its right 0."""
     d_h = c.shape[1]
-    pre = _dot(xh, w)
+    pre = _dot_contig(xh, w)
     pre += b
     gates = np.reciprocal(np.exp(-pre) + 1.0)  # all four blocks; the g block goes unused
     cand = np.tanh(pre[:, 2 * d_h : 3 * d_h])
@@ -172,6 +178,7 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     width must be the feature width. A (B, T, d_m) stack gives (B, 1, d_m).
     The window takes no gradient: a tracked one is refused."""
     w, b = params.values
+    w_data, b_row = params.cell
     shape = f_seq.data.shape
     if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (2 * shape[-1], 4 * shape[-1])
             or b.data.shape != (4 * shape[-1],)):
@@ -185,14 +192,13 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     xh[:t, :, :d] = windows.swapaxes(0, 1)
     xh[0, :, d:] = 0.0
     c, caches, tape = np.zeros((n, d)), [None] * t, _tapes((w, b))
-    b_row = _row(b)
     with np.errstate(over="ignore"):
         for s in range(t):
-            _, c, caches[s] = _cell_forward(xh[s], c, w.data, b_row, tape, xh[s + 1, :, d:])
+            _, c, caches[s] = _cell_forward(xh[s], c, w_data, b_row, tape, xh[s + 1, :, d:])
     data = xh[t, :, d:] + xh[t - 1, :, :d]
 
     def backward(g):
-        gh, gc, w_h = g.reshape(-1, d), None, w.data[d:]
+        gh, gc, w_h = g.reshape(-1, d), None, w_data[d:]
         dpre = np.empty((t, n, 4 * d))
         for s in reversed(range(t)):
             gh, gc = _cell_backward(gh, gc, caches[s], w_h, dpre[s])
@@ -209,6 +215,16 @@ class DecoderParams(ParameterSet):
     lstm: LSTMParams
     classifier: Parameter
     horizon: int
+
+    @cached_property
+    def cell(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cell's `LSTMParams.cell`, once it is checked against the classifier."""
+        w, b = self.lstm.values
+        d, n_classes = self.classifier.value.data.shape
+        if w.data.shape != (2 * d + n_classes, 4 * d) or b.data.shape != (4 * d,):
+            raise ShapeError(f"lstm_decode: weight {w.data.shape} and bias {b.data.shape} "
+                             f"for inputs of width {d + n_classes} and hidden width {d}")
+        return self.lstm.cell
 
 
 def init_lstm_decoder_params(d_m: int, n_classes: int, horizon: int, rng) -> DecoderParams:
@@ -229,9 +245,7 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
     horizon = params.horizon
     d, n_classes = _check_rollout("lstm_decode", s_t, f_t, classifier, horizon)
     d_in = d + n_classes
-    if w.data.shape != (d_in + d, 4 * d) or b.data.shape != (4 * d,):
-        raise ShapeError(f"lstm_decode: weight {w.data.shape} and bias {b.data.shape} "
-                         f"for inputs of width {d_in} and hidden width {d}")
+    w_data, b_row = params.cell
     rows = s_t.data.reshape(-1, d)
     parents = (s_t, w, b, classifier)
     tape = _tapes(parents)
@@ -239,16 +253,15 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
     x[0, :, d_in:] = rows
     c = [np.zeros(rows.shape), None]  # the cell state after the last step run, its gradient
     caches = [None] * horizon
-    b_row = _row(b)
 
     def step(s, out):
-        h, c[0], caches[s] = _cell_forward(x[s], c[0], w.data, b_row, tape, out)
+        h, c[0], caches[s] = _cell_forward(x[s], c[0], w_data, b_row, tape, out)
         x[s + 1, :, d_in:] = h
         return h
 
     def step_back(s, g, gx, grads):  # the state's h gets the next cell's h rows, then g
         gx, c[1] = _cell_backward(g if gx is None else gx[:, d_in:] + g,
-                                  None if gx is None else c[1], caches[s], w.data, grads[0])
+                                  None if gx is None else c[1], caches[s], w_data, grads[0])
         if s == 0:
             _send(s_t, gx[:, d_in:].reshape(s_t.data.shape))
         return gx
@@ -269,6 +282,16 @@ class SSPParams(ParameterSet):
     block: PredictionBlockParams
     classifier: Parameter
     horizon: int
+
+    @cached_property
+    def block_data(self) -> tuple[np.ndarray, ...]:
+        """The block's arrays as `_block_forward` takes them, once the block is
+        checked against the classifier and the horizon tags."""
+        block = self.block.values
+        d, n_classes = self.classifier.value.data.shape
+        if _check_block("ssp_rollout", 2 * d + n_classes + self.horizon, *block) != d:
+            raise ShapeError(f"ssp_rollout: block output width {block[2].data.shape[1]} is not {d}")
+        return _block_data(block)
 
 
 def init_ssp_params(d_m: int, n_classes: int, horizon: int, rng) -> SSPParams:
@@ -293,10 +316,9 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     """
     block, classifier, horizon = params.block.values, params.classifier.value, params.horizon
     d, n_classes = _check_rollout("ssp_rollout", s_t, f_t, classifier, horizon, keep)
-    shared, m = 2 * d + n_classes, block[0].data.shape[1]
+    data = params.block_data
+    shared, m = 2 * d + n_classes, data[0].shape[1]
     k = shared + horizon
-    if _check_block("ssp_rollout", k, *block) != d:
-        raise ShapeError(f"ssp_rollout: block output width {block[2].data.shape[1]} is not {d}")
     lead = s_t.data.shape[:-2]
     wc, f_rows = classifier.data, f_t.data.reshape(-1, d)
     n = len(f_rows)
@@ -308,10 +330,7 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     x[:, :, shared:] = np.eye(horizon)
     rows = x.reshape(-1, k)
     masks = None if keep is None else np.reshape(keep, (-1, d))
-    data = _block_data(block)
-    parents = (s_t, classifier, *block)
-    saved = _stacks(1, len(rows), (m, d, 1)) if _tapes(parents) else None
-    feats = _block_forward(rows, data, masks, None, saved and _by_step(saved)[0])
+    feats, saved = _block_forward(rows, data, masks, None)
     logits = _dot(feats, wc)
 
     # A gradient with two terms adds them in the order the chain of single
@@ -323,8 +342,8 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
         gz = g_logits.reshape(-1, n_classes)
         g = _plus(None if g_feats is None else g_feats.reshape(-1, d), _dot(gz, wc.T))
         grads = _stacks(1, len(rows), (d, d, m, k))
-        gx = _block_backward(g, _by_step(saved)[0], masks, data, _by_step(grads)[0])
-        _send_block(block, rows[None], saved, grads)
+        gx = _block_backward(g, saved, masks, data, [a[0] for a in grads])
+        _send_block(block, rows[None], [saved], grads)
         g_shared = np.add.reduce(gx.reshape(n, horizon, k)[:, :, :shared], axis=1,
                                  keepdims=True, initial=0.0)
         _send(s_t, g_shared[:, :, :d].reshape(s_t.data.shape))
@@ -332,5 +351,5 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
         _send(classifier, _dot(feats.T, gz) + _dot(f_rows.T, gz_t))
 
     return Rollout(*_features_and_logits(feats.reshape(lead + (horizon, d)),
-                                         logits.reshape(lead + (horizon, n_classes)), parents,
-                                         backward))
+                                         logits.reshape(lead + (horizon, n_classes)),
+                                         (s_t, classifier, *block), backward))

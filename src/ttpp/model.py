@@ -150,6 +150,7 @@ class AnticipationModel:
         return score
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copies into each parameter's own array, which is never rebound."""
         params = {p.name: p for p in self.parameters()}
         missing = sorted(set(params) - set(state))
         extra = sorted(set(state) - set(params))
@@ -161,7 +162,7 @@ class AnticipationModel:
                 raise ValueError(
                     f"checkpoint mismatch: {name} has shape {arr.shape}, expected {p.shape}"
                 )
-            p.value.data = arr.copy()
+            np.copyto(p.value.data, arr)
             p.momentum = np.zeros_like(p.value.data)
 
 

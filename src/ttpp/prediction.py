@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _by_step, _dot,
+from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _dot, _dot_contig,
                      _features_and_logits, _over_steps, _plus, _refuse_tracked, _row, _send,
                      _softmax_data, _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
 
@@ -54,6 +55,19 @@ class PPMParams(ParameterSet):
     def parameters(self) -> list[Parameter]:
         blocks = (self.initial,) if self.horizon == 1 else (self.initial, self.progressive)
         return [p for block in blocks for p in block.parameters()] + [self.classifier]
+
+    @cached_property
+    def step_data(self) -> list[tuple[np.ndarray, ...]]:
+        """Each step's block arrays as `_block_forward` takes them, once both
+        blocks are checked against the classifier and each other."""
+        initial, progressive = self.initial.values, self.progressive.values
+        d, n_classes = self.classifier.value.data.shape
+        width, m = 2 * d + n_classes, initial[0].data.shape[1]
+        if {(b[0].data.shape[1], _check_block("rollout", width, *b))
+                for b in (initial, progressive)} != {(m, d)}:
+            raise ShapeError(f"rollout: the blocks' hidden and output widths are not both "
+                             f"(m, d) = ({m}, {d})")
+        return [_block_data(initial)] + [_block_data(progressive)] * (self.horizon - 1)
 
 
 @dataclass
@@ -115,47 +129,44 @@ def _block_data(block) -> tuple[np.ndarray, ...]:
     return w1.data, _row(b1), w2.data, _row(b2), _row(gain), _row(bias)
 
 
-def _block_forward(x, data, keep, out, saved=None):
+def _block_forward(x, data, keep, out):
     """A prediction block, layer_norm(relu(x w1 + b1) w2 + b2) * gain + bias
-    times the dropout mask `keep` (None: no dropout), on 2-D rows into `out`
-    (new if None), with `data` from `_block_data`. Layer norm standardizes
-    each row by the population mean and variance, with eps 1e-5; one row
-    reduces the whole array and takes its mean and 1 / std as floats (the
-    fifth rule at the head of `tensor.py`), with the bits of the keepdims
-    form. While taping, `saved` is a step's rows of the stacked (hidden,
-    xhat, inv_std), which the forward fills for the backward, at one row
-    too. np.maximum, the ReLU, propagates a NaN."""
+    times the dropout mask `keep` (None: no dropout), on contiguous 2-D rows
+    `x` into `out` (new if None), with `data` from `_block_data`. Layer norm
+    standardizes each row by the population mean and variance, with eps
+    1e-5; one row reduces the whole array and takes its mean and 1 / std as
+    floats (the fifth rule at the head of `tensor.py`), with the bits of the
+    keepdims form. Returns the output and (hidden, xhat, inv_std), arrays of
+    the forward's own that `_block_backward` reads and a taped caller keeps
+    (inv_std a float at one row, else a column). np.maximum, the ReLU,
+    propagates a NaN."""
     w1, b1, w2, b2, gain, bias = data
-    hidden, xhat, inv_std = saved or (None, None, None)
-    pre = _dot(x, w1, hidden)
-    pre += b1
-    hidden = np.maximum(pre, 0.0, out=pre)
-    y = _dot(hidden, w2)
+    hidden = _dot_contig(x, w1)
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    y = _dot_contig(hidden, w2)
     y += b2
     n = y.shape[1]
     if len(y) == 1:
         y -= float(np.add.reduce(y, None)) / n
-        scale = 1.0 / math.sqrt(float(np.add.reduce(y * y, None)) / n + 1e-5)
-        if inv_std is not None:
-            inv_std.fill(scale)
+        inv_std = 1.0 / math.sqrt(float(np.add.reduce(y * y, None)) / n + 1e-5)
     else:
         y -= np.add.reduce(y, axis=-1, keepdims=True) / n
-        scale = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5),
-                              out=inv_std)
-    xhat = np.multiply(y, scale, out=y if xhat is None else xhat)
+        inv_std = np.reciprocal(np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5))
+    xhat = np.multiply(y, inv_std, out=y)
     out = np.multiply(xhat, gain, out=out)
     out += bias
     if keep is not None:
         out *= keep
-    return out
+    return out, (hidden, xhat, inv_std)
 
 
 def _block_backward(g, saved, keep, data, grads):
     """The gradient of a block's input rows from its output's, `g`, all on 2-D
-    rows. `saved` is the step's rows `_block_forward` filled; the backward
-    fills the step's rows of `grads`: g after dropout, gy and gpre, from which
-    `_send_block` sums the weights' gradients, and the input's, which it
-    returns."""
+    rows. `saved` is the step's (hidden, xhat, inv_std) from `_block_forward`;
+    the backward fills the step's rows of `grads`: g after dropout, gy and
+    gpre, from which `_send_block` sums the weights' gradients, and the
+    input's, which it returns."""
     w1, _, w2, _, gain_row, _ = data
     hidden, xhat, inv_std = saved
     g_kept, gy, gpre, gx = grads
@@ -174,9 +185,10 @@ def _block_backward(g, saved, keep, data, grads):
 
 def _send_block(block, x, saved, grads) -> None:
     """Sends a block's tensors their gradients over a stack of steps, from the
-    steps' inputs `x` and the stacks the forward and backward filled."""
+    steps' inputs `x`, the stacks the backward filled and, stacked here, the
+    (hidden, xhat, inv_std) per step that the taped forward kept, `saved`."""
     w1, b1, w2, b2, gain, bias = block
-    hidden, xhat, _ = saved
+    hidden, xhat = (np.array([kept[i] for kept in saved]) for i in (0, 1))  # np.stack: 3x slower
     g, gy, gpre = grads[:3]
     _send(gain, _bias_grad(g * xhat))
     _send(bias, _bias_grad(g))
@@ -243,7 +255,7 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
         g_feats = None if g_feats is None else np.ascontiguousarray(_steps_first(g_feats, n))
         gz = np.array(_steps_first(g_logits, n), order="C")
         grads = _stacks(horizon, n, widths)
-        grads_at = _by_step(grads)
+        grads_at = list(zip(*grads))  # each step's rows of the stacks
         gx = None
         for s in reversed(range(horizon)):
             g = None if g_feats is None else g_feats[s]
@@ -277,30 +289,28 @@ def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
     initial, progressive = params.initial.values, params.progressive.values
     classifier, horizon = params.classifier.value, params.horizon
     d, n_classes = _check_rollout("rollout", s_t, f_t, classifier, horizon, keep)
-    width, m = 2 * d + n_classes, initial[0].data.shape[1]
-    if {(b[0].data.shape[1], _check_block("rollout", width, *b))
-            for b in (initial, progressive)} != {(m, d)}:
-        raise ShapeError(f"rollout: the blocks' hidden and output widths are not both "
-                         f"(m, d) = ({m}, {d})")
+    data = params.step_data
     rows = s_t.data.reshape(-1, d)
     masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
-    data = [_block_data(initial)] + [_block_data(progressive)] * (horizon - 1)
     parents = (s_t, classifier, *initial, *(progressive if horizon > 1 else ()))
+    width, m = 2 * d + n_classes, data[0][0].shape[1]
     x = np.empty((horizon + 1, len(rows), width))
     x[:, :, :d] = rows
-    saved = _stacks(horizon, len(rows), (m, d, 1)) if _tapes(parents) else None
-    saved_at = saved and _by_step(saved)
+    saved = [] if _tapes(parents) else None  # each step's (hidden, xhat, inv_std)
 
     def step(s, out):
-        return _block_forward(x[s], data[s], masks[s], out, saved_at and saved_at[s])
+        out, kept = _block_forward(x[s], data[s], masks[s], out)
+        if saved is not None:
+            saved.append(kept)
+        return out
 
     def step_back(s, g, gx, grads):
-        return _block_backward(g, saved_at[s], masks[s], data[s], grads)
+        return _block_backward(g, saved[s], masks[s], data[s], grads)
 
     def send(grads):  # the progressive block first, so one block in both adds in step order
         for block, steps in ((progressive, slice(1, horizon)), (initial, slice(0, 1))):
             if steps.stop > steps.start:
-                _send_block(block, x[steps], [a[steps] for a in saved], [a[steps] for a in grads])
+                _send_block(block, x[steps], saved[steps], [a[steps] for a in grads])
         _send(s_t, _over_steps(grads[3][:, :, :d]).reshape(s_t.data.shape))
 
     return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(d, 2 * d),

@@ -27,9 +27,10 @@ reaches a rollout's features alone is refused too.
 The tests hold each layer to the chain of generic single-op nodes it
 replaced, kept in ``tests/chains.py``: values equal by bytes, gradients
 by bytes or to 1e-12. Arrays only a backward reads are kept only while
-taping. Dropout takes a keep mask drawn by `keep_mask`, so a caller can
-draw the masks of a whole batch at once in the order per-sample draws
-would read them.
+taping, as references to the arrays each step computes anyway, which the
+backward stacks. Dropout takes a keep mask drawn by `keep_mask`, so a
+caller can draw the masks of a whole batch at once in the order
+per-sample draws would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
@@ -38,16 +39,22 @@ said, timed with `timeit` on 2 CPUs under numpy 2.4.6 and OpenBLAS 0.3.31):
 - A 2-D product is `_dot(a, b)`: ``ndarray.dot`` (0.6-1.0 us) instead of
   the matmul gufunc `@` (1.55-1.85 us), on C- or F-contiguous operands
   only; a strided view goes to `@`, as `.dot` may sum it in another order.
+  Operands contiguous by construction (rows of the op's own buffer, arrays
+  it made, parameter arrays) skip the test: `_dot_contig` takes 0.50 us
+  against 0.70. A rollout's features, at batch columns of its step
+  buffer, keep `_dot`.
 - A 1-D parameter (a bias, a layer-norm gain) enters as a (1, n) row,
-  taken by `_row` once per op call: ``y += b`` with a (1, 16) `b` on a
-  (1, 16) `y` takes the same-shape loop (0.87 us), a (16,) `b` the
-  broadcasting one (1.85 us).
+  taken by `_row` once per op call, or once per set that caches its rows
+  (`PPMParams.step_data`, `SSPParams.block_data`, `LSTMParams.cell`):
+  ``y += b`` with a (1, 16) `b` on a (1, 16) `y` takes the same-shape loop
+  (0.87 us), a (16,) `b` the broadcasting one (1.85 us).
 - No Python scalar is a left operand: ``np.reciprocal(x)`` for ``1.0 / x``
   (0.46 us against 0.98) and ``np.subtract(1.0, x)`` for ``1.0 - x``.
 - A parameter's gradient is one stacked product per call, summed in the
-  tape's step order. The taped forward and the backward through time write
-  each step's factors into (steps, rows, .) buffers; after the loop a weight
-  gets ``np.add.reduce(np.matmul(X.transpose(0, 2, 1), G)[::-1], axis=0)``
+  tape's step order. The backward through time writes each step's
+  gradient factors into (steps, rows, .) buffers and stacks the arrays
+  the forward kept; after the loop a weight gets
+  ``np.add.reduce(np.matmul(X.transpose(0, 2, 1), G)[::-1], axis=0)``
   and a bias the same sum over its row sums, the bytes of one ``.dot`` per
   step added last step first. An (8, 16) weight and its bias over the
   7 progressive steps of a horizon-8 rollout take 8 us at one row and 13 us
@@ -65,7 +72,6 @@ said, timed with `timeit` on 2 CPUs under numpy 2.4.6 and OpenBLAS 0.3.31):
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import fields
 from functools import cached_property
@@ -85,19 +91,22 @@ class GradientError(RuntimeError):
 _taping = True  # False inside no_grad()
 
 
-@contextlib.contextmanager
-def no_grad():
+class no_grad:
     """Build no tape inside the block: results hold no parents or backward closures.
 
     Forward values are computed by the same numpy calls, so they are equal
-    bit for bit to the taped ones.
-    """
-    global _taping
-    saved, _taping = _taping, False
-    try:
-        yield
-    finally:
-        _taping = saved
+    bit for bit to the taped ones. Leaving it, also by an exception, restores
+    the enclosing block's taping."""
+
+    __slots__ = ("saved",)
+
+    def __enter__(self) -> None:
+        global _taping
+        self.saved, _taping = _taping, False
+
+    def __exit__(self, *exc) -> None:
+        global _taping
+        _taping = self.saved
 
 
 class Tensor:
@@ -195,6 +204,9 @@ def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
+_dot_contig = np.ndarray.dot  # `_dot` without its test, for operands contiguous by construction
+
+
 def _row(t: Tensor) -> np.ndarray:
     """A 1-D parameter as a (1, n) row view, which adds to (1, n) rows without broadcasting."""
     return t.data[None]
@@ -230,13 +242,9 @@ def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
 
 
 def _stacks(steps: int, rows: int, widths) -> list[np.ndarray]:
-    """One (steps, rows, width) buffer per width, for a fused op's per-step arrays."""
+    """One (steps, rows, width) buffer per width, which a backward through
+    time fills step by step with the gradients it sums over steps."""
     return [np.empty((steps, rows, w)) for w in widths]
-
-
-def _by_step(stacks) -> list[tuple[np.ndarray, ...]]:
-    """Each step's rows of the stacked buffers, one tuple per step."""
-    return list(zip(*stacks))
 
 
 def _over_steps(a: np.ndarray) -> np.ndarray:
@@ -318,8 +326,10 @@ class ParameterSet:
     @cached_property
     def values(self) -> tuple[Tensor, ...]:
         """The tensors of `parameters()`, in order, listed once, so a forward
-        walks no fields. Training and `load_state` change a tensor's data,
-        never the tensor, so the tuple follows the weights."""
+        walks no fields. Training and `load_state` write into a tensor's
+        array in place: neither the tensor nor its array is ever rebound,
+        so this tuple, and the rows and checks a set caches from the
+        arrays, follow the weights."""
         return tuple(p.value for p in self.parameters())
 
 

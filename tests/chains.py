@@ -272,15 +272,14 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
         raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
     keep = None if keep is None else np.reshape(keep, (-1, n))
     data = prediction._block_data(block)
-    rows = x.data.reshape(-1, k)
-    saved = tensor._stacks(1, len(rows), (m, n, 1)) if tensor._tapes((x, *block)) else None
-    out = prediction._block_forward(rows, data, keep, None, saved and tensor._by_step(saved)[0])
+    rows = np.ascontiguousarray(x.data.reshape(-1, k))
+    out, saved = prediction._block_forward(rows, data, keep, None)
 
     def backward(g):
         grads = tensor._stacks(1, len(rows), (n, n, m, k))
-        gx = prediction._block_backward(g.reshape(-1, n), tensor._by_step(saved)[0], keep, data,
-                                        tensor._by_step(grads)[0])
-        prediction._send_block(block, rows[None], saved, grads)
+        gx = prediction._block_backward(g.reshape(-1, n), saved, keep, data,
+                                        [a[0] for a in grads])
+        prediction._send_block(block, rows[None], [saved], grads)
         tensor._send(x, gx.reshape(x.data.shape))
 
     return tensor._make(out.reshape(shape), (x, *block), backward)

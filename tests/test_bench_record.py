@@ -118,6 +118,28 @@ def test_beyond_bound_is_a_median_worse_by_more_than_the_bound(tmp_path, bounds,
         assert row["beyond_bound"] is beyond, name
 
 
+@pytest.mark.parametrize("parent_iqr, change_iqr, shift, unresolved", [
+    (0.5, 0.5, 0.0, False),  # both spreads within the bound
+    (2.0, 0.5, 0.0, True),  # the parent's wider than the bound
+    (0.5, 2.0, 0.0, True),  # the change's wider than the bound
+    (2.0, 0.5, 3.0, False),  # wide, but every change run better than every parent run
+    (2.0, 0.5, 1.5, True),  # wide, and the lowest change run not better than the top parent run
+])
+def test_unresolved_is_a_spread_wider_than_the_bound_unless_the_sides_part(
+        tmp_path, parent_iqr, change_iqr, shift, unresolved):
+    # five runs a side at offsets -2..2 times a step, so q3 - q1 is 2 steps;
+    # iqr and shift are in units of the metric's bound times the parent's median
+    for side, iqr, moved in (("parent", parent_iqr, 0.0), ("change", change_iqr, shift)):
+        for seed, offset in enumerate((-2, -1, 0, 1, 2)):
+            write_run(tmp_path / side, "train-lstm", seed, {
+                m["name"]: 100.0 + (moved * (1.0 if m["better"] == "higher" else -1.0)
+                                    + offset * iqr / 2) * m["bound"] * 100.0
+                for m in SPEC["end_to_end"]})
+    metrics = summarize(tmp_path / "parent", tmp_path / "change")["train-lstm"]["metrics"]
+    for name, row in metrics.items():
+        assert row["unresolved"] is unresolved, name
+
+
 def test_tiny_runs_other_lengths_and_span_files_are_skipped(tmp_path):
     out = tmp_path / "out"
     write_run(out, "grid-smoke", 1, uniform(1.0))

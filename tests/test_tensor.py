@@ -1,5 +1,6 @@
 """Tensor engine and fused layers: forward semantics, backward passes, SGD."""
 
+import contextlib
 import warnings
 from dataclasses import FrozenInstanceError, dataclass, fields
 
@@ -463,6 +464,33 @@ class TestParameterSet:
         tensor_sum(roll.logits).backward()
         sgd_step(model.parameters(), lr=0.1)
         assert scores(model) == scores(fresh(model)) != scores(donor)
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("predictor", PREDICTORS)
+    def test_load_state_keeps_each_parameters_array(self, aggregator, predictor):
+        """`load_state` copies into the array each parameter already holds, so
+        the rows and checks a set cached at an earlier forward stay current:
+        the loaded model anticipates, taped and not, as a fresh model that
+        loaded the same state before its first forward."""
+        config = ModelConfig(aggregator=aggregator, predictor=predictor)
+        window = np.random.default_rng(6).normal(size=(8, 16))
+        state = {p.name: p.value.data for p in AnticipationModel(config, seed=1).parameters()}
+
+        def outputs(model):
+            taped, _ = model.anticipate(window)
+            with no_grad():
+                untaped, _ = model.anticipate(window)
+            return [a.data.tobytes() for roll in (taped, untaped)
+                    for a in (roll.features, roll.logits, roll.probs)]
+
+        model = AnticipationModel(config, seed=0)
+        before = outputs(model)
+        arrays = [p.value.data for p in model.parameters()]
+        model.load_state(state)
+        assert all(p.value.data is a for p, a in zip(model.parameters(), arrays, strict=True))
+        fresh = AnticipationModel(config, seed=0)
+        fresh.load_state(state)
+        assert outputs(model) == outputs(fresh) != before
 
 
 class TestBatchedGradientProperties:
@@ -1136,6 +1164,30 @@ class TestRolloutOpsMatchChains:
         with pytest.raises(ValueError, match="horizon"):
             ssp_rollout(*ssp_args(s, 0))
 
+    def test_a_set_checks_and_builds_its_rows_once_and_a_refused_set_at_every_call(self):
+        rng = np.random.default_rng(94)
+        t = [Tensor(a) for a in ppm_arrays(rng, (2,))]
+        c = [Tensor(a) for a in lstm_arrays(rng, (2,))]
+        s = [Tensor(a) for a in ssp_arrays(rng, (2,))]
+        wider = [Tensor(np.ones(sh)) for sh in [(11, 3), (3,), (3, 4), (4,), (4,), (4,)]]
+        narrow = [Tensor(np.ones(sh)) for sh in [(14, 2), (2,), (2, 3), (3,), (3,), (3,)]]
+        for op, good, bad, cached, message in (
+            (rollout, ppm_args(t, 3), ppm_args([*t[:8], *wider, t[14]], 3), "step_data",
+             "^rollout: the blocks' hidden and output widths"),
+            (lstm_decode, lstm_args(c, 3), lstm_args([*c[:3], Tensor(c[3].data[1:]), c[4]], 3),
+             "cell", r"^lstm_decode: weight \(11, 16\) and bias \(15,\)"),
+            (ssp_rollout, ssp_args(s, 3), ssp_args([*s[:2], *narrow, s[8]], 3), "block_data",
+             "^ssp_rollout: block output width 3"),
+        ):
+            for _ in range(2):
+                with pytest.raises(ShapeError, match=message):
+                    op(*bad)
+            assert cached not in vars(bad[2])
+            first = op(*good)
+            rows = getattr(good[2], cached)
+            assert op(*good).logits.data.tobytes() == first.logits.data.tobytes()
+            assert getattr(good[2], cached) is rows
+
 
 def bytes_of(op, arrays, args_of, costs, tracked):
     """The op's outputs and the gradient of every input (None where none
@@ -1372,9 +1424,9 @@ class TestRefusedGradients:
 # ---- the fused ops against the arithmetic of their plain numpy forms ------
 
 
-def plain_block_forward(x, data, keep, out, saved=None):
+def plain_block_forward(x, data, keep, out):
     """`prediction._block_forward` as `@`, 1-D bias broadcasting and 1.0 / np.sqrt,
-    copying into the stacked buffers `saved` what it computed apart."""
+    returning what the backward reads as its own arrays, inv_std a column."""
     w1, b1, w2, b2, gain, bias = data
     pre = x @ w1
     pre += b1
@@ -1385,13 +1437,11 @@ def plain_block_forward(x, data, keep, out, saved=None):
     y -= np.add.reduce(y, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(np.add.reduce(y * y, axis=-1, keepdims=True) / n + 1e-5)
     xhat = y * inv_std
-    for buffer, a in zip(saved or (), (hidden, xhat, inv_std)):
-        buffer[...] = a
     out = np.multiply(xhat, gain, out=out)
     out += bias
     if keep is not None:
         out *= keep
-    return out
+    return out, (hidden, xhat, inv_std)
 
 
 def plain_softmax_data(a, out=None):
@@ -1456,6 +1506,7 @@ def outputs_and_grads(op, arrays, args_of, costs):
 # the fast paths, each with its defining module and its plain form
 PLAIN = {
     "_dot": (tensor, lambda a, b, out=None: np.matmul(a, b, out=out)),
+    "_dot_contig": (tensor, lambda a, b: a @ b),
     "_row": (tensor, lambda t: t.data),
     "_softmax_data": (tensor, plain_softmax_data),
     "_block_forward": (prediction, plain_block_forward),
@@ -1585,16 +1636,21 @@ class TestOneRowStatistics:
         data = (w1, rng.normal(size=(1, 4)), w2 * scale, b2[None],
                 rng.normal(size=(1, 8)), rng.normal(size=(1, 8)))
         keep = (rng.random((1, 8)) >= 0.5) / 0.5 if dropout else None
+        # with `tape` each runs with taping on, as a taped rollout's step does,
+        # else inside no_grad; either way it returns (hidden, xhat, inv_std),
+        # which a taped caller keeps for the backward: inv_std is a float at
+        # one row, with the bytes of the keepdims form's (1, 1) column
         results = []
         for forward in (prediction._block_forward, plain_block_forward):
-            saved = tensor._by_step(tensor._stacks(1, 1, (4, 8, 1)))[0] if tape else None
             out = np.full((1, 12), 7.0)[:, 2:10] if into else None
-            got, warned = run_recording(forward, x, data, keep, out, saved)
-            results.append((got, warned, saved or ()))
+            with contextlib.nullcontext() if tape else no_grad():
+                (got, saved), warned = run_recording(forward, x, data, keep, out)
+            results.append((got, warned, saved))
         (got, got_warned, got_saved), (want, want_warned, want_saved) = results
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert got_warned == want_warned
-        assert [a.tobytes() for a in got_saved] == [a.tobytes() for a in want_saved]
+        assert [np.asarray(a).tobytes() for a in got_saved] == [a.tobytes() for a in want_saved]
+        assert not any(np.shares_memory(a, got) for a in got_saved[:2])
 
 
 class TestStackedParameterGradients:
@@ -1738,6 +1794,24 @@ class TestTapeNodes:
         with no_grad():
             model.anticipate(window)
         assert built[0] == nodes  # no_grad saves the tape, not the tensors
+
+
+class TestNoGrad:
+    def test_a_raising_or_nested_block_leaves_taping_as_it_was(self):
+        for outer in (True, False):
+            tensor._taping = outer
+            try:
+                with pytest.raises(ValueError, match="inside"), no_grad():
+                    assert not tensor._taping
+                    raise ValueError("inside")
+                assert tensor._taping is outer
+                with no_grad():
+                    with no_grad():
+                        assert not tensor._taping
+                    assert not tensor._taping
+                assert tensor._taping is outer
+            finally:
+                tensor._taping = True
 
 
 def test_forward_ops_deterministic():
