@@ -9,8 +9,9 @@ and end-to-end metric, each side's median and quartiles over its runs, the
 ratio of the medians (change over parent) and, over the seeds both sides
 ran, how many pairs the change won in the metric's better direction (ties
 count for neither). Each such metric also states three verdicts:
-`gain_shown`, the change won at least 9 of 10 pairs and its median is
-better than the parent's by more than the parent's q3 - q1;
+`gain_shown`, both sides ran at least 10 common seeds, the change won at
+least nine tenths of those pairs, and its median is better than the
+parent's by more than the parent's q3 - q1;
 `beyond_bound`, its median is worse than the parent's by more than the
 metric's bound, taken as a share of the parent's median; and
 `unresolved`, either side's q3 - q1 is wider than that bound, so the runs
@@ -29,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+MIN_PAIRS = 10  # fewer pairs state no gain: 5 of 5 won is no evidence of 9 in 10
 
 
 def load_runs(directory: Path, seconds: float) -> tuple[dict[tuple[str, int], list], dict]:
@@ -87,7 +89,7 @@ def summarize(parent: dict, change: dict, spec: dict) -> dict:
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"], **summary,
                 "ratio": summary["change"]["median"] / base if base else None,
                 "pairs": len(paired), "pairs_won_by_change": wins,
-                "gain_shown": bool(paired) and 10 * wins >= 9 * len(paired)
+                "gain_shown": len(paired) >= MIN_PAIRS and 10 * wins >= 9 * len(paired)
                 and gain > summary["parent"]["q3"] - summary["parent"]["q1"],
                 "beyond_bound": -gain > allowed,
                 "unresolved": any(q["q3"] - q["q1"] > allowed for q in summary.values())

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _dot, _make,
-                     _refuse_tracked, _send, _softmax_data, _softmax_grad, glorot)
+from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _dot, _make, _send,
+                     _softmax_data, _softmax_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -68,29 +68,28 @@ def positional_encoding(length: int, d_m: int) -> np.ndarray:
     return table
 
 
-def aggregate(f_seq: Tensor, params: TTMParams):
+def aggregate(window: np.ndarray, params: TTMParams) -> tuple[Tensor, np.ndarray]:
     """Aggregate T observed chunk features into one vector, as one node.
 
-    `f_seq` is one (T, d_m) window or a (B, T, d_m) stack, with T >= 2 the
+    `window` is one (T, d_m) array or a (B, T, d_m) stack, with T >= 2 the
     length of `params.pe`, which is added to each window. The last row
     queries the earlier T-1 as memory, each head scoring softmax(q_h K_h^T
     / sqrt(d_m)), the full width as temperature; the head outputs, side by
     side, are projected by `wo` and added back onto the last row.
     Returns ((..., 1, d_m) summary, (..., n_heads, T-1) attention weights as
-    an ndarray). The window takes no gradient: a tracked one is refused.
+    an ndarray). The window, an array, takes no gradient.
     """
     wq, wk, wv, wo = params.values
     pe, n_heads = params.pe, params.n_heads
-    shape = f_seq.data.shape
+    shape = window.shape
     if (len(shape) < 2 or shape[-2] < 2 or np.shape(pe) != shape[-2:] or n_heads < 1
             or shape[-1] % n_heads):
         raise ShapeError(f"aggregate: window {shape}, position table {np.shape(pe)} and "
                          f"{n_heads} heads: needs T >= 2 rows, a (T, d) table, heads dividing d")
-    _refuse_tracked("aggregate", f_seq, "window")
     lead, (t, d) = shape[:-2], shape[-2:]
     m, d_k = t - 1, d // n_heads
     swap = (*range(len(lead)), len(lead) + 1, len(lead))  # the last two axes; self-inverse
-    x = f_seq.data + pe
+    x = window + pe
     query = x[..., m:, :]
     q_rows, mem_rows = query.reshape(-1, d), x[..., :m, :].reshape(-1, d)
     q = _dot(q_rows, wq.data).reshape(lead + (1, n_heads, d_k))

@@ -22,8 +22,8 @@ from .prediction import (PredictionBlockParams, Rollout, _block_backward, _block
                          _block_forward, _check_block, _check_rollout, _rollout, _send_block,
                          init_block_params)
 from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _dot, _dot_contig,
-                     _features_and_logits, _make, _plus, _refuse_tracked, _row, _send,
-                     _softmax_data, _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
+                     _features_and_logits, _make, _plus, _row, _send, _softmax_data,
+                     _softmax_grad, _tapes, _weight_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def _kernel_rows(out_len: int) -> np.ndarray:
     return (2 * np.arange(out_len)[:, None] + np.arange(3)).ravel()
 
 
-def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
+def conv1d_aggregate(window: np.ndarray, params: Conv1DStack) -> Tensor:
     """Reduce the (..., T, d_m) window(s) to (..., 1, d_m) through the stack's
     strided convs and the last-feature shortcut, as one node: at T=8 the
     three layers run 8 -> 4 -> 2 -> 1.
@@ -59,12 +59,11 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
     three rows, side by side, at stride 2 by its (3 d_m, d_m) weight, then
     adds its bias; a ReLU sits between layers. The window's last row is
     added onto the result, so the layers must reach one row: a window longer
-    than 2 ** layers is refused. The window takes no gradient: a tracked one
-    is refused.
+    than 2 ** layers is refused. The window, an array, takes no gradient.
     """
     depth = len(params.weights)
     weights, biases = params.values[:depth], params.values[depth:]
-    shape = f_seq.data.shape
+    shape = window.shape
     if (len(shape) < 2 or not weights or len(biases) != depth
             or not 1 <= shape[-2] <= 2 ** depth
             or any(w.data.shape != (3 * shape[-1], shape[-1]) for w in weights)
@@ -73,9 +72,8 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
                          f"{[w.data.shape for w in weights]} and biases "
                          f"{[b.data.shape for b in biases]}: needs (3 d, d) weights, (d,) "
                          f"biases and T <= 2 ** layers, the most the layers reduce to one row")
-    _refuse_tracked("conv1d_aggregate", f_seq, "window")
     lead, (t, d) = shape[:-2], shape[-2:]
-    x = f_seq.data.reshape(-1, t, d)
+    x = window.reshape(-1, t, d)
     n = len(x)
     inputs, wins = [], []  # each layer's input rows, after the ReLU, and kernel-row windows
     for layer, (w, b) in enumerate(zip(weights, biases)):
@@ -88,7 +86,7 @@ def conv1d_aggregate(f_seq: Tensor, params: Conv1DStack) -> Tensor:
         y = _dot(wins[-1], w.data)
         y += _row(b)
     data = y.reshape(lead + (1, d))
-    data += f_seq.data[..., t - 1 :, :]
+    data += window[..., t - 1 :, :]
 
     def backward(g):  # layer by layer, the top one first
         rows = g.reshape(-1, d)
@@ -155,38 +153,37 @@ def _cell_forward(xh, c, w, b, tape: bool, h_out):
     return h, c_new, ((c, gates, cand, tc) if tape else None)
 
 
-def _cell_backward(gh, gc, cache, w, dpre):
+def _cell_backward(gh, gc, cache, w):
     """The gradients of the input rows and of c from those of h' and c' (None
     is zero), with `w` the weight's rows of the inputs that take one: the
-    whole weight gives [x | h]'s, its h rows h's alone. Fills `dpre`, the
-    step's rows of the stack of gate pre-activation gradients from which the
-    caller sums w's and b's."""
+    whole weight gives [x | h]'s, its h rows h's alone. Returns them and
+    the gate pre-activations' gradient, `dpre`, from which the caller sums
+    w's and b's over the steps."""
     c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
     gc = _plus(gc, gh * o * np.subtract(1.0, tc * tc))
     dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
-    np.multiply(dgate * gates, np.subtract(1.0, gates), out=dpre)
+    dpre = np.multiply(dgate * gates, np.subtract(1.0, gates))
     dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * np.subtract(1.0, cand * cand)
-    return _dot(dpre, w.T), gc * f
+    return _dot(dpre, w.T), gc * f, dpre
 
 
-def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
+def lstm_encode(window: np.ndarray, params: LSTMParams) -> Tensor:
     """Run the (..., T, d_m) window(s) through the LSTM from the zero state,
     as one node run back through time by hand: the summary is the final
     hidden state plus the last observed feature (shortcut), so the hidden
     width must be the feature width. A (B, T, d_m) stack gives (B, 1, d_m).
-    The window takes no gradient: a tracked one is refused."""
+    The window, an array, takes no gradient."""
     w, b = params.values
     w_data, b_row = params.cell
-    shape = f_seq.data.shape
+    shape = window.shape
     if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (2 * shape[-1], 4 * shape[-1])
             or b.data.shape != (4 * shape[-1],)):
         raise ShapeError(f"lstm_encode: x {shape} for weight {w.data.shape} and bias "
                          f"{b.data.shape}: needs a (2 d, 4 d) weight and a (4 d,) bias")
-    _refuse_tracked("lstm_encode", f_seq, "window")
     t, d = shape[-2:]
-    windows = f_seq.data.reshape(-1, t, d)
+    windows = window.reshape(-1, t, d)
     n = len(windows)
     xh = np.empty((t + 1, n, 2 * d))  # [x_s | h_s] in w's row order; h_T
     xh[:t, :, :d] = windows.swapaxes(0, 1)
@@ -198,10 +195,10 @@ def lstm_encode(f_seq: Tensor, params: LSTMParams) -> Tensor:
     data = xh[t, :, d:] + xh[t - 1, :, :d]
 
     def backward(g):
-        gh, gc, w_h = g.reshape(-1, d), None, w_data[d:]
-        dpre = np.empty((t, n, 4 * d))
+        gh, gc, w_h, dpre = g.reshape(-1, d), None, w_data[d:], [None] * t
         for s in reversed(range(t)):
-            gh, gc = _cell_backward(gh, gc, caches[s], w_h, dpre[s])
+            gh, gc, dpre[s] = _cell_backward(gh, gc, caches[s], w_h)
+        dpre = np.array(dpre)
         _send(w, _weight_grad(xh[:t], dpre))
         _send(b, _bias_grad(dpre))
 
@@ -232,10 +229,10 @@ def init_lstm_decoder_params(d_m: int, n_classes: int, horizon: int, rng) -> Dec
     return DecoderParams(lstm, Parameter("dec.classifier", glorot(rng, d_m, n_classes)), horizon)
 
 
-def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
+def lstm_decode(s_t: Tensor, f_t: np.ndarray, params: DecoderParams) -> Rollout:
     """Decode params.horizon steps from the state [s_t | 0], as one node; each
     hidden state is a feature, from (..., 1, d_m) rows s_t and f_t, of which
-    f_t takes no gradient.
+    f_t, an array, takes no gradient.
 
     The first step consumes f_t (+) its classified probability, each later
     one the previous predicted feature (+) previous probability. The shared
@@ -259,20 +256,21 @@ def lstm_decode(s_t: Tensor, f_t: Tensor, params: DecoderParams) -> Rollout:
         x[s + 1, :, d_in:] = h
         return h
 
-    def step_back(s, g, gx, grads):  # the state's h gets the next cell's h rows, then g
-        gx, c[1] = _cell_backward(g if gx is None else gx[:, d_in:] + g,
-                                  None if gx is None else c[1], caches[s], w_data, grads[0])
+    def step_back(s, g, gx):  # the state's h gets the next cell's h rows, then g
+        gx, c[1], dpre = _cell_backward(g if gx is None else gx[:, d_in:] + g,
+                                        None if gx is None else c[1], caches[s], w_data)
         if s == 0:
             _send(s_t, gx[:, d_in:].reshape(s_t.data.shape))
-        return gx
+        return gx, dpre
 
-    def send(grads):
-        _send(w, _weight_grad(x[:horizon], grads[0]))
-        _send(b, _bias_grad(grads[0]))
+    def send(kept):
+        dpre = np.array(kept)
+        _send(w, _weight_grad(x[:horizon], dpre))
+        _send(b, _bias_grad(dpre))
 
     with np.errstate(over="ignore"):
         return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(0, d), True, step,
-                        step_back, (4 * d,), send)
+                        step_back, send)
 
 
 @dataclass(frozen=True)
@@ -303,24 +301,24 @@ def init_ssp_params(d_m: int, n_classes: int, horizon: int, rng) -> SSPParams:
     )
 
 
-def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollout:
+def ssp_rollout(s_t: Tensor, f_t: np.ndarray, params: SSPParams, keep=None) -> Rollout:
     """Predict horizons 1..l (l = params.horizon) at once, with no chaining,
     as one node.
 
     Row tau - 1 of the block input is s_t (+) f_t (+) softmax(f_t
     classifier) (+) onehot(tau), so every horizon is independent of the
     others; the block runs over every row at once and the classifier scores
-    each feature. s_t and f_t are (..., 1, d_m) rows, of which f_t takes no
-    gradient, and the rollout is (..., l, ·). `keep` is a (..., l, d_m)
-    dropout mask from `keep_mask`; None means no dropout.
+    each feature. s_t and f_t are (..., 1, d_m) rows, of which f_t, an
+    array, takes no gradient, and the rollout is (..., l, ·). `keep` is a
+    (..., l, d_m) dropout mask from `keep_mask`; None means no dropout.
     """
     block, classifier, horizon = params.block.values, params.classifier.value, params.horizon
     d, n_classes = _check_rollout("ssp_rollout", s_t, f_t, classifier, horizon, keep)
     data = params.block_data
-    shared, m = 2 * d + n_classes, data[0].shape[1]
+    shared = 2 * d + n_classes
     k = shared + horizon
     lead = s_t.data.shape[:-2]
-    wc, f_rows = classifier.data, f_t.data.reshape(-1, d)
+    wc, f_rows = classifier.data, f_t.reshape(-1, d)
     n = len(f_rows)
     p_t = _softmax_data(_dot(f_rows, wc))
     x = np.empty((n, horizon, k))
@@ -341,9 +339,8 @@ def ssp_rollout(s_t: Tensor, f_t: Tensor, params: SSPParams, keep=None) -> Rollo
     def backward(g_feats, g_logits):
         gz = g_logits.reshape(-1, n_classes)
         g = _plus(None if g_feats is None else g_feats.reshape(-1, d), _dot(gz, wc.T))
-        grads = _stacks(1, len(rows), (d, d, m, k))
-        gx = _block_backward(g, saved, masks, data, [a[0] for a in grads])
-        _send_block(block, rows[None], [saved], grads)
+        gx, kept = _block_backward(g, saved, masks, data)
+        _send_block(block, rows[None], [saved], [kept])
         g_shared = np.add.reduce(gx.reshape(n, horizon, k)[:, :, :shared], axis=1,
                                  keepdims=True, initial=0.0)
         _send(s_t, g_shared[:, :, :d].reshape(s_t.data.shape))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attention, baselines, prediction
 from .data import Reader, Writer
-from .tensor import Parameter, Tensor, keep_mask, no_grad
+from .tensor import Parameter, keep_mask, no_grad
 
 AGGREGATORS = ("ttm", "conv1d", "lstm")
 PREDICTORS = ("ppm", "ssp", "lstm")
@@ -112,22 +112,22 @@ class AnticipationModel:
         keep mask after aggregation, in the rng order of one call per
         window. The predictor sees the raw last observed feature.
         """
-        f_seq = Tensor(observed)
+        window = np.asarray(observed, dtype=np.float64)
         c = self.config
         t = c.seq_len
-        if f_seq.data.ndim not in (2, 3) or f_seq.shape[-2] != t:
+        if window.ndim not in (2, 3) or window.shape[-2] != t:
             raise ValueError(
-                f"anticipate: observed shape {f_seq.shape} is not (T, d_m) or "
+                f"anticipate: observed shape {window.shape} is not (T, d_m) or "
                 f"(B, T, d_m) with T = seq_len {t}"
             )
         weights = None
         if c.aggregator == "ttm":
-            s_t, weights = attention.aggregate(f_seq, self.agg_params)
+            s_t, weights = attention.aggregate(window, self.agg_params)
         elif c.aggregator == "conv1d":
-            s_t = baselines.conv1d_aggregate(f_seq, self.agg_params)
+            s_t = baselines.conv1d_aggregate(window, self.agg_params)
         else:
-            s_t = baselines.lstm_encode(f_seq, self.agg_params)
-        f_t = Tensor(f_seq.data[..., t - 1 : t, :])
+            s_t = baselines.lstm_encode(window, self.agg_params)
+        f_t = window[..., t - 1 : t, :]
         if c.predictor == "lstm":
             return baselines.lstm_decode(s_t, f_t, self.pred_params), weights
         keep = keep_mask(rng, c.dropout, s_t.shape[:-2] + (c.horizon, c.d_m))

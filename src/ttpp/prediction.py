@@ -18,8 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _dot, _dot_contig,
-                     _features_and_logits, _over_steps, _plus, _refuse_tracked, _row, _send,
-                     _softmax_data, _softmax_grad, _stacks, _tapes, _weight_grad, glorot)
+                     _features_and_logits, _over_steps, _plus, _row, _send, _softmax_data,
+                     _softmax_grad, _tapes, _weight_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -161,35 +161,32 @@ def _block_forward(x, data, keep, out):
     return out, (hidden, xhat, inv_std)
 
 
-def _block_backward(g, saved, keep, data, grads):
+def _block_backward(g, saved, keep, data):
     """The gradient of a block's input rows from its output's, `g`, all on 2-D
-    rows. `saved` is the step's (hidden, xhat, inv_std) from `_block_forward`;
-    the backward fills the step's rows of `grads`: g after dropout, gy and
-    gpre, from which `_send_block` sums the weights' gradients, and the
-    input's, which it returns."""
+    rows. `saved` is the step's (hidden, xhat, inv_std) from `_block_forward`.
+    Returns the input's gradient and the step's (g after dropout, gy, gpre),
+    from which `_send_block` sums the weights' gradients; without dropout
+    the first is `g` itself."""
     w1, _, w2, _, gain_row, _ = data
     hidden, xhat, inv_std = saved
-    g_kept, gy, gpre, gx = grads
     n = xhat.shape[1]
-    if keep is None:
-        g_kept[...] = g
-    else:
-        np.multiply(g, keep, out=g_kept)
+    g_kept = g if keep is None else g * keep
     gh = g_kept * gain_row
     m1 = np.add.reduce(gh, axis=-1, keepdims=True) / n
     m2 = np.add.reduce(gh * xhat, axis=-1, keepdims=True) / n
-    np.multiply(inv_std, gh - m1 - xhat * m2, out=gy)
-    np.multiply(_dot(gy, w2.T), hidden > 0, out=gpre)
-    return _dot(gpre, w1.T, gx)
+    gy = np.multiply(inv_std, gh - m1 - xhat * m2)
+    gpre = np.multiply(_dot(gy, w2.T), hidden > 0)
+    return _dot(gpre, w1.T), (g_kept, gy, gpre)
 
 
-def _send_block(block, x, saved, grads) -> None:
+def _send_block(block, x, saved, kept) -> None:
     """Sends a block's tensors their gradients over a stack of steps, from the
-    steps' inputs `x`, the stacks the backward filled and, stacked here, the
-    (hidden, xhat, inv_std) per step that the taped forward kept, `saved`."""
+    steps' inputs `x` and, stacked here, the (hidden, xhat, inv_std) the
+    taped forward kept per step, `saved`, and the (g, gy, gpre) its backward
+    returned per step, `kept`."""
     w1, b1, w2, b2, gain, bias = block
-    hidden, xhat = (np.array([kept[i] for kept in saved]) for i in (0, 1))  # np.stack: 3x slower
-    g, gy, gpre = grads[:3]
+    hidden, xhat = (np.array([step[i] for step in saved]) for i in (0, 1))  # np.stack: 3x slower
+    g, gy, gpre = (np.array([step[i] for step in kept]) for i in (0, 1, 2))
     _send(gain, _bias_grad(g * xhat))
     _send(bias, _bias_grad(g))
     _send(b2, _bias_grad(gy))
@@ -199,19 +196,17 @@ def _send_block(block, x, saved, grads) -> None:
 
 
 def _check_rollout(op: str, s_t, f_t, classifier, horizon: int, keep=None) -> tuple[int, int]:
-    """(d, n_classes) of a predictor's operands. f_t takes no gradient: a
-    tracked one is refused."""
+    """(d, n_classes) of a predictor's operands, f_t an array."""
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
     shape = s_t.data.shape
-    if (len(shape) < 2 or shape[-2] != 1 or f_t.data.shape != shape
+    if (len(shape) < 2 or shape[-2] != 1 or f_t.shape != shape
             or classifier.data.ndim != 2 or classifier.data.shape[0] != shape[-1]):
-        raise ShapeError(f"{op}: s_t {shape}, f_t {f_t.data.shape}, "
+        raise ShapeError(f"{op}: s_t {shape}, f_t {f_t.shape}, "
                          f"classifier {classifier.data.shape}")
     masked = shape[:-2] + (horizon, shape[-1])
     if keep is not None and np.shape(keep) != masked:
         raise ShapeError(f"{op}: keep mask {np.shape(keep)} for {masked}")
-    _refuse_tracked(op, f_t, "f_t")
     return classifier.data.shape
 
 
@@ -221,21 +216,22 @@ def _steps_first(g: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bool, step,
-             step_back, widths, send):
+             step_back, send):
     """What the chained rollouts share. Step s reads input row x[s]: a feature in
     columns `fs` and a probability in the C after them, [f_t | softmax(f_t
     classifier)] in row 0 and in row s+1 step s's feature (zeros unless
     `feed`) and softmax(logits). `step(s, out)` writes step s's feature
-    into `out` and returns it. The backward allocates one (horizon, rows,
-    width) stack per entry of `widths`: `step_back(s, g, gx, grads)` maps
+    into `out` and returns it. In the backward, `step_back(s, g, gx)` maps
     the gradients of step s's feature and of row s+1 (None at the end) to
-    that of row s, filling step s's rows of the stacks, and after the loop
-    `send(grads)` hands the op's parameters their gradients. Returns the
-    `Rollout`, whose logits are a child of the features node."""
+    that of row s, and returns it with what the step keeps for the
+    parameters' gradients; after the loop `send(kept)` hands the op's
+    parameters their gradients from the list of what each step kept, in
+    step order. Returns the `Rollout`, whose logits are a child of the
+    features node."""
     wc = classifier.data
     d, n_classes = wc.shape
     ps = slice(fs.stop, fs.stop + n_classes)
-    f_rows = f_t.data.reshape(-1, d)
+    f_rows = f_t.reshape(-1, d)
     n = f_rows.shape[0]
     x[0, :, fs] = f_rows
     _softmax_data(_dot(f_rows, wc), out=x[0, :, ps])
@@ -254,16 +250,14 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     def backward(g_feats, g_logits):
         g_feats = None if g_feats is None else np.ascontiguousarray(_steps_first(g_feats, n))
         gz = np.array(_steps_first(g_logits, n), order="C")
-        grads = _stacks(horizon, n, widths)
-        grads_at = list(zip(*grads))  # each step's rows of the stacks
-        gx = None
+        kept, gx = [None] * horizon, None
         for s in reversed(range(horizon)):
             g = None if g_feats is None else g_feats[s]
             if gx is not None:
                 g = _plus(g, gx[:, fs]) if feed else g
                 gz[s] += _softmax_grad(gx[:, ps], x[s + 1, :, ps])
-            gx = step_back(s, _plus(g, _dot(gz[s], wc.T)), gx, grads_at[s])
-        send(grads)
+            gx, kept[s] = step_back(s, _plus(g, _dot(gz[s], wc.T)), gx)
+        send(kept)
         gz_t = _softmax_grad(gx[:, ps], x[0, :, ps])  # the current feature's term, added last
         _send(classifier, _weight_grad(feats, gz) + _dot(f_rows.T, gz_t))
 
@@ -273,7 +267,7 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     return Rollout(*_features_and_logits(out_f, out_z, parents, backward))
 
 
-def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
+def rollout(s_t: Tensor, f_t: np.ndarray, params: PPMParams, keep=None) -> Rollout:
     """Chain l = params.horizon future (feature, logits) predictions from
     (s_t, f_t) as one node.
 
@@ -282,9 +276,9 @@ def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
     (+) previous predicted feature (+) previous predicted probability. With
     params.feed_features False (the no-feature ablation) later steps put
     zeros in the feature slot. s_t and f_t are (..., 1, d_m) rows with the
-    same leading batch axes; f_t takes no gradient. `keep` is a (..., l,
-    d_m) dropout mask from `keep_mask`, slice s for step s; None means no
-    dropout.
+    same leading batch axes; f_t, an array, takes no gradient. `keep` is a
+    (..., l, d_m) dropout mask from `keep_mask`, slice s for step s; None
+    means no dropout.
     """
     initial, progressive = params.initial.values, params.progressive.values
     classifier, horizon = params.classifier.value, params.horizon
@@ -293,8 +287,7 @@ def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
     rows = s_t.data.reshape(-1, d)
     masks = [None] * horizon if keep is None else np.reshape(keep, (-1, horizon, d)).swapaxes(0, 1)
     parents = (s_t, classifier, *initial, *(progressive if horizon > 1 else ()))
-    width, m = 2 * d + n_classes, data[0][0].shape[1]
-    x = np.empty((horizon + 1, len(rows), width))
+    x = np.empty((horizon + 1, len(rows), 2 * d + n_classes))
     x[:, :, :d] = rows
     saved = [] if _tapes(parents) else None  # each step's (hidden, xhat, inv_std)
 
@@ -304,14 +297,15 @@ def rollout(s_t: Tensor, f_t: Tensor, params: PPMParams, keep=None) -> Rollout:
             saved.append(kept)
         return out
 
-    def step_back(s, g, gx, grads):
-        return _block_backward(g, saved[s], masks[s], data[s], grads)
+    def step_back(s, g, gx):  # keeps s_t's columns of the input's gradient too
+        gx, kept = _block_backward(g, saved[s], masks[s], data[s])
+        return gx, (*kept, gx[:, :d])
 
-    def send(grads):  # the progressive block first, so one block in both adds in step order
+    def send(kept):  # the progressive block first, so one block in both adds in step order
         for block, steps in ((progressive, slice(1, horizon)), (initial, slice(0, 1))):
             if steps.stop > steps.start:
-                _send_block(block, x[steps], saved[steps], [a[steps] for a in grads])
-        _send(s_t, _over_steps(grads[3][:, :, :d]).reshape(s_t.data.shape))
+                _send_block(block, x[steps], saved[steps], kept[steps])
+        _send(s_t, _over_steps(np.array([step[3] for step in kept])).reshape(s_t.data.shape))
 
     return _rollout(s_t, f_t, classifier, horizon, parents, x, slice(d, 2 * d),
-                    params.feed_features, step, step_back, (d, d, m, width), send)
+                    params.feed_features, step, step_back, send)

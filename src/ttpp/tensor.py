@@ -17,13 +17,12 @@ backward, defined next to its parameter set: `attention.aggregate` (TTM),
 `baselines.conv1d_aggregate` and `lstm_encode`, `prediction.rollout`
 (PPM), `baselines.lstm_decode` and `ssp_rollout` (each a features node
 with a logits child, from `_features_and_logits`) and
-`training.total_loss`. This module keeps what they share. A taped
-training batch builds six tensors whatever the cell: the input, the
-aggregator's node, the last feature, the predictor's two and the loss.
-No layer sends a gradient to a window or to the last feature `f_t`: no
-run tracks either, so a layer refuses a tracked one by name
-(`_refuse_tracked`). Every loss reads the logits, so a backward that
-reaches a rollout's features alone is refused too.
+`training.total_loss`. This module keeps what they share. Only what
+takes a gradient is a tensor: a window and the last feature `f_t` enter
+the layers as arrays, so a taped training batch builds four tensors
+whatever the cell: the aggregator's node, the predictor's two and the
+loss. Every loss reads the logits, so a backward that reaches a
+rollout's features alone is refused.
 The tests hold each layer to the chain of generic single-op nodes it
 replaced, kept in ``tests/chains.py``: values equal by bytes, gradients
 by bytes or to 1e-12. Arrays only a backward reads are kept only while
@@ -51,9 +50,10 @@ said, timed with `timeit` on 2 CPUs under numpy 2.4.6 and OpenBLAS 0.3.31):
 - No Python scalar is a left operand: ``np.reciprocal(x)`` for ``1.0 / x``
   (0.46 us against 0.98) and ``np.subtract(1.0, x)`` for ``1.0 - x``.
 - A parameter's gradient is one stacked product per call, summed in the
-  tape's step order. The backward through time writes each step's
-  gradient factors into (steps, rows, .) buffers and stacks the arrays
-  the forward kept; after the loop a weight gets
+  tape's step order. Each step of the backward through time returns its
+  gradient factors as arrays of its own; after the loop the backward
+  stacks the arrays each step returned, and those the forward kept, and
+  a weight gets
   ``np.add.reduce(np.matmul(X.transpose(0, 2, 1), G)[::-1], axis=0)``
   and a bias the same sum over its row sums, the bytes of one ``.dot`` per
   step added last step first. An (8, 16) weight and its bias over the
@@ -188,13 +188,6 @@ def _send(t: Tensor, g: np.ndarray) -> None:
         t._accumulate(g)
 
 
-def _refuse_tracked(op: str, t: Tensor, what: str) -> None:
-    """Refuses a tracked input `what` of `op`, which sends it no gradient."""
-    if t._tracked:
-        raise GradientError(f"{op}: a tracked {what} is refused; no run tracks one, and the "
-                            f"layer sends it no gradient")
-
-
 def _dot(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a @ b of 2-D operands, through ``ndarray.dot`` when both are C- or
     F-contiguous. On a strided view `.dot` may sum in another order than
@@ -239,12 +232,6 @@ def keep_mask(rng, rate: float, shape) -> np.ndarray | None:
     if rng is None or rate == 0.0:
         return None
     return (rng.random(shape) >= rate) / (1.0 - rate)
-
-
-def _stacks(steps: int, rows: int, widths) -> list[np.ndarray]:
-    """One (steps, rows, width) buffer per width, which a backward through
-    time fills step by step with the gradients it sums over steps."""
-    return [np.empty((steps, rows, w)) for w in widths]
 
 
 def _over_steps(a: np.ndarray) -> np.ndarray:

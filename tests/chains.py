@@ -266,7 +266,7 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     gain + bias, times `keep` (None: no dropout), on (..., k) rows."""
     block = (w1, b1, w2, b2, gain, bias)
     n = prediction._check_block("mlp_norm", x.data.shape[-1], *block)
-    k, m = w1.data.shape
+    k = w1.data.shape[0]
     shape = x.data.shape[:-1] + (n,)
     if keep is not None and np.shape(keep) != shape:
         raise ShapeError(f"mlp_norm: keep mask {np.shape(keep)} for output {shape}")
@@ -276,10 +276,8 @@ def mlp_norm(x, w1, b1, w2, b2, gain, bias, keep=None) -> Tensor:
     out, saved = prediction._block_forward(rows, data, keep, None)
 
     def backward(g):
-        grads = tensor._stacks(1, len(rows), (n, n, m, k))
-        gx = prediction._block_backward(g.reshape(-1, n), saved, keep, data,
-                                        [a[0] for a in grads])
-        prediction._send_block(block, rows[None], [saved], grads)
+        gx, kept = prediction._block_backward(g.reshape(-1, n), saved, keep, data)
+        prediction._send_block(block, rows[None], [saved], [kept])
         tensor._send(x, gx.reshape(x.data.shape))
 
     return tensor._make(out.reshape(shape), (x, *block), backward)
@@ -310,11 +308,11 @@ def lstm_window(x, state, w, b) -> Tensor:
 
     def backward(g):
         gh, gc = np.split(g.reshape(-1, 2 * d_h), 2, axis=1)
-        gx = np.empty((len(rows), t, d_in))
-        dpre = np.empty((t, len(rows), 4 * d_h))
+        gx, dpre = np.empty((len(rows), t, d_in)), [None] * t
         for s in reversed(range(t)):
-            gxh, gc = baselines._cell_backward(gh, gc, caches[s], w.data, dpre[s])
+            gxh, gc, dpre[s] = baselines._cell_backward(gh, gc, caches[s], w.data)
             gx[:, s], gh = gxh[:, :d_in], gxh[:, d_in:]
+        dpre = np.array(dpre)
         tensor._send(w, tensor._weight_grad(xh[:t], dpre))
         tensor._send(b, tensor._bias_grad(dpre))
         tensor._send(x, gx.reshape(x.data.shape))

@@ -56,7 +56,7 @@ def attend(memory: np.ndarray, query: np.ndarray, params: TTMParams):
     """The TTM layer, `aggregate`, on the window [memory | query] with zero
     position rows: the attended memory plus the query row."""
     window = np.concatenate([memory, query], axis=-2)
-    return aggregate(Tensor(window), replace(params, pe=np.zeros(window.shape[-2:])))
+    return aggregate(window, replace(params, pe=np.zeros(window.shape[-2:])))
 
 
 def np_softmax(scores: np.ndarray) -> np.ndarray:
@@ -204,7 +204,7 @@ class TestAggregate:
     def test_two_chunk_window_attends_fully_to_single_memory(self):
         rng = np.random.default_rng(9)
         params = init_ttm_params(8, 2, 2, rng)
-        _, weights = aggregate(Tensor(rng.normal(size=(2, 8))), params)
+        _, weights = aggregate(rng.normal(size=(2, 8)), params)
         np.testing.assert_allclose(weights, np.ones((2, 1)), atol=1e-12)
 
     def test_zero_output_projection_leaves_query(self):
@@ -213,39 +213,39 @@ class TestAggregate:
         params.wo.value.data[:] = 0.0
         pe = positional_encoding(4, 8)
         f = rng.normal(size=(4, 8))
-        out, _ = aggregate(Tensor(f), params)
+        out, _ = aggregate(f, params)
         np.testing.assert_allclose(out.data, (f + pe[:4])[3:4], atol=1e-12)
 
     def test_weight_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
         params = init_ttm_params(16, 4, 8, rng)
-        _, weights = aggregate(Tensor(rng.normal(size=(8, 16))), params)
+        _, weights = aggregate(rng.normal(size=(8, 16)), params)
         assert weights.shape == (4, 7)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
     def test_too_short_sequence(self):
         params = init_ttm_params(8, 2, 8, np.random.default_rng(13))
         with pytest.raises(ValueError, match="T >= 2 rows"):
-            aggregate(Tensor(np.zeros((1, 8))), params)
+            aggregate(np.zeros((1, 8)), params)
 
     def test_model_builds_the_table_of_its_window(self):
         params = AnticipationModel(ModelConfig(seq_len=16)).agg_params
         np.testing.assert_array_equal(params.pe, positional_encoding(16, 16))
         rng = np.random.default_rng(19)
-        _, weights = aggregate(Tensor(rng.normal(size=(16, 16))), params)
+        _, weights = aggregate(rng.normal(size=(16, 16)), params)
         assert weights.shape == (4, 15)
         with pytest.raises(ShapeError, match="position table"):
-            aggregate(Tensor(rng.normal(size=(8, 16))), params)
+            aggregate(rng.normal(size=(8, 16)), params)
 
     def test_memory_permutation_invariance_without_positions(self):
         rng = np.random.default_rng(14)
         params = replace(init_ttm_params(16, 4, 8, rng), pe=np.zeros((8, 16)))
         f = rng.normal(size=(8, 16))
-        base, _ = aggregate(Tensor(f), params)
+        base, _ = aggregate(f, params)
         for _ in range(5):
             perm = rng.permutation(7)
             shuffled = np.concatenate([f[:7][perm], f[7:]], axis=0)
-            out, _ = aggregate(Tensor(shuffled), params)
+            out, _ = aggregate(shuffled, params)
             np.testing.assert_allclose(out.data, base.data, rtol=0, atol=1e-12)
 
     def test_joint_permutation_invariance_with_positions(self):
@@ -255,12 +255,12 @@ class TestAggregate:
         params = init_ttm_params(16, 4, 8, rng)
         pe = positional_encoding(8, 16)
         f = rng.normal(size=(8, 16))
-        base, _ = aggregate(Tensor(f), params)
+        base, _ = aggregate(f, params)
         unplaced = replace(params, pe=np.zeros((8, 16)))
         for _ in range(5):
             perm = rng.permutation(7)
             shuffled = np.concatenate([(f[:7] + pe[:7])[perm], f[7:] + pe[7:8]], axis=0)
-            out, _ = aggregate(Tensor(shuffled), unplaced)
+            out, _ = aggregate(shuffled, unplaced)
             np.testing.assert_allclose(out.data, base.data, rtol=0, atol=1e-9)
 
     def test_order_sensitivity_with_positions(self):
@@ -268,9 +268,9 @@ class TestAggregate:
         rng = np.random.default_rng(16)
         params = init_ttm_params(16, 4, 8, rng)
         f = rng.normal(size=(8, 16))
-        base, _ = aggregate(Tensor(f), params)
+        base, _ = aggregate(f, params)
         shuffled = np.concatenate([f[:7][::-1], f[7:]], axis=0)
-        out, _ = aggregate(Tensor(shuffled), params)
+        out, _ = aggregate(shuffled, params)
         assert np.abs(out.data - base.data).max() > 1e-6
 
     def test_gradient(self):
@@ -280,7 +280,7 @@ class TestAggregate:
         cost = Tensor(rng.normal(size=(1, 8)))
 
         def loss(*tensors):
-            out, _ = aggregate(Tensor(f), params)
+            out, _ = aggregate(f, params)
             return weighted_sum(out, cost)
 
         err = grad_check(loss, [p.value for p in params.parameters()])

@@ -42,7 +42,7 @@ class TestConv1D:
         # the stack contributes zero, so only the shortcut's last feature remains
         params = zeroed(init_conv1d_params(4, 8, np.random.default_rng(0)))
         x = np.random.default_rng(1).normal(size=(8, 4))
-        out = conv1d_aggregate(Tensor(x), params)
+        out = conv1d_aggregate(x, params)
         np.testing.assert_array_equal(out.data, x[7:8])
 
     @pytest.mark.parametrize("t", range(2, 65))
@@ -54,7 +54,7 @@ class TestConv1D:
         rng = np.random.default_rng(2)
         params = init_conv1d_params(4, t, rng)
         assert len(params.weights) == len(params.biases) == halvings
-        out = conv1d_aggregate(Tensor(rng.normal(size=(t, 4))), params)
+        out = conv1d_aggregate(rng.normal(size=(t, 4)), params)
         assert out.shape == (1, 4)
 
     @pytest.mark.parametrize("t", [2, 3, 4, 5, 8, 9, 16, 17, 64])
@@ -81,13 +81,13 @@ class TestConv1D:
                 h = np.maximum(h, 0.0)
         assert h.shape == (1, d)
         expected = h + x[t - 1 : t]
-        out = conv1d_aggregate(Tensor(x), params)
+        out = conv1d_aggregate(x, params)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     def test_incompatible_length_rejected(self):
         params = init_conv1d_params(4, 8, np.random.default_rng(4))
         with pytest.raises(ValueError, match="reduce"):
-            conv1d_aggregate(Tensor(np.zeros((11, 4))), params)
+            conv1d_aggregate(np.zeros((11, 4)), params)
 
     def test_shortcut_adds_last_feature(self):
         # a zero last-layer weight leaves its bias as the stack's output
@@ -96,7 +96,7 @@ class TestConv1D:
         params.weights[-1].value.data[:] = 0.0
         params.biases[-1].value.data[:] = rng.normal(size=4)
         x = rng.normal(size=(8, 4))
-        out = conv1d_aggregate(Tensor(x), params)
+        out = conv1d_aggregate(x, params)
         np.testing.assert_allclose(out.data, params.biases[-1].value.data + x[7:8], atol=1e-12)
 
     def test_gradient(self):
@@ -106,7 +106,7 @@ class TestConv1D:
         cost = Tensor(rng.normal(size=(1, 4)))
 
         def loss(*tensors):
-            return weighted_sum(conv1d_aggregate(Tensor(x), params), cost)
+            return weighted_sum(conv1d_aggregate(x, params), cost)
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
 
@@ -116,7 +116,7 @@ class TestLSTMEncode:
         # the recurrence gives zero, so the summary is the shortcut's input row
         params = zeroed(init_lstm_params(4, 4, np.random.default_rng(7)))
         x = np.random.default_rng(8).normal(size=(1, 4))
-        out = lstm_encode(Tensor(x), params)
+        out = lstm_encode(x, params)
         np.testing.assert_array_equal(out.data, x)
 
     def test_saturated_gates_ignore_inputs(self):
@@ -128,8 +128,8 @@ class TestLSTMEncode:
         params.b.value.data[0:4] = -50.0  # input gate block
         xa = rng.normal(size=(5, 4))
         xb = rng.normal(size=(5, 4))
-        a = lstm_encode(Tensor(xa), params).data - xa[4:5]
-        b = lstm_encode(Tensor(xb), params).data - xb[4:5]
+        a = lstm_encode(xa, params).data - xa[4:5]
+        b = lstm_encode(xb, params).data - xb[4:5]
         np.testing.assert_allclose(a, b, atol=1e-12)
         np.testing.assert_allclose(a, np.zeros((1, 4)), atol=1e-12)
 
@@ -153,7 +153,7 @@ class TestLSTMEncode:
             o = sig(xt @ wx[3] + h @ wh[3] + b[3])
             c = f * c + i * cand
             h = o * np.tanh(c)
-        out = lstm_encode(Tensor(x), params)
+        out = lstm_encode(x, params)
         np.testing.assert_allclose(out.data, h + x[3:4], atol=1e-10)
 
     def test_fused_init_stacks_per_gate_draws(self):
@@ -173,7 +173,7 @@ class TestLSTMEncode:
     def test_hidden_width_must_match_features(self):
         params = init_lstm_params(4, 6, np.random.default_rng(11))
         with pytest.raises(ValueError, match="lstm_encode"):
-            lstm_encode(Tensor(np.zeros((4, 4))), params)
+            lstm_encode(np.zeros((4, 4)), params)
 
     def test_one_node_and_one_errstate_per_window(self, monkeypatch):
         # the whole (B, T, d_m) stack runs as one node under one errstate
@@ -186,7 +186,7 @@ class TestLSTMEncode:
             return wrapper
 
         params = init_lstm_params(4, 4, np.random.default_rng(15))
-        window = Tensor(np.random.default_rng(16).normal(size=(3, 8, 4)))
+        window = np.random.default_rng(16).normal(size=(3, 8, 4))
         monkeypatch.setattr(Tensor, "__init__", counted("Tensor", Tensor.__init__))
         monkeypatch.setattr(np, "errstate", counted("errstate", np.errstate))
         out = lstm_encode(window, params)
@@ -200,7 +200,7 @@ class TestLSTMEncode:
         cost = Tensor(rng.normal(size=(1, 4)))
 
         def loss(*tensors):
-            return weighted_sum(lstm_encode(Tensor(x), params), cost)
+            return weighted_sum(lstm_encode(x, params), cost)
 
         assert grad_check(loss, [p.value for p in params.parameters()]) < 1e-4
 
@@ -211,7 +211,7 @@ class TestLSTMDecode:
         params = init_lstm_params(4 + 3, 4, rng)
         classifier = Parameter("c", rng.normal(size=(4, 3)))
         roll = lstm_decode(
-            Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))),
+            Tensor(rng.normal(size=(1, 4))), rng.normal(size=(1, 4)),
             DecoderParams(params, classifier, 1),
         )
         assert roll.features.shape == (1, 4)
@@ -222,7 +222,7 @@ class TestLSTMDecode:
         params = zeroed(init_lstm_params(7, 4, rng))
         classifier = Parameter("c", np.zeros((4, 3)))
         roll = lstm_decode(
-            Tensor(rng.normal(size=(1, 4))), Tensor(rng.normal(size=(1, 4))),
+            Tensor(rng.normal(size=(1, 4))), rng.normal(size=(1, 4)),
             DecoderParams(params, classifier, 4),
         )
         for step in range(1, 4):
@@ -259,7 +259,7 @@ class TestLSTMDecode:
             feats.append(h.copy())
             probs.append(p.copy())
             x = np.concatenate([h, p], axis=-1)
-        roll = lstm_decode(Tensor(s), Tensor(f), DecoderParams(params, classifier, 3))
+        roll = lstm_decode(Tensor(s), f, DecoderParams(params, classifier, 3))
         np.testing.assert_allclose(roll.features.data, np.concatenate(feats), atol=1e-10)
         np.testing.assert_allclose(roll.probs.data, np.concatenate(probs), atol=1e-10)
 
@@ -268,7 +268,7 @@ class TestLSTMDecode:
         rng = np.random.default_rng(17)
         params = init_lstm_decoder_params(4, 3, 3, rng)
         s = Tensor(rng.normal(size=(2, 1, 4)), requires_grad=True)
-        roll = lstm_decode(s, Tensor(rng.normal(size=(2, 1, 4))), params)
+        roll = lstm_decode(s, rng.normal(size=(2, 1, 4)), params)
         assert roll.logits._parents == (roll.features,)
         assert s in roll.features._parents
 
@@ -287,7 +287,7 @@ class TestLSTMDecode:
         params = init_lstm_params(7, 4, rng)
         classifier = Parameter("c", rng.normal(size=(4, 3)))
         s = Tensor(rng.normal(size=(1, 4)))
-        f = Tensor(rng.normal(size=(1, 4)))
+        f = rng.normal(size=(1, 4))
         cost = Tensor(rng.normal(size=(3, 3)))
 
         def loss(*tensors):
@@ -334,7 +334,7 @@ class TestSSP:
         rng = np.random.default_rng(17)
         params = init_ssp_params(4, 3, 4, rng)
         s = Tensor(rng.normal(size=(1, 4)))
-        f = Tensor(rng.normal(size=(1, 4)))
+        f = rng.normal(size=(1, 4))
         feats = ssp_rollout(s, f, params).features.data
         assert np.abs(feats[0] - feats[1]).max() > 0  # tags route through fc1
         # zeroing the tag columns of fc1 makes every horizon identical
@@ -348,7 +348,7 @@ class TestSSP:
             p.value.data[:] = 0.0
         rng = np.random.default_rng(19)
         s = Tensor(rng.normal(size=(1, 4)))
-        f = Tensor(rng.normal(size=(1, 4)))
+        f = rng.normal(size=(1, 4))
         roll = ssp_rollout(s, f, params)
         np.testing.assert_allclose(roll.probs.data, np.full((4, 3), 1 / 3), atol=1e-12)
 
@@ -359,7 +359,7 @@ class TestSSP:
         rng = np.random.default_rng(20)
         params = init_ssp_params(4, 3, 4, rng)
         s = Tensor(rng.normal(size=(1, 4)))
-        f = Tensor(rng.normal(size=(1, 4)))
+        f = rng.normal(size=(1, 4))
         full = ssp_rollout(s, f, params).features.data
         fc1_w = params.block.fc1_w
         for horizon in (1, 2, 3):
@@ -384,14 +384,14 @@ class TestSSP:
         def draws():
             return np.random.default_rng(100 + seed) if train else None
 
-        roll = ssp_rollout(Tensor(s), Tensor(f), params, keep_mask(draws(), 0.3, (5, 6)))
+        roll = ssp_rollout(Tensor(s), f, params, keep_mask(draws(), 0.3, (5, 6)))
         feats, logits = ssp_loop_oracle(s, f, params, 5, draws(), 0.3)
         np.testing.assert_allclose(roll.features.data, feats, rtol=0, atol=1e-12)
         np.testing.assert_allclose(roll.logits.data, logits, rtol=0, atol=1e-12)
 
     def test_bad_rows_refused_by_name(self):
         params = init_ssp_params(4, 3, 3, np.random.default_rng(21))
-        s, f = Tensor(np.zeros((2, 1, 4))), Tensor(np.zeros((1, 4)))
+        s, f = Tensor(np.zeros((2, 1, 4))), np.zeros((1, 4))
         with pytest.raises(ValueError, match=r"ssp_rollout: s_t \(2, 1, 4\), f_t \(1, 4\)"):
             ssp_rollout(s, f, params)
 
@@ -399,13 +399,13 @@ class TestSSP:
         params = init_ssp_params(4, 3, 5, np.random.default_rng(21))
         s = Tensor(np.zeros((1, 4)))
         with pytest.raises(ValueError, match=r"ssp_rollout: keep mask \(4, 4\) for \(5, 4\)"):
-            ssp_rollout(s, s, params, np.ones((4, 4)))
+            ssp_rollout(s, s.data, params, np.ones((4, 4)))
 
     def test_gradient(self):
         rng = np.random.default_rng(22)
         params = init_ssp_params(4, 3, 3, rng)
         s = Tensor(rng.normal(size=(1, 4)))
-        f = Tensor(rng.normal(size=(1, 4)))
+        f = rng.normal(size=(1, 4))
         cost = Tensor(rng.normal(size=(3, 3)))
 
         def loss(*tensors):

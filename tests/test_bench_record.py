@@ -89,18 +89,21 @@ def moved_runs(tmp_path, workload: str, parent: dict, by) -> dict:
     return summarize(tmp_path / "parent", tmp_path / "change")[workload]["metrics"]
 
 
-@pytest.mark.parametrize("lost, shift, shown", [
-    (1, 0.5, True),  # 9 of 10 pairs, far beyond the parent's spread
-    (2, 0.5, False),  # 8 of 10 pairs
-    (0, 0.01, False),  # 10 of 10, but within the parent's q3 - q1 of 0.045
+@pytest.mark.parametrize("pairs, lost, shift, shown", [
+    (10, 1, 0.5, True),  # 9 of 10 pairs, far beyond the parent's spread
+    (10, 2, 0.5, False),  # 8 of 10 pairs
+    (10, 0, 0.01, False),  # 10 of 10, but within the parent's q3 - q1 of 0.045
+    (5, 0, 0.5, False),  # 5 of 5, far beyond the spread, but too few pairs
+    (9, 0, 0.5, False),  # 9 of 9
+    (20, 2, 0.5, True),  # 18 of 20
 ])
-def test_gain_shown_needs_nine_of_ten_pairs_and_a_shift_beyond_the_parents_spread(
-        tmp_path, lost, shift, shown):
-    parent = {seed: 1.0 + 0.01 * (seed - 4.5) for seed in range(10)}
+def test_gain_shown_needs_ten_pairs_nine_tenths_won_and_a_shift_beyond_the_parents_spread(
+        tmp_path, pairs, lost, shift, shown):
+    parent = {seed: 1.0 + 0.01 * (seed - 4.5) for seed in range(pairs)}
     metrics = moved_runs(tmp_path, "train-ttpp", parent,
                          lambda m, seed: -shift if seed < lost else shift)
     for name, row in metrics.items():
-        assert row["pairs_won_by_change"] == 10 - lost, name
+        assert row["pairs_won_by_change"] == pairs - lost, name
         assert row["gain_shown"] is shown, name
 
 

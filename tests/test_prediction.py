@@ -113,7 +113,7 @@ class TestRollout:
         rng = np.random.default_rng(9)
         params = random_ppm(horizon=1)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         base = rollout(s, f, params)
         assert base.features.shape == (1, 8) and base.probs.shape == (1, 3)
         for p in params.progressive.parameters():
@@ -124,7 +124,7 @@ class TestRollout:
     def test_single_step_sends_the_progressive_block_no_gradient(self):
         rng = np.random.default_rng(20)
         params = random_ppm(seed=20, horizon=1)
-        roll = rollout(Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(1, 8))), params)
+        roll = rollout(Tensor(rng.normal(size=(1, 8))), rng.normal(size=(1, 8)), params)
         total(tensor_sum(roll.features), tensor_sum(roll.logits)).backward()
         assert all(p.value.grad is None for p in params.progressive.parameters())
         assert all(p.value.grad is not None for p in [*params.initial.parameters(),
@@ -134,7 +134,7 @@ class TestRollout:
         # the features node runs the whole chain back; the logits hand it their gradient
         rng = np.random.default_rng(21)
         s = Tensor(rng.normal(size=(2, 1, 8)), requires_grad=True)
-        roll = rollout(s, Tensor(rng.normal(size=(2, 1, 8))), random_ppm(seed=21))
+        roll = rollout(s, rng.normal(size=(2, 1, 8)), random_ppm(seed=21))
         assert roll.logits._parents == (roll.features,)
         assert s in roll.features._parents
 
@@ -143,7 +143,7 @@ class TestRollout:
         for p in params.parameters():
             p.value.data[:] = 0.0
         rng = np.random.default_rng(10)
-        roll = rollout(Tensor(rng.normal(size=(1, 8))), Tensor(rng.normal(size=(1, 8))), params)
+        roll = rollout(Tensor(rng.normal(size=(1, 8))), rng.normal(size=(1, 8)), params)
         np.testing.assert_allclose(roll.probs.data, np.full((4, 3), 1 / 3), atol=1e-12)
 
     def test_three_steps_match_manual_unroll(self):
@@ -172,14 +172,14 @@ class TestRollout:
         f3 = np_block(np.concatenate([s, f2, p2], axis=-1), params.progressive)
         p3 = np_classify(f3)
 
-        roll = rollout(Tensor(s), Tensor(f), params)
+        roll = rollout(Tensor(s), f, params)
         np.testing.assert_allclose(roll.features.data, np.concatenate([f1, f2, f3]), atol=1e-10)
         np.testing.assert_allclose(roll.probs.data, np.concatenate([p1, p2, p3]), atol=1e-10)
 
     def test_rejects_zero_horizon(self):
         params = random_ppm(horizon=0)
         with pytest.raises(ValueError, match="horizon"):
-            rollout(Tensor(np.zeros((1, 8))), Tensor(np.zeros((1, 8))), params)
+            rollout(Tensor(np.zeros((1, 8))), np.zeros((1, 8)), params)
 
     def test_progressive_weight_touches_all_later_steps(self):
         # ln_bias sits after normalization, so the bump cannot be masked
@@ -187,7 +187,7 @@ class TestRollout:
         rng = np.random.default_rng(12)
         params = random_ppm(seed=12)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         base = rollout(s, f, params)
         params.progressive.ln_bias.value.data[1] += 0.5
         bumped = rollout(s, f, params)
@@ -199,7 +199,7 @@ class TestRollout:
         rng = np.random.default_rng(13)
         params = random_ppm(seed=13)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         base = rollout(s, f, params)
         params.initial.ln_bias.value.data[2] += 0.5
         bumped = rollout(s, f, params)
@@ -212,7 +212,7 @@ class TestRollout:
         params = random_ppm(seed=14, horizon=5)
         roll = rollout(
             Tensor(rng.normal(size=(1, 8))),
-            Tensor(rng.normal(size=(1, 8))),
+            rng.normal(size=(1, 8)),
             params,
             keep=keep_mask(np.random.default_rng(0) if mode == "train" else None, 0.1, (5, 8)),
         )
@@ -223,7 +223,7 @@ class TestRollout:
         rng = np.random.default_rng(15)
         params = random_ppm(seed=15, horizon=3)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         a = rollout(s, f, params)
         b = rollout(s, f, params)
         np.testing.assert_array_equal(a.features.data, b.features.data)
@@ -236,7 +236,7 @@ class TestRollout:
         rng = np.random.default_rng(16)
         params = random_ppm(seed=16)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         feat_cost = Tensor(rng.normal(size=(4, 8)))
         prob_cost = Tensor(rng.normal(size=(4, 3)))
 
@@ -254,7 +254,7 @@ class TestRolloutWithoutFeatures:
         rng = np.random.default_rng(17)
         params = random_ppm(seed=17, horizon=1)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         a = rollout(s, f, params)
         b = rollout(s, f, replace(params, feed_features=False))
         np.testing.assert_array_equal(a.features.data, b.features.data)
@@ -265,7 +265,7 @@ class TestRolloutWithoutFeatures:
         params = random_ppm(d_m=d_m, seed=18, horizon=2, feed_features=False)
         s = rng.normal(size=(1, d_m))
         f = rng.normal(size=(1, d_m))
-        roll = rollout(Tensor(s), Tensor(f), params)
+        roll = rollout(Tensor(s), f, params)
 
         def np_classify(x):
             logits = x @ params.classifier.value.data
@@ -288,7 +288,7 @@ class TestRolloutWithoutFeatures:
         rng = np.random.default_rng(19)
         params = random_ppm(seed=19, horizon=3)
         s = Tensor(rng.normal(size=(1, 8)))
-        f = Tensor(rng.normal(size=(1, 8)))
+        f = rng.normal(size=(1, 8))
         a = rollout(s, f, params)
         b = rollout(s, f, replace(params, feed_features=False))
         np.testing.assert_array_equal(a.features.data[0], b.features.data[0])

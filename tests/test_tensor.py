@@ -18,8 +18,9 @@ from ttpp import baselines, prediction, tensor
 from ttpp.attention import TTMParams, aggregate, positional_encoding
 from ttpp.baselines import (Conv1DStack, DecoderParams, LSTMParams, SSPParams, conv1d_aggregate,
                             lstm_decode, lstm_encode, ssp_rollout)
-from ttpp.model import (AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, load_checkpoint,
-                        save_checkpoint)
+from ttpp.data import FeatureSequence
+from ttpp.model import (AGGREGATORS, PREDICTORS, AnticipationModel, ModelConfig, grid_configs,
+                        load_checkpoint, save_checkpoint)
 from ttpp.prediction import PPMParams, PredictionBlockParams, Rollout, rollout
 from ttpp.tensor import (
     GradientError,
@@ -303,7 +304,7 @@ class TestGradCheck:
             assert err < 1e-4, f"{name}: {err}"
         # the aggregators send a window no gradient, so their parameters are
         # checked at a fixed 4-row window
-        window = Tensor(rng.normal(size=(4, 5)))
+        window = rng.normal(size=(4, 5))
         aggregators = {
             "aggregate": (lambda: aggregate(window, ttm)[0], ttm),
             "lstm_encode": (lambda: lstm_encode(window, cell), cell),
@@ -710,7 +711,7 @@ class TestFusedOpsMatchOracles:
     @pytest.mark.parametrize("n_heads", [1, 2, 4])
     def test_attention(self, lead, n_heads):
         # against the chain it replaces, forward and weights bit for bit, and
-        # against the per-head oracle; the window is untracked, as in a run
+        # against the per-head oracle; the window enters the node as an array
         rng = np.random.default_rng(50 + n_heads)
         d, t = 8, 6
         shapes = [(*lead, t, d)] + [(d, d)] * 4
@@ -718,8 +719,8 @@ class TestFusedOpsMatchOracles:
         pe = rng.normal(size=(t, d))
         cost = rng.normal(size=(*lead, 1, d))
         (out, weights), grads = taped(
-            lambda window, *w: aggregate(window, param_set(TTMParams, *w, n_heads, pe)), arrays,
-            cost, track_window=False)
+            lambda window, *w: aggregate(window.data, param_set(TTMParams, *w, n_heads, pe)),
+            arrays, cost, track_window=False)
         (chain_out, chain_weights), chain_grads = taped(
             lambda window, *w: ttm_chain(window, param_set(TTMParams, *w, n_heads, pe)), arrays,
             cost, track_window=False)
@@ -755,8 +756,8 @@ class TestFusedOpsMatchOracles:
         d = 4
         arrays = [rng.normal(size=s) for s in [(*lead, 1, d), (2 * d, 4 * d), (4 * d,)]]
         cost = rng.normal(size=(*lead, 1, d))
-        out, grads = taped(lambda x, *cell: lstm_encode(x, param_set(LSTMParams, *cell)), arrays,
-                           cost, track_window=False)
+        out, grads = taped(lambda x, *cell: lstm_encode(x.data, param_set(LSTMParams, *cell)),
+                           arrays, cost, track_window=False)
         state, cost_hc = np.zeros((*lead, 1, 2 * d)), np.concatenate([cost, 0 * cost], axis=-1)
         expected, (_, _, g_w, g_b) = lstm_oracle(arrays[0], state, *arrays[1:], cost_hc)
         assert_close(out.data, expected[..., :d] + arrays[0], "forward")
@@ -778,7 +779,7 @@ class TestFusedOpsMatchOracles:
             ((3, 4), (3, 4), -2),  # a negative head count that divides d
         ]:
             with pytest.raises(ShapeError, match="aggregate"):
-                aggregate(Tensor(np.zeros(window_shape)),
+                aggregate(np.zeros(window_shape),
                           param_set(TTMParams, *[Tensor(np.eye(4))] * 4, n_heads,
                                     np.zeros(pe_shape)))
         for x_shape, w_shape, b_shape in [
@@ -789,7 +790,7 @@ class TestFusedOpsMatchOracles:
             ((4,), (8, 16), (16,)),  # x has no row axis
         ]:
             with pytest.raises(ShapeError, match="lstm_encode"):
-                lstm_encode(Tensor(np.zeros(x_shape)),
+                lstm_encode(np.zeros(x_shape),
                             param_set(LSTMParams, Tensor(np.zeros(w_shape)),
                                       Tensor(np.zeros(b_shape))))
         with pytest.raises(ShapeError, match="lstm_window"):
@@ -804,11 +805,11 @@ class TestFusedOpsMatchOracles:
             ((4, 3), 2, (12, 4)),  # a weight for another width
         ]:
             with pytest.raises(ShapeError, match="conv1d_aggregate"):
-                conv1d_aggregate(Tensor(np.zeros(window_shape)),
+                conv1d_aggregate(np.zeros(window_shape),
                                  param_set(Conv1DStack, [Tensor(np.zeros(w_shape))] * 2,
                                            biases[:n_biases]))
         with pytest.raises(ShapeError, match="conv1d_aggregate"):
-            conv1d_aggregate(Tensor(np.zeros((4, 4))),
+            conv1d_aggregate(np.zeros((4, 4)),
                              param_set(Conv1DStack, weights, [Tensor(np.zeros(3))] * 2))
 
     @pytest.mark.parametrize("lead", LEADS)
@@ -854,8 +855,8 @@ def conv1d_kink(window, weights, biases):
 class TestFusedGradientProperties:
     """grad_check through each fused op at random leading batch shapes.
 
-    The aggregators' windows stay untracked, as the model's observed
-    windows are. `tracked` False leaves `mlp_norm`'s input untracked: the
+    The aggregators take their windows as arrays, as the model passes its
+    observed windows. `tracked` False leaves `mlp_norm`'s input untracked: the
     node must then skip it and still give the weights their gradients.
     """
 
@@ -883,7 +884,7 @@ class TestFusedGradientProperties:
     def test_attention(self, lead, t, n_heads, d_k, seed):
         rng = np.random.default_rng(seed)
         d = n_heads * d_k
-        window = Tensor(rng.normal(size=(*lead, t, d)))
+        window = rng.normal(size=(*lead, t, d))
         pe = rng.normal(size=(t, d))
         weights = [Tensor(rng.normal(size=(d, d))) for _ in range(4)]
         params = param_set(TTMParams, *weights, n_heads, pe)
@@ -898,7 +899,7 @@ class TestFusedGradientProperties:
     @given(lead=batch_lead, t=st.integers(1, 4), d=st.integers(1, 3), seed=st.integers(0, 2**16))
     def test_lstm_step(self, lead, t, d, seed):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(size=(*lead, t, d)))
+        x = rng.normal(size=(*lead, t, d))
         w = Tensor(rng.normal(size=(2 * d, 4 * d)))
         b = Tensor(rng.normal(size=4 * d))
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
@@ -913,7 +914,7 @@ class TestFusedGradientProperties:
     def test_conv1d(self, lead, t, d, seed):
         rng = np.random.default_rng(seed)
         layers = max(1, (t - 1).bit_length())
-        window = Tensor(rng.normal(size=(*lead, t, d)))
+        window = rng.normal(size=(*lead, t, d))
         weights = [Tensor(rng.normal(size=(3 * d, d))) for _ in range(layers)]
         biases = [Tensor(rng.normal(size=d)) for _ in range(layers)]
         cost = Tensor(rng.normal(size=(*lead, 1, d)))
@@ -923,11 +924,28 @@ class TestFusedGradientProperties:
                                 cost)
 
         # a central difference is no derivative within a step of a ReLU kink
-        assume(conv1d_kink(window.data, weights, biases) > 1e-3)
+        assume(conv1d_kink(window, weights, biases) > 1e-3)
         assert grad_check(f, weights + biases) < 1e-5
 
 
 # ---- fused rollouts against chains of single-op nodes ---------------------
+
+
+def predictor_inputs(arrays, tracked=False) -> list:
+    """A predictor's inputs from what *_arrays drew: f_t, entry 1, as the
+    array the fused layer takes, every other entry a Tensor, tracked with
+    `tracked`."""
+    return [a if i == 1 else Tensor(a, requires_grad=tracked) for i, a in enumerate(arrays)]
+
+
+def on_array(op, i: int):
+    """`op`, a fused layer, on its chain's arguments: argument i, the window
+    or f_t that the chain takes as a Tensor, enters as that tensor's array."""
+
+    def run(*args):
+        return op(*args[:i], args[i].data, *args[i + 1 :])
+
+    return run
 
 
 def ppm_chain(s_t, f_t, params, keep=None, inputs=None):
@@ -982,10 +1000,11 @@ def ppm_rollout_case(lead, horizon, d, n_classes, feed_features, dropout, tracke
     |pre-activation| of any block's ReLU and the smallest RMS of any step's
     centred fc2 output (the spread its layer norm divides by)."""
     rng = np.random.default_rng(seed)
-    t = [Tensor(a) for a in ppm_arrays(rng, lead, d, n_classes)]
+    t = predictor_inputs(ppm_arrays(rng, lead, d, n_classes))
     keep = (rng.random((*lead, horizon, d)) >= 0.3) / 0.7 if dropout else None
     inputs = []
-    ppm_chain(*ppm_args(t, horizon, keep, feed_features), inputs=inputs)
+    ppm_chain(*ppm_args([t[0], Tensor(t[1]), *t[2:]], horizon, keep, feed_features),
+              inputs=inputs)
     blocks = [[a.data for a in t[2:6]]] + [[a.data for a in t[8:12]]] * (horizon - 1)
     pre = [x @ w1 + b1 for x, (w1, b1, _, _) in zip(inputs, blocks)]
     fc2 = [np.maximum(p, 0.0) @ w2 + b2 for p, (_, _, w2, b2) in zip(pre, blocks)]
@@ -997,7 +1016,7 @@ def ppm_rollout_case(lead, horizon, d, n_classes, feed_features, dropout, tracke
         return total(weighted_sum(roll.features, costs[0]), weighted_sum(roll.logits, costs[1]))
 
     used = t if horizon > 1 else t[:8] + t[14:]
-    checked = [used[0], *used[2:]] if tracked else used[2:]  # f_t is never tracked
+    checked = [used[0], *used[2:]] if tracked else used[2:]  # f_t is an array
     return f, checked, min(np.abs(p).min() for p in pre), spread
 
 
@@ -1044,7 +1063,7 @@ def outputs(result) -> tuple:
 def rollout_grads(op, args_of, arrays, costs):
     """Features, logits and every input gradient of sum(features * cost_f)
     + sum(logits * cost_z); a cost of None leaves that output out of the loss.
-    Every input but f_t, which no run tracks, is tracked."""
+    Every input but f_t, which a fused predictor takes as an array, is tracked."""
     tensors = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
     features, logits = outputs(op(*args_of(tensors)))
     total(*(weighted_sum(out, c) for out, c in zip((features, logits), costs)
@@ -1089,9 +1108,9 @@ class TestRolloutOpsMatchChains:
 
         if loss == "features only":
             with pytest.raises(GradientError, match=FEATURES_ONLY):
-                rollout_grads(rollout, args_of, arrays, costs)
+                rollout_grads(on_array(rollout, 1), args_of, arrays, costs)
             return
-        fused = rollout_grads(rollout, args_of, arrays, costs)
+        fused = rollout_grads(on_array(rollout, 1), args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(ppm_chain, args_of, arrays, costs))
         if horizon == 1:  # the progressive block is never touched
             assert all(g is None for g in fused[2][8:14])
@@ -1110,17 +1129,16 @@ class TestRolloutOpsMatchChains:
 
         if loss == "features only":
             with pytest.raises(GradientError, match=FEATURES_ONLY):
-                rollout_grads(lstm_decode, args_of, arrays, costs)
+                rollout_grads(on_array(lstm_decode, 1), args_of, arrays, costs)
             return
-        fused = rollout_grads(lstm_decode, args_of, arrays, costs)
+        fused = rollout_grads(on_array(lstm_decode, 1), args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(lstm_chain, args_of, arrays, costs))
 
     @pytest.mark.parametrize("op, arrays_of, args_of", [
         (rollout, ppm_arrays, ppm_args), (lstm_decode, lstm_arrays, lstm_args),
     ])
     def test_untaped_forward_equals_taped(self, op, arrays_of, args_of):
-        arrays = arrays_of(np.random.default_rng(90), (2,))
-        tensors = [Tensor(a, requires_grad=i != 1) for i, a in enumerate(arrays)]
+        tensors = predictor_inputs(arrays_of(np.random.default_rng(90), (2,)), tracked=True)
         features, logits = outputs(op(*args_of(tensors, 4)))
         with no_grad():
             plain = outputs(op(*args_of(tensors, 4)))
@@ -1130,13 +1148,13 @@ class TestRolloutOpsMatchChains:
         np.testing.assert_array_equal(plain[1].data, logits.data)
 
     def test_shape_errors(self):
-        t = [Tensor(a) for a in ppm_arrays(np.random.default_rng(91), (2,))]
+        t = predictor_inputs(ppm_arrays(np.random.default_rng(91), (2,)))
         with pytest.raises(ShapeError, match="keep mask"):
             rollout(*ppm_args(t, 3, np.ones((2, 2, 4))))
         with pytest.raises(ShapeError, match="keep mask"):
             rollout(*ppm_args(t, 3, np.ones((3, 4))))
         with pytest.raises(ShapeError, match="^rollout: s_t"):
-            rollout(*ppm_args([t[0], Tensor(t[1].data[0]), *t[2:]], 3))
+            rollout(*ppm_args([t[0], t[1][0], *t[2:]], 3))
         with pytest.raises(ShapeError, match="extent"):
             rollout(*ppm_args([*t[:8], Tensor(t[2].data[:-1]), *t[9:]], 3))
         wider = [Tensor(np.ones(s)) for s in [(11, 3), (3,), (3, 4), (4,), (4,), (4,)]]
@@ -1144,18 +1162,18 @@ class TestRolloutOpsMatchChains:
             rollout(*ppm_args([*t[:8], *wider, t[14]], 3))  # the steps share one stack
         with pytest.raises(ValueError, match="horizon"):
             rollout(*ppm_args(t, 0))
-        c = [Tensor(a) for a in lstm_arrays(np.random.default_rng(92), (2,))]
+        c = predictor_inputs(lstm_arrays(np.random.default_rng(92), (2,)))
         with pytest.raises(ShapeError, match="lstm_decode"):
             lstm_decode(*lstm_args([c[0], c[1], Tensor(c[2].data[1:]), c[3], c[4]], 3))
         with pytest.raises(ShapeError, match="lstm_decode"):
             lstm_decode(*lstm_args([*c[:4], Tensor(np.zeros((5, 3)))], 3))
         with pytest.raises(ValueError, match="horizon"):
             lstm_decode(*lstm_args(c, 0))
-        s = [Tensor(a) for a in ssp_arrays(np.random.default_rng(93), (2,))]
+        s = predictor_inputs(ssp_arrays(np.random.default_rng(93), (2,)))
         with pytest.raises(ShapeError, match="ssp_rollout: keep mask"):
             ssp_rollout(*ssp_args(s, 3, np.ones((2, 2, 4))))
         with pytest.raises(ShapeError, match="ssp_rollout"):
-            ssp_rollout(*ssp_args([s[0], Tensor(s[1].data[0]), *s[2:]], 3))
+            ssp_rollout(*ssp_args([s[0], s[1][0], *s[2:]], 3))
         with pytest.raises(ShapeError, match="ssp_rollout.*extent"):
             ssp_rollout(*ssp_args(s, 2))  # the block was built for three tags
         narrow = [Tensor(np.ones(sh)) for sh in [(14, 2), (2,), (2, 3), (3,), (3,), (3,)]]
@@ -1166,9 +1184,9 @@ class TestRolloutOpsMatchChains:
 
     def test_a_set_checks_and_builds_its_rows_once_and_a_refused_set_at_every_call(self):
         rng = np.random.default_rng(94)
-        t = [Tensor(a) for a in ppm_arrays(rng, (2,))]
-        c = [Tensor(a) for a in lstm_arrays(rng, (2,))]
-        s = [Tensor(a) for a in ssp_arrays(rng, (2,))]
+        t = predictor_inputs(ppm_arrays(rng, (2,)))
+        c = predictor_inputs(lstm_arrays(rng, (2,)))
+        s = predictor_inputs(ssp_arrays(rng, (2,)))
         wider = [Tensor(np.ones(sh)) for sh in [(11, 3), (3,), (3, 4), (4,), (4,), (4,)]]
         narrow = [Tensor(np.ones(sh)) for sh in [(14, 2), (2,), (2, 3), (3,), (3,), (3,)]]
         for op, good, bad, cached, message in (
@@ -1219,78 +1237,68 @@ def assert_node_matches_chain(op, chain, arrays, args_of, costs, tracked, refusa
                           bytes_of(chain, arrays, args_of, costs, tracked))
 
 
-TRACKED = {"input untracked": False, "input tracked": True}
-
-
 class TestLayerNodesMatchChains:
     """conv1d, the LSTM encoder and the single-shot predictor, each one node,
     against the chain of generic nodes it replaced: the outputs and every
-    gradient equal by bytes. The observed window and the last feature are
-    untracked in a run and get no gradient from either; tracked, which no
-    run does, each node refuses them by name."""
+    gradient equal by bytes. The node takes the observed window or the last
+    feature as an array, the chain as an untracked Tensor, and neither
+    sends it a gradient."""
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [2, 3, 5, 8, 16])
-    @pytest.mark.parametrize("tracked", TRACKED)
-    def test_conv1d(self, lead, t, tracked):
+    def test_conv1d(self, lead, t):
         rng = np.random.default_rng(110 + t)
         d, layers = 4, (t - 1).bit_length()  # 1 to 4 layers
         shapes = [(*lead, t, d)] + [(3 * d, d)] * layers + [(d,)] * layers
         arrays = [rng.normal(size=s) for s in shapes]
         costs = [rng.normal(size=(*lead, 1, d))]
-        flags = [TRACKED[tracked]] + [True] * 2 * layers
+        flags = [False] + [True] * 2 * layers
 
         def args_of(ts):
             return ts[0], param_set(Conv1DStack, ts[1 : 1 + layers], ts[1 + layers :])
 
-        refusal = "^conv1d_aggregate: a tracked window" if TRACKED[tracked] else None
-        assert_node_matches_chain(conv1d_aggregate, chains.conv1d_chain, arrays, args_of, costs,
-                                  flags, refusal)
+        assert_node_matches_chain(on_array(conv1d_aggregate, 0), chains.conv1d_chain, arrays,
+                                  args_of, costs, flags)
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [1, 2, 5, 8])
-    @pytest.mark.parametrize("tracked", TRACKED)
-    def test_lstm_step(self, lead, t, tracked):
+    def test_lstm_step(self, lead, t):
         rng = np.random.default_rng(120 + t)
         d = 4
         arrays = [rng.normal(size=s) for s in [(*lead, t, d), (2 * d, 4 * d), (4 * d,)]]
         costs = [rng.normal(size=(*lead, 1, d))]
-        flags = [TRACKED[tracked], True, True]
 
         def args_of(ts):
             return ts[0], param_set(LSTMParams, *ts[1:])
 
-        refusal = "^lstm_encode: a tracked window" if TRACKED[tracked] else None
-        assert_node_matches_chain(lstm_encode, chains.encoder_chain, arrays, args_of, costs, flags,
-                                  refusal)
+        assert_node_matches_chain(on_array(lstm_encode, 0), chains.encoder_chain, arrays, args_of,
+                                  costs, [False, True, True])
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("horizon", [1, 5])
     @pytest.mark.parametrize("dropout", [False, True])
-    @pytest.mark.parametrize("tracked", TRACKED)
     @pytest.mark.parametrize("loss", LOSSES)
-    def test_ssp_rollout(self, lead, horizon, dropout, tracked, loss):
+    def test_ssp_rollout(self, lead, horizon, dropout, loss):
         rng = np.random.default_rng(130 + horizon + len(lead))
         arrays = ssp_arrays(rng, lead, horizon=horizon)
         keep = (rng.random((*lead, horizon, 4)) >= 0.3) / 0.7 if dropout else None
         costs = [rng.normal(size=(*lead, horizon, n)) if used else None
                  for n, used in zip((4, 3), LOSSES[loss])]
-        flags = [True, TRACKED[tracked]] + [True] * 7  # s_t and f_t, then the parameters
-        refusal = ("^ssp_rollout: a tracked f_t" if TRACKED[tracked] else
-                   FEATURES_ONLY if loss == "features only" else None)
+        flags = [True, False] + [True] * 7  # s_t and f_t, then the parameters
+        refusal = FEATURES_ONLY if loss == "features only" else None
 
         def args_of(ts):
             return ssp_args(ts, horizon, keep)
 
-        assert_node_matches_chain(ssp_rollout, chains.ssp_chain, arrays, args_of, costs, flags,
-                                  refusal)
+        assert_node_matches_chain(on_array(ssp_rollout, 1), chains.ssp_chain, arrays, args_of,
+                                  costs, flags, refusal)
 
 
 class TestRolloutGradientProperties:
     """grad_check through the fused rollouts, and batched rows against one-window calls.
 
-    f_t stays untracked, as the model's last observed feature is. `tracked`
-    False leaves s_t untracked too: the node must then skip it and still
+    f_t is an array, as the model's last observed feature is. `tracked`
+    False leaves s_t untracked: the node must then skip it and still
     give the weights their gradients.
     """
 
@@ -1324,7 +1332,7 @@ class TestRolloutGradientProperties:
            n_classes=st.integers(2, 3), tracked=st.booleans(), seed=st.integers(0, 2**16))
     def test_lstm_rollout(self, lead, horizon, d, n_classes, tracked, seed):
         rng = np.random.default_rng(seed)
-        t = [Tensor(a) for a in lstm_arrays(rng, lead, d, n_classes)]
+        t = predictor_inputs(lstm_arrays(rng, lead, d, n_classes))
         costs = [Tensor(rng.normal(size=(*lead, horizon, n))) for n in (d, n_classes)]
 
         def f(*_):
@@ -1345,8 +1353,10 @@ class TestRolloutGradientProperties:
 
         def run(arrays, keep, costs):
             if ppm:
-                return rollout_grads(rollout, lambda t: ppm_args(t, horizon, keep), arrays, costs)
-            return rollout_grads(lstm_decode, lambda t: lstm_args(t, horizon), arrays, costs)
+                return rollout_grads(on_array(rollout, 1), lambda t: ppm_args(t, horizon, keep),
+                                     arrays, costs)
+            return rollout_grads(on_array(lstm_decode, 1), lambda t: lstm_args(t, horizon),
+                                 arrays, costs)
 
         batched = run(arrays, keep, costs)
         for b in range(rows):
@@ -1357,56 +1367,20 @@ class TestRolloutGradientProperties:
             assert_close(batched[2][0][b], one[2][0], f"row {b} s_t gradient")
 
 
-def aggregator_case(name, rng):
-    """An aggregator by name and its parameter set for a (2, 4, 4) window."""
-    if name == "aggregate":
-        weights = [Tensor(rng.normal(size=(4, 4))) for _ in range(4)]
-        return (lambda w, p: aggregate(w, p)[0]), param_set(TTMParams, *weights, 2,
-                                                             rng.normal(size=(4, 4)))
-    if name == "conv1d_aggregate":
-        return conv1d_aggregate, param_set(Conv1DStack,
-                                           [Tensor(rng.normal(size=(12, 4))) for _ in range(2)],
-                                           [Tensor(rng.normal(size=4)) for _ in range(2)])
-    return lstm_encode, param_set(LSTMParams, Tensor(rng.normal(size=(8, 16))),
-                                  Tensor(rng.normal(size=16)))
-
-
 PREDICTORS_BY_OP = {"rollout": (rollout, ppm_arrays, ppm_args),
                     "ssp_rollout": (ssp_rollout, ssp_arrays, ssp_args),
                     "lstm_decode": (lstm_decode, lstm_arrays, lstm_args)}
 
 
 class TestRefusedGradients:
-    """No run tracks a window or the last feature f_t, and every loss reads
-    the logits, so the layers compute no gradient for a window or f_t and
-    no backward for features whose logits no loss reached. Each of those
-    misuses fails by name instead of training on a gradient nobody sent."""
-
-    @pytest.mark.parametrize("op", ["aggregate", "conv1d_aggregate", "lstm_encode"])
-    def test_a_tracked_window_is_refused(self, op):
-        rng = np.random.default_rng(140)
-        layer, params = aggregator_case(op, rng)
-        window = Tensor(rng.normal(size=(2, 4, 4)))
-        layer(window, params)  # untracked, as `anticipate` builds it
-        window.requires_grad = True
-        with pytest.raises(GradientError, match=f"^{op}: a tracked window"):
-            layer(window, params)
-
-    @pytest.mark.parametrize("op", PREDICTORS_BY_OP)
-    def test_a_tracked_last_feature_is_refused(self, op):
-        layer, arrays_of, args_of = PREDICTORS_BY_OP[op]
-        t = [Tensor(a, requires_grad=True) for a in arrays_of(np.random.default_rng(141), (2,))]
-        t[1].requires_grad = False
-        layer(*args_of(t, 3))
-        t[1].requires_grad = True
-        with pytest.raises(GradientError, match=f"^{op}: a tracked f_t"):
-            layer(*args_of(t, 3))
+    """Every loss reads the logits, so the predictors run no backward for
+    features whose logits no loss reached: that misuse fails by name
+    instead of training on a gradient nobody sent."""
 
     @pytest.mark.parametrize("op", PREDICTORS_BY_OP)
     def test_a_loss_on_the_features_alone_is_refused(self, op):
         layer, arrays_of, args_of = PREDICTORS_BY_OP[op]
-        t = [Tensor(a, requires_grad=i != 1)
-             for i, a in enumerate(arrays_of(np.random.default_rng(142), (2,)))]
+        t = predictor_inputs(arrays_of(np.random.default_rng(142), (2,)), tracked=True)
         roll = layer(*args_of(t, 3))
         with pytest.raises(GradientError, match="rollout's features but not its logits"):
             tensor_sum(roll.features).backward()
@@ -1414,8 +1388,7 @@ class TestRefusedGradients:
     @pytest.mark.parametrize("op", PREDICTORS_BY_OP)
     def test_probs_are_untaped_and_equal_the_chains_softmax(self, op):
         layer, arrays_of, args_of = PREDICTORS_BY_OP[op]
-        t = [Tensor(a, requires_grad=i != 1)
-             for i, a in enumerate(arrays_of(np.random.default_rng(143), (2,)))]
+        t = predictor_inputs(arrays_of(np.random.default_rng(143), (2,)), tracked=True)
         roll = layer(*args_of(t, 3))
         assert roll.logits._parents and roll.probs._parents == ()
         assert roll.probs.data.tobytes() == softmax(roll.logits).data.tobytes()
@@ -1465,16 +1438,16 @@ def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
     return h, c_new, ((c, gates, cand, tc) if tape else None)
 
 
-def plain_cell_backward(gh, gc, cache, w, dpre):
+def plain_cell_backward(gh, gc, cache, w):
     """`baselines._cell_backward` with `@` and Python-scalar left operands."""
     c, gates, cand, tc = cache
     d_h = c.shape[1]
     i, f, o = (gates[:, k * d_h : (k + 1) * d_h] for k in (0, 1, 3))
     gc = gh * o * (1.0 - tc * tc) if gc is None else gc + gh * o * (1.0 - tc * tc)
     dgate = np.concatenate([gc * cand, gc * c, gc * i, gh * tc], axis=-1)
-    dpre[...] = dgate * gates * (1.0 - gates)
+    dpre = dgate * gates * (1.0 - gates)
     dpre[:, 2 * d_h : 3 * d_h] = dgate[:, 2 * d_h : 3 * d_h] * (1.0 - cand * cand)
-    return dpre @ w.T, gc * f
+    return dpre @ w.T, gc * f, dpre
 
 
 def plain_weight_grad(x, g):
@@ -1495,10 +1468,11 @@ def plain_bias_grad(g):
 
 def outputs_and_grads(op, arrays, args_of, costs):
     """The op's output arrays and every input gradient of sum(output_i * cost_i),
-    with every input tracked but an aggregator's window and a predictor's f_t."""
+    with every input tracked but an aggregator's window and a predictor's
+    f_t, which enter as their arrays."""
     untracked = 0 if op in (conv1d_aggregate, lstm_encode) else 1
     tensors = [Tensor(a, requires_grad=i != untracked) for i, a in enumerate(arrays)]
-    outs = outputs(op(*args_of(tensors)))
+    outs = outputs(on_array(op, untracked)(*args_of(tensors)))
     total(*(weighted_sum(out, cost) for out, cost in zip(outs, costs))).backward()
     return [out.data for out in outs] + [t.grad for t in tensors]
 
@@ -1753,47 +1727,76 @@ class TestReluAndGates:
             np.testing.assert_array_equal(out.data, [[0.0] * d + [1.0] * d])
             assert all(np.isfinite(t.grad).all() for t in (w, bias, state))
             w.grad = bias.grad = None
-            window = Tensor(np.ones((2, d)))
-            out = lstm_encode(window, param_set(LSTMParams, w, bias))  # c' = 0 and h' = 0
+            out = lstm_encode(np.ones((2, d)), param_set(LSTMParams, w, bias))  # c' = 0 and h' = 0
             weighted_sum(out, cost.data[:, :d]).backward()
             np.testing.assert_array_equal(out.data, np.ones((1, d)))
             assert all(np.isfinite(t.grad).all() for t in (w, bias))
             bias.grad = None
             cell = param_set(LSTMParams, Tensor(np.zeros((2 * d + 2, 4 * d))), bias)
-            roll = lstm_decode(Tensor(np.zeros((1, d))), Tensor(np.zeros((1, d))),
+            roll = lstm_decode(Tensor(np.zeros((1, d))), np.zeros((1, d)),
                                param_set(DecoderParams, cell, Tensor(np.ones((d, 2))), 3))
             total(tensor_sum(roll.features), tensor_sum(roll.logits)).backward()
             np.testing.assert_array_equal(roll.features.data, 0.0)
             assert np.isfinite(bias.grad).all()
 
 
-class TestTapeNodes:
-    """Tensors built by one taped one-window anticipate at the default config.
+GRID = grid_configs(ModelConfig())
 
-    Every cell builds the same 5: the input, the aggregator's one node, the
-    last feature, and the predictor's features node and its logits child.
-    Splitting a fused layer or rollout back into single ops raises the count.
+
+class TestTensorConstructions:
+    """Tensors built per call at the default config, in each of the ten grid cells.
+
+    Only what takes a gradient is a tensor: a window and the last feature
+    enter the layers as arrays. A one-window anticipate builds 3, taped or
+    not: the aggregator's one node and the predictor's features node and
+    its logits child. A scorer call adds the probs, and a training batch
+    the loss. Splitting a fused layer or rollout back into single ops, or
+    wrapping an input, raises a count.
     """
 
-    @pytest.mark.parametrize("aggregator, predictor, nodes",
-                             [(a, p, 5) for a in AGGREGATORS for p in PREDICTORS])
-    def test_one_window_node_count(self, aggregator, predictor, nodes, monkeypatch):
-        model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
-        window = np.random.default_rng(0).normal(size=(8, 16))
-        built = [0]
-        init = Tensor.__init__
+    @pytest.mark.parametrize("config", GRID, ids=[c.name for c in GRID])
+    def test_three_per_window_and_four_per_score_and_batch(self, config, monkeypatch):
+        from ttpp.training import total_loss
+
+        model = AnticipationModel(config)
+        rng = np.random.default_rng(0)
+        window, seq = rng.normal(size=(8, 16)), FeatureSequence("v", rng.normal(size=(12, 16)),
+                                                                np.zeros(12), 4)
+        observed, future = rng.normal(size=(32, 8, 16)), rng.normal(size=(32, 8, 16))
+        labels = np.eye(4)[rng.integers(4, size=(32, 8))]
+        score, built, init = model.scorer(), [0], Tensor.__init__
 
         def counting(self, *args, **kwargs):
             built[0] += 1
             init(self, *args, **kwargs)
 
+        def count(call) -> int:
+            built[0] = 0
+            call()
+            return built[0]
+
         monkeypatch.setattr(Tensor, "__init__", counting)
-        roll, _ = model.anticipate(window)
-        assert roll.features._parents and built[0] == nodes
-        built[0] = 0
+        assert count(lambda: model.anticipate(window)) == 3
         with no_grad():
-            model.anticipate(window)
-        assert built[0] == nodes  # no_grad saves the tape, not the tensors
+            assert count(lambda: model.anticipate(window)) == 3  # no tape, the same tensors
+        assert count(lambda: score(seq, 10)) == 4
+
+        def batch():
+            roll, _ = model.anticipate(observed, rng=rng)
+            total_loss(roll, labels, future, 1.0)[0].backward()
+
+        assert count(batch) == 4
+
+    @pytest.mark.parametrize("config", GRID, ids=[c.name for c in GRID])
+    def test_a_float32_or_nested_list_window_gives_the_bytes_of_its_float64_array(self, config):
+        model = AnticipationModel(config)
+        for shape in ((8, 16), (2, 8, 16)):
+            window = np.random.default_rng(1).normal(size=shape).astype(np.float32)
+            want = model.anticipate(window.astype(np.float64))[0]
+            for given in (window, window.tolist()):
+                got = model.anticipate(given)[0]
+                assert got.features.data.tobytes() == want.features.data.tobytes()
+                assert got.logits.data.tobytes() == want.logits.data.tobytes()
 
 
 class TestNoGrad:
