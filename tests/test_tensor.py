@@ -948,6 +948,18 @@ def on_array(op, i: int):
     return run
 
 
+def strided(a: np.ndarray) -> np.ndarray:
+    """A non-contiguous view holding a's values, every other element of an
+    array interleaved with NaN, so that a read past the view poisons the
+    result."""
+    view = np.stack([a, np.full_like(a, np.nan)], axis=-1)[..., 0]
+    assert not view.flags.c_contiguous
+    return view
+
+
+LAYOUTS = {"input contiguous": np.asarray, "input strided": strided}
+
+
 def ppm_chain(s_t, f_t, params, keep=None, inputs=None):
     """The PPM rollout as a chain of concat, mlp_norm, matmul and softmax nodes:
     the oracle of `rollout`. `inputs`, a list, receives each block input."""
@@ -1241,16 +1253,20 @@ class TestLayerNodesMatchChains:
     """conv1d, the LSTM encoder and the single-shot predictor, each one node,
     against the chain of generic nodes it replaced: the outputs and every
     gradient equal by bytes. The node takes the observed window or the last
-    feature as an array, the chain as an untracked Tensor, and neither
-    sends it a gradient."""
+    feature as an array, the chain as an untracked Tensor over that same
+    array, and neither sends it a gradient. The array is contiguous or a
+    strided view: the node reads a view in place, as the chain does, and
+    `anticipate` passes views (f_t is the last step of its window)."""
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [2, 3, 5, 8, 16])
-    def test_conv1d(self, lead, t):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_conv1d(self, lead, t, layout):
         rng = np.random.default_rng(110 + t)
         d, layers = 4, (t - 1).bit_length()  # 1 to 4 layers
         shapes = [(*lead, t, d)] + [(3 * d, d)] * layers + [(d,)] * layers
         arrays = [rng.normal(size=s) for s in shapes]
+        arrays[0] = LAYOUTS[layout](arrays[0])
         costs = [rng.normal(size=(*lead, 1, d))]
         flags = [False] + [True] * 2 * layers
 
@@ -1262,10 +1278,12 @@ class TestLayerNodesMatchChains:
 
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("t", [1, 2, 5, 8])
-    def test_lstm_step(self, lead, t):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_lstm_step(self, lead, t, layout):
         rng = np.random.default_rng(120 + t)
         d = 4
         arrays = [rng.normal(size=s) for s in [(*lead, t, d), (2 * d, 4 * d), (4 * d,)]]
+        arrays[0] = LAYOUTS[layout](arrays[0])
         costs = [rng.normal(size=(*lead, 1, d))]
 
         def args_of(ts):
@@ -1277,10 +1295,12 @@ class TestLayerNodesMatchChains:
     @pytest.mark.parametrize("lead", LEADS)
     @pytest.mark.parametrize("horizon", [1, 5])
     @pytest.mark.parametrize("dropout", [False, True])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("loss", LOSSES)
-    def test_ssp_rollout(self, lead, horizon, dropout, loss):
+    def test_ssp_rollout(self, lead, horizon, dropout, layout, loss):
         rng = np.random.default_rng(130 + horizon + len(lead))
         arrays = ssp_arrays(rng, lead, horizon=horizon)
+        arrays[1] = LAYOUTS[layout](arrays[1])
         keep = (rng.random((*lead, horizon, 4)) >= 0.3) / 0.7 if dropout else None
         costs = [rng.normal(size=(*lead, horizon, n)) if used else None
                  for n, used in zip((4, 3), LOSSES[loss])]
