@@ -81,6 +81,8 @@ def aggregate(window: np.ndarray, params: TTMParams) -> tuple[Tensor, np.ndarray
     """
     wq, wk, wv, wo = params.values
     pe, n_heads = params.pe, params.n_heads
+    if not isinstance(window, np.ndarray):
+        raise TypeError(f"aggregate: window must be an ndarray, got {type(window).__name__}")
     shape = window.shape
     if (len(shape) < 2 or shape[-2] < 2 or np.shape(pe) != shape[-2:] or n_heads < 1
             or shape[-1] % n_heads):

@@ -63,6 +63,8 @@ def conv1d_aggregate(window: np.ndarray, params: Conv1DStack) -> Tensor:
     """
     depth = len(params.weights)
     weights, biases = params.values[:depth], params.values[depth:]
+    if not isinstance(window, np.ndarray):
+        raise TypeError(f"conv1d_aggregate: window must be an ndarray, got {type(window).__name__}")
     shape = window.shape
     if (len(shape) < 2 or not weights or len(biases) != depth
             or not 1 <= shape[-2] <= 2 ** depth
@@ -177,6 +179,8 @@ def lstm_encode(window: np.ndarray, params: LSTMParams) -> Tensor:
     The window, an array, takes no gradient."""
     w, b = params.values
     w_data, b_row = params.cell
+    if not isinstance(window, np.ndarray):
+        raise TypeError(f"lstm_encode: window must be an ndarray, got {type(window).__name__}")
     shape = window.shape
     if (len(shape) < 2 or shape[-2] < 1 or w.data.shape != (2 * shape[-1], 4 * shape[-1])
             or b.data.shape != (4 * shape[-1],)):

@@ -4,8 +4,7 @@ the binary files (.feat feature files and model checkpoints).
 A sequence is one untrimmed stream of per-chunk feature rows with one
 class label per chunk (class 0 is background). The synthetic generator
 runs a semi-Markov label process over class prototypes with Gaussian
-noise, so anticipation quality is gradable against an exact reference
-predictor derived from the process itself.
+noise, deterministic per seed, so every run sees the same known process.
 """
 
 from __future__ import annotations
@@ -306,49 +305,3 @@ def make_samples(seq: FeatureSequence, seq_len: int, horizon: int) -> list[Train
             )
         )
     return samples
-
-
-def horizon_transition(cfg: SyntheticConfig, tau: int) -> np.ndarray:
-    """Exact P(label_{t+tau} = j | label_t = i) for the generator process.
-
-    Geometric durations make the chunk-level label process Markov with
-    one-step matrix (1-p) I + p T, p = 1/duration_mean. Fixed durations
-    condition on the stationary (uniform) phase within a segment; that
-    branch requires a zero-diagonal transition so segments never merge.
-    """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    c = cfg.n_classes
-    if cfg.duration_law == "geometric":
-        p = 1.0 / cfg.duration_mean
-        step = (1.0 - p) * np.eye(c) + p * cfg.transition
-        return np.linalg.matrix_power(step, tau)
-    if np.any(np.diag(cfg.transition) > 0):
-        raise ValueError("fixed-duration reference needs a zero-diagonal transition")
-    d = max(1, round(cfg.duration_mean))
-    out = np.zeros((c, c))
-    powers = {0: np.eye(c)}
-    for age in range(d):
-        remaining = d - age
-        if tau < remaining:
-            out += np.eye(c)
-        else:
-            hops = 1 + (tau - remaining) // d
-            if hops not in powers:
-                powers[hops] = np.linalg.matrix_power(cfg.transition, hops)
-            out += powers[hops]
-    return out / d
-
-
-def reference_scorer(cfg: SyntheticConfig, horizon: int):
-    """The label-only oracle: exact future-label distributions given the current
-    true label alone. Under duration_law = fixed it is no upper bound, since a
-    window also shows the segment's age (ROADMAP.md, item 2). Plug-compatible
-    with evaluate_horizons."""
-    tables = [horizon_transition(cfg, tau) for tau in range(1, horizon + 1)]
-
-    def score(sequence: FeatureSequence, t: int) -> np.ndarray:
-        current = sequence.labels[t]
-        return np.stack([table[current] for table in tables])
-
-    return score

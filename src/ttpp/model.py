@@ -110,9 +110,10 @@ class AnticipationModel:
         row b equals the call on window b. Dropout is on exactly when an rng
         is given, as in training: PPM and SSP draw one (..., horizon, d_m)
         keep mask after aggregation, in the rng order of one call per
-        window. The predictor sees the raw last observed feature.
+        window. The predictor sees the raw last observed feature. The window is
+        read by its values: any memory layout gives the bytes of a C-ordered copy.
         """
-        window = np.asarray(observed, dtype=np.float64)
+        window = np.ascontiguousarray(observed, dtype=np.float64)
         c = self.config
         t = c.seq_len
         if window.ndim not in (2, 3) or window.shape[-2] != t:

@@ -197,6 +197,8 @@ def _send_block(block, x, saved, kept) -> None:
 
 def _check_rollout(op: str, s_t, f_t, classifier, horizon: int, keep=None) -> tuple[int, int]:
     """(d, n_classes) of a predictor's operands, f_t an array."""
+    if not isinstance(f_t, np.ndarray):
+        raise TypeError(f"{op}: f_t must be an ndarray, got {type(f_t).__name__}")
     if horizon < 1:
         raise ValueError(f"rollout horizon must be >= 1, got {horizon}")
     shape = s_t.data.shape

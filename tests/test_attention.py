@@ -223,6 +223,11 @@ class TestAggregate:
         assert weights.shape == (4, 7)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-9)
 
+    def test_a_tensor_window_is_refused_by_name(self):
+        params = init_ttm_params(8, 2, 4, np.random.default_rng(13))
+        with pytest.raises(TypeError, match="aggregate: window must be an ndarray, got Tensor"):
+            aggregate(Tensor(np.zeros((4, 8))), params)
+
     def test_too_short_sequence(self):
         params = init_ttm_params(8, 2, 8, np.random.default_rng(13))
         with pytest.raises(ValueError, match="T >= 2 rows"):

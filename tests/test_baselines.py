@@ -84,6 +84,12 @@ class TestConv1D:
         out = conv1d_aggregate(x, params)
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
+    def test_a_tensor_window_is_refused_by_name(self):
+        params = init_conv1d_params(4, 8, np.random.default_rng(4))
+        with pytest.raises(TypeError,
+                           match="conv1d_aggregate: window must be an ndarray, got Tensor"):
+            conv1d_aggregate(Tensor(np.zeros((8, 4))), params)
+
     def test_incompatible_length_rejected(self):
         params = init_conv1d_params(4, 8, np.random.default_rng(4))
         with pytest.raises(ValueError, match="reduce"):
@@ -170,6 +176,11 @@ class TestLSTMEncode:
             np.testing.assert_array_equal(b[k], np.zeros(d_h))
         assert [p.name for p in params.parameters()] == ["dec.w", "dec.b"]
 
+    def test_a_tensor_window_is_refused_by_name(self):
+        params = init_lstm_params(4, 4, np.random.default_rng(11))
+        with pytest.raises(TypeError, match="lstm_encode: window must be an ndarray, got Tensor"):
+            lstm_encode(Tensor(np.zeros((8, 4))), params)
+
     def test_hidden_width_must_match_features(self):
         params = init_lstm_params(4, 6, np.random.default_rng(11))
         with pytest.raises(ValueError, match="lstm_encode"):
@@ -216,6 +227,12 @@ class TestLSTMDecode:
         )
         assert roll.features.shape == (1, 4)
         assert roll.probs.shape == (1, 3)
+
+    def test_a_tensor_last_feature_is_refused_by_name(self):
+        params = init_lstm_decoder_params(4, 3, 2, np.random.default_rng(13))
+        s = Tensor(np.zeros((1, 4)))
+        with pytest.raises(TypeError, match="lstm_decode: f_t must be an ndarray, got Tensor"):
+            lstm_decode(s, Tensor(s.data), params)
 
     def test_zero_params_make_steps_identical(self):
         rng = np.random.default_rng(14)
@@ -394,6 +411,12 @@ class TestSSP:
         s, f = Tensor(np.zeros((2, 1, 4))), np.zeros((1, 4))
         with pytest.raises(ValueError, match=r"ssp_rollout: s_t \(2, 1, 4\), f_t \(1, 4\)"):
             ssp_rollout(s, f, params)
+
+    def test_a_tensor_last_feature_is_refused_by_name(self):
+        params = init_ssp_params(4, 3, 3, np.random.default_rng(21))
+        s = Tensor(np.zeros((1, 4)))
+        with pytest.raises(TypeError, match="ssp_rollout: f_t must be an ndarray, got Tensor"):
+            ssp_rollout(s, Tensor(s.data), params)
 
     def test_bad_keep_mask_refused_by_name(self):
         params = init_ssp_params(4, 3, 5, np.random.default_rng(21))

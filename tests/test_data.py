@@ -1,4 +1,5 @@
-"""The .feat format, synthetic process, reference scorer."""
+"""The .feat format, the synthetic process and its standard config, and the
+windows cut from a sequence."""
 
 import struct
 import tempfile
@@ -15,10 +16,8 @@ from ttpp.data import (
     FileFormatError,
     SyntheticConfig,
     gen_synthetic,
-    horizon_transition,
     load_features,
     make_samples,
-    reference_scorer,
     save_features,
     standard_synthetic_config,
 )
@@ -212,9 +211,15 @@ class TestGenSynthetic:
             else:
                 runs.append(run)
                 run = 1
-        # every completed interior segment lasts exactly 3 chunks unless the
-        # chain re-enters the same class back to back (merging two runs)
-        assert all(r % 3 == 0 for r in runs[1:])
+        # the standard transition never stays in its class, so no two
+        # segments merge: every completed interior run lasts exactly 3 chunks
+        assert runs[1:] and all(r == 3 for r in runs[1:])
+
+    @pytest.mark.parametrize("n_classes", range(2, 9))
+    def test_standard_transition_never_stays_in_its_class(self, n_classes):
+        # what keeps fixed-duration segments apart
+        transition = standard_synthetic_config(n_classes=n_classes, d_m=2).transition
+        np.testing.assert_array_equal(np.diag(transition), np.zeros(n_classes))
 
     def test_row_stochastic_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -247,56 +252,6 @@ class TestMakeSamples:
             for s in samples:
                 assert s.observed.shape == (t, seq.d_m)
                 assert s.future_features.shape == (h, seq.d_m)
-
-
-class TestHorizonTransition:
-    def test_geometric_one_step(self):
-        cfg = standard_synthetic_config(n_classes=3, d_m=2, seed=9, duration_mean=4.0)
-        p = 1.0 / 4.0
-        expected = (1 - p) * np.eye(3) + p * cfg.transition
-        np.testing.assert_allclose(horizon_transition(cfg, 1), expected, atol=1e-12)
-
-    def test_geometric_mean_one_is_plain_markov(self):
-        cfg = standard_synthetic_config(n_classes=3, d_m=2, seed=10, duration_mean=1.0)
-        np.testing.assert_allclose(
-            horizon_transition(cfg, 3), np.linalg.matrix_power(cfg.transition, 3), atol=1e-12
-        )
-
-    def test_fixed_duration_hand_case(self):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        cfg = SyntheticConfig(
-            n_classes=2, d_m=2, transition=swap, duration_mean=2.0,
-            prototypes=np.zeros((2, 2)), noise_sigma=0.0, duration_law="fixed",
-        )
-        np.testing.assert_allclose(horizon_transition(cfg, 1), np.full((2, 2), 0.5), atol=1e-12)
-        np.testing.assert_allclose(horizon_transition(cfg, 2), swap, atol=1e-12)
-
-    def test_fixed_duration_rejects_self_loops(self):
-        cfg = SyntheticConfig(
-            n_classes=2, d_m=2, transition=np.array([[0.5, 0.5], [0.0, 1.0]]),
-            duration_mean=2.0, prototypes=np.zeros((2, 2)), noise_sigma=0.0,
-            duration_law="fixed",
-        )
-        with pytest.raises(ValueError, match="zero-diagonal"):
-            horizon_transition(cfg, 1)
-
-    def test_rows_remain_stochastic(self):
-        cfg = standard_synthetic_config(n_classes=4, d_m=2, seed=11, duration_mean=3.0)
-        for tau in (1, 2, 5):
-            rows = horizon_transition(cfg, tau).sum(axis=1)
-            np.testing.assert_allclose(rows, 1.0, atol=1e-9)
-
-    def test_reference_scorer_beats_chance_at_short_horizons(self):
-        cfg = standard_synthetic_config(n_classes=3, d_m=4, seed=12, duration_mean=3.0)
-        seqs = gen_synthetic(cfg, 4, 60)
-        scorer = reference_scorer(cfg, horizon=2)
-        hits = total = 0
-        for seq in seqs:
-            for t in range(len(seq) - 1):
-                pred = scorer(seq, t)[0].argmax()
-                hits += pred == seq.labels[t + 1]
-                total += 1
-        assert hits / total > 1.0 / 3 + 0.1
 
 
 @st.composite

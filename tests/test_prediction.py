@@ -176,6 +176,11 @@ class TestRollout:
         np.testing.assert_allclose(roll.features.data, np.concatenate([f1, f2, f3]), atol=1e-10)
         np.testing.assert_allclose(roll.probs.data, np.concatenate([p1, p2, p3]), atol=1e-10)
 
+    def test_a_tensor_last_feature_is_refused_by_name(self):
+        s = Tensor(np.zeros((1, 8)))
+        with pytest.raises(TypeError, match="rollout: f_t must be an ndarray, got Tensor"):
+            rollout(s, Tensor(s.data), random_ppm())
+
     def test_rejects_zero_horizon(self):
         params = random_ppm(horizon=0)
         with pytest.raises(ValueError, match="horizon"):

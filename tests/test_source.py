@@ -1,10 +1,15 @@
-"""The modules of src/ttpp, read with `ast`: none imports a name it never uses.
+"""The modules of src/ttpp, read with `ast`: none imports a name it never uses,
+and every module-level function and class is named somewhere in the package.
 
-No linter is part of the test dependencies, so this catches the imports a
-change leaves behind. `__init__.py` is exempt: it imports names to re-export.
+No linter is part of the test dependencies, so this catches the imports and
+the helpers a change leaves behind. `__init__.py` is exempt from the import
+check, since it imports names to re-export; a re-export there counts as a
+name. A name in the tests, scripts or benchmark does not count: code that
+only a test calls is code that no run reaches.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +41,44 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_a_name_it_never_uses(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def names_in(tree: ast.AST) -> list[str]:
+    """Every name `tree` reads, calls, takes as an attribute or imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.extend(alias.name for alias in node.names)
+    return names
+
+
+def unnamed_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level functions and classes of `sources` (module name ->
+    source), as module.name, whose name appears in none of them outside its
+    own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    uses = Counter(name for tree in trees.values() for name in names_in(tree))
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and uses[node.name] == names_in(node).count(node.name))
+
+
+def test_the_check_finds_a_helper_that_nothing_names():
+    sources = {
+        "a": "class Box:\n    pass\n\ndef grow(n):\n    return grow(n - 1) if n else Box()\n"
+             "\ndef used():\n    return 1\n",
+        "b": "from .a import used\nfrom . import a\n\ndef run():\n    return used(), a.Box\n",
+        "c": "from .b import run\n",
+    }
+    assert unnamed_definitions(sources) == ["a.grow"]  # calling itself names it nowhere else
+    sources["c"] = "import sys\n"
+    assert unnamed_definitions(sources) == ["a.grow", "b.run"]
+
+
+def test_every_function_and_class_is_named_outside_its_definition():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unnamed_definitions(sources) == []

@@ -1818,6 +1818,25 @@ class TestTensorConstructions:
                 assert got.features.data.tobytes() == want.features.data.tobytes()
                 assert got.logits.data.tobytes() == want.logits.data.tobytes()
 
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    @pytest.mark.parametrize("cell", ["ttm-ppm", "lstm-lstm", "conv1d-ssp"])
+    def test_a_fortran_ordered_or_transposed_window_gives_the_bytes_of_its_c_ordered_copy(
+            self, cell, taped):
+        aggregator, predictor = cell.split("-")
+        model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
+        rng = np.random.default_rng(2)
+        stack = np.asfortranarray(rng.normal(size=(16, 8, 16)))
+        window = rng.normal(size=(16, 8)).T
+        for given in (stack, window):
+            assert not given.flags.c_contiguous
+            with contextlib.nullcontext() if taped else no_grad():
+                want, want_weights = model.anticipate(given.copy(order="C"))
+                got, got_weights = model.anticipate(given)
+            assert got.features.data.tobytes() == want.features.data.tobytes()
+            assert got.logits.data.tobytes() == want.logits.data.tobytes()
+            if aggregator == "ttm":
+                assert got_weights.tobytes() == want_weights.tobytes()
+
 
 class TestNoGrad:
     def test_a_raising_or_nested_block_leaves_taping_as_it_was(self):
