@@ -23,7 +23,7 @@ from .prediction import (PredictionBlockParams, Rollout, _block_backward, _block
                          init_block_params)
 from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _dot, _dot_contig,
                      _features_and_logits, _make, _plus, _row, _send, _softmax_data,
-                     _softmax_grad, _tapes, _weight_grad, glorot)
+                     _softmax_grad, _weight_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,10 @@ def init_lstm_params(d_in: int, d_h: int, rng, prefix: str = "lstm") -> LSTMPara
     return LSTMParams(Parameter(f"{prefix}.w", w), Parameter(f"{prefix}.b", np.zeros(4 * d_h)))
 
 
-def _cell_forward(xh, c, w, b, tape: bool, h_out):
+def _cell_forward(xh, c, w, b, h_out):
     """One LSTM cell step on contiguous 2-D rows [x | h] and c, with the
     arrays `w` and `b` (a (1, 4 d_h) row), writing h' into `h_out`; returns
-    h', c' and, if taping, the backward's inputs. Callers run it under
+    h', c' and the backward's inputs. Callers run it under
     np.errstate(over="ignore"): a gate below -709 overflows exp to its right 0."""
     d_h = c.shape[1]
     pre = _dot_contig(xh, w)
@@ -152,7 +152,7 @@ def _cell_forward(xh, c, w, b, tape: bool, h_out):
     c_new += gates[:, :d_h] * cand
     tc = np.tanh(c_new)
     h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
-    return h, c_new, ((c, gates, cand, tc) if tape else None)
+    return h, c_new, (c, gates, cand, tc)
 
 
 def _cell_backward(gh, gc, cache, w):
@@ -192,10 +192,10 @@ def lstm_encode(window: np.ndarray, params: LSTMParams) -> Tensor:
     xh = np.empty((t + 1, n, 2 * d))  # [x_s | h_s] in w's row order; h_T
     xh[:t, :, :d] = windows.swapaxes(0, 1)
     xh[0, :, d:] = 0.0
-    c, caches, tape = np.zeros((n, d)), [None] * t, _tapes((w, b))
+    c, caches = np.zeros((n, d)), [None] * t
     with np.errstate(over="ignore"):
         for s in range(t):
-            _, c, caches[s] = _cell_forward(xh[s], c, w_data, b_row, tape, xh[s + 1, :, d:])
+            _, c, caches[s] = _cell_forward(xh[s], c, w_data, b_row, xh[s + 1, :, d:])
     data = xh[t, :, d:] + xh[t - 1, :, :d]
 
     def backward(g):
@@ -249,14 +249,13 @@ def lstm_decode(s_t: Tensor, f_t: np.ndarray, params: DecoderParams) -> Rollout:
     w_data, b_row = params.cell
     rows = s_t.data.reshape(-1, d)
     parents = (s_t, w, b, classifier)
-    tape = _tapes(parents)
     x = np.empty((horizon + 1, len(rows), d_in + d))  # [x | h] in w's row order
     x[0, :, d_in:] = rows
     c = [np.zeros(rows.shape), None]  # the cell state after the last step run, its gradient
     caches = [None] * horizon
 
     def step(s, out):
-        h, c[0], caches[s] = _cell_forward(x[s], c[0], w_data, b_row, tape, out)
+        h, c[0], caches[s] = _cell_forward(x[s], c[0], w_data, b_row, out)
         x[s + 1, :, d_in:] = h
         return h
 

@@ -301,7 +301,7 @@ def make_samples(seq: FeatureSequence, seq_len: int, horizon: int) -> list[Train
             TrainingSample(
                 observed=seq.features[start:mid].copy(),
                 future_features=seq.features[mid : mid + horizon].copy(),
-                future_labels=eye[seq.labels[mid : mid + horizon]].copy(),
+                future_labels=eye[seq.labels[mid : mid + horizon]],
             )
         )
     return samples

@@ -15,7 +15,7 @@ import numpy as np
 
 
 class NoPositivesError(ValueError):
-    """A class with zero positive frames has no defined AP; callers skip it."""
+    """A class with zero positive frames has no defined AP."""
 
 
 def _ranked_precision(scores, positives, calibrated: bool) -> float:
@@ -69,14 +69,9 @@ class HorizonReport:
 
     metric: str
     horizon_labels: list[str]
-    per_class: np.ndarray  # (horizon, n_classes), nan where skipped
     means: np.ndarray  # (horizon,)
     average: float
     n_scored: int  # evaluated (position, horizon) pairs
-
-    @property
-    def horizon(self) -> int:
-        return len(self.horizon_labels)
 
 
 def horizon_labels(horizon: int) -> list[str]:
@@ -98,8 +93,7 @@ def evaluate_horizons(
     skipped, and horizon tau scores only the anchors with a chunk tau
     ahead. For cap/map the mean runs over action classes only (background
     class 0 is excluded) and classes without positives are skipped; for acc
-    the per-horizon value is plain argmax accuracy and the per-class slots
-    hold accuracy conditioned on the true class. Every sequence must have
+    the per-horizon value is plain argmax accuracy. Every sequence must have
     the class count of the first (checked before any anchor is scored), and
     a NaN or infinite score is refused, naming its sequence and anchor.
     """
@@ -139,7 +133,6 @@ def evaluate_horizons(
         video_id, t = anchors[int(finite.argmin())]
         raise ValueError(f"scorer returned a non-finite score for sequence {video_id!r} "
                          f"at anchor t = {t}")
-    per_class = np.full((horizon, n_classes), np.nan)
     means = np.full(horizon, np.nan)
     n_scored = 0
     for tau in range(horizon):
@@ -150,21 +143,10 @@ def evaluate_horizons(
         table, truth = scores[scored, tau], truth[scored]
         n_scored += len(truth)
         if metric == "acc":
-            pred = table.argmax(axis=1)
-            means[tau] = accuracy(pred, truth)
-            for c in range(n_classes):
-                mask = truth == c
-                if mask.any():
-                    per_class[tau, c] = accuracy(pred[mask], truth[mask])
+            means[tau] = accuracy(table.argmax(axis=1), truth)
         else:
             fn = calibrated_ap if metric == "cap" else average_precision
-            values = []
-            for c in range(1, n_classes):
-                try:
-                    per_class[tau, c] = fn(table[:, c], truth == c)
-                    values.append(per_class[tau, c])
-                except NoPositivesError:
-                    pass
+            values = [fn(table[:, c], truth == c) for c in range(1, n_classes) if c in truth]
             if values:
                 means[tau] = float(np.mean(values))
     valid = means[~np.isnan(means)]
@@ -173,7 +155,6 @@ def evaluate_horizons(
     return HorizonReport(
         metric=metric,
         horizon_labels=horizon_labels(horizon),
-        per_class=per_class,
         means=means,
         average=float(valid.mean()),
         n_scored=n_scored,

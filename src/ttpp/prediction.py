@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import (Parameter, ParameterSet, ShapeError, Tensor, _bias_grad, _dot, _dot_contig,
                      _features_and_logits, _over_steps, _plus, _row, _send, _softmax_data,
-                     _softmax_grad, _tapes, _weight_grad, glorot)
+                     _softmax_grad, _weight_grad, glorot)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def _block_forward(x, data, keep, out):
     1e-5; one row reduces the whole array and takes its mean and 1 / std as
     floats (the fifth rule at the head of `tensor.py`), with the bits of the
     keepdims form. Returns the output and (hidden, xhat, inv_std), arrays of
-    the forward's own that `_block_backward` reads and a taped caller keeps
+    the forward's own that `_block_backward` reads and the caller keeps
     (inv_std a float at one row, else a column). np.maximum, the ReLU,
     propagates a NaN."""
     w1, b1, w2, b2, gain, bias = data
@@ -182,7 +182,7 @@ def _block_backward(g, saved, keep, data):
 def _send_block(block, x, saved, kept) -> None:
     """Sends a block's tensors their gradients over a stack of steps, from the
     steps' inputs `x` and, stacked here, the (hidden, xhat, inv_std) the
-    taped forward kept per step, `saved`, and the (g, gy, gpre) its backward
+    forward kept per step, `saved`, and the (g, gy, gpre) its backward
     returned per step, `kept`."""
     w1, b1, w2, b2, gain, bias = block
     hidden, xhat = (np.array([step[i] for step in saved]) for i in (0, 1))  # np.stack: 3x slower
@@ -237,7 +237,8 @@ def _rollout(s_t, f_t, classifier, horizon: int, parents, x, fs: slice, feed: bo
     n = f_rows.shape[0]
     x[0, :, fs] = f_rows
     _softmax_data(_dot(f_rows, wc), out=x[0, :, ps])
-    x[1:, :, fs] = 0.0  # stays zero unless each step writes its feature there
+    if not feed:  # else each step writes its feature there before the next reads it
+        x[1:, :, fs] = 0.0
     feats = x[1:, :, fs] if feed else np.empty((horizon, n, d))
     logits = np.empty((horizon, n, n_classes))
     for s in range(horizon):
@@ -291,12 +292,11 @@ def rollout(s_t: Tensor, f_t: np.ndarray, params: PPMParams, keep=None) -> Rollo
     parents = (s_t, classifier, *initial, *(progressive if horizon > 1 else ()))
     x = np.empty((horizon + 1, len(rows), 2 * d + n_classes))
     x[:, :, :d] = rows
-    saved = [] if _tapes(parents) else None  # each step's (hidden, xhat, inv_std)
+    saved = []  # each step's (hidden, xhat, inv_std)
 
     def step(s, out):
         out, kept = _block_forward(x[s], data[s], masks[s], out)
-        if saved is not None:
-            saved.append(kept)
+        saved.append(kept)
         return out
 
     def step_back(s, g, gx):  # keeps s_t's columns of the input's gradient too

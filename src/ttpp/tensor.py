@@ -25,11 +25,11 @@ loss. Every loss reads the logits, so a backward that reaches a
 rollout's features alone is refused.
 The tests hold each layer to the chain of generic single-op nodes it
 replaced, kept in ``tests/chains.py``: values equal by bytes, gradients
-by bytes or to 1e-12. Arrays only a backward reads are kept only while
-taping, as references to the arrays each step computes anyway, which the
-backward stacks. Dropout takes a keep mask drawn by `keep_mask`, so a
-caller can draw the masks of a whole batch at once in the order
-per-sample draws would read them.
+by bytes or to 1e-12. A layer keeps what its backward reads, taped or
+not, as references to arrays its forward computes anyway, so taping
+decides only whether `_make` attaches a backward. Dropout takes a keep
+mask drawn by `keep_mask`, so a caller can draw the masks of a whole
+batch at once in the order per-sample draws would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
@@ -171,11 +171,6 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
         out._parents = live
         out._backward = backward
     return out
-
-
-def _tapes(parents) -> bool:
-    """Whether an op on `parents` records a node: taping is on and one is tracked."""
-    return _taping and any(p._tracked for p in parents)
 
 
 def _plus(acc, term):

@@ -298,12 +298,10 @@ def lstm_window(x, state, w, b) -> Tensor:
     xh = np.empty((t + 1, len(rows), d_in + d_h))
     xh[:t, :, :d_in] = x.data.reshape(-1, t, d_in).swapaxes(0, 1)
     xh[0, :, d_in:] = rows[:, :d_h]
-    c, caches, tape = rows[:, d_h:], [None] * t, tensor._tapes((x, state, w, b))
-    b_row = tensor._row(b)
+    c, caches, b_row = rows[:, d_h:], [None] * t, tensor._row(b)
     with np.errstate(over="ignore"):
         for s in range(t):
-            _, c, caches[s] = baselines._cell_forward(xh[s], c, w.data, b_row, tape,
-                                                      xh[s + 1, :, d_in:])
+            _, c, caches[s] = baselines._cell_forward(xh[s], c, w.data, b_row, xh[s + 1, :, d_in:])
     data = np.concatenate([xh[t, :, d_in:], c], axis=-1)
 
     def backward(g):

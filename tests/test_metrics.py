@@ -171,7 +171,7 @@ class TestEvaluateHorizons:
     def test_single_horizon_report(self):
         seq = label_sequence([0, 1, 0, 1, 2, 1, 0, 2, 1, 0], 3)
         report = evaluate_horizons(onehot_oracle_scorer(1), [seq], horizon=1, seq_len=4, metric="map")
-        assert report.horizon == 1
+        assert report.horizon_labels == ["0.25s"]
         assert report.means.shape == (1,)
         assert report.average == report.means[0]
 
@@ -187,10 +187,17 @@ class TestEvaluateHorizons:
             assert report.average == 1.0
 
     def test_background_excluded_from_ap_means(self):
+        # both columns score "class 1 ahead": class 1 ranks perfectly, while
+        # background ranks its positives last, so a mean it entered would fall below 1
         seq = label_sequence([0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1], 2)
-        report = evaluate_horizons(onehot_oracle_scorer(2), [seq], horizon=2, seq_len=3, metric="map")
-        assert np.isnan(report.per_class[0, 0])  # background never scored
-        assert report.per_class[0, 1] == 1.0
+        oracle = onehot_oracle_scorer(2)
+
+        def scorer(seq, t):
+            return np.repeat(oracle(seq, t)[:, 1:], 2, axis=1)
+
+        for metric in ("map", "cap"):
+            report = evaluate_horizons(scorer, [seq], horizon=2, seq_len=3, metric=metric)
+            assert report.means.tolist() == [1.0, 1.0]
 
     def test_anchor_skipping_matches_hand_count(self):
         # length 10, seq_len 6: anchors t = 5..8; tau=1 targets 6..9 (4 pairs),
@@ -287,7 +294,6 @@ def tabulated_report(tables, sequences, horizon, seq_len, metric):
     """The report by brute force: every (anchor, tau) pair listed one at a time,
     then each horizon's pairs reduced by the module's own metric functions."""
     n_classes = sequences[0].n_classes
-    per_class = np.full((horizon, n_classes), np.nan)
     means = np.full(horizon, np.nan)
     n_scored = 0
     for tau in range(1, horizon + 1):
@@ -303,19 +309,12 @@ def tabulated_report(tables, sequences, horizon, seq_len, metric):
         n_scored += len(truth)
         if metric == "acc":
             means[tau - 1] = accuracy(rows.argmax(axis=1), truth)
-            for c in range(n_classes):
-                if (truth == c).any():
-                    per_class[tau - 1, c] = accuracy(rows[truth == c].argmax(axis=1),
-                                                     truth[truth == c])
             continue
         fn = calibrated_ap if metric == "cap" else average_precision
-        for c in range(1, n_classes):
-            if (truth == c).any():
-                per_class[tau - 1, c] = fn(rows[:, c], truth == c)
-        actions = per_class[tau - 1, 1:]
-        if not np.isnan(actions).all():
-            means[tau - 1] = float(np.mean(actions[~np.isnan(actions)]))
-    return per_class, means, n_scored
+        actions = [fn(rows[:, c], truth == c) for c in range(1, n_classes) if (truth == c).any()]
+        if actions:
+            means[tau - 1] = float(np.mean(actions))
+    return means, n_scored
 
 
 @st.composite
@@ -346,7 +345,7 @@ class TestEvaluateHorizonsProperties:
     @given(case=scored_sequences())
     def test_report_equals_the_tabulation(self, metric, case):
         sequences, tables, horizon, seq_len = case
-        per_class, means, n_scored = tabulated_report(tables, sequences, horizon, seq_len, metric)
+        means, n_scored = tabulated_report(tables, sequences, horizon, seq_len, metric)
 
         def scorer(seq, t):
             return tables[seq.video_id, t]
@@ -356,7 +355,6 @@ class TestEvaluateHorizonsProperties:
                 evaluate_horizons(scorer, sequences, horizon, seq_len, metric)
             return
         report = evaluate_horizons(scorer, sequences, horizon, seq_len, metric)
-        assert report.per_class.tobytes() == per_class.tobytes()
         assert report.means.tobytes() == means.tobytes()
         assert np.float64(report.average).tobytes() == np.mean(means[~np.isnan(means)]).tobytes()
         assert report.n_scored == n_scored
@@ -383,7 +381,6 @@ class TestReportCSV:
         return HorizonReport(
             metric="acc",
             horizon_labels=horizon_labels(3),
-            per_class=np.full((3, 2), 0.5),
             means=np.array([0.75, 2 / 3, 0.5]),
             average=float(np.mean([0.75, 2 / 3, 0.5])),
             n_scored=42,
@@ -401,7 +398,6 @@ class TestReportCSV:
             name: HorizonReport(
                 metric="acc",
                 horizon_labels=labels,
-                per_class=np.zeros((3, 2)),
                 means=np.array(values[:-1]),
                 average=values[-1],
                 n_scored=0,
@@ -428,7 +424,7 @@ class TestReportCSV:
     ])
     def test_write_refusals_name_their_cause(self, horizons, message, tmp_path):
         reports = {
-            f"m{i}": HorizonReport("acc", horizon_labels(h), np.zeros((h, 2)), np.zeros(h), 0.0, 0)
+            f"m{i}": HorizonReport("acc", horizon_labels(h), np.zeros(h), 0.0, 0)
             for i, h in enumerate(horizons)
         }
         path = tmp_path / "report.csv"

@@ -1,5 +1,6 @@
 """The modules of src/ttpp, read with `ast`: none imports a name it never uses,
-and every module-level function and class is named somewhere in the package.
+every module-level function and class is named somewhere in the package,
+and only `tensor.no_grad` and `tensor._make` read the taping state.
 
 No linter is part of the test dependencies, so this catches the imports and
 the helpers a change leaves behind. `__init__.py` is exempt from the import
@@ -82,3 +83,34 @@ def test_the_check_finds_a_helper_that_nothing_names():
 def test_every_function_and_class_is_named_outside_its_definition():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unnamed_definitions(sources) == []
+
+
+TAPING = {"_taping", "_tapes"}
+
+
+def taping_readers(sources: dict[str, str]) -> list[str]:
+    """The module-level statements of `sources` (module name -> source) that
+    name the taping state, as module.name, or module.<module> for one that
+    defines no function or class."""
+    return sorted(f"{module}.{getattr(node, 'name', '<module>')}"
+                  for module, source in sources.items() for node in ast.parse(source).body
+                  if TAPING.intersection(names_in(node)))
+
+
+def test_the_check_finds_a_read_of_the_taping_state():
+    sources = {
+        "tensor": "_taping = True\n\ndef _make(x):\n    return x if _taping else None\n",
+        "layer": "from .tensor import _tapes\nfrom . import tensor\n\n"
+                 "def f():\n    return 1\n\ndef g():\n    return tensor._taping\n",
+    }
+    assert taping_readers(sources) == ["layer.<module>", "layer.g", "tensor.<module>",
+                                       "tensor._make"]
+
+
+def test_a_layer_does_not_branch_on_taping():
+    """Each layer keeps what its backward reads whether or not it tapes, so
+    taping decides only whether `_make` attaches that backward: only
+    `tensor.py` names the state, where it is set, and only `no_grad` and
+    `_make` read it."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert taping_readers(sources) == ["tensor.<module>", "tensor._make", "tensor.no_grad"]

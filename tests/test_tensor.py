@@ -1444,7 +1444,7 @@ def plain_softmax_data(a, out=None):
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=out)
 
 
-def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
+def plain_cell_forward(xh, c, w, b, h_out):
     """`baselines._cell_forward` with `@`, a 1-D bias and the sigmoid 1.0 / (1.0 + exp(-pre))."""
     d_h = c.shape[1]
     pre = xh @ w
@@ -1455,7 +1455,7 @@ def plain_cell_forward(xh, c, w, b, tape: bool, h_out):
     c_new += gates[:, :d_h] * cand
     tc = np.tanh(c_new)
     h = np.multiply(gates[:, 3 * d_h :], tc, out=h_out)
-    return h, c_new, ((c, gates, cand, tc) if tape else None)
+    return h, c_new, (c, gates, cand, tc)
 
 
 def plain_cell_backward(gh, gc, cache, w):
@@ -1632,7 +1632,7 @@ class TestOneRowStatistics:
         keep = (rng.random((1, 8)) >= 0.5) / 0.5 if dropout else None
         # with `tape` each runs with taping on, as a taped rollout's step does,
         # else inside no_grad; either way it returns (hidden, xhat, inv_std),
-        # which a taped caller keeps for the backward: inv_std is a float at
+        # which its caller keeps for the backward: inv_std is a float at
         # one row, with the bytes of the keepdims form's (1, 1) column
         results = []
         for forward in (prediction._block_forward, plain_block_forward):
