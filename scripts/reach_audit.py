@@ -34,8 +34,10 @@ ROOT = Path(__file__).resolve().parent.parent
 # A leading "!" marks a command CI expects to exit 1.
 COMMANDS = """
 param-count
+param-count --out {out}/params.csv
 train --out-dir {out}/run
 eval --checkpoint {out}/run/checkpoint.bin --out {out}/eval.csv
+eval --set eval.metric=map --checkpoint {out}/run/checkpoint.bin --out {out}/map-eval.csv
 dump-attention --checkpoint {out}/run/checkpoint.bin --out {out}/attention.csv
 train {lstm} --out-dir {out}/lstm
 eval {lstm} --checkpoint {out}/lstm/checkpoint.bin --out {out}/lstm-eval.csv
@@ -63,6 +65,8 @@ train {h1} --out-dir {out}/h1
 eval {h1} --checkpoint {out}/h1/checkpoint.bin --out {out}/h1-eval.csv
 train {nofp} --out-dir {out}/nofp
 eval {nofp} --checkpoint {out}/nofp/checkpoint.bin --out {out}/nofp-eval.csv
+train --set data.duration_law=geometric --out-dir {out}/geometric
+train --set model.classes=2 --out-dir {out}/c2
 !train --set data.length=-1 --out-dir {out}/bad
 !train --set train.seed=-1 --out-dir {out}/bad
 """

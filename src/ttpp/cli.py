@@ -27,7 +27,6 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .tensor import no_grad
 from .training import TrainConfig, train, write_history_csv
 
 # config key -> dataclass field; n_classes is spelt model.classes in config files
@@ -285,7 +284,7 @@ def cmd_dump_attention(args, rc) -> int:
     sequences = _windowed_split(rc, "heldout", seq_len, 0, args.data)
     written = [seq for seq in sequences if len(seq) >= seq_len]
 
-    with open(args.out, "w", encoding="utf-8") as fh, no_grad():
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("video_id,t,head,memory_pos,weight\n")
         for seq in written:
             anchors = range(seq_len - 1, len(seq))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attention, baselines, prediction
 from .data import Reader, Writer
-from .tensor import Parameter, keep_mask, no_grad
+from .tensor import Parameter, keep_mask
 
 AGGREGATORS = ("ttm", "conv1d", "lstm")
 PREDICTORS = ("ppm", "ssp", "lstm")
@@ -137,16 +137,12 @@ class AnticipationModel:
         return prediction.rollout(s_t, f_t, self.pred_params, keep), weights
 
     def scorer(self):
-        """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores.
-
-        Scoring builds no tape (`no_grad`), so it holds no graph.
-        """
+        """Adapter for metrics.evaluate_horizons: (sequence, t) -> (l, C) scores."""
         seq_len = self.config.seq_len
 
         def score(sequence, t: int) -> np.ndarray:
-            with no_grad():
-                roll, _ = self.anticipate(sequence.features[t - seq_len + 1 : t + 1])
-                return roll.probs.data
+            roll, _ = self.anticipate(sequence.features[t - seq_len + 1 : t + 1])
+            return roll.probs.data
 
         return score
 

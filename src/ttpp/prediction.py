@@ -82,7 +82,7 @@ class Rollout:
 
     @property
     def probs(self) -> Tensor:
-        """softmax(logits), untaped: scoring reads it, and no loss does."""
+        """softmax(logits), with no backward: scoring reads it, and no loss does."""
         return Tensor(_softmax_data(self.logits.data))
 
 

@@ -4,7 +4,7 @@ A small define-by-run engine: every operation stores a backward closure on
 its output, and ``Tensor.backward()`` replays the tape in reverse
 topological order. Storage is plain numpy float64, row-major. The tape is
 rebuilt on every forward pass, so rollouts of varying length need no
-special casing. Inside ``no_grad()`` no tape is built at all.
+special casing.
 
 Operations act on the last axis or two and treat any axes before them as
 batch axes, folded into the rows of one 2-D product per weight. A
@@ -19,17 +19,18 @@ backward, defined next to its parameter set: `attention.aggregate` (TTM),
 with a logits child, from `_features_and_logits`) and
 `training.total_loss`. This module keeps what they share. Only what
 takes a gradient is a tensor: a window and the last feature `f_t` enter
-the layers as arrays, so a taped training batch builds four tensors
-whatever the cell: the aggregator's node, the predictor's two and the
-loss. Every loss reads the logits, so a backward that reaches a
-rollout's features alone is refused.
+the layers as arrays, so a training batch builds four tensors whatever
+the cell: the aggregator's node, the predictor's two and the loss. Every
+loss reads the logits, so a backward that reaches a rollout's features
+alone is refused.
 The tests hold each layer to the chain of generic single-op nodes it
 replaced, kept in ``tests/chains.py``: values equal by bytes, gradients
-by bytes or to 1e-12. A layer keeps what its backward reads, taped or
-not, as references to arrays its forward computes anyway, so taping
-decides only whether `_make` attaches a backward. Dropout takes a keep
-mask drawn by `keep_mask`, so a caller can draw the masks of a whole
-batch at once in the order per-sample draws would read them.
+by bytes or to 1e-12. A layer keeps what its backward reads as
+references to arrays its forward computes anyway, and every forward
+attaches its backward: a caller that never calls `backward()` drops the
+graph with the outputs. Dropout takes a keep mask drawn by `keep_mask`,
+so a caller can draw the masks of a whole batch at once in the order
+per-sample draws would read them.
 
 At one window a fused op's operands are single rows, so what a numpy call
 costs is its dispatch, and each has a fast path with the same bits. The
@@ -88,27 +89,6 @@ class GradientError(RuntimeError):
     or a layer is asked for one that no run needs."""
 
 
-_taping = True  # False inside no_grad()
-
-
-class no_grad:
-    """Build no tape inside the block: results hold no parents or backward closures.
-
-    Forward values are computed by the same numpy calls, so they are equal
-    bit for bit to the taped ones. Leaving it, also by an exception, restores
-    the enclosing block's taping."""
-
-    __slots__ = ("saved",)
-
-    def __enter__(self) -> None:
-        global _taping
-        self.saved, _taping = _taping, False
-
-    def __exit__(self, *exc) -> None:
-        global _taping
-        _taping = self.saved
-
-
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -164,8 +144,6 @@ class Tensor:
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if not _taping:
-        return out
     live = tuple(p for p in parents if p._tracked)
     if live:
         out._parents = live

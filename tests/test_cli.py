@@ -10,7 +10,6 @@ from ttpp.cli import DEFAULTS, main, model_config, resolve_config, train_config
 from ttpp.data import load_features
 from ttpp.metrics import read_report_csv
 from ttpp.model import AnticipationModel, ModelConfig, load_checkpoint
-from ttpp.tensor import no_grad
 from ttpp.training import TrainConfig
 
 FAST = [
@@ -527,8 +526,7 @@ class TestDumpAttention:
             seq = load_features(path)
             anchors = range(config.seq_len - 1, len(seq))
             stack = np.stack([seq.features[t - config.seq_len + 1 : t + 1] for t in anchors])
-            with no_grad():
-                _, weights = model.anticipate(stack.astype(np.float64))
+            _, weights = model.anticipate(stack.astype(np.float64))
             for t, per_head in zip(anchors, weights):
                 for (head, m), weight in np.ndenumerate(per_head):
                     expected[seq.video_id, t, head, t - config.seq_len + 1 + m] = weight

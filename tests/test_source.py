@@ -1,6 +1,6 @@
 """The modules of src/ttpp, read with `ast`: none imports a name it never uses,
 every module-level function and class is named somewhere in the package,
-and only `tensor.no_grad` and `tensor._make` read the taping state.
+and none names a taping state: every forward tapes.
 
 No linter is part of the test dependencies, so this catches the imports and
 the helpers a change leaves behind. `__init__.py` is exempt from the import
@@ -85,7 +85,7 @@ def test_every_function_and_class_is_named_outside_its_definition():
     assert unnamed_definitions(sources) == []
 
 
-TAPING = {"_taping", "_tapes"}
+TAPING = {"_taping", "_tapes", "no_grad"}
 
 
 def taping_readers(sources: dict[str, str]) -> list[str]:
@@ -102,15 +102,14 @@ def test_the_check_finds_a_read_of_the_taping_state():
         "tensor": "_taping = True\n\ndef _make(x):\n    return x if _taping else None\n",
         "layer": "from .tensor import _tapes\nfrom . import tensor\n\n"
                  "def f():\n    return 1\n\ndef g():\n    return tensor._taping\n",
+        "cli": "from .tensor import no_grad\n\ndef h():\n    with no_grad():\n        return 1\n",
     }
-    assert taping_readers(sources) == ["layer.<module>", "layer.g", "tensor.<module>",
-                                       "tensor._make"]
+    assert taping_readers(sources) == ["cli.<module>", "cli.h", "layer.<module>", "layer.g",
+                                       "tensor.<module>", "tensor._make"]
 
 
 def test_a_layer_does_not_branch_on_taping():
-    """Each layer keeps what its backward reads whether or not it tapes, so
-    taping decides only whether `_make` attaches that backward: only
-    `tensor.py` names the state, where it is set, and only `no_grad` and
-    `_make` read it."""
+    """Every forward attaches its backward, so no caller chooses a path: no
+    module sets, reads or switches off a taping state."""
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert taping_readers(sources) == ["tensor.<module>", "tensor._make", "tensor.no_grad"]
+    assert taping_readers(sources) == []

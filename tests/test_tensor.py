@@ -1,6 +1,5 @@
 """Tensor engine and fused layers: forward semantics, backward passes, SGD."""
 
-import contextlib
 import warnings
 from dataclasses import FrozenInstanceError, dataclass, fields
 
@@ -29,7 +28,6 @@ from ttpp.tensor import (
     ShapeError,
     Tensor,
     keep_mask,
-    no_grad,
     sgd_step,
 )
 
@@ -447,8 +445,7 @@ class TestParameterSet:
         window = np.random.default_rng(5).normal(size=(8, 16))
 
         def scores(model):
-            with no_grad():
-                roll, _ = model.anticipate(window)
+            roll, _ = model.anticipate(window)
             return roll.probs.data.tobytes()
 
         def fresh(weights_of):
@@ -471,18 +468,15 @@ class TestParameterSet:
     def test_load_state_keeps_each_parameters_array(self, aggregator, predictor):
         """`load_state` copies into the array each parameter already holds, so
         the rows and checks a set cached at an earlier forward stay current:
-        the loaded model anticipates, taped and not, as a fresh model that
-        loaded the same state before its first forward."""
+        the loaded model anticipates as a fresh model that loaded the same
+        state before its first forward."""
         config = ModelConfig(aggregator=aggregator, predictor=predictor)
         window = np.random.default_rng(6).normal(size=(8, 16))
         state = {p.name: p.value.data for p in AnticipationModel(config, seed=1).parameters()}
 
         def outputs(model):
-            taped, _ = model.anticipate(window)
-            with no_grad():
-                untaped, _ = model.anticipate(window)
-            return [a.data.tobytes() for roll in (taped, untaped)
-                    for a in (roll.features, roll.logits, roll.probs)]
+            roll, _ = model.anticipate(window)
+            return [a.data.tobytes() for a in (roll.features, roll.logits, roll.probs)]
 
         model = AnticipationModel(config, seed=0)
         before = outputs(model)
@@ -1146,19 +1140,6 @@ class TestRolloutOpsMatchChains:
         fused = rollout_grads(on_array(lstm_decode, 1), args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(lstm_chain, args_of, arrays, costs))
 
-    @pytest.mark.parametrize("op, arrays_of, args_of", [
-        (rollout, ppm_arrays, ppm_args), (lstm_decode, lstm_arrays, lstm_args),
-    ])
-    def test_untaped_forward_equals_taped(self, op, arrays_of, args_of):
-        tensors = predictor_inputs(arrays_of(np.random.default_rng(90), (2,)), tracked=True)
-        features, logits = outputs(op(*args_of(tensors, 4)))
-        with no_grad():
-            plain = outputs(op(*args_of(tensors, 4)))
-        assert features._parents and logits._parents == (features,)
-        assert not plain[0]._parents and not plain[1]._parents
-        np.testing.assert_array_equal(plain[0].data, features.data)
-        np.testing.assert_array_equal(plain[1].data, logits.data)
-
     def test_shape_errors(self):
         t = predictor_inputs(ppm_arrays(np.random.default_rng(91), (2,)))
         with pytest.raises(ShapeError, match="keep mask"):
@@ -1620,8 +1601,8 @@ class TestOneRowStatistics:
 
     @settings(max_examples=200, deadline=None)
     @given(b2=edge_row(8), seed=st.integers(0, 2**16), scale=st.sampled_from([0.0, 1.0, 1e150]),
-           tape=st.booleans(), dropout=st.booleans(), into=st.booleans())
-    def test_block_forward_equals_keepdims_form(self, b2, seed, scale, tape, dropout, into):
+           dropout=st.booleans(), into=st.booleans())
+    def test_block_forward_equals_keepdims_form(self, b2, seed, scale, dropout, into):
         # the edge row enters as the second layer's bias, so the products stay
         # finite (`.dot` and `@` name an overflow apart) and, at scale 0, the
         # layer norm's input is that row exactly
@@ -1630,15 +1611,13 @@ class TestOneRowStatistics:
         data = (w1, rng.normal(size=(1, 4)), w2 * scale, b2[None],
                 rng.normal(size=(1, 8)), rng.normal(size=(1, 8)))
         keep = (rng.random((1, 8)) >= 0.5) / 0.5 if dropout else None
-        # with `tape` each runs with taping on, as a taped rollout's step does,
-        # else inside no_grad; either way it returns (hidden, xhat, inv_std),
-        # which its caller keeps for the backward: inv_std is a float at
-        # one row, with the bytes of the keepdims form's (1, 1) column
+        # each returns (hidden, xhat, inv_std), which its caller keeps for the
+        # backward: inv_std is a float at one row, with the bytes of the
+        # keepdims form's (1, 1) column
         results = []
         for forward in (prediction._block_forward, plain_block_forward):
             out = np.full((1, 12), 7.0)[:, 2:10] if into else None
-            with contextlib.nullcontext() if tape else no_grad():
-                (got, saved), warned = run_recording(forward, x, data, keep, out)
+            (got, saved), warned = run_recording(forward, x, data, keep, out)
             results.append((got, warned, saved))
         (got, got_warned, got_saved), (want, want_warned, want_saved) = results
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -1767,9 +1746,9 @@ class TestTensorConstructions:
     """Tensors built per call at the default config, in each of the ten grid cells.
 
     Only what takes a gradient is a tensor: a window and the last feature
-    enter the layers as arrays. A one-window anticipate builds 3, taped or
-    not: the aggregator's one node and the predictor's features node and
-    its logits child. A scorer call adds the probs, and a training batch
+    enter the layers as arrays. A one-window anticipate builds 3: the
+    aggregator's one node and the predictor's features node and its logits
+    child. A scorer call adds the probs, and a training batch
     the loss. Splitting a fused layer or rollout back into single ops, or
     wrapping an input, raises a count.
     """
@@ -1797,8 +1776,6 @@ class TestTensorConstructions:
 
         monkeypatch.setattr(Tensor, "__init__", counting)
         assert count(lambda: model.anticipate(window)) == 3
-        with no_grad():
-            assert count(lambda: model.anticipate(window)) == 3  # no tape, the same tensors
         assert count(lambda: score(seq, 10)) == 4
 
         def batch():
@@ -1818,10 +1795,9 @@ class TestTensorConstructions:
                 assert got.features.data.tobytes() == want.features.data.tobytes()
                 assert got.logits.data.tobytes() == want.logits.data.tobytes()
 
-    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
     @pytest.mark.parametrize("cell", ["ttm-ppm", "lstm-lstm", "conv1d-ssp"])
     def test_a_fortran_ordered_or_transposed_window_gives_the_bytes_of_its_c_ordered_copy(
-            self, cell, taped):
+            self, cell):
         aggregator, predictor = cell.split("-")
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         rng = np.random.default_rng(2)
@@ -1829,31 +1805,12 @@ class TestTensorConstructions:
         window = rng.normal(size=(16, 8)).T
         for given in (stack, window):
             assert not given.flags.c_contiguous
-            with contextlib.nullcontext() if taped else no_grad():
-                want, want_weights = model.anticipate(given.copy(order="C"))
-                got, got_weights = model.anticipate(given)
+            want, want_weights = model.anticipate(given.copy(order="C"))
+            got, got_weights = model.anticipate(given)
             assert got.features.data.tobytes() == want.features.data.tobytes()
             assert got.logits.data.tobytes() == want.logits.data.tobytes()
             if aggregator == "ttm":
                 assert got_weights.tobytes() == want_weights.tobytes()
-
-
-class TestNoGrad:
-    def test_a_raising_or_nested_block_leaves_taping_as_it_was(self):
-        for outer in (True, False):
-            tensor._taping = outer
-            try:
-                with pytest.raises(ValueError, match="inside"), no_grad():
-                    assert not tensor._taping
-                    raise ValueError("inside")
-                assert tensor._taping is outer
-                with no_grad():
-                    with no_grad():
-                        assert not tensor._taping
-                    assert not tensor._taping
-                assert tensor._taping is outer
-            finally:
-                tensor._taping = True
 
 
 def test_forward_ops_deterministic():

@@ -10,7 +10,7 @@ import chains
 from ttpp.data import gen_synthetic, make_samples, standard_synthetic_config
 from ttpp.model import AnticipationModel, ModelConfig, grid_configs
 from ttpp.prediction import Rollout
-from ttpp.tensor import ShapeError, Tensor, no_grad, sgd_step
+from ttpp.tensor import ShapeError, Tensor, sgd_step
 from ttpp.training import (
     EpochStats,
     TrainConfig,
@@ -329,24 +329,6 @@ class TestBatchedEqualsPerSample:
                 if cell.aggregator == "ttm":
                     assert weights.shape == (5, 2, 7)
                     np.testing.assert_allclose(weights[b], one_weights, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
-    def test_no_grad_outputs_equal_taped_and_hold_no_tape(self, cell):
-        model = AnticipationModel(cell, seed=3)
-        stack = np.random.default_rng(10).normal(size=(3, 8, 8))
-        for observed in (stack, stack[0]):
-            taped, _ = model.anticipate(observed, rng=np.random.default_rng(1))
-            with no_grad():
-                untaped, _ = model.anticipate(observed, rng=np.random.default_rng(1))
-            np.testing.assert_array_equal(untaped.features.data, taped.features.data)
-            np.testing.assert_array_equal(untaped.logits.data, taped.logits.data)
-            assert taped.logits._parents
-            for out in (untaped.features, untaped.logits, untaped.probs):
-                assert out._parents == () and out._backward is None
-        # taping resumes after the block, also when the block raised
-        with pytest.raises(ValueError), no_grad():
-            model.anticipate(stack[:, :4])
-        assert model.anticipate(stack[0])[0].logits._parents
 
 
 class TestScorer:
