@@ -1,5 +1,5 @@
 """The generic single-op nodes, the layer chains built from them, and the
-test-side tools: `grad_check`, `param_set` and `rebind`.
+test-side tools: `grad_check`, `param_set`, `rebind` and `live_tensors`.
 
 Every model layer runs as one fused node, defined next to its parameter
 set. Each node replaced a chain of generic nodes (add, mul, matmul,
@@ -17,6 +17,7 @@ helpers are reached through the module that defines them (`tensor`,
 
 from __future__ import annotations
 
+import gc
 import sys
 
 import numpy as np
@@ -102,6 +103,12 @@ def rebind(monkeypatch, module, name: str, replacement) -> list[int]:
                 if value is original:
                     monkeypatch.setattr(mod, key, counted)
     return calls
+
+
+def live_tensors() -> int:
+    """The Tensors alive after a full collection."""
+    gc.collect()
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
 
 
 def _ensure(x) -> Tensor:

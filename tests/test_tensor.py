@@ -1140,6 +1140,26 @@ class TestRolloutOpsMatchChains:
         fused = rollout_grads(on_array(lstm_decode, 1), args_of, arrays, costs)
         assert_rollouts_agree(fused, rollout_grads(lstm_chain, args_of, arrays, costs))
 
+    @pytest.mark.parametrize("op, arrays_of, args_of", [
+        (rollout, ppm_arrays, ppm_args), (lstm_decode, lstm_arrays, lstm_args),
+    ])
+    def test_every_forward_attaches_its_backward_over_tracked_inputs(self, op, arrays_of,
+                                                                     args_of):
+        arrays = arrays_of(np.random.default_rng(90), (2,))
+        features, logits = outputs(op(*args_of(predictor_inputs(arrays, tracked=True), 4)))
+        again = outputs(op(*args_of(predictor_inputs(arrays, tracked=True), 4)))
+        assert features._parents and logits._parents == (features,)
+        assert features._backward is not None and logits._backward is not None
+        np.testing.assert_array_equal(again[0].data, features.data)
+        np.testing.assert_array_equal(again[1].data, logits.data)
+        # over untracked inputs `_make` finds no parent to link: the same
+        # values, and no backward
+        plain = outputs(op(*args_of(predictor_inputs(arrays), 4)))
+        assert not plain[0]._parents and not plain[1]._parents
+        assert plain[0]._backward is None and plain[1]._backward is None
+        np.testing.assert_array_equal(plain[0].data, features.data)
+        np.testing.assert_array_equal(plain[1].data, logits.data)
+
     def test_shape_errors(self):
         t = predictor_inputs(ppm_arrays(np.random.default_rng(91), (2,)))
         with pytest.raises(ShapeError, match="keep mask"):
@@ -1795,22 +1815,55 @@ class TestTensorConstructions:
                 assert got.features.data.tobytes() == want.features.data.tobytes()
                 assert got.logits.data.tobytes() == want.logits.data.tobytes()
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
     @pytest.mark.parametrize("cell", ["ttm-ppm", "lstm-lstm", "conv1d-ssp"])
     def test_a_fortran_ordered_or_transposed_window_gives_the_bytes_of_its_c_ordered_copy(
-            self, cell):
+            self, cell, backward):
+        # with `backward` each forward's logits are also backpropagated, and
+        # every parameter's gradient keeps the bytes of the C-ordered run's
         aggregator, predictor = cell.split("-")
         model = AnticipationModel(ModelConfig(aggregator=aggregator, predictor=predictor))
         rng = np.random.default_rng(2)
         stack = np.asfortranarray(rng.normal(size=(16, 8, 16)))
         window = rng.normal(size=(16, 8)).T
+
+        def run(observed):
+            for p in model.parameters():
+                p.value.grad = None
+            roll, weights = model.anticipate(observed)
+            if backward:
+                weighted_sum(roll.logits, np.ones(roll.logits.shape)).backward()
+            return roll, weights, [p.value.grad for p in model.parameters()]
+
         for given in (stack, window):
             assert not given.flags.c_contiguous
-            want, want_weights = model.anticipate(given.copy(order="C"))
-            got, got_weights = model.anticipate(given)
+            want, want_weights, want_grads = run(given.copy(order="C"))
+            got, got_weights, got_grads = run(given)
             assert got.features.data.tobytes() == want.features.data.tobytes()
             assert got.logits.data.tobytes() == want.logits.data.tobytes()
             if aggregator == "ttm":
                 assert got_weights.tobytes() == want_weights.tobytes()
+            for g, w in zip(got_grads, want_grads):
+                if backward:
+                    assert g is not None and g.tobytes() == w.tobytes()
+                else:
+                    assert g is None and w is None
+
+
+def test_an_output_nobody_backpropagates_frees_its_graph():
+    """Every op links its output to its tracked parents, and nothing else
+    keeps the link: dropping the output frees each node it reached."""
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+    before = chains.live_tensors()
+    hidden = relu(matmul(x, w))
+    out = log_softmax(mul(hidden, hidden))
+    assert out._parents and out._backward is not None
+    assert chains.live_tensors() == before + 4
+    del hidden, out
+    assert chains.live_tensors() == before
+    assert x.grad is None and w.grad is None
 
 
 def test_forward_ops_deterministic():

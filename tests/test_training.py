@@ -330,6 +330,28 @@ class TestBatchedEqualsPerSample:
                     assert weights.shape == (5, 2, 7)
                     np.testing.assert_allclose(weights[b], one_weights, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
+    def test_every_forward_tapes_and_its_graph_goes_with_its_outputs(self, cell):
+        model = AnticipationModel(cell, seed=3)
+        stack = np.random.default_rng(10).normal(size=(3, 8, 8))
+        before = chains.live_tensors()
+        for observed in (stack, stack[0]):
+            first, _ = model.anticipate(observed, rng=np.random.default_rng(1))
+            again, _ = model.anticipate(observed, rng=np.random.default_rng(1))
+            assert again.features.data.tobytes() == first.features.data.tobytes()
+            assert again.logits.data.tobytes() == first.logits.data.tobytes()
+            assert all(out._parents and out._backward is not None
+                       for roll in (first, again) for out in (roll.features, roll.logits))
+            # nothing outside the outputs holds the graph: the three nodes of
+            # each forward go when its rollout does
+            assert chains.live_tensors() == before + 6
+            del first, again
+            assert chains.live_tensors() == before
+        # a call that raised leaves the next forward taped as before
+        with pytest.raises(ValueError):
+            model.anticipate(stack[:, :4])
+        assert model.anticipate(stack[0])[0].logits._parents
+
 
 class TestScorer:
     @pytest.mark.parametrize("cell", GRID_CELLS, ids=[c.name for c in GRID_CELLS])
